@@ -34,7 +34,7 @@ from .majorant import (
     TabulatedMajorant,
     check_regular,
 )
-from .quaternion import ImaginaryUnit, Quaternion, UNIT_E1, UNIT_E2
+from .quaternion import ImaginaryUnit, Quaternion, UNIT_E1
 from .series import SliceSeries, evaluate, star_inverse, star_product
 from .verify import CorpusMember, default_corpus, run_suite
 
@@ -197,16 +197,21 @@ def _coerce_coefficient(name: str, idx: int, entry) -> Quaternion:
     return Quaternion(*vals)
 
 
-def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
-    """Read a JSON object {name: [[x0,x1,x2,x3], ...], ...} into corpus
-    members, in file order."""
+def _load_json_object(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object of entries")
+        raise ParseError(f"{path}: top level must be a JSON object")
+    return doc
+
+
+def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
+    """Read a JSON object {name: [[x0,x1,x2,x3], ...], ...} into corpus
+    members, in file order."""
+    doc = _load_json_object(path)
     members = []
     for name, coeffs in doc.items():
         if not isinstance(coeffs, list):
@@ -221,19 +226,16 @@ def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
 
 # ---------------------------------------------------------------- run config
 
-_CONFIG_FIELDS = None
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Serializable description of a verify run; the duck-typed interface
-    consumed by run_suite is exposed through properties."""
+    """Serializable description of a verify run, the one input of run_suite;
+    the parsed plan, weights, units and corpus are properties."""
 
-    seed: int = 12345
-    n_pairs: int = 4096
-    n_points: int = 512
-    min_separation: float = 1e-4
-    max_radius: float = 0.995
+    seed: int = SamplePlan.seed
+    n_pairs: int = SamplePlan.n_pairs
+    n_points: int = SamplePlan.n_points
+    min_separation: float = SamplePlan.min_separation
+    max_radius: float = SamplePlan.max_radius
     nodes: int = 2048
     omega_spec: str = "power:0.5"
     omega2_spec: str = "power:0.5"
@@ -280,26 +282,6 @@ class RunConfig:
         if self.corpus_path is not None:
             return load_function_spec(self.corpus_path)
         return default_corpus(self.corpus_seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_pairs": self.n_pairs,
-            "n_points": self.n_points,
-            "min_separation": self.min_separation,
-            "max_radius": self.max_radius,
-            "nodes": self.nodes,
-            "omega_spec": self.omega_spec,
-            "omega2_spec": self.omega2_spec,
-            "omega_small_spec": self.omega_small_spec,
-            "slice_i": list(self.slice_i),
-            "slice_k": list(self.slice_k),
-            "a_coeff": list(self.a_coeff),
-            "window": self.window,
-            "suites": None if self.suites is None else list(self.suites),
-            "corpus_path": self.corpus_path,
-            "corpus_seed": self.corpus_seed,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -360,7 +342,7 @@ def emit_report(reports, path: str | None = None, fmt: str = "json",
     if fmt == "json":
         doc = {
             "all_passed": all_passed,
-            "config": config.to_dict() if config is not None else None,
+            "config": dataclasses.asdict(config) if config is not None else None,
             "reports": [r.to_dict() for r in reports],
         }
         _write_text(to_json(doc), path)
@@ -411,6 +393,8 @@ def _series_coeff_lists(f: SliceSeries) -> list:
 def _cmd_star(args) -> int:
     corpus = _corpus_from_args(args)
     if args.inverse:
+        if args.order < 0:
+            raise ValidationError(f"--order must be nonnegative, got {args.order}")
         result = star_inverse(_pick(corpus, args.inverse), args.order)
         label = f"inverse:{args.inverse}"
     else:
@@ -425,17 +409,7 @@ def _cmd_star(args) -> int:
 def _cmd_majorant_check(args) -> int:
     omega = parse_majorant(args.omega)
     cert = check_regular(omega, quad_nodes=args.nodes)
-    doc = {
-        "spec": args.omega,
-        "is_regular": cert.is_regular,
-        "empirical_C": cert.empirical_C,
-        "worst_x": cert.worst_x,
-        "grid_size": cert.grid_size,
-        "monotone": cert.monotone,
-        "ratio_monotone": cert.ratio_monotone,
-        "history": list(cert.history),
-    }
-    _write_text(to_json(doc), args.out)
+    _write_text(to_json({"spec": args.omega, **dataclasses.asdict(cert)}), args.out)
     return 0 if cert.is_regular else 1
 
 
@@ -468,16 +442,9 @@ def _cmd_norm(args) -> int:
     elif kind.startswith("schwarz-"):
         rep = schwarz_pick_criterion(f, omega, i, plan,
                                      interpretation=kind.split("-", 1)[1])
-        _write_text(to_json({
-            "function": args.name,
-            "estimator": kind,
-            "hypothesis_constant": rep.hypothesis_constant,
-            "derivative_constant": rep.derivative_constant,
-            "sup_modulus": rep.sup_modulus,
-            "contract_ok": rep.contract_ok,
-            "n_used": rep.n_used,
-            "n_skipped": rep.n_skipped,
-        }), args.out)
+        doc = {"function": args.name, "estimator": kind, **dataclasses.asdict(rep)}
+        del doc["interpretation"]  # named by the estimator already
+        _write_text(to_json(doc), args.out)
         return 0
     else:
         raise ValidationError(f"unknown estimator {kind!r}")
@@ -502,40 +469,31 @@ def _slice_units(entries) -> dict:
     return units
 
 
+# verify flag (argparse dest) -> RunConfig field
+_VERIFY_FIELDS = {
+    "seed": "seed",
+    "pairs": "n_pairs",
+    "points": "n_points",
+    "nodes": "nodes",
+    "omega": "omega_spec",
+    "omega2": "omega2_spec",
+    "omega_small": "omega_small_spec",
+    "window": "window",
+    "corpus": "corpus_path",
+}
+
+
 def _config_from_args(args) -> RunConfig:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            return RunConfig.from_dict(json.load(fh))
-    cfg = RunConfig()
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.pairs is not None:
-        updates["n_pairs"] = args.pairs
-    if args.points is not None:
-        updates["n_points"] = args.points
-    if args.nodes is not None:
-        updates["nodes"] = args.nodes
-    if args.omega is not None:
-        updates["omega_spec"] = args.omega
-    if args.omega2 is not None:
-        updates["omega2_spec"] = args.omega2
-    if args.omega_small is not None:
-        updates["omega_small_spec"] = args.omega_small
-    if args.window is not None:
-        updates["window"] = args.window
-    if args.corpus is not None:
-        updates["corpus_path"] = args.corpus
+        return RunConfig.from_dict(_load_json_object(args.config))
+    updates = {field: getattr(args, dest) for dest, field in _VERIFY_FIELDS.items()
+               if getattr(args, dest) is not None}
     if args.suite is not None:
         updates["suites"] = tuple(s for s in args.suite.split(",") if s)
-    units = _slice_units(args.slice)
-    if "i" in units:
-        u = units["i"]
-        updates["slice_i"] = (u.v1, u.v2, u.v3)
-    if "k" in units:
-        u = units["k"]
-        updates["slice_k"] = (u.v1, u.v2, u.v3)
-    return dataclasses.replace(cfg, **updates)
+    for name, u in _slice_units(args.slice).items():
+        if name in ("i", "k"):
+            updates[f"slice_{name}"] = (u.v1, u.v2, u.v3)
+    return RunConfig(**updates)
 
 
 def _cmd_verify(args) -> int:
@@ -545,8 +503,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json_object(args.input)
     if args.format == "json":
         _write_text(to_json(doc), args.out)
     else:
@@ -591,11 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default="power:0.5")
     p.add_argument("--omega2")
     p.add_argument("--slice", action="append", metavar="i=X,Y,Z")
-    p.add_argument("--pairs", type=int, default=4096)
-    p.add_argument("--points", type=int, default=512)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--rho", type=float, default=0.995)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--pairs", type=int, default=SamplePlan.n_pairs)
+    p.add_argument("--points", type=int, default=SamplePlan.n_points)
+    p.add_argument("--eps", type=float, default=SamplePlan.min_separation)
+    p.add_argument("--rho", type=float, default=SamplePlan.max_radius)
+    p.add_argument("--seed", type=int, default=SamplePlan.seed)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_norm)
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .majorant import Majorant
 from .poisson import poisson_integral_slice
@@ -29,17 +28,19 @@ from .quaternion import (
     hamilton_mul,
     norm,
     norm_array,
+    slice_coordinate,
     slice_point,
 )
 from .series import (
     SliceSeries,
+    SplitSeries,
     cullen_derivative,
     eval_complex,
     evaluate,
     evaluate_batch,
-    split,
+    on_circle,
+    split_modulus,
     symmetrization,
-    unsplit_values_array,
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -107,8 +108,8 @@ def _golden_angles(n: int, offset: int = 0) -> np.ndarray:
 
 
 def _quarters(n: int) -> tuple[int, int, int, int]:
-    q = n // 4
-    return q, q, q, n - 3 * q
+    # round robin, so no stratum shrinks when n grows
+    return (n + 3) // 4, (n + 2) // 4, (n + 1) // 4, n // 4
 
 
 def disc_pair_coords(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -231,9 +232,8 @@ def disc_points(plan: SamplePlan, cap: float | None = None,
     if cap is None:
         cap = plan.max_radius
     n = plan.n_points
-    n_bulk = n // 2
-    n_edge = n // 4
-    n_circ = n - n_bulk - n_edge
+    # shares 2:1:1 with no stratum shrinking as n grows
+    n_bulk, n_edge, n_circ = (n + 1) // 2, (n + 2) // 4, n // 4
 
     bulk = cap * np.sqrt(_vdc(n_bulk)) * np.exp(1j * _golden_angles(n_bulk))
     edge_r = cap * (1.0 - np.exp(np.log(1e-3) * _vdc(n_edge, offset=1)))
@@ -271,10 +271,8 @@ def slice_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     slice disc."""
     z1, z2 = slice_pair_coords(plan)
     _require_positive(omega, plan.min_separation)
-    F, G, _ = split(f, i)
-    dF = eval_complex(F, z1) - eval_complex(F, z2)
-    dG = eval_complex(G, z1) - eval_complex(G, z2)
-    num = np.hypot(np.abs(dF), np.abs(dG))
+    s = SplitSeries.of(f, i)
+    num = split_modulus(s.at(z1) - s.at(z2))
     ratios = num / omega(np.abs(z1 - z2))
     return _pair_estimate(ratios, z1, z2, i)
 
@@ -290,10 +288,11 @@ def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
     z1, z2 = slice_pair_coords(plan)
     _require_positive(omega1, plan.min_separation)
     _require_positive(omega2, plan.min_separation)
-    F, G, _ = split(f, i)
+    s = SplitSeries.of(f, i)
+    dF, dG = s.at(z1) - s.at(z2)
     d = np.abs(z1 - z2)
-    r1 = np.abs(eval_complex(F, z1) - eval_complex(F, z2)) / omega1(d)
-    r2 = np.abs(eval_complex(G, z1) - eval_complex(G, z2)) / omega2(d)
+    r1 = np.abs(dF) / omega1(d)
+    r2 = np.abs(dG) / omega2(d)
     joint = np.hypot(r1, r2)
     return (
         _pair_estimate(r1, z1, z2, i),
@@ -335,13 +334,12 @@ def boundary_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     t1, t2 = circle_pair_angles(plan)
     _require_positive(omega, plan.min_separation)
     z1, z2 = np.exp(1j * t1), np.exp(1j * t2)
-    F, G, _ = split(f, i)
-    F1, F2 = eval_complex(F, z1), eval_complex(F, z2)
-    G1, G2 = eval_complex(G, z1), eval_complex(G, z2)
+    s = SplitSeries.of(f, i)
+    v1, v2 = s.at(z1), s.at(z2)
     if values == "function":
-        num = np.hypot(np.abs(F1 - F2), np.abs(G1 - G2))
+        num = split_modulus(v1 - v2)
     else:
-        num = np.abs(np.hypot(np.abs(F1), np.abs(G1)) - np.hypot(np.abs(F2), np.abs(G2)))
+        num = np.abs(split_modulus(v1) - split_modulus(v2))
     ratios = num / omega(np.abs(z1 - z2))
     return _pair_estimate(ratios, z1, z2, i)
 
@@ -364,9 +362,12 @@ def seminorms_N(fk: np.ndarray, omega: Majorant, i: ImaginaryUnit,
     fk = np.asarray(fk, dtype=complex)
     _require_positive(omega, plan.min_separation)
 
+    def modulus(z):
+        return np.abs(eval_complex(fk, z))
+
+    boundary_modulus = on_circle(modulus)
     t1, t2 = circle_pair_angles(plan)
-    m1 = np.abs(eval_complex(fk, np.exp(1j * t1)))
-    m2 = np.abs(eval_complex(fk, np.exp(1j * t2)))
+    m1, m2 = boundary_modulus(t1), boundary_modulus(t2)
     chord = np.abs(np.exp(1j * t1) - np.exp(1j * t2))
     circle_part = float(np.max(np.abs(m1 - m2) / omega(chord)))
 
@@ -376,21 +377,18 @@ def seminorms_N(fk: np.ndarray, omega: Majorant, i: ImaginaryUnit,
     rays = _golden_angles(8, offset=2)
     xs = (radii[:, None] * np.exp(1j * rays)[None, :]).ravel()
 
-    def boundary_modulus(t):
-        return np.abs(eval_complex(fk, np.exp(1j * t)))
-
     p_vals = poisson_integral_slice(boundary_modulus, xs, nodes)
-    defect = p_vals - np.abs(eval_complex(fk, xs))
+    defect = p_vals - modulus(xs)
     n1 = circle_part + float(np.max(defect / omega(1.0 - np.abs(xs))))
 
     r2 = radial_grid(1.0 - plan.min_separation, n_rad)
     zeta = np.exp(1j * _golden_angles(32, offset=9))
-    inner = np.abs(eval_complex(fk, r2[:, None] * zeta[None, :]))
-    outer = np.abs(eval_complex(fk, zeta))[None, :]
+    inner = modulus(r2[:, None] * zeta[None, :])
+    outer = modulus(zeta)[None, :]
     n2 = circle_part + float(np.max(np.abs(outer - inner) / omega(1.0 - r2)[:, None]))
 
     z1, z2 = disc_pair_coords(plan, 1.0)
-    d3 = np.abs(eval_complex(fk, z1)) - np.abs(eval_complex(fk, z2))
+    d3 = modulus(z1) - modulus(z2)
     n3 = float(np.max(np.abs(d3) / omega(np.abs(z1 - z2))))
 
     return n1, n2, n3
@@ -408,15 +406,13 @@ def derivative_ratio(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     if mode not in DERIVATIVE_MODES:
         raise ValueError(f"mode must be one of {DERIVATIVE_MODES}, got {mode!r}")
     xs = disc_points(plan, cap)
-    Fp, Gp, _ = split(cullen_derivative(f), i)
-    av = np.abs(eval_complex(Fp, xs))
-    bv = np.abs(eval_complex(Gp, xs))
+    comps = SplitSeries.of(cullen_derivative(f), i).at(xs)
     if mode == "full":
-        vals = np.hypot(av, bv)
+        vals = split_modulus(comps)
     elif mode == "minus":
-        vals = 2.0 * av
+        vals = 2.0 * np.abs(comps[0])
     else:
-        vals = 2.0 * bv
+        vals = 2.0 * np.abs(comps[1])
     gap = 1.0 - np.abs(xs)
     ratios = vals * gap / omega(gap)
     return _pair_estimate(ratios, xs, xs, i)
@@ -435,14 +431,6 @@ class GrowthCheck:
     samples: int
 
     @property
-    def lhs(self) -> float:
-        return max(self.lhs_plus, self.lhs_minus)
-
-    @property
-    def rhs(self) -> float:
-        return self.local_sup
-
-    @property
     def sandwich_slack(self) -> float:
         return 2.0 * self.local_sup - max(self.lhs_plus, self.lhs_minus)
 
@@ -459,24 +447,20 @@ def bounded_growth_check(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
     slice plane; by subharmonicity of the component moduli it is sampled on
     the bounding circle only.
     """
-    from .quaternion import slice_coordinate
-
     z = slice_coordinate(x, i)
     r = abs(z)
     if r >= 1.0:
         raise ValueError("x must lie in the open disc")
-    F, G, _ = split(f, i)
-    Fp, Gp = npoly.polyder(F), npoly.polyder(G)
+    s = SplitSeries.of(f, i)
 
     circle = z + (1.0 - r) * np.exp(1j * _golden_angles(plan.n_points))
-    m1 = float(np.max(np.abs(eval_complex(F, circle))))
-    m2 = float(np.max(np.abs(eval_complex(G, circle))))
-    local_sup = float(np.max(np.hypot(
-        np.abs(eval_complex(F, circle)), np.abs(eval_complex(G, circle))
-    )))
+    on_circle_values = s.at(circle)
+    m1, m2 = np.max(np.abs(on_circle_values), axis=1)
+    local_sup = float(np.max(split_modulus(on_circle_values)))
 
-    f1, f2 = abs(eval_complex(F, z)), abs(eval_complex(G, z))
-    d1, d2 = abs(eval_complex(Fp, z)), abs(eval_complex(Gp, z))
+    # scalar abs, not the array loop: the two may differ in the last bit
+    f1, f2 = map(abs, s.at(z))
+    d1, d2 = map(abs, s.derivative().at(z))
     gap = 1.0 - r
 
     lhs_minus = gap * d1 + 2.0 * f1
@@ -509,9 +493,8 @@ class SchwarzPickReport:
 INTERPRETATIONS = ("series", "pointwise")
 
 
-def _displaced_point(f: SliceSeries, aux: SliceSeries | None, x_q: Quaternion,
-                     fx: Quaternion, fpx: Quaternion,
-                     interpretation: str) -> Quaternion:
+def _displaced_point(aux: SliceSeries | None, x_q: Quaternion, fx: Quaternion,
+                     fpx: Quaternion, interpretation: str) -> Quaternion:
     """The conjugated evaluation point x~ of the two-point criterion.
 
     Raises SingularPoint when the derivative, the value, or the auxiliary
@@ -555,10 +538,9 @@ def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     if interpretation not in INTERPRETATIONS:
         raise ValueError(f"interpretation must be in {INTERPRETATIONS}")
     xs = disc_points(plan)
-    F, G, j = split(f, i)
-    Fp, Gp = npoly.polyder(F), npoly.polyder(G)
-    fvals = unsplit_values_array(eval_complex(F, xs), eval_complex(G, xs), i, j)
-    fpvals = unsplit_values_array(eval_complex(Fp, xs), eval_complex(Gp, xs), i, j)
+    s = SplitSeries.of(f, i)
+    fvals = s.values(xs)
+    fpvals = s.derivative().values(xs)
     M = float(np.max(norm_array(fvals)))
 
     aux = None
@@ -576,7 +558,7 @@ def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
         fx = from_array(fvals[k])
         fpx = from_array(fpvals[k])
         try:
-            x_t = _displaced_point(f, aux, x_q, fx, fpx, interpretation)
+            x_t = _displaced_point(aux, x_q, fx, fpx, interpretation)
         except SingularPoint:
             skipped += 1
             continue

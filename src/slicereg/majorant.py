@@ -143,11 +143,6 @@ class TabulatedMajorant(Majorant):
         return f"TabulatedMajorant(<{self.grid.size} knots>)"
 
 
-def evaluate_majorant(omega: Majorant, t):
-    """Functional form of omega(t); validates the domain [0, 2]."""
-    return omega(t)
-
-
 @dataclass(frozen=True)
 class RegularityCertificate:
     is_regular: bool

@@ -21,11 +21,14 @@ from .quaternion import (
     ImaginaryUnit,
     Quaternion,
     hamilton_mul,
+    hmul_array,
     norm,
     norm_array,
+    rotate,
     slice_coordinate,
 )
-from .series import SliceSeries, eval_complex, split, unsplit_values_array
+from .series import SliceSeries, SplitSeries, on_circle
+from .series import eval_complex  # noqa: F401  bound here for benchmarks/test_benchmark.py
 
 MIN_NODES = 16
 
@@ -37,8 +40,7 @@ class BoundaryTooClose(ValueError):
 class BoundaryFunction:
     """Real boundary data on a slice circle, parameterized by angle.
 
-    Wraps a vectorized map from angle arrays to value arrays. Scalar
-    callables are accepted and lifted.
+    Wraps a vectorized map from angle arrays to value arrays.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
@@ -52,45 +54,39 @@ class BoundaryFunction:
         v = float(value)
         return cls(lambda t: np.full_like(t, v))
 
-    @classmethod
-    def from_scalar(cls, fn: Callable[[float], float]) -> "BoundaryFunction":
-        return cls(np.vectorize(fn, otypes=[float]))
-
 
 MODES = ("plus", "minus", "modulus", "modulus_squared_1", "modulus_squared_2")
 
 
-def _mode_profiles(f: SliceSeries, i: ImaginaryUnit, mode: str):
-    """(angle -> values, complex point -> value) for one comparison mode.
+def _mode_profile(f: SliceSeries, i: ImaginaryUnit, mode: str):
+    """Complex point -> value of one comparison mode.
 
     plus / minus are the sandwich moduli ||f ± i f i|| = 2||component||;
     modulus is ||f||; modulus_squared_k are the squared component moduli.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    F, G, _ = split(f, i)
+    s = SplitSeries.of(f, i)
 
     def at(z: np.ndarray) -> np.ndarray:
-        Fv = np.abs(eval_complex(F, z))
-        Gv = np.abs(eval_complex(G, z))
+        if mode == "modulus":
+            return s.modulus(z)
+        Fv, Gv = np.abs(s.at(z))
         if mode == "minus":
             return 2.0 * Fv
         if mode == "plus":
             return 2.0 * Gv
-        if mode == "modulus":
-            return np.hypot(Fv, Gv)
         if mode == "modulus_squared_1":
             return Fv ** 2
         return Gv ** 2
 
-    return (lambda t: at(np.exp(1j * t))), at
+    return at
 
 
 def modulus_boundary_function(f: SliceSeries, i: ImaginaryUnit,
                               mode: str = "modulus") -> BoundaryFunction:
     """Boundary data t -> g(e_i(t)) for the given comparison mode of f."""
-    angle_fn, _ = _mode_profiles(f, i, mode)
-    return BoundaryFunction(angle_fn)
+    return BoundaryFunction(on_circle(_mode_profile(f, i, mode)))
 
 
 def _kernel(q: Quaternion, i: ImaginaryUnit, angles: np.ndarray) -> np.ndarray:
@@ -153,9 +149,9 @@ def harmonic_defect(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
     slice plane. Nonnegative (up to quadrature error) whenever g is built
     from moduli of the holomorphic split components."""
     z = slice_coordinate(x, i)
-    angle_fn, point_fn = _mode_profiles(f, i, mode)
-    p = poisson_integral(BoundaryFunction(angle_fn), x, i, nodes)
-    return p - float(point_fn(np.asarray([z]))[0])
+    profile = _mode_profile(f, i, mode)
+    p = poisson_integral(BoundaryFunction(on_circle(profile)), x, i, nodes)
+    return p - float(profile(np.asarray([z]))[0])
 
 
 def rotation_equivariance_residual(u, r: Quaternion, q: Quaternion,
@@ -166,8 +162,6 @@ def rotation_equivariance_residual(u, r: Quaternion, q: Quaternion,
     parameterization of u transports unchanged because conjugation by r
     maps e_i(t) to e_(rir^-1)(t).
     """
-    from .quaternion import rotate  # local to keep the import list short
-
     k_q = rotate(r, i.as_quaternion())
     k = ImaginaryUnit.from_quaternion(k_q, tol=1e-9)
     lhs = poisson_integral(u, q, k, nodes)
@@ -198,10 +192,7 @@ def star_kernel_bound(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
     e_plus = np.exp(1j * angles)
     e_minus = np.exp(-1j * angles)
 
-    F, G, j_split = split(f, i)
-
-    def values_at(zs: np.ndarray) -> np.ndarray:
-        return unsplit_values_array(eval_complex(F, zs), eval_complex(G, zs), i, j_split)
+    s = SplitSeries.of(f, i)
 
     def complex_times(c: np.ndarray, h: np.ndarray) -> np.ndarray:
         # left Hamilton product of quaternion values h by c = a + b*i
@@ -223,14 +214,12 @@ def star_kernel_bound(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
 
     inv_minus = (z - e_minus) ** -2.0
     inv_plus = (z - e_plus) ** -2.0
-    f_minus = values_at(e_minus)
-    f_plus = values_at(e_plus)
+    f_minus = s.values(e_minus)
+    f_plus = s.values(e_plus)
 
     ji = hamilton_mul(j.as_quaternion(), i.as_quaternion())
     one_plus = np.array((1.0 + ji.x0, ji.x1, ji.x2, ji.x3))
     one_minus = np.array((1.0 - ji.x0, -ji.x1, -ji.x2, -ji.x3))
-
-    from .quaternion import hmul_array
 
     term = 0.5 * (
         hmul_array(one_plus, complex_times(inv_minus, f_minus))
@@ -239,6 +228,5 @@ def star_kernel_bound(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
     weight = 1.0 - abs(z) ** 2
     lhs = float(np.mean(norm_array(term)) * weight)
 
-    angle_fn, _ = _mode_profiles(f, i, "modulus")
-    rhs = 2.0 * poisson_integral(BoundaryFunction(angle_fn), x, i, nodes)
+    rhs = 2.0 * poisson_integral(BoundaryFunction(on_circle(s.modulus)), x, i, nodes)
     return lhs, rhs

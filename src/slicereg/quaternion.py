@@ -34,14 +34,6 @@ class Quaternion:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def real(self) -> float:
-        return self.x0
-
-    @property
-    def vector(self) -> tuple[float, float, float]:
-        return (self.x1, self.x2, self.x3)
-
     def components(self) -> tuple[float, float, float, float]:
         return (self.x0, self.x1, self.x2, self.x3)
 

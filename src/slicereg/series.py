@@ -8,7 +8,6 @@ each series splits over a slice plane into two complex-coefficient series.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +22,6 @@ from .quaternion import (
     norm,
     orthogonal_unit,
     quat_array,
-    slice_point,
 )
 
 PointwiseFunction = Callable[[Quaternion], Quaternion]
@@ -256,31 +254,58 @@ def eval_complex(coeffs: np.ndarray, z) -> np.ndarray:
     return npoly.polyval(np.asarray(z, dtype=complex), np.asarray(coeffs, dtype=complex))
 
 
-def unsplit_value(Fv, Gv, i: ImaginaryUnit, j: ImaginaryUnit) -> Quaternion:
-    """Reassemble F(z) + G(z)*j into a quaternion value."""
-    ij = hamilton_mul(i.as_quaternion(), j.as_quaternion())
-    return (
-        Quaternion(Fv.real, 0.0, 0.0, 0.0)
-        + Fv.imag * i.as_quaternion()
-        + Gv.real * j.as_quaternion()
-        + Gv.imag * ij
-    )
+def split_modulus(values: np.ndarray) -> np.ndarray:
+    """hypot(|F|, |G|) of stacked component values (F, G): the quaternion
+    norm of F + G*j, and of an increment when given differences."""
+    return np.hypot(np.abs(values[0]), np.abs(values[1]))
 
 
-def unsplit_values_array(Fv: np.ndarray, Gv: np.ndarray,
-                         i: ImaginaryUnit, j: ImaginaryUnit) -> np.ndarray:
-    """Batch version of unsplit_value; returns (..., 4)."""
-    ijq = hamilton_mul(i.as_quaternion(), j.as_quaternion())
-    basis = np.array(
-        [
-            (1.0, 0.0, 0.0, 0.0),
-            (0.0, i.v1, i.v2, i.v3),
-            (0.0, j.v1, j.v2, j.v3),
-            ijq.components(),
-        ]
-    )
-    parts = np.stack([Fv.real, Fv.imag, Gv.real, Gv.imag], axis=-1)
-    return parts @ basis
+def on_circle(g: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Boundary data t -> g(e^{it}) of a function of the complex coordinate."""
+    return lambda t: g(np.exp(1j * t))
+
+
+@dataclass(frozen=True)
+class SplitSeries:
+    """A series on the plane of i through its splitting f = F + G*j, with F
+    and G complex; every slice sample is taken from the two components."""
+
+    F: np.ndarray
+    G: np.ndarray
+    i: ImaginaryUnit
+    j: ImaginaryUnit
+
+    @classmethod
+    def of(cls, f: SliceSeries, i: ImaginaryUnit) -> "SplitSeries":
+        F, G, j = split(f, i)
+        return cls(F, G, i, j)
+
+    def derivative(self) -> "SplitSeries":
+        return SplitSeries(npoly.polyder(self.F), npoly.polyder(self.G), self.i, self.j)
+
+    def at(self, z) -> np.ndarray:
+        """Component values (F(z), G(z)) stacked along a new first axis."""
+        return np.stack([eval_complex(self.F, z), eval_complex(self.G, z)])
+
+    def modulus(self, z) -> np.ndarray:
+        """||f|| at complex coordinates z."""
+        return split_modulus(self.at(z))
+
+    def values(self, z) -> np.ndarray:
+        """Quaternion values F(z) + G(z)*j at complex coordinates z, as (..., 4)."""
+        i, j = self.i, self.j
+        ijq = hamilton_mul(i.as_quaternion(), j.as_quaternion())
+        basis = np.array(
+            [
+                (1.0, 0.0, 0.0, 0.0),
+                (0.0, i.v1, i.v2, i.v3),
+                (0.0, j.v1, j.v2, j.v3),
+                ijq.components(),
+            ]
+        )
+        Fv, Gv = self.at(z)
+        parts = np.stack([Fv.real, Fv.imag, Gv.real, Gv.imag], axis=-1)
+        return parts @ basis
 
 
 def representation_extend(fplus: Quaternion, fminus: Quaternion,
@@ -324,17 +349,4 @@ def slice_cr_residual(f: PointwiseFunction, z: Quaternion, i: ImaginaryUnit,
 
 def evaluate_on_slice(f: SliceSeries, i: ImaginaryUnit, zs) -> np.ndarray:
     """Values of f along the plane of i at complex coordinates zs, as (..., 4)."""
-    F, G, j = split(f, i)
-    zs = np.asarray(zs, dtype=complex)
-    return unsplit_values_array(eval_complex(F, zs), eval_complex(G, zs), i, j)
-
-
-def constant(a) -> SliceSeries:
-    """Degree-zero series."""
-    return SliceSeries((_coerce_coefficient(a),))
-
-
-def monomial(a, degree: int) -> SliceSeries:
-    """q^degree * a."""
-    zero = Quaternion()
-    return SliceSeries(tuple([zero] * degree + [_coerce_coefficient(a)]))
+    return SplitSeries.of(f, i).values(zs)

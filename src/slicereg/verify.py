@@ -15,7 +15,9 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,18 +47,24 @@ from .quaternion import (
     ImaginaryUnit,
     Quaternion,
     UNIT_E1,
-    UNIT_E2,
     norm,
     slice_point,
+    slice_points_array,
 )
 from .series import (
     SliceSeries,
+    SplitSeries,
     cullen_derivative,
     eval_complex,
     evaluate_batch,
     is_intrinsic,
+    on_circle,
     split,
+    split_modulus,
 )
+
+if TYPE_CHECKING:
+    from .cli import RunConfig
 
 
 class NotIntrinsic(ValueError):
@@ -121,11 +129,7 @@ class FunctionRecord:
             self.failures.append(label)
 
     def witness(self, label: str, est: NormEstimate):
-        a, b = est.argmax_pair
-        self.witnesses[label] = [
-            [a.x0, a.x1, a.x2, a.x3],
-            [b.x0, b.x1, b.x2, b.x3],
-        ]
+        self.witnesses[label] = [list(p.components()) for p in est.argmax_pair]
 
 
 @dataclass
@@ -161,21 +165,15 @@ class VerificationReport:
         }
 
 
+@contextmanager
 def _guarded(rec: FunctionRecord):
     """Context wrapper: an exception inside a member's checks marks the
     record failed instead of aborting the suite."""
-    class _Guard:
-        def __enter__(self):
-            return rec
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None:
-                rec.failures.append(f"exception:{exc_type.__name__}")
-                rec.notes.append(str(exc))
-                return True
-            return False
-
-    return _Guard()
+    try:
+        yield rec
+    except Exception as exc:
+        rec.failures.append(f"exception:{type(exc).__name__}")
+        rec.notes.append(str(exc))
 
 
 def _ratio_or_zero(num: float, den: float) -> float:
@@ -240,24 +238,20 @@ def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
     mu1d, mu2d = mu1(d), mu2(d)
 
     def diffs(series):
-        F, G, _ = split(series, i)
-        dF = eval_complex(F, z1) - eval_complex(F, z2)
-        dG = eval_complex(G, z1) - eval_complex(G, z2)
-        return dF, dG
+        s = SplitSeries.of(series, i)
+        return s.at(z1) - s.at(z2)
 
     records = []
     for idx, m in enumerate(corpus):
         partner = corpus[(idx + 1) % len(corpus)]
         rec = FunctionRecord(m.name)
         with _guarded(rec):
-            dF, dG = diffs(m.series)
-            cf = float(np.max(np.hypot(np.abs(dF), np.abs(dG)) / w1))
-            dFg, dGg = diffs(partner.series)
-            cg = float(np.max(np.hypot(np.abs(dFg), np.abs(dGg)) / w1))
+            dF, dG = d_f = diffs(m.series)
+            cf = float(np.max(split_modulus(d_f) / w1))
+            cg = float(np.max(split_modulus(diffs(partner.series)) / w1))
 
             combo = m.series * a + partner.series
-            dFc, dGc = diffs(combo)
-            lhs = np.hypot(np.abs(dFc), np.abs(dGc))
+            lhs = split_modulus(diffs(combo))
             rhs = (norm(a) * cf + cg) * w1
             floor = tol * (1.0 + float(np.max(lhs)))
             viol = float(np.max(lhs - rhs * (1.0 + tol)))
@@ -353,19 +347,16 @@ def verify_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
     for m in corpus:
         rec = FunctionRecord(m.name)
         with _guarded(rec):
-            F, G, _ = split(m.series, i)
-            F1, F2 = eval_complex(F, z1), eval_complex(F, z2)
-            G1, G2 = eval_complex(G, z1), eval_complex(G, z2)
-            full = np.hypot(np.abs(F1 - F2), np.abs(G1 - G2))
+            s = SplitSeries.of(m.series, i)
+            v1, v2 = s.at(z1), s.at(z2)
+            full = split_modulus(v1 - v2)
             floor = tol * (1.0 + float(np.max(full)))
 
-            mod = np.abs(np.hypot(np.abs(F1), np.abs(G1))
-                         - np.hypot(np.abs(F2), np.abs(G2)))
+            mod = np.abs(split_modulus(v1) - split_modulus(v2))
             v_mod = float(np.max(mod - full))
             rec.check("reverse_triangle_violation", v_mod, v_mod <= floor)
 
-            s_minus = 2.0 * np.abs(np.abs(F1) - np.abs(F2))
-            s_plus = 2.0 * np.abs(np.abs(G1) - np.abs(G2))
+            s_minus, s_plus = 2.0 * np.abs(np.abs(v1) - np.abs(v2))
             v_sw = float(np.max(np.maximum(s_minus, s_plus) - 2.0 * full))
             rec.check("sandwich_vs_double_violation", v_sw, v_sw <= 2.0 * floor)
 
@@ -394,11 +385,11 @@ def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     den = omega(1.0 - np.abs(xs)) ** power
     best = 0.0
     for comp in (F, G):
-        def bnd(t, c=comp):
-            return np.abs(eval_complex(c, np.exp(1j * t))) ** power
+        def moduli(z, c=comp):
+            return np.abs(eval_complex(c, z)) ** power
 
-        p_vals = poisson_integral_slice(bnd, xs, nodes)
-        defect = p_vals - np.abs(eval_complex(comp, xs)) ** power
+        p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes)
+        defect = p_vals - moduli(xs)
         best = max(best, float(np.max(defect / den)))
     return best
 
@@ -463,9 +454,10 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
     the slice sup (checked exactly by folding the sampled projections into
     the slice stream); the one-point growth inequalities hold at 100
     points; and the full derivative ratio is controlled by the component
-    constant times the regularity constant of omega."""
+    constant times the regularity constant of omega. A weight that
+    check_regular rejects fails every member with omega_not_regular."""
     cert = check_regular(omega)
-    c_omega = cert.empirical_C if cert.is_regular else 10.0
+    mixed_window = 6.0 * cert.empirical_C
     records = []
     qs = ball_pair_coords(plan)[0]
     gaps = 1.0 - np.linalg.norm(qs, axis=1)
@@ -485,13 +477,9 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
             fp = cullen_derivative(m.series)
             gvals = evaluate_batch(fp, qs)
             g_ratio = float(np.max(np.linalg.norm(gvals, axis=1) * gaps / wq))
-            Fp, Gp, _ = split(fp, i)
+            sp = SplitSeries.of(fp, i)
             proj = qs[:, 0] + 1j * np.linalg.norm(qs[:, 1:], axis=1)
-            pvals = np.hypot(np.abs(eval_complex(Fp, proj)),
-                             np.abs(eval_complex(Gp, proj)))
-            cvals = np.hypot(np.abs(eval_complex(Fp, proj.conj())),
-                             np.abs(eval_complex(Gp, proj.conj())))
-            pvals = np.maximum(pvals, cvals)
+            pvals = np.maximum(sp.modulus(proj), sp.modulus(proj.conj()))
             s_aug = max(modes["full"],
                         float(np.max(pvals * gaps / wq)))
             rec.check("global_derivative_ratio", g_ratio,
@@ -508,10 +496,13 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
             rec.check("growth_sandwich_slack", worst2, worst2 >= -tol)
             rec.check("growth_quadratic_slack", worst5, worst5 >= -tol)
 
-            _, _, joint = component_estimates(m.series, omega, omega, i, plan)
-            mixed = _ratio_or_zero(modes["full"], math.sqrt(2.0) * joint.value)
-            rec.check("mixed_bound_constant", mixed,
-                      mixed <= 6.0 * c_omega * (1.0 + 1e-9))
+            if cert.is_regular:
+                _, _, joint = component_estimates(m.series, omega, omega, i, plan)
+                mixed = _ratio_or_zero(modes["full"], math.sqrt(2.0) * joint.value)
+                rec.check("mixed_bound_constant", mixed,
+                          mixed <= mixed_window * (1.0 + 1e-9))
+            else:
+                rec.check("omega_not_regular", cert.empirical_C, False)
         records.append(rec)
 
     trend = []
@@ -527,7 +518,7 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
     return VerificationReport(
         suite="derivative_characterizations",
         records=records,
-        tolerances={"slack": tol, "mixed_window": 6.0 * c_omega},
+        tolerances={"slack": tol, "mixed_window": mixed_window},
         notes=notes,
     )
 
@@ -607,12 +598,7 @@ def verify_cone_corollary(corpus, omega, i: ImaginaryUnit, plan: SamplePlan,
         omega = omega[0] + omega[1]
     t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     zs = disc_points(plan, cap=min(plan.max_radius, 1.0 - 10.0 / nodes - 1e-9))[:24]
-    on_slice = np.stack([
-        zs.real,
-        zs.imag * i.v1,
-        zs.imag * i.v2,
-        zs.imag * i.v3,
-    ], axis=1)
+    on_slice = slice_points_array(i, zs)
     off_slice = np.asarray(
         np.random.default_rng([plan.seed, 41]).normal(size=(24, 4)))
     off_slice *= 0.8 / np.linalg.norm(off_slice, axis=1, keepdims=True)
@@ -622,12 +608,7 @@ def verify_cone_corollary(corpus, omega, i: ImaginaryUnit, plan: SamplePlan,
     for m in corpus:
         rec = FunctionRecord(m.name)
         with _guarded(rec):
-            F, G, _ = split(m.series, i)
-
-            def boundary_mod(t):
-                return np.hypot(np.abs(eval_complex(F, np.exp(1j * t))),
-                                np.abs(eval_complex(G, np.exp(1j * t))))
-
+            s = SplitSeries.of(m.series, i)
             c_def = _component_defect_sup(m.series, omega, i, plan, nodes)
             worst_aligned = 0.0
             worst_crossed = 0.0
@@ -646,18 +627,13 @@ def verify_cone_corollary(corpus, omega, i: ImaginaryUnit, plan: SamplePlan,
                 # admissible points lie on the slice; the matched complex
                 # coordinate carries the branch sign
                 zq = sel[:, 0] + sign * 1j * np.linalg.norm(sel[:, 1:], axis=1)
-                p_mean = poisson_integral_slice(boundary_mod, zq, nodes)
+                p_mean = poisson_integral_slice(on_circle(s.modulus), zq, nodes)
                 gapw = omega(1.0 - np.abs(zq))
                 bound = 2.0 * c_def * gapw + tol * (1.0 + 2.0 * c_def)
-                for z_eval, bucket in ((zq, "aligned"),
-                                       (zq.conj(), "crossed")):
-                    fv = 2.0 * np.hypot(np.abs(eval_complex(F, z_eval)),
-                                        np.abs(eval_complex(G, z_eval)))
-                    excess = np.max((p_mean - fv) - bound)
-                    if bucket == "aligned":
-                        worst_aligned = max(worst_aligned, float(excess))
-                    else:
-                        worst_crossed = max(worst_crossed, float(excess))
+                aligned, crossed = (float(np.max((p_mean - 2.0 * s.modulus(z)) - bound))
+                                    for z in (zq, zq.conj()))
+                worst_aligned = max(worst_aligned, aligned)
+                worst_crossed = max(worst_crossed, crossed)
             rec.check("admissible_plus", float(counts.get("plus", 0)), True)
             rec.check("admissible_minus", float(counts.get("minus", 0)), True)
             rec.check("rejected", float(np.sum(~seen)), True)
@@ -685,30 +661,21 @@ ALL_SUITES = (
 )
 
 
-def _get(config, name, default):
-    if config is None:
-        return default
-    value = getattr(config, name, None)
-    return default if value is None else value
-
-
-def run_suite(config=None) -> list[VerificationReport]:
-    """Run the selected suites (config.suites, default all) over the
-    configured corpus and plan. Any config-like object with the expected
-    attribute names works. A suite that raises is reported as failed; the
-    batch always completes."""
-    seed = int(_get(config, "seed", 2024))
-    plan = _get(config, "plan", SamplePlan(seed=seed))
-    corpus = tuple(_get(config, "corpus", default_corpus(seed)))
-    nodes = int(_get(config, "nodes", 2048))
-    omega1 = _get(config, "omega", PowerMajorant(0.5))
-    omega2 = _get(config, "omega2", PowerMajorant(0.5))
-    omega_small = _get(config, "omega_small", PowerMajorant(0.25))
-    unit_i = _get(config, "i", UNIT_E1)
-    unit_k = _get(config, "k", UNIT_E2)
-    a = _get(config, "a", E1)
-    window = float(_get(config, "window", 20.0))
-    names = _get(config, "suites", list(ALL_SUITES))
+def run_suite(config: RunConfig) -> list[VerificationReport]:
+    """Run the selected suites (config.suites, all when None) over the
+    configured corpus and plan. A suite that raises is reported as failed;
+    the batch always completes."""
+    plan = config.plan
+    corpus = config.corpus
+    nodes = config.nodes
+    omega1 = config.omega
+    omega2 = config.omega2
+    omega_small = config.omega_small
+    unit_i = config.i
+    unit_k = config.k
+    a = config.a
+    window = config.window
+    names = ALL_SUITES if config.suites is None else config.suites
 
     intrinsic = tuple(m for m in corpus if m.intrinsic)
     builders = {

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,11 +114,11 @@ def test_to_json_rejects_unknown_types():
 
 def test_run_config_roundtrip_and_validation():
     cfg = RunConfig(seed=7, n_pairs=256, suites=("inclusion_chain",))
-    back = RunConfig.from_dict(cfg.to_dict())
+    back = RunConfig.from_dict(dataclasses.asdict(cfg))
     assert back == cfg
     with pytest.raises(ValidationError):
         RunConfig.from_dict({"bogus_key": 1})
-    # duck interface consumed by the suite runner
+    # parsed properties read by the suite runner
     assert cfg.plan.n_pairs == 256
     assert cfg.omega(0.25) == pytest.approx(0.5)
     assert cfg.i.components() == (1.0, 0.0, 0.0)
@@ -125,7 +127,7 @@ def test_run_config_roundtrip_and_validation():
 def test_run_config_reproduces_run(tmp_path):
     cfg = RunConfig(seed=3, n_pairs=256, nodes=512, suites=("slice_independence",))
     a = [r.to_dict() for r in run_suite(cfg)]
-    b = [r.to_dict() for r in run_suite(RunConfig.from_dict(cfg.to_dict()))]
+    b = [r.to_dict() for r in run_suite(RunConfig.from_dict(dataclasses.asdict(cfg)))]
     assert to_json(a) == to_json(b)
 
 
@@ -232,3 +234,48 @@ def test_main_error_exit_codes(tmp_path, capsys):
     assert main(["norm", "--file", str(bad), "--name", "x", "--estimator", "slice",
                  "--omega", "power:0.5"]) == 2
     capsys.readouterr()
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify_small.json"
+
+
+def test_verify_report_bytes_match_golden_file(tmp_path):
+    """The report of a small default verify run, byte for byte.
+
+    The file pins this environment (Python 3.11.7, numpy 2.4.6): another
+    numpy may round the last digit of a float differently. Regenerate it with
+
+        slicereg verify --pairs 256 --points 64 --nodes 512 --out tests/data/verify_small.json
+
+    only for a change that is meant to alter the report.
+    """
+    out = tmp_path / "small.json"
+    assert main(["verify", "--pairs", "256", "--points", "64", "--nodes", "512",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_verify_fails_on_uncertified_weight(tmp_path):
+    # check_regular rejects this weight; the mixed bound needs its constant
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--omega", "tabulated:0,0;1,1;2,4",
+                 "--suite", "derivative_characterizations",
+                 "--pairs", "256", "--points", "64", "--out", str(out)]) == 1
+    (rep,) = json.loads(out.read_text())["reports"]
+    assert not rep["passed"]
+    assert all("omega_not_regular" in rec["failures"] for rec in rep["records"])
+    assert all("mixed_bound_constant" not in rec["checks"] for rec in rep["records"])
+
+
+@pytest.mark.parametrize("text, argv", [
+    ('{"seed": 1', ["verify", "--config", "{file}"]),
+    ("1", ["verify", "--config", "{file}"]),
+    ("[]", ["report", "--in", "{file}"]),
+    (None, ["star", "--inverse", "const_real", "--order", "-1"]),
+], ids=["truncated_config", "config_not_object", "report_not_object", "negative_order"])
+def test_bad_input_exits_two(text, argv, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    assert main([a.replace("{file}", str(path)) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")

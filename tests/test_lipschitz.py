@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slicereg.lipschitz import (
     DERIVATIVE_MODES,
@@ -38,6 +40,7 @@ from slicereg.quaternion import (
     slice_points_array,
 )
 from slicereg.series import SliceSeries, eval_complex, evaluate, evaluate_batch, split
+from slicereg.verify import default_corpus
 
 I = UNIT_E1
 W_HALF = PowerMajorant(0.5)
@@ -90,6 +93,12 @@ def test_pair_streams_respect_plan_bounds():
     q1, q2 = ball_pair_coords(PLAN)
     assert np.max(np.linalg.norm(q1, axis=1)) <= PLAN.max_radius + 1e-12
     assert np.min(np.linalg.norm(q1 - q2, axis=1)) >= PLAN.min_separation - 1e-12
+
+
+def test_disc_points_are_prefix_stable():
+    for n in range(4, 40):
+        small = set(disc_points(SamplePlan(n_points=n)).tolist())
+        assert small <= set(disc_points(SamplePlan(n_points=n + 1)).tolist())
 
 
 def test_disc_points_cover_origin_and_cap():
@@ -170,6 +179,28 @@ def test_estimates_monotone_in_pairs():
     assert values[1] <= values[2] + 1e-15
     g = [global_norm(SQUARE, W_LIN, SamplePlan(n_pairs=n)).value for n in (1024, 4096)]
     assert g[0] <= g[1] + 1e-15
+
+
+_CORPUS = default_corpus()
+_PAIR_ESTIMATORS = {
+    "slice": lambda f, plan: slice_norm(f, W_HALF, I, plan),
+    "global": lambda f, plan: global_norm(f, W_HALF, plan),
+    "boundary": lambda f, plan: boundary_norm(f, W_HALF, I, plan),
+}
+
+
+@given(member=st.sampled_from(_CORPUS), kind=st.sampled_from(sorted(_PAIR_ESTIMATORS)),
+       n=st.integers(4, 600), grow=st.integers(1, 8) | st.integers(1, 600),
+       seed=st.integers(0, 2**32 - 1))
+@example(member=_CORPUS[3], kind="slice", n=7, grow=1, seed=12345)
+@settings(deadline=None, max_examples=80)
+def test_estimates_never_decrease_as_pairs_grow(member, kind, n, grow, seed):
+    # the prefix-stability promise of the module docstring, for any sizes;
+    # small steps cross the sizes where the remainder moves between strata
+    estimate = _PAIR_ESTIMATORS[kind]
+    small = estimate(member.series, SamplePlan(n_pairs=n, seed=seed)).value
+    large = estimate(member.series, SamplePlan(n_pairs=n + grow, seed=seed)).value
+    assert large >= small
 
 
 def test_boundary_norm_oracles():
@@ -284,8 +315,8 @@ def test_displaced_point_interpretations_agree_at_real_x():
     for x in (0.3, -0.45, 0.6):
         x_q = Quaternion(x)
         fx, fpx = evaluate(f, x_q), evaluate(fp, x_q)
-        a = _displaced_point(f, aux, x_q, fx, fpx, "series")
-        b = _displaced_point(f, None, x_q, fx, fpx, "pointwise")
+        a = _displaced_point(aux, x_q, fx, fpx, "series")
+        b = _displaced_point(None, x_q, fx, fpx, "pointwise")
         assert norm_array(np.array([np.array(a.components()) - np.array(b.components())]))[0] < 1e-12
 
 
@@ -293,4 +324,4 @@ def test_singular_point_raised_at_critical_point():
     # f = q^2 has f'(0) = 0: the displaced point is undefined there
     zero = Quaternion(0.0)
     with pytest.raises(SingularPoint):
-        _displaced_point(SQUARE, None, zero, zero, zero, "pointwise")
+        _displaced_point(None, zero, zero, zero, "pointwise")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slicereg.cli import RunConfig
 from slicereg.lipschitz import SamplePlan
 from slicereg.majorant import PowerMajorant
 from slicereg.quaternion import E1, UNIT_E1, UNIT_E2, Quaternion
@@ -145,31 +146,23 @@ def test_cone_mask_oracle():
 
 # --- the batch runner -----------------------------------------------------------
 
-class _Config:
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
-
-    def __getattr__(self, name):
-        return None
-
-
 def test_run_suite_default_all_pass():
-    reports = run_suite()
+    reports = run_suite(RunConfig())
     assert [r.suite for r in reports] == list(ALL_SUITES)
     assert all(r.passed for r in reports)
 
 
 def test_run_suite_subset_and_unknown():
-    reports = run_suite(_Config(suites=["inclusion_chain", "no_such_suite"]))
+    reports = run_suite(RunConfig(suites=("inclusion_chain", "no_such_suite")))
     assert len(reports) == 2
     assert reports[0].passed
     assert not reports[1].passed
     assert any(n.startswith("error:") for n in reports[1].notes)
-    assert run_suite(_Config(suites=[])) == []
+    assert run_suite(RunConfig(suites=())) == []
 
 
 def test_run_suite_deterministic():
-    cfg = _Config(suites=["slice_independence"], plan=SamplePlan(n_pairs=256))
+    cfg = RunConfig(suites=("slice_independence",), n_pairs=256)
     a = run_suite(cfg)[0].to_dict()
     b = run_suite(cfg)[0].to_dict()
     assert a == b

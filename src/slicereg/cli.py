@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .lipschitz import (
+    DegeneratePlan,
     SamplePlan,
     boundary_norm,
     component_norm,
@@ -34,8 +35,9 @@ from .majorant import (
     TabulatedMajorant,
     check_regular,
 )
+from .poisson import MIN_NODES
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_E1
-from .series import SliceSeries, evaluate, star_inverse, star_product
+from .series import NotInvertibleAtOrigin, SliceSeries, evaluate, star_inverse, star_product
 from .verify import CorpusMember, default_corpus, run_suite
 
 
@@ -120,9 +122,12 @@ def parse_majorant(spec: str) -> Majorant:
 
 def _num(text: str, term: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ParseError(f"bad number in majorant term {term!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite number in majorant term {term!r}")
+    return value
 
 
 def _validated(ctor, term: str, *args) -> Majorant:
@@ -159,42 +164,55 @@ def _parse_majorant_term(term: str) -> Majorant:
     raise ParseError(f"unknown majorant kind {head!r}")
 
 
-def parse_unit(text: str) -> ImaginaryUnit:
-    """'x,y,z' -> the normalized imaginary unit along that vector."""
+def _parse_finite(text: str, size: int, what: str) -> list[float]:
+    """'x,y,...' -> exactly size finite floats."""
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError as exc:
-        raise ParseError(f"bad unit vector {text!r}") from exc
-    if len(parts) != 3:
-        raise ParseError(f"unit vector needs 3 components: {text!r}")
-    v = np.asarray(parts, dtype=float)
+        raise ParseError(f"bad {what} {text!r}") from exc
+    if len(parts) != size:
+        raise ParseError(f"{what} needs {size} components: {text!r}")
+    if not all(map(math.isfinite, parts)):
+        raise ValidationError(f"{what} must be finite: {text!r}")
+    return parts
+
+
+def parse_unit(text: str) -> ImaginaryUnit:
+    """'x,y,z' -> the normalized imaginary unit along that vector."""
+    v = np.asarray(_parse_finite(text, 3, "unit vector"))
     n = float(np.linalg.norm(v))
     if n == 0.0:
         raise ValidationError("unit vector must be nonzero")
-    return ImaginaryUnit(v[0] / n, v[1] / n, v[2] / n)
+    try:  # the norm over- or underflows for extreme components
+        return ImaginaryUnit(v[0] / n, v[1] / n, v[2] / n)
+    except ValueError as exc:
+        raise ValidationError(f"cannot normalize unit vector {text!r}") from exc
 
 
 def parse_point(text: str) -> Quaternion:
+    return Quaternion(*_parse_finite(text, 4, "point"))
+
+
+def _is_finite(value) -> bool:
+    """True for a finite int or float (not a bool)."""
     try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad point {text!r}") from exc
-    if len(parts) != 4:
-        raise ParseError(f"a point needs 4 components: {text!r}")
-    return Quaternion(*parts)
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _coerce_coefficient(name: str, idx: int, entry) -> Quaternion:
     if not isinstance(entry, (list, tuple)) or len(entry) != 4:
         raise ValidationError(
             f"entry {name!r}, coefficient {idx}: expected 4 components")
-    vals = []
     for comp in entry:
         if isinstance(comp, bool) or not isinstance(comp, (int, float)):
             raise ParseError(
                 f"entry {name!r}, coefficient {idx}: non-numeric field {comp!r}")
-        vals.append(float(comp))
-    return Quaternion(*vals)
+        if not _is_finite(comp):
+            raise ValidationError(
+                f"entry {name!r}, coefficient {idx}: non-finite field {comp!r}")
+    return Quaternion(*entry)
 
 
 def _load_json_object(path: str) -> dict:
@@ -228,8 +246,9 @@ def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Serializable description of a verify run, the one input of run_suite;
-    the parsed plan, weights, units and corpus are properties."""
+    """Serializable description of a verify run, the one input of run_suite,
+    validated when built; the parsed plan, weights, units and corpus are
+    properties."""
 
     seed: int = SamplePlan.seed
     n_pairs: int = SamplePlan.n_pairs
@@ -247,6 +266,34 @@ class RunConfig:
     suites: tuple | None = None
     corpus_path: str | None = None
     corpus_seed: int = 2024
+
+    def __post_init__(self):
+        def require(ok: bool, name: str, what: str):
+            if not ok:
+                value = getattr(self, name)
+                raise ValidationError(f"config {name} must be {what}, got {value!r}")
+
+        for name in ("seed", "n_pairs", "n_points", "nodes", "corpus_seed"):
+            require(type(getattr(self, name)) is int, name, "an integer")
+        require(self.nodes >= MIN_NODES, "nodes", f"at least {MIN_NODES}")
+        require(self.corpus_seed >= 0, "corpus_seed", "nonnegative")
+        for name in ("min_separation", "max_radius", "window"):
+            require(_is_finite(getattr(self, name)), name, "a finite number")
+        for name, size in (("slice_i", 3), ("slice_k", 3), ("a_coeff", 4)):
+            value = getattr(self, name)
+            require(isinstance(value, (list, tuple)) and len(value) == size
+                    and all(map(_is_finite, value)), name, f"{size} finite numbers")
+            object.__setattr__(self, name, tuple(float(c) for c in value))
+        for name in ("omega_spec", "omega2_spec", "omega_small_spec"):
+            require(isinstance(getattr(self, name), str), name, "a string")
+        require(self.corpus_path is None or isinstance(self.corpus_path, str),
+                "corpus_path", "a string")
+        if self.suites is not None:
+            require(isinstance(self.suites, (list, tuple)), "suites", "a list")
+            require(all(isinstance(s, str) for s in self.suites), "suites", "strings")
+            object.__setattr__(self, "suites", tuple(self.suites))
+        for name in ("plan", "i", "k", "omega", "omega2", "omega_small"):
+            getattr(self, name)  # parsed now, so a bad value is refused here
 
     @property
     def plan(self) -> SamplePlan:
@@ -289,13 +336,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("slice_i", "slice_k", "a_coeff"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(float(c) for c in kwargs[key])
-        if kwargs.get("suites") is not None:
-            kwargs["suites"] = tuple(str(s) for s in kwargs["suites"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 # ---------------------------------------------------------------- reporting
@@ -379,15 +420,10 @@ def _cmd_eval(args) -> int:
         rows = []
         for p in points:
             v = evaluate(m.series, p)
-            rows.append({"point": [p.x0, p.x1, p.x2, p.x3],
-                         "value": [v.x0, v.x1, v.x2, v.x3]})
+            rows.append({"point": list(p.components()), "value": list(v.components())})
         doc[m.name] = rows
     _write_text(to_json(doc), args.out)
     return 0
-
-
-def _series_coeff_lists(f: SliceSeries) -> list:
-    return [[c.x0, c.x1, c.x2, c.x3] for c in f.coefficients]
 
 
 def _cmd_star(args) -> int:
@@ -402,13 +438,16 @@ def _cmd_star(args) -> int:
             raise ValidationError("star needs --left and --right, or --inverse")
         result = star_product(_pick(corpus, args.left), _pick(corpus, args.right))
         label = f"product:{args.left}*{args.right}"
-    _write_text(to_json({label: _series_coeff_lists(result)}), args.out)
+    _write_text(to_json({label: result.array.tolist()}), args.out)
     return 0
 
 
 def _cmd_majorant_check(args) -> int:
     omega = parse_majorant(args.omega)
-    cert = check_regular(omega, quad_nodes=args.nodes)
+    try:
+        cert = check_regular(omega, quad_nodes=args.nodes)
+    except ValueError as exc:  # too few panels to check convergence
+        raise ValidationError(f"--nodes: {exc}") from exc
     _write_text(to_json({"spec": args.omega, **dataclasses.asdict(cert)}), args.out)
     return 0 if cert.is_regular else 1
 
@@ -439,21 +478,18 @@ def _cmd_norm(args) -> int:
         est = boundary_norm(f, omega, i, plan, values="modulus")
     elif kind.startswith("derivative-"):
         est = derivative_ratio(f, omega, i, kind.split("-", 1)[1], plan)
-    elif kind.startswith("schwarz-"):
+    else:  # schwarz-series, schwarz-pointwise
         rep = schwarz_pick_criterion(f, omega, i, plan,
                                      interpretation=kind.split("-", 1)[1])
         doc = {"function": args.name, "estimator": kind, **dataclasses.asdict(rep)}
         del doc["interpretation"]  # named by the estimator already
         _write_text(to_json(doc), args.out)
         return 0
-    else:
-        raise ValidationError(f"unknown estimator {kind!r}")
-    a, b = est.argmax_pair
     _write_text(to_json({
         "function": args.name,
         "estimator": kind,
         "value": est.value,
-        "argmax_pair": [[a.x0, a.x1, a.x2, a.x3], [b.x0, b.x1, b.x2, b.x3]],
+        "argmax_pair": [list(p.components()) for p in est.argmax_pair],
         "samples_used": est.samples_used,
     }), args.out)
     return 0
@@ -469,25 +505,12 @@ def _slice_units(entries) -> dict:
     return units
 
 
-# verify flag (argparse dest) -> RunConfig field
-_VERIFY_FIELDS = {
-    "seed": "seed",
-    "pairs": "n_pairs",
-    "points": "n_points",
-    "nodes": "nodes",
-    "omega": "omega_spec",
-    "omega2": "omega2_spec",
-    "omega_small": "omega_small_spec",
-    "window": "window",
-    "corpus": "corpus_path",
-}
-
-
 def _config_from_args(args) -> RunConfig:
     if args.config:
         return RunConfig.from_dict(_load_json_object(args.config))
-    updates = {field: getattr(args, dest) for dest, field in _VERIFY_FIELDS.items()
-               if getattr(args, dest) is not None}
+    # verify flags store into the RunConfig field of the same name
+    updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+               if getattr(args, f.name, None) is not None}
     if args.suite is not None:
         updates["suites"] = tuple(s for s in args.suite.split(",") if s)
     for name, u in _slice_units(args.slice).items():
@@ -507,7 +530,11 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         _write_text(to_json(doc), args.out)
     else:
-        _write_text(_csv_summary(doc.get("reports", [])), args.out)
+        try:
+            text = _csv_summary(doc.get("reports", []))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{args.input}: not a slicereg report: {exc!r}") from exc
+        _write_text(text, args.out)
     return 0 if doc.get("all_passed", False) else 1
 
 
@@ -559,15 +586,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", help="comma-separated suite names (default all)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--points", type=int)
+    p.add_argument("--pairs", type=int, dest="n_pairs")
+    p.add_argument("--points", type=int, dest="n_points")
     p.add_argument("--nodes", type=int)
-    p.add_argument("--omega")
-    p.add_argument("--omega2")
-    p.add_argument("--omega-small", dest="omega_small")
+    p.add_argument("--omega", dest="omega_spec")
+    p.add_argument("--omega2", dest="omega2_spec")
+    p.add_argument("--omega-small", dest="omega_small_spec")
     p.add_argument("--window", type=float)
     p.add_argument("--slice", action="append", metavar="i=X,Y,Z")
-    p.add_argument("--corpus", help="JSON function spec replacing the corpus")
+    p.add_argument("--corpus", dest="corpus_path",
+                   help="JSON function spec replacing the corpus")
     p.add_argument("--config", help="JSON RunConfig; overrides other flags")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -586,7 +614,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, DegeneratePlan, NotInvertibleAtOrigin) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -76,6 +76,8 @@ class SamplePlan:
             raise DegeneratePlan("max_radius must lie in (0, 1)")
         if not 0.0 < self.min_separation < 2.0 * self.max_radius:
             raise DegeneratePlan("min_separation must lie in (0, 2*max_radius)")
+        if self.seed < 0:
+            raise DegeneratePlan("seed must be nonnegative")
 
     def child_rng(self, tag: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, tag])
@@ -294,11 +296,7 @@ def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
     r1 = np.abs(dF) / omega1(d)
     r2 = np.abs(dG) / omega2(d)
     joint = np.hypot(r1, r2)
-    return (
-        _pair_estimate(r1, z1, z2, i),
-        _pair_estimate(r2, z1, z2, i),
-        _pair_estimate(joint, z1, z2, i),
-    )
+    return tuple(_pair_estimate(r, z1, z2, i) for r in (r1, r2, joint))
 
 
 def component_norm(f: SliceSeries, omega1: Majorant, omega2: Majorant,
@@ -543,12 +541,7 @@ def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     fpvals = s.derivative().values(xs)
     M = float(np.max(norm_array(fvals)))
 
-    aux = None
-    if interpretation == "series":
-        s = symmetrization(f)
-        coeffs = [-c.x0 for c in s.coefficients]
-        coeffs[0] = 1.0 + coeffs[0]
-        aux = SliceSeries.from_real(coeffs)
+    aux = SliceSeries([1.0]) - symmetrization(f) if interpretation == "series" else None
 
     hyp = 0.0
     der = 0.0

@@ -179,12 +179,12 @@ def _singular_integrals(omega: Majorant, x: float, panels: int) -> tuple[float, 
     log_knots = np.log(np.maximum(omega.knots(), 1e-300)) if omega.knots().size else np.empty(0)
     # 50 log-units below x truncates the lower tail of I1 by a factor e^-50
     u_lo, u_hi = np.log(x) - 50.0, np.log(x)
-    width = (u_hi - u_lo) / max(panels, 4)
+    width = (u_hi - u_lo) / panels
     u, w = _gauss_panels(u_lo, u_hi, log_knots, width)
     i1 = float(np.sum(w * omega._eval(np.exp(u))))
     v_lo, v_hi = np.log(x), np.log(DOMAIN_MAX)
     if v_hi > v_lo:
-        width2 = max((v_hi - v_lo) / max(panels, 4), 1e-6)
+        width2 = max((v_hi - v_lo) / panels, 1e-6)
         v, wv = _gauss_panels(v_lo, v_hi, log_knots, width2)
         i2 = float(np.sum(wv * omega._eval(np.exp(v)) * np.exp(-v)))
     else:
@@ -237,6 +237,8 @@ def check_regular(omega: Majorant, x_grid: np.ndarray | None = None,
     and whether the maxima stabilized (successive ratio < 1.05 over two
     refinements). Monotonicity failures reject immediately.
     """
+    if quad_nodes < 4:  # fewer panels make the doubling check vacuous
+        raise ValueError(f"need at least 4 quadrature panels, got {quad_nodes}")
     if x_grid is None:
         x_grid = np.geomspace(1e-4, DOMAIN_MAX * (1.0 - 1e-9), 40)
     else:

@@ -26,6 +26,7 @@ from .quaternion import (
     norm_array,
     rotate,
     slice_coordinate,
+    slice_points_array,
 )
 from .series import SliceSeries, SplitSeries, on_circle
 from .series import eval_complex  # noqa: F401  bound here for benchmarks/test_benchmark.py
@@ -194,26 +195,9 @@ def star_kernel_bound(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
 
     s = SplitSeries.of(f, i)
 
-    def complex_times(c: np.ndarray, h: np.ndarray) -> np.ndarray:
-        # left Hamilton product of quaternion values h by c = a + b*i
-        # embedded in the plane of i
-        out = np.empty_like(h)
-        a, b = c.real, c.imag
-        iv = np.array([i.v1, i.v2, i.v3])
-        out[..., 0] = a * h[..., 0] - b * (
-            h[..., 1] * iv[0] + h[..., 2] * iv[1] + h[..., 3] * iv[2]
-        )
-        cross = np.stack([
-            iv[1] * h[..., 3] - iv[2] * h[..., 2],
-            iv[2] * h[..., 1] - iv[0] * h[..., 3],
-            iv[0] * h[..., 2] - iv[1] * h[..., 1],
-        ], axis=-1)
-        out[..., 1:] = (a[..., None] * h[..., 1:]
-                        + b[..., None] * (h[..., 0:1] * iv + cross))
-        return out
-
-    inv_minus = (z - e_minus) ** -2.0
-    inv_plus = (z - e_plus) ** -2.0
+    # the complex inverses act on the left as points of the plane of i
+    inv_minus = slice_points_array(i, (z - e_minus) ** -2.0)
+    inv_plus = slice_points_array(i, (z - e_plus) ** -2.0)
     f_minus = s.values(e_minus)
     f_plus = s.values(e_plus)
 
@@ -222,8 +206,8 @@ def star_kernel_bound(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
     one_minus = np.array((1.0 - ji.x0, -ji.x1, -ji.x2, -ji.x3))
 
     term = 0.5 * (
-        hmul_array(one_plus, complex_times(inv_minus, f_minus))
-        + hmul_array(one_minus, complex_times(inv_plus, f_plus))
+        hmul_array(one_plus, hmul_array(inv_minus, f_minus))
+        + hmul_array(one_minus, hmul_array(inv_plus, f_plus))
     )
     weight = 1.0 - abs(z) ** 2
     lhs = float(np.mean(norm_array(term)) * weight)

@@ -233,10 +233,17 @@ def slice_coordinate(q: Quaternion, i: ImaginaryUnit, tol: float = 1e-9) -> comp
 # -- batch helpers on (..., 4) float arrays ---------------------------------
 
 
+def _components(q) -> tuple:
+    if isinstance(q, Quaternion):
+        return q.components()
+    if isinstance(q, (int, float)):
+        return (q, 0.0, 0.0, 0.0)
+    return tuple(q)
+
+
 def quat_array(qs) -> np.ndarray:
-    """Stack quaternions (or 4-sequences) into an (n, 4) float array."""
-    rows = [q.components() if isinstance(q, Quaternion) else tuple(q) for q in qs]
-    return np.asarray(rows, dtype=float)
+    """Stack quaternions, reals or 4-sequences into an (n, 4) float array."""
+    return np.asarray([_components(q) for q in qs], dtype=float)
 
 
 def from_array(a) -> Quaternion:

@@ -8,6 +8,7 @@ each series splits over a slice plane into two complex-coefficient series.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,9 +18,11 @@ from numpy.polynomial import polynomial as npoly
 from .quaternion import (
     ImaginaryUnit,
     Quaternion,
+    conj_array,
     hamilton_mul,
     hmul_array,
     norm,
+    norm_array,
     orthogonal_unit,
     quat_array,
 )
@@ -47,105 +50,99 @@ class StepOutOfDomain(ValueError):
     """Finite-difference stencil left the open unit ball."""
 
 
-def _coerce_coefficient(c) -> Quaternion:
-    if isinstance(c, Quaternion):
-        return c
-    if isinstance(c, (int, float)):
-        return Quaternion(float(c), 0.0, 0.0, 0.0)
-    seq = tuple(float(v) for v in c)
-    if len(seq) != 4:
-        raise ValueError(f"coefficient needs 4 components, got {len(seq)}")
-    return Quaternion(*seq)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SliceSeries:
-    """Immutable coefficient list, ascending degree, at least one entry."""
+    """Coefficients a_0..a_n, ascending degree, as a read-only (n+1, 4)
+    float array; built from an (n, 4) array or from quaternions, reals and
+    4-sequences."""
 
-    coefficients: tuple[Quaternion, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        coeffs = tuple(_coerce_coefficient(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("a series needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
+        coeffs = self.array
+        if not (isinstance(coeffs, np.ndarray) and coeffs.ndim == 2):
+            coeffs = quat_array(coeffs)
+        a = np.array(coeffs, dtype=float)
+        if a.ndim != 2 or a.shape[1] != 4 or len(a) == 0:
+            raise ValueError(f"a series needs an (n, 4) coefficient array, n >= 1, "
+                             f"got shape {a.shape}")
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
 
     @classmethod
     def from_real(cls, values: Sequence[float]) -> "SliceSeries":
-        return cls(tuple(Quaternion(float(v), 0.0, 0.0, 0.0) for v in values))
+        a = np.zeros((len(values), 4))
+        a[:, 0] = values
+        return cls(a)
+
+    @functools.cached_property
+    def coefficients(self) -> tuple[Quaternion, ...]:
+        """The coefficients as scalar quaternions."""
+        return tuple(Quaternion(*row) for row in self.array.tolist())
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient_array(self) -> np.ndarray:
-        return quat_array(self.coefficients)
+        return len(self.array) - 1
 
     def truncated(self, degree: int) -> "SliceSeries":
         """Coefficients 0..degree, zero-padded when the series is shorter."""
-        zero = Quaternion()
-        coeffs = list(self.coefficients[: degree + 1])
-        coeffs += [zero] * (degree + 1 - len(coeffs))
-        return SliceSeries(tuple(coeffs))
+        out = np.zeros((degree + 1, 4))
+        kept = self.array[: degree + 1]
+        out[: len(kept)] = kept
+        return SliceSeries(out)
 
     def __call__(self, q: Quaternion) -> Quaternion:
         return evaluate(self, q)
 
     def __add__(self, other: "SliceSeries") -> "SliceSeries":
         n = max(self.degree, other.degree)
-        a = self.truncated(n).coefficients
-        b = other.truncated(n).coefficients
-        return SliceSeries(tuple(x + y for x, y in zip(a, b)))
+        return SliceSeries(self.truncated(n).array + other.truncated(n).array)
 
     def __sub__(self, other: "SliceSeries") -> "SliceSeries":
         return self + (-other)
 
     def __neg__(self) -> "SliceSeries":
-        return SliceSeries(tuple(-c for c in self.coefficients))
+        return SliceSeries(-self.array)
 
     def __mul__(self, other):
         if isinstance(other, SliceSeries):
             return star_product(self, other)
-        a = _coerce_coefficient(other)
         # right factor multiplies every coefficient on the right
-        return SliceSeries(tuple(hamilton_mul(c, a) for c in self.coefficients))
+        return SliceSeries(hmul_array(self.array, quat_array([other])))
 
 
 def evaluate(f: SliceSeries, q: Quaternion) -> Quaternion:
     """Horner evaluation of sum_n q^n a_n (powers on the left)."""
-    acc = f.coefficients[-1]
+    coeffs = f.coefficients
+    acc = coeffs[-1]
     for n in range(f.degree - 1, -1, -1):
-        acc = hamilton_mul(q, acc) + f.coefficients[n]
+        acc = hamilton_mul(q, acc) + coeffs[n]
     return acc
 
 
 def evaluate_batch(f: SliceSeries, points: np.ndarray) -> np.ndarray:
     """Vectorized Horner over an array of points shaped (..., 4)."""
     pts = np.asarray(points, dtype=float)
-    coeffs = f.coefficient_array()
-    acc = np.broadcast_to(coeffs[-1], pts.shape).copy()
+    acc = np.broadcast_to(f.array[-1], pts.shape).copy()
     for n in range(f.degree - 1, -1, -1):
         acc = hmul_array(pts, acc)
-        acc += coeffs[n]
+        acc += f.array[n]
     return acc
 
 
 def cullen_derivative(f: SliceSeries) -> SliceSeries:
     """Term-wise derivative sum_n q^(n-1) * n * a_n."""
     if f.degree == 0:
-        return SliceSeries((Quaternion(),))
-    return SliceSeries(tuple(c * n for n, c in enumerate(f.coefficients) if n >= 1))
+        return SliceSeries(np.zeros((1, 4)))
+    return SliceSeries(f.array[1:] * np.arange(1, f.degree + 1)[:, None])
 
 
 def star_product(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     """Cauchy convolution c_n = sum_k a_k b_(n-k); order of factors matters."""
-    A = f.coefficient_array()
-    B = g.coefficient_array()
-
     def conv(i: int, j: int) -> np.ndarray:
-        return np.convolve(A[:, i], B[:, j])
+        return np.convolve(f.array[:, i], g.array[:, j])
 
-    out = np.stack(
+    return SliceSeries(np.stack(
         [
             conv(0, 0) - conv(1, 1) - conv(2, 2) - conv(3, 3),
             conv(0, 1) + conv(1, 0) + conv(2, 3) - conv(3, 2),
@@ -153,8 +150,7 @@ def star_product(f: SliceSeries, g: SliceSeries) -> SliceSeries:
             conv(0, 3) + conv(1, 2) - conv(2, 1) + conv(3, 0),
         ],
         axis=-1,
-    )
-    return SliceSeries(tuple(Quaternion(*row) for row in out))
+    ))
 
 
 def star_pointwise(f: SliceSeries, g: SliceSeries, q: Quaternion,
@@ -169,7 +165,7 @@ def star_pointwise(f: SliceSeries, g: SliceSeries, q: Quaternion,
 
 def regular_conjugate(f: SliceSeries) -> SliceSeries:
     """Coefficient-wise quaternion conjugation f^c."""
-    return SliceSeries(tuple(c.conjugate() for c in f.coefficients))
+    return SliceSeries(conj_array(f.array))
 
 
 def symmetrization(f: SliceSeries) -> SliceSeries:
@@ -179,16 +175,16 @@ def symmetrization(f: SliceSeries) -> SliceSeries:
     above 1e-12) raises AsymmetryDetected.
     """
     fc = regular_conjugate(f)
-    left = star_product(f, fc)
-    right = star_product(fc, f)
-    scale = max(1.0, max(norm(c) for c in left.coefficients))
-    diff = max(norm(a - b) for a, b in zip(left.coefficients, right.coefficients))
+    left = star_product(f, fc).array
+    right = star_product(fc, f).array
+    scale = max(1.0, float(norm_array(left).max()))
+    diff = float(norm_array(left - right).max())
     if diff > 1e-10 * scale:
         raise AsymmetryDetected(f"orders disagree by {diff!r}")
-    residue = max(c.vector_norm() for c in left.coefficients)
+    residue = float(norm_array(left[:, 1:]).max())
     if residue > 1e-12 * scale:
         raise AsymmetryDetected(f"imaginary residue {residue!r}")
-    return SliceSeries(tuple(Quaternion(c.x0) for c in left.coefficients))
+    return SliceSeries.from_real(left[:, 0])
 
 
 def _real_reciprocal(s: np.ndarray, order: int) -> np.ndarray:
@@ -209,8 +205,7 @@ def star_inverse(f: SliceSeries, order: int) -> SliceSeries:
     power-series reciprocal; coefficients 0..order of the result are exact
     truncations of the infinite *-inverse.
     """
-    fs = symmetrization(f)
-    s = np.array([c.x0 for c in fs.coefficients])
+    s = symmetrization(f).array[:, 0]
     if abs(s[0]) <= BASE_FLOOR:
         raise NotInvertibleAtOrigin("symmetrization vanishes at the origin")
     recip = SliceSeries.from_real(_real_reciprocal(s, order))
@@ -227,25 +222,24 @@ def star_inverse_derivative(f: SliceSeries, order: int) -> SliceSeries:
 # -- splitting over a slice plane -------------------------------------------
 
 
+def slice_basis(i: ImaginaryUnit, j: ImaginaryUnit) -> np.ndarray:
+    """Rows 1, i, j, i*j of R^4: orthonormal for j perpendicular to i, and
+    then i*j is the cross product i x j, with no real part."""
+    iv, jv = i.components(), j.components()
+    ij = np.cross(iv, jv)
+    return np.array([(1.0, 0.0, 0.0, 0.0), (0.0, *iv), (0.0, *jv), (0.0, *ij)])
+
+
 def split(f: SliceSeries, i: ImaginaryUnit):
     """Split coefficients a_n = alpha_n + beta_n * j over the plane of i.
 
     j is the deterministic perpendicular unit; alpha and beta are returned
-    as complex arrays relative to the basis (1, i) and (j, i*j). Extraction
-    uses the sandwich identities 2*alpha = a - i*a*i and 2*beta*j = a + i*a*i.
+    as complex arrays relative to the basis (1, i) and (j, i*j), read off
+    the coordinates of a_n in slice_basis(i, j).
     """
     j = orthogonal_unit(i)
-    iq = i.as_quaternion()
-    jq = j.as_quaternion()
-    neg_jq = -jq
-    F = np.empty(f.degree + 1, dtype=complex)
-    G = np.empty(f.degree + 1, dtype=complex)
-    for n, a in enumerate(f.coefficients):
-        iai = hamilton_mul(iq, hamilton_mul(a, iq))
-        alpha = (a - iai) * 0.5
-        beta = hamilton_mul((a + iai) * 0.5, neg_jq)  # (beta*j)*j^-1
-        F[n] = complex(alpha.x0, alpha.x1 * i.v1 + alpha.x2 * i.v2 + alpha.x3 * i.v3)
-        G[n] = complex(beta.x0, beta.x1 * i.v1 + beta.x2 * i.v2 + beta.x3 * i.v3)
+    coords = f.array @ slice_basis(i, j).T
+    F, G = coords.view(complex).T.copy()  # (c0 + c1 i, c2 + c3 i)
     return F, G, j
 
 
@@ -293,19 +287,9 @@ class SplitSeries:
 
     def values(self, z) -> np.ndarray:
         """Quaternion values F(z) + G(z)*j at complex coordinates z, as (..., 4)."""
-        i, j = self.i, self.j
-        ijq = hamilton_mul(i.as_quaternion(), j.as_quaternion())
-        basis = np.array(
-            [
-                (1.0, 0.0, 0.0, 0.0),
-                (0.0, i.v1, i.v2, i.v3),
-                (0.0, j.v1, j.v2, j.v3),
-                ijq.components(),
-            ]
-        )
         Fv, Gv = self.at(z)
-        parts = np.stack([Fv.real, Fv.imag, Gv.real, Gv.imag], axis=-1)
-        return parts @ basis
+        parts = np.stack([Fv, Gv], axis=-1).view(float)  # (F.re, F.im, G.re, G.im)
+        return parts @ slice_basis(self.i, self.j)
 
 
 def representation_extend(fplus: Quaternion, fminus: Quaternion,
@@ -320,7 +304,7 @@ def representation_extend(fplus: Quaternion, fminus: Quaternion,
 def is_intrinsic(f: SliceSeries, tol: float = 1e-12) -> bool:
     """True when every coefficient is real (then f(conj q) = conj f(q) and
     f maps each slice plane to itself)."""
-    return max(c.vector_norm() for c in f.coefficients) <= tol
+    return float(norm_array(f.array[:, 1:]).max()) <= tol
 
 
 def slice_cr_residual(f: PointwiseFunction, z: Quaternion, i: ImaginaryUnit,

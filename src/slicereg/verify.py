@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -151,17 +151,8 @@ class VerificationReport:
             "passed": self.passed,
             "tolerances": dict(self.tolerances),
             "notes": list(self.notes),
-            "records": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "checks": dict(r.checks),
-                    "witnesses": dict(r.witnesses),
-                    "failures": list(r.failures),
-                    "notes": list(r.notes),
-                }
-                for r in self.records
-            ],
+            "records": [{"name": r.name, "passed": r.passed, **asdict(r)}
+                        for r in self.records],
         }
 
 
@@ -584,7 +575,7 @@ def admissible_cone_points(qs: np.ndarray, i: ImaginaryUnit, sign: float,
     return np.nonzero(mask)[0]
 
 
-def verify_cone_corollary(corpus, omega, i: ImaginaryUnit, plan: SamplePlan,
+def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
                           nodes: int = 2048, tol: float = 1e-9
                           ) -> VerificationReport:
     """For points admissible under the cone condition, the Poisson mean of
@@ -594,8 +585,6 @@ def verify_cone_corollary(corpus, omega, i: ImaginaryUnit, plan: SamplePlan,
     (admissible) with random ball points (rejected and counted). The
     crossed sign pairing is evaluated and reported without a pass
     condition."""
-    if isinstance(omega, tuple):
-        omega = omega[0] + omega[1]
     t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     zs = disc_points(plan, cap=min(plan.max_radius, 1.0 - 10.0 / nodes - 1e-9))[:24]
     on_slice = slice_points_array(i, zs)
@@ -667,14 +656,11 @@ def run_suite(config: RunConfig) -> list[VerificationReport]:
     the batch always completes."""
     plan = config.plan
     corpus = config.corpus
-    nodes = config.nodes
     omega1 = config.omega
     omega2 = config.omega2
     omega_small = config.omega_small
     unit_i = config.i
     unit_k = config.k
-    a = config.a
-    window = config.window
     names = ALL_SUITES if config.suites is None else config.suites
 
     intrinsic = tuple(m for m in corpus if m.intrinsic)
@@ -682,7 +668,7 @@ def run_suite(config: RunConfig) -> list[VerificationReport]:
         "inclusion_chain": lambda: verify_inclusion_chain(
             corpus, omega1, omega2, plan, i=unit_i),
         "algebraic_closure": lambda: verify_algebraic_closure(
-            corpus, omega1, omega2, a, plan, i=unit_i),
+            corpus, omega1, omega2, config.a, plan, i=unit_i),
         "intrinsic_invariance": lambda: verify_intrinsic_invariance(
             intrinsic, omega1, unit_i, unit_k, plan),
         "slice_independence": lambda: verify_slice_independence(
@@ -690,13 +676,13 @@ def run_suite(config: RunConfig) -> list[VerificationReport]:
         "modulus_membership": lambda: verify_modulus_membership(
             corpus, omega1, unit_i, plan),
         "norm_equivalences": lambda: verify_norm_equivalences(
-            corpus, omega_small, unit_i, plan, nodes, window),
+            corpus, omega_small, unit_i, plan, config.nodes, config.window),
         "derivative_characterizations": lambda: verify_derivative_characterizations(
             corpus, omega1, plan, i=unit_i),
         "poisson_characterization": lambda: verify_poisson_characterization(
-            corpus, omega1, unit_i, plan, nodes, window),
+            corpus, omega1, unit_i, plan, config.nodes, config.window),
         "cone_corollary": lambda: verify_cone_corollary(
-            corpus, omega1, unit_i, plan, nodes),
+            corpus, omega1, unit_i, plan, config.nodes),
     }
     reports = []
     for name in names:

@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicereg.cli import (
+    _ESTIMATORS,
     ParseError,
     RunConfig,
     ValidationError,
@@ -236,23 +240,30 @@ def test_main_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-GOLDEN = Path(__file__).parent / "data" / "verify_small.json"
+DATA = Path(__file__).parent / "data"
 
 
-def test_verify_report_bytes_match_golden_file(tmp_path):
-    """The report of a small default verify run, byte for byte.
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--pairs", "256", "--points", "64", "--nodes", "512"], "verify_small.json"),
+    (["star", "--left", "cubic_basis", "--right", "random_0"], "star_product.json"),
+    (["star", "--inverse", "exp_taylor", "--order", "64"], "star_inverse.json"),
+    (["eval", "--at", "0.3,0.4,0,0"], "eval.json"),
+    (["norm", "--name", "exp_taylor", "--estimator", "schwarz-series", "--points", "64"],
+     "norm_schwarz_series.json"),
+], ids=["verify_small", "star_product", "star_inverse", "eval", "norm_schwarz_series"])
+def test_verify_report_bytes_match_golden_file(argv, name, tmp_path):
+    """The output of a CLI call, byte for byte: a small default verify run
+    and the series-calculus paths (star product, star inverse, evaluation,
+    the scalar Schwarz loop).
 
-    The file pins this environment (Python 3.11.7, numpy 2.4.6): another
-    numpy may round the last digit of a float differently. Regenerate it with
-
-        slicereg verify --pairs 256 --points 64 --nodes 512 --out tests/data/verify_small.json
-
-    only for a change that is meant to alter the report.
+    The files pin this environment (Python 3.11.7, numpy 2.4.6): another
+    numpy may round the last digit of a float differently. Regenerate one with
+    the argv above plus ``--out tests/data/<name>`` only for a change that is
+    meant to alter that output.
     """
-    out = tmp_path / "small.json"
-    assert main(["verify", "--pairs", "256", "--points", "64", "--nodes", "512",
-                 "--out", str(out)]) == 0
-    assert out.read_bytes() == GOLDEN.read_bytes()
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
 
 
 def test_verify_fails_on_uncertified_weight(tmp_path):
@@ -272,10 +283,124 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
     ("1", ["verify", "--config", "{file}"]),
     ("[]", ["report", "--in", "{file}"]),
     (None, ["star", "--inverse", "const_real", "--order", "-1"]),
-], ids=["truncated_config", "config_not_object", "report_not_object", "negative_order"])
+    ('{"seed": "abc"}', ["verify", "--config", "{file}"]),
+    ('{"seed": true}', ["verify", "--config", "{file}"]),
+    ('{"n_pairs": 2}', ["verify", "--config", "{file}"]),
+    ('{"n_pairs": 1e400}', ["verify", "--config", "{file}"]),
+    ('{"n_points": 64.0}', ["verify", "--config", "{file}"]),
+    ('{"nodes": 8}', ["verify", "--config", "{file}"]),
+    ('{"slice_i": "abc"}', ["verify", "--config", "{file}"]),
+    ('{"slice_k": [0, 0, 0]}', ["verify", "--config", "{file}"]),
+    ('{"a_coeff": [0, 1, 0]}', ["verify", "--config", "{file}"]),
+    ('{"suites": 5}', ["verify", "--config", "{file}"]),
+    ('{"suites": [1]}', ["verify", "--config", "{file}"]),
+    ('{"max_radius": NaN}', ["verify", "--config", "{file}"]),
+    ('{"window": Infinity}', ["verify", "--config", "{file}"]),
+    ('{"omega_spec": 5}', ["verify", "--config", "{file}"]),
+    ('{"corpus_path": 5}', ["verify", "--config", "{file}"]),
+    (None, ["verify", "--pairs", "2"]),
+    (None, ["verify", "--window", "nan"]),
+    (None, ["norm", "--name", "identity", "--estimator", "slice", "--pairs", "2"]),
+    (None, ["norm", "--name", "identity", "--estimator", "slice", "--rho", "1.5"]),
+    (None, ["norm", "--name", "identity", "--estimator", "slice", "--eps", "nan"]),
+    (None, ["norm", "--name", "identity", "--estimator", "slice", "--seed", "-1"]),
+    (None, ["norm", "--name", "identity", "--estimator", "slice", "--slice", "i=inf,0,0"]),
+    (None, ["norm", "--name", "identity", "--estimator", "slice", "--slice", "i=1e300,1e300,0"]),
+    (None, ["eval", "--at", "nan,0,0,0"]),
+    ('{"f": [[NaN, 0, 0, 0]]}', ["eval", "--file", "{file}", "--at", "0,0,0,0"]),
+    (None, ["majorant-check", "--omega", "tabulated:0,0;nan,1"]),
+    (None, ["majorant-check", "--omega", "power:inf"]),
+    (None, ["majorant-check", "--omega", "power:0.5", "--nodes", "0"]),
+    (None, ["majorant-check", "--omega", "power:0.5", "--nodes", "2"]),
+    (None, ["majorant-check", "--omega", "power:0.5", "--nodes", "-3"]),
+], ids=["truncated_config", "config_not_object", "report_not_object", "negative_order",
+        "config_seed_str", "config_seed_bool", "config_pairs_2", "config_pairs_inf",
+        "config_points_float", "config_nodes_8", "config_slice_str", "config_slice_zero",
+        "config_a_short", "config_suites_int", "config_suites_not_str", "config_radius_nan",
+        "config_window_inf", "config_omega_not_str", "config_corpus_not_str",
+        "verify_pairs_2", "verify_window_nan", "norm_pairs_2", "norm_rho_1_5",
+        "norm_eps_nan", "norm_seed_negative", "norm_slice_inf", "norm_slice_overflow",
+        "eval_at_nan", "spec_nan", "tabulated_nan", "power_inf", "panels_0", "panels_2",
+        "panels_negative"])
 def test_bad_input_exits_two(text, argv, tmp_path, capsys):
     path = tmp_path / "input.json"
     if text is not None:
         path.write_text(text)
     assert main([a.replace("{file}", str(path)) for a in argv]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_valid_config_keeps_its_serialized_bytes(tmp_path):
+    # JSON ints where floats are expected are valid and serialize unchanged
+    path = tmp_path / "cfg.json"
+    path.write_text('{"slice_i": [1, 0, 0], "window": 20, "suites": ["no_such_suite"]}')
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
+    cfg = json.loads(out.read_text())["config"]
+    assert cfg["slice_i"] == [1.0, 0.0, 0.0] and cfg["window"] == 20
+    assert '"window": 20,' in out.read_text()
+
+
+# --- fuzzing ---------------------------------------------------------------------
+
+_SIZE = st.sampled_from(["4", "7", "16", "64", "0", "-1", "3", "nan", "inf", "abc", ""])
+_REAL = st.sampled_from(["0.5", "0.9", "1e-3", "0", "-1", "1.5", "nan", "inf", "abc", "1e300"])
+_POINT = st.sampled_from(["0.3,0.4,0,0", "0,0,0,0", "1,2", "nan,0,0,0", "inf,0,0,0",
+                          "a,b,c,d", "1e300,1e300,0,0", "-0.9,0,0,0.1"])
+_UNIT = st.sampled_from(["1,0,0", "0,1,1", "0,0,0", "nan,0,0", "inf,1,0", "1,2",
+                         "1e300,1e300,0", "1e-170,0,0", "x,y,z"])
+_NAME = st.sampled_from(["identity", "exp_taylor", "cubic_basis", "random_0", "const_real",
+                         "linear_mix", "missing", ""])
+_OMEGA = st.sampled_from(["power:0.5", "power:0.25+power:0.75", "scaled:0:power:0.5",
+                          "tabulated:0,0;1,1;2,1.5", "tabulated:0,0;1,1;2,4", "power:0",
+                          "power:nan", "bogus", ""])
+_REPORT = st.sampled_from([
+    '{"all_passed": true, "reports": []}', '{"all_passed": false}', "[]", "{!", "",
+    '{"reports": 5}', '{"reports": [5]}', '{"reports": [{"suite": "x"}]}',
+    '{"reports": [{"suite": "x", "passed": true, "notes": [], "records": [{}]}]}',
+])
+
+
+def _optional(flag: str, values) -> st.SearchStrategy:
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _cli_argv(draw) -> list[str]:
+    """An argv for eval, star, norm or report with small valid or invalid
+    values; sizes stay small, since a large valid order or plan is slow."""
+    command = draw(st.sampled_from(["eval", "star", "norm", "report"]))
+    if command == "eval":
+        return ["eval", "--at", draw(_POINT), *draw(_optional("--name", _NAME))]
+    if command == "star":
+        if draw(st.booleans()):
+            return ["star", "--inverse", draw(_NAME), "--order", draw(_SIZE)]
+        return ["star", *draw(_optional("--left", _NAME)), *draw(_optional("--right", _NAME))]
+    if command == "report":
+        return ["report", "--in", draw(_REPORT), "--format", draw(st.sampled_from(["json", "csv"]))]
+    estimator = draw(st.sampled_from(_ESTIMATORS + ("bogus",)))
+    return ["norm", "--name", draw(_NAME), "--estimator", estimator,
+            "--pairs", draw(_SIZE), "--points", draw(_SIZE), "--eps", draw(_REAL),
+            "--rho", draw(_REAL), "--seed", draw(_SIZE), "--omega", draw(_OMEGA),
+            *draw(_optional("--slice", _UNIT.map(lambda u: "i=" + u)))]
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reports")
+
+
+@given(argv=_cli_argv())
+@settings(deadline=None, max_examples=150)
+def test_cli_fuzz_exits_cleanly(argv, report_dir):
+    if argv[0] == "report":  # the drawn text goes to a file
+        path = report_dir / "in.json"
+        path.write_text(argv[2])
+        argv = [*argv[:2], str(path), *argv[3:]]
+    try:
+        code = main([*argv, "--out", os.devnull])
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+        assert code == 2
+    assert code in (0, 1, 2)

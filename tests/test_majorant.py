@@ -135,3 +135,10 @@ def test_evaluate_majorant_helper():
     w = PowerMajorant(0.5)
     assert w(0.25) == 0.5
     assert np.allclose(w([0.25, 1.0]), [0.5, 1.0])
+
+
+@pytest.mark.parametrize("panels", [-3, 0, 2, 3])
+def test_check_regular_needs_four_panels(panels):
+    # with fewer panels the panel-doubling convergence check cannot fail
+    with pytest.raises(ValueError):
+        check_regular(PowerMajorant(0.5), quad_nodes=panels)

@@ -31,6 +31,7 @@ from slicereg.series import (
     is_intrinsic,
     regular_conjugate,
     representation_extend,
+    slice_basis,
     slice_cr_residual,
     split,
     star_inverse,
@@ -196,6 +197,85 @@ def test_split_components_of_known_function():
     F, G, _ = split(f, UNIT_E1)
     assert np.allclose(F, [1j, 0.0])
     assert np.allclose(G, [0.0, 1.0])
+
+
+def _sandwich_split(f, i):
+    """Scalar reference: 2*alpha = a - i*a*i and 2*beta*j = a + i*a*i."""
+    iq, neg_jq = i.as_quaternion(), -orthogonal_unit(i).as_quaternion()
+    F, G = [], []
+    for a in f.coefficients:
+        iai = hamilton_mul(iq, hamilton_mul(a, iq))
+        alpha = (a - iai) * 0.5
+        beta = hamilton_mul((a + iai) * 0.5, neg_jq)
+        F.append(complex(alpha.x0, alpha.x1 * i.v1 + alpha.x2 * i.v2 + alpha.x3 * i.v3))
+        G.append(complex(beta.x0, beta.x1 * i.v1 + beta.x2 * i.v2 + beta.x3 * i.v3))
+    return np.array(F), np.array(G)
+
+
+AXIS_UNITS = [ImaginaryUnit(*(s * np.eye(3)[k])) for k in range(3) for s in (1.0, -1.0)]
+# coefficients on a 1/32 grid: no underflow in the reference's products
+grid = st.integers(-64, 64).map(lambda n: n / 32.0)
+grid_series = st.lists(st.tuples(grid, grid, grid, grid), min_size=1, max_size=6).map(SliceSeries)
+unit_vectors = st.tuples(small, small, small).filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@given(grid_series)
+@settings(deadline=None, max_examples=40)
+def test_split_is_the_sandwich_split_bit_for_bit_on_axis_units(f):
+    for i in AXIS_UNITS:
+        F, G, _ = split(f, i)
+        F_ref, G_ref = _sandwich_split(f, i)
+        assert np.array_equal(F, F_ref) and np.array_equal(G, G_ref)
+
+
+@given(grid_series, unit_vectors)
+@settings(deadline=None, max_examples=200)
+def test_split_matches_the_sandwich_split_on_any_unit(f, v):
+    # The two formulas agree exactly for an orthonormal (i, j); they part by
+    # rounding and by the orthogonality defect |i.j| of orthogonal_unit, which
+    # grows near the coordinate axes (1e-12 at i ~ (1, 1e-5, 1e-5)).
+    i = ImaginaryUnit.from_vector(*v)
+    F, G, _ = split(f, i)
+    F_ref, G_ref = _sandwich_split(f, i)
+    bound = (4e-15 + 2.0 * abs(i.dot(orthogonal_unit(i)))) * np.linalg.norm(f.array, axis=1)
+    assert np.all(np.abs(F - F_ref) <= bound) and np.all(np.abs(G - G_ref) <= bound)
+
+
+@given(st.lists(small, min_size=1, max_size=8), unit_vectors)
+@settings(deadline=None, max_examples=100)
+def test_split_of_real_coefficients_has_no_second_component(values, v):
+    F, G, _ = split(SliceSeries.from_real(values), ImaginaryUnit.from_vector(*v))
+    assert np.all(G == 0.0)
+    assert np.array_equal(F, np.asarray(values, dtype=complex))
+
+
+@given(unit_vectors)
+@settings(deadline=None, max_examples=100)
+def test_slice_basis_is_orthonormal(v):
+    i = ImaginaryUnit.from_vector(*v)
+    j = orthogonal_unit(i)
+    B = slice_basis(i, j)
+    # off the diagonal sits i.j itself, the defect of orthogonal_unit
+    assert np.abs(B @ B.T - np.eye(4)).max() <= 1e-15 + abs(i.dot(j))
+    assert B[3, 0] == 0.0
+
+
+def test_series_array_is_a_read_only_copy():
+    coeffs = np.arange(8.0).reshape(2, 4)
+    f = SliceSeries(coeffs)
+    coeffs[0, 0] = 99.0
+    assert f.array[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        f.array[0, 0] = 1.0
+    assert f.coefficients == (Quaternion(0, 1, 2, 3), Quaternion(4, 5, 6, 7))
+    assert f.coefficients is f.coefficients  # built once
+
+
+@pytest.mark.parametrize("bad", [[], np.empty((0, 4)), np.zeros((3, 3)), [(1.0, 2.0, 3.0)]],
+                         ids=["empty_list", "empty_array", "three_columns", "three_components"])
+def test_series_rejects_empty_or_misshaped_input(bad):
+    with pytest.raises(ValueError):
+        SliceSeries(bad)
 
 
 def test_representation_formula_extends_off_slice():

@@ -50,10 +50,10 @@ def test_default_corpus_shape(corpus):
     # deterministic and seed-sensitive
     again = default_corpus()
     for a, b in zip(corpus, again):
-        assert np.array_equal(a.series.coefficient_array(), b.series.coefficient_array())
+        assert np.array_equal(a.series.array, b.series.array)
     other = default_corpus(seed=7)
     assert not np.array_equal(
-        corpus[-1].series.coefficient_array(), other[-1].series.coefficient_array()
+        corpus[-1].series.array, other[-1].series.array
     )
     # the truncated exponential carries 13 real coefficients 1/n!
     exp = dict((m.name, m) for m in corpus)["exp_taylor"]

@@ -106,9 +106,10 @@ def parse_majorant(spec: str) -> Majorant:
 
     Terms are joined with '+'. Each term is one of
       power:<alpha>[:<scale>]
-      scaled:<c>:<term>
-      tabulated:<t0>,<v0>;<t1>,<v1>;...
-    Example: "power:0.5+scaled:2:power:0.25".
+      scaled:<c>:<term>                  c > 0
+      tabulated:<t0>,<v0>;<t1>,<v1>;...  t0 = v0 = 0, every later value > 0
+    Example: "power:0.5+scaled:2:power:0.25". A weight vanishing away from
+    0 is rejected: every estimator divides by it.
     """
     terms = [t.strip() for t in spec.split("+")]
     if not any(terms):
@@ -150,7 +151,10 @@ def _parse_majorant_term(term: str) -> Majorant:
     if head == "scaled":
         c_text, _, inner = rest.partition(":")
         base = _parse_majorant_term(inner)
-        return _validated(ScaledMajorant, term, _num(c_text, term), base)
+        c = _num(c_text, term)
+        if c <= 0.0:  # a weight must be positive away from 0
+            raise ValidationError(f"scale must be positive: {term!r}")
+        return _validated(ScaledMajorant, term, c, base)
     if head == "tabulated":
         pairs = [p for p in rest.split(";") if p]
         if not pairs:
@@ -160,7 +164,10 @@ def _parse_majorant_term(term: str) -> Majorant:
             t_text, _, v_text = p.partition(",")
             grid.append(_num(t_text, term))
             values.append(_num(v_text, term))
-        return _validated(TabulatedMajorant, term, grid, values)
+        table = _validated(TabulatedMajorant, term, grid, values)
+        if 0.0 in values[1:]:
+            raise ValidationError(f"table vanishes at a knot after 0: {term!r}")
+        return table
     raise ParseError(f"unknown majorant kind {head!r}")
 
 

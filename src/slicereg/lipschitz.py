@@ -24,19 +24,19 @@ from .poisson import poisson_integral_slice
 from .quaternion import (
     ImaginaryUnit,
     Quaternion,
+    conj_array,
     from_array,
-    hamilton_mul,
-    norm,
+    hmul_array,
     norm_array,
-    slice_coordinate,
+    quat_array,
     slice_point,
+    slice_points_array,
 )
 from .series import (
     SliceSeries,
     SplitSeries,
     cullen_derivative,
     eval_complex,
-    evaluate,
     evaluate_batch,
     on_circle,
     split_modulus,
@@ -48,10 +48,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 class DegeneratePlan(ValueError):
     """The plan produced no admissible samples."""
-
-
-class SingularPoint(ValueError):
-    """A sample point fell on a zero set where the criterion is undefined."""
 
 
 @dataclass(frozen=True)
@@ -418,61 +414,68 @@ def derivative_ratio(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
 
 @dataclass(frozen=True)
 class GrowthCheck:
-    """One-point bounded-growth report: sandwich left sides against twice
-    the local sup, and the quadratic form against its majorant."""
+    """Bounded-growth report at slice points: sandwich left sides against
+    twice the local sup, and the quadratic form against its majorant.
+    Fields are floats for one point and (n,) arrays for n points."""
 
-    lhs_plus: float
-    lhs_minus: float
-    local_sup: float
-    lhs_quadratic: float
-    rhs_quadratic: float
-    samples: int
-
-    @property
-    def sandwich_slack(self) -> float:
-        return 2.0 * self.local_sup - max(self.lhs_plus, self.lhs_minus)
+    lhs_plus: float | np.ndarray
+    lhs_minus: float | np.ndarray
+    local_sup: float | np.ndarray
+    lhs_quadratic: float | np.ndarray
+    rhs_quadratic: float | np.ndarray
+    samples: int | np.ndarray
 
     @property
-    def quadratic_slack(self) -> float:
+    def sandwich_slack(self):
+        return 2.0 * self.local_sup - np.maximum(self.lhs_plus, self.lhs_minus)
+
+    @property
+    def quadratic_slack(self):
         return self.rhs_quadratic - self.lhs_quadratic
 
 
-def bounded_growth_check(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
-                         plan: SamplePlan) -> GrowthCheck:
-    """Evaluate the bounded-growth inequalities of f at one slice point.
+def bounded_growth_check(f: SliceSeries, x: Quaternion | np.ndarray,
+                         i: ImaginaryUnit, plan: SamplePlan) -> GrowthCheck:
+    """Evaluate the bounded-growth inequalities of f at one slice point, or
+    at each row of an (n, 4) array of slice points.
 
     The local sup runs over the disc around x of radius 1 - |x| inside the
     slice plane; by subharmonicity of the component moduli it is sampled on
     the bounding circle only.
     """
-    z = slice_coordinate(x, i)
-    r = abs(z)
-    if r >= 1.0:
+    q = quat_array([x]) if isinstance(x, Quaternion) else np.asarray(x, dtype=float)
+    y = q[:, 1] * i.v1 + q[:, 2] * i.v2 + q[:, 3] * i.v3
+    off = np.linalg.norm(q[:, 1:] - y[:, None] * np.array(i.components()), axis=1)
+    if np.any(off > 1e-9):
+        raise ValueError("x must lie on the slice plane of i")
+    z = np.empty(len(q), dtype=complex)
+    z.real, z.imag = q[:, 0], y
+    # hypot, as Python's abs(complex); numpy's complex abs may differ in the last bit
+    r = np.hypot(z.real, z.imag)
+    if np.any(r >= 1.0):
         raise ValueError("x must lie in the open disc")
     s = SplitSeries.of(f, i)
 
-    circle = z + (1.0 - r) * np.exp(1j * _golden_angles(plan.n_points))
-    on_circle_values = s.at(circle)
-    m1, m2 = np.max(np.abs(on_circle_values), axis=1)
-    local_sup = float(np.max(split_modulus(on_circle_values)))
-
-    # scalar abs, not the array loop: the two may differ in the last bit
-    f1, f2 = map(abs, s.at(z))
-    d1, d2 = map(abs, s.derivative().at(z))
     gap = 1.0 - r
+    circle = z[:, None] + gap[:, None] * np.exp(1j * _golden_angles(plan.n_points))
+    # one component at a time keeps a single (n, n_points) complex array alive
+    a1, a2 = (np.abs(eval_complex(c, circle)) for c in (s.F, s.G))
+    m1, m2 = a1.max(axis=1), a2.max(axis=1)
+    local_sup = np.max(np.hypot(a1, a2), axis=1)
+
+    values, slopes = s.at(z), s.derivative().at(z)
+    f1, f2 = np.hypot(values.real, values.imag)
+    d1, d2 = np.hypot(slopes.real, slopes.imag)
 
     lhs_minus = gap * d1 + 2.0 * f1
     lhs_plus = gap * d2 + 2.0 * f2
     lhs_quad = 0.25 * gap * gap * (d1 * d1 + d2 * d2) + f1 * f1 + f2 * f2
     rhs_quad = (r - 1.0) * (d1 * f1 + d2 * f2) + m1 * m1 + m2 * m2
-    return GrowthCheck(
-        lhs_plus=float(lhs_plus),
-        lhs_minus=float(lhs_minus),
-        local_sup=local_sup,
-        lhs_quadratic=float(lhs_quad),
-        rhs_quadratic=float(rhs_quad),
-        samples=int(circle.size),
-    )
+    fields = (lhs_plus, lhs_minus, local_sup, lhs_quad, rhs_quad,
+              np.full(len(q), plan.n_points))
+    if isinstance(x, Quaternion):
+        return GrowthCheck(*(v[0].item() for v in fields))
+    return GrowthCheck(*fields)
 
 
 @dataclass(frozen=True)
@@ -491,29 +494,38 @@ class SchwarzPickReport:
 INTERPRETATIONS = ("series", "pointwise")
 
 
-def _displaced_point(aux: SliceSeries | None, x_q: Quaternion, fx: Quaternion,
-                     fpx: Quaternion, interpretation: str) -> Quaternion:
-    """The conjugated evaluation point x~ of the two-point criterion.
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    # libm pow, as the scalar Quaternion norm and inverse square: x*x
+    # differs from Python's x**2 in the last bit for about 1 value in 1200
+    return np.sum(np.float_power(a, 2.0), axis=-1)
 
-    Raises SingularPoint when the derivative, the value, or the auxiliary
-    function vanishes at the sample.
-    """
-    if norm(fpx) <= 1e-6:
-        raise SingularPoint("derivative below floor")
-    if norm(fx) <= 1e-9:
-        raise SingularPoint("value below floor")
-    p = hamilton_mul(hamilton_mul(fpx.inverse(), x_q), fpx)
-    if interpretation == "series":
-        gp = evaluate(aux, p)
-        if norm(gp) ** 2 <= 1e-9:  # symmetrized auxiliary = its square here
-            raise SingularPoint("auxiliary below floor")
-        moved = hamilton_mul(hamilton_mul(gp.inverse(), p), gp)
-    else:
-        if abs(1.0 - norm(fx) ** 2) <= 1e-9:
-            raise SingularPoint("auxiliary below floor")
-        moved = p  # real scalar conjugation is the identity
-    cf = fx.conjugate()
-    return hamilton_mul(hamilton_mul(cf.inverse(), moved), cf)
+
+def _conjugated(c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """c^-1 q c row by row, with c^-1 as Quaternion.inverse computes it;
+    zero rows of c give inf or nan."""
+    inverse = conj_array(c) / _squared_norms(c)[..., None]
+    return hmul_array(hmul_array(inverse, q), c)
+
+
+def _displaced_points(aux: SliceSeries | None, x: np.ndarray, fx: np.ndarray,
+                      fpx: np.ndarray, interpretation: str
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugated evaluation points x~ of the two-point criterion, row by
+    row, and the mask of rows where the derivative, the value, or the
+    auxiliary function vanishes (x~ is undefined there)."""
+    value_sq = _squared_norms(fx)
+    singular = (np.sqrt(_squared_norms(fpx)) <= 1e-6) | (np.sqrt(value_sq) <= 1e-9)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = _conjugated(fpx, x)
+        if interpretation == "series":
+            gp = evaluate_batch(aux, p)
+            # symmetrized auxiliary = its square here
+            singular |= np.float_power(np.sqrt(_squared_norms(gp)), 2.0) <= 1e-9
+            moved = _conjugated(gp, p)
+        else:
+            singular |= np.abs(1.0 - np.float_power(np.sqrt(value_sq), 2.0)) <= 1e-9
+            moved = p  # real scalar conjugation is the identity
+        return _conjugated(conj_array(fx), moved), singular
 
 
 def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
@@ -542,27 +554,17 @@ def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     M = float(np.max(norm_array(fvals)))
 
     aux = SliceSeries([1.0]) - symmetrization(f) if interpretation == "series" else None
-
-    hyp = 0.0
-    der = 0.0
-    used = skipped = 0
-    for k, z in enumerate(xs):
-        x_q = slice_point(i, complex(z))
-        fx = from_array(fvals[k])
-        fpx = from_array(fpvals[k])
-        try:
-            x_t = _displaced_point(aux, x_q, fx, fpx, interpretation)
-        except SingularPoint:
-            skipped += 1
-            continue
-        fxt = evaluate(f, x_t)
-        cf = fx.conjugate()
-        gap = 1.0 - abs(z)
-        w = omega(gap)
-        hyp = max(hyp, norm(Quaternion(M * M) - hamilton_mul(cf, fxt))
-                  / ((1.0 + abs(z)) * w))
-        der = max(der, M * norm(fpx) * gap / w)
-        used += 1
+    x_t, singular = _displaced_points(aux, slice_points_array(i, xs), fvals, fpvals,
+                                      interpretation)
+    keep = ~singular
+    r = np.hypot(xs.real, xs.imag)[keep]
+    gap = 1.0 - r
+    w = omega(gap)
+    defect = -hmul_array(conj_array(fvals[keep]), evaluate_batch(f, x_t[keep]))
+    defect[:, 0] += M * M  # M^2 - conj(f(x)) f(x~)
+    hyp = float(np.max(np.sqrt(_squared_norms(defect)) / ((1.0 + r) * w), initial=0.0))
+    der = float(np.max(M * np.sqrt(_squared_norms(fpvals[keep])) * gap / w, initial=0.0))
+    used, skipped = int(keep.sum()), int(singular.sum())
 
     ok = der <= hyp * (1.0 + slack) + 1e-12 if used else True
     return SchwarzPickReport(

@@ -154,55 +154,73 @@ class RegularityCertificate:
     history: tuple[float, ...]
 
 
-def _gauss_panels(a: float, b: float, breaks: np.ndarray, max_width: float,
-                  nodes_per_panel: int = 8):
-    """Gauss-Legendre nodes/weights on [a, b], panels split at breaks and
-    capped at max_width so piecewise-smooth integrands stay panel-smooth."""
-    edges = [a, b]
-    edges.extend(float(u) for u in breaks if a < u < b)
-    edges = np.array(sorted(set(edges)))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces = max(1, int(np.ceil((hi - lo) / max_width)))
-        sub = np.linspace(lo, hi, pieces + 1)
-        for p_lo, p_hi in zip(sub[:-1], sub[1:]):
-            half = 0.5 * (p_hi - p_lo)
-            mid = 0.5 * (p_hi + p_lo)
-            xs.append(mid + half * gl_x)
-            ws.append(half * gl_w)
-    return np.concatenate(xs), np.concatenate(ws)
+# 8-point Gauss-Legendre rule on [-1, 1], shared by every panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
-def _singular_integrals(omega: Majorant, x: float, panels: int) -> tuple[float, float]:
-    """I1 = int_0^x omega/t dt and I2 = int_x^2 omega/t^2 dt via t = e^u."""
-    log_knots = np.log(np.maximum(omega.knots(), 1e-300)) if omega.knots().size else np.empty(0)
+def _gauss_sums(integrand, a: np.ndarray, b: np.ndarray, breaks: np.ndarray,
+                max_width: np.ndarray) -> np.ndarray:
+    """Composite Gauss-Legendre sums of integrand(nodes, weights) over
+    [a[k], b[k]] for every k at once, panels split at the breaks inside the
+    interval and capped at max_width[k] so piecewise-smooth integrands stay
+    panel-smooth.
+
+    Rows sharing a panel layout (the pieces of each sub-interval between
+    breaks; 0 for a break outside the interval) are summed as one array.
+    """
+    edges = np.column_stack([a, np.clip(breaks, a[:, None], b[:, None]), b])
+    lengths = np.diff(edges, axis=1)
+    pieces = np.where(lengths > 0.0, np.ceil(lengths / max_width[:, None]), 0.0).astype(int)
+    layouts, group = np.unique(pieces, axis=0, return_inverse=True)
+    sums = np.empty(a.size)
+    for g, layout in enumerate(layouts):
+        rows = np.flatnonzero(group.ravel() == g)
+        ends = edges[rows]
+        lo, hi = np.empty((2, rows.size, layout.sum()))
+        first = np.cumsum(layout) - layout  # first panel of each sub-interval
+        for p in np.unique(layout[layout > 0]):
+            s = np.flatnonzero(layout == p)
+            sub = np.linspace(ends[:, s], ends[:, s + 1], p + 1, axis=-1)
+            cols = first[s, None] + np.arange(p)
+            lo[:, cols], hi[:, cols] = sub[..., :-1], sub[..., 1:]
+        half = (0.5 * (hi - lo))[..., None]
+        mid = (0.5 * (hi + lo))[..., None]
+        # nodes in panel order, one contiguous row per x: the row sum is the
+        # same pairwise sum, to the bit, as the sum for that x alone
+        nodes = (mid + half * _GL_X).reshape(rows.size, -1)
+        sums[rows] = np.sum(integrand(nodes, (half * _GL_W).reshape(rows.size, -1)), axis=1)
+    return sums
+
+
+def _singular_integrals(omega: Majorant, x: np.ndarray, panels: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """I1 = int_0^x omega/t dt and I2 = int_x^2 omega/t^2 dt via t = e^u,
+    for every x at once."""
+    log_knots = np.log(np.maximum(omega.knots(), 1e-300))
     # 50 log-units below x truncates the lower tail of I1 by a factor e^-50
     u_lo, u_hi = np.log(x) - 50.0, np.log(x)
-    width = (u_hi - u_lo) / panels
-    u, w = _gauss_panels(u_lo, u_hi, log_knots, width)
-    i1 = float(np.sum(w * omega._eval(np.exp(u))))
-    v_lo, v_hi = np.log(x), np.log(DOMAIN_MAX)
-    if v_hi > v_lo:
-        width2 = max((v_hi - v_lo) / panels, 1e-6)
-        v, wv = _gauss_panels(v_lo, v_hi, log_knots, width2)
-        i2 = float(np.sum(wv * omega._eval(np.exp(v)) * np.exp(-v)))
-    else:
-        i2 = 0.0
+    i1 = _gauss_sums(lambda u, w: w * omega._eval(np.exp(u)),
+                     u_lo, u_hi, log_knots, (u_hi - u_lo) / panels)
+    v_hi = np.full_like(x, np.log(DOMAIN_MAX))
+    inner = v_hi > u_hi  # x = 2 leaves nothing to integrate
+    i2 = np.zeros_like(x)
+    i2[inner] = _gauss_sums(lambda v, w: w * omega._eval(np.exp(v)) * np.exp(-v),
+                            u_hi[inner], v_hi[inner], log_knots,
+                            np.maximum((v_hi[inner] - u_hi[inner]) / panels, 1e-6))
     return i1, i2
 
 
 def _ratio_max(omega: Majorant, xs: np.ndarray, panels: int) -> tuple[float, float]:
-    best, best_x = -np.inf, xs[0]
-    for x in xs:
-        wx = omega(float(x))
-        if wx <= 0.0:
-            return np.inf, float(x)
-        i1, i2 = _singular_integrals(omega, float(x), panels)
-        ratio = (i1 + x * i2) / wx
-        if ratio > best:
-            best, best_x = ratio, float(x)
-    return best, best_x
+    """Largest ratio over xs and the first x attaining it; (inf, x) at the
+    first x where omega vanishes. NaN ratios are ignored."""
+    wx = omega(xs)
+    if np.any(wx <= 0.0):
+        return np.inf, float(xs[np.argmax(wx <= 0.0)])
+    i1, i2 = _singular_integrals(omega, xs, panels)
+    ratio = (i1 + xs * i2) / wx
+    ratio[np.isnan(ratio)] = -np.inf
+    k = int(np.argmax(ratio))
+    return ratio[k], float(xs[k])
 
 
 def _monotonicity(omega: Majorant, x_min: float) -> tuple[bool, bool]:

@@ -225,9 +225,10 @@ def star_inverse_derivative(f: SliceSeries, order: int) -> SliceSeries:
 def slice_basis(i: ImaginaryUnit, j: ImaginaryUnit) -> np.ndarray:
     """Rows 1, i, j, i*j of R^4: orthonormal for j perpendicular to i, and
     then i*j is the cross product i x j, with no real part."""
-    iv, jv = i.components(), j.components()
-    ij = np.cross(iv, jv)
-    return np.array([(1.0, 0.0, 0.0, 0.0), (0.0, *iv), (0.0, *jv), (0.0, *ij)])
+    a1, a2, a3 = i.components()
+    b1, b2, b3 = j.components()
+    return np.array([(1.0, 0.0, 0.0, 0.0), (0.0, a1, a2, a3), (0.0, b1, b2, b3),
+                     (0.0, a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)])
 
 
 def split(f: SliceSeries, i: ImaginaryUnit):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicereg.cli import (
@@ -243,18 +243,29 @@ def test_main_error_exit_codes(tmp_path, capsys):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["verify", "--pairs", "256", "--points", "64", "--nodes", "512"], "verify_small.json"),
-    (["star", "--left", "cubic_basis", "--right", "random_0"], "star_product.json"),
-    (["star", "--inverse", "exp_taylor", "--order", "64"], "star_inverse.json"),
-    (["eval", "--at", "0.3,0.4,0,0"], "eval.json"),
+@pytest.mark.parametrize("argv, name, code", [
+    (["verify", "--pairs", "256", "--points", "64", "--nodes", "512"], "verify_small.json", 0),
+    (["star", "--left", "cubic_basis", "--right", "random_0"], "star_product.json", 0),
+    (["star", "--inverse", "exp_taylor", "--order", "64"], "star_inverse.json", 0),
+    (["eval", "--at", "0.3,0.4,0,0"], "eval.json", 0),
     (["norm", "--name", "exp_taylor", "--estimator", "schwarz-series", "--points", "64"],
-     "norm_schwarz_series.json"),
-], ids=["verify_small", "star_product", "star_inverse", "eval", "norm_schwarz_series"])
-def test_verify_report_bytes_match_golden_file(argv, name, tmp_path):
-    """The output of a CLI call, byte for byte: a small default verify run
-    and the series-calculus paths (star product, star inverse, evaluation,
-    the scalar Schwarz loop).
+     "norm_schwarz_series.json", 0),
+    (["majorant-check", "--omega", "power:0.5"], "majorant_power.json", 0),
+    (["majorant-check", "--omega", "power:0.5+tabulated:0,0;0.5,0.2;2,0.5"],
+     "majorant_power_tabulated.json", 0),
+    (["majorant-check", "--omega", "power:1"], "majorant_linear.json", 1),
+    (["norm", "--name", "random_0", "--estimator", "schwarz-pointwise", "--points", "256"],
+     "norm_schwarz_pointwise.json", 0),
+    (["verify", "--slice", "i=1,1,1", "--slice", "k=0.3,-1,2", "--pairs", "256",
+      "--points", "64", "--nodes", "512"], "verify_off_axis.json", 0),
+], ids=["verify_small", "star_product", "star_inverse", "eval", "norm_schwarz_series",
+        "majorant_power", "majorant_power_tabulated", "majorant_linear",
+        "norm_schwarz_pointwise", "verify_off_axis"])
+def test_verify_report_bytes_match_golden_file(argv, name, code, tmp_path):
+    """The output of a CLI call, byte for byte, and its exit code: small
+    verify runs on axis and off-axis slices, the series-calculus paths
+    (star product, star inverse, evaluation), weight certification, and
+    both readings of the Schwarz criterion.
 
     The files pin this environment (Python 3.11.7, numpy 2.4.6): another
     numpy may round the last digit of a float differently. Regenerate one with
@@ -262,7 +273,7 @@ def test_verify_report_bytes_match_golden_file(argv, name, tmp_path):
     meant to alter that output.
     """
     out = tmp_path / name
-    assert main([*argv, "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(out)]) == code
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
@@ -313,6 +324,16 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
     (None, ["majorant-check", "--omega", "power:0.5", "--nodes", "0"]),
     (None, ["majorant-check", "--omega", "power:0.5", "--nodes", "2"]),
     (None, ["majorant-check", "--omega", "power:0.5", "--nodes", "-3"]),
+    (None, ["norm", "--name", "identity", "--estimator", "slice", "--omega", "scaled:0:power:0.5"]),
+    (None, ["norm", "--name", "identity", "--estimator", "global", "--omega", "scaled:0:power:0.5"]),
+    (None, ["norm", "--name", "identity", "--estimator", "slice", "--omega", "tabulated:0,0;2,0"]),
+    (None, ["norm", "--name", "identity", "--estimator", "global",
+            "--omega", "tabulated:0,0;1,0;2,1"]),
+    (None, ["norm", "--name", "identity", "--estimator", "derivative-full",
+            "--omega", "scaled:0:power:0.5"]),
+    (None, ["norm", "--name", "identity", "--estimator", "schwarz-series",
+            "--omega", "tabulated:0,0;2,0"]),
+    (None, ["verify", "--omega", "scaled:0:power:0.5"]),
 ], ids=["truncated_config", "config_not_object", "report_not_object", "negative_order",
         "config_seed_str", "config_seed_bool", "config_pairs_2", "config_pairs_inf",
         "config_points_float", "config_nodes_8", "config_slice_str", "config_slice_zero",
@@ -321,7 +342,9 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
         "verify_pairs_2", "verify_window_nan", "norm_pairs_2", "norm_rho_1_5",
         "norm_eps_nan", "norm_seed_negative", "norm_slice_inf", "norm_slice_overflow",
         "eval_at_nan", "spec_nan", "tabulated_nan", "power_inf", "panels_0", "panels_2",
-        "panels_negative"])
+        "panels_negative", "norm_scaled_zero", "global_scaled_zero", "norm_table_zero",
+        "global_table_zero_knot", "derivative_scaled_zero", "schwarz_table_zero",
+        "verify_scaled_zero"])
 def test_bad_input_exits_two(text, argv, tmp_path, capsys):
     path = tmp_path / "input.json"
     if text is not None:
@@ -392,6 +415,9 @@ def report_dir(tmp_path_factory):
 
 
 @given(argv=_cli_argv())
+@example(argv=["norm", "--name", "identity", "--estimator", "slice", "--pairs", "4",
+               "--points", "4", "--eps", "0.5", "--rho", "0.5", "--seed", "4",
+               "--omega", "scaled:0:power:0.5"])
 @settings(deadline=None, max_examples=150)
 def test_cli_fuzz_exits_cleanly(argv, report_dir):
     if argv[0] == "report":  # the drawn text goes to a file

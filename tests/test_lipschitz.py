@@ -11,8 +11,7 @@ from slicereg.lipschitz import (
     GrowthCheck,
     NormEstimate,
     SamplePlan,
-    SingularPoint,
-    _displaced_point,
+    _displaced_points,
     ball_pair_coords,
     boundary_norm,
     bounded_growth_check,
@@ -34,12 +33,24 @@ from slicereg.quaternion import (
     E2,
     ONE,
     UNIT_E1,
+    ImaginaryUnit,
     Quaternion,
+    from_array,
+    hamilton_mul,
+    norm,
     norm_array,
     slice_point,
     slice_points_array,
 )
-from slicereg.series import SliceSeries, eval_complex, evaluate, evaluate_batch, split
+from slicereg.series import (
+    SliceSeries,
+    SplitSeries,
+    eval_complex,
+    evaluate,
+    evaluate_batch,
+    split,
+    symmetrization,
+)
 from slicereg.verify import default_corpus
 
 I = UNIT_E1
@@ -280,6 +291,19 @@ def test_bounded_growth_random_points():
         assert chk.quadratic_slack >= -1e-8
 
 
+@pytest.mark.parametrize("unit", [UNIT_E1, ImaginaryUnit.from_vector(0.3, -1.0, 2.0)],
+                         ids=["e1", "non_axis"])
+def test_bounded_growth_batch_equals_one_point_calls(unit):
+    f = default_corpus()[-1].series
+    zs = disc_points(SamplePlan(n_points=64), cap=0.99)[:40]
+    batch = bounded_growth_check(f, slice_points_array(unit, zs), unit, PLAN)
+    single = [bounded_growth_check(f, slice_point(unit, complex(z)), unit, PLAN) for z in zs]
+    for field in ("lhs_plus", "lhs_minus", "local_sup", "lhs_quadratic", "rhs_quadratic",
+                  "samples", "sandwich_slack", "quadratic_slack"):
+        assert np.array_equal(getattr(batch, field), [getattr(c, field) for c in single])
+    assert isinstance(single[0].local_sup, float) and isinstance(single[0].samples, int)
+
+
 # --- Schwarz-Pick functional ------------------------------------------------------
 
 def test_schwarz_pick_identity_function():
@@ -304,7 +328,7 @@ def test_schwarz_pick_constant_reports_empty():
 def test_displaced_point_interpretations_agree_at_real_x():
     # real coefficients + real x keep every factor in R, where the two
     # readings of conjugate(f(x)) * f(x) coincide
-    from slicereg.series import cullen_derivative, symmetrization
+    from slicereg.series import cullen_derivative
 
     f = SliceSeries.from_real([0.1, 0.5, 0.0, 0.2])
     fp = cullen_derivative(f)
@@ -312,16 +336,79 @@ def test_displaced_point_interpretations_agree_at_real_x():
     coeffs = [-c.x0 for c in s.coefficients]
     coeffs[0] = 1.0 + coeffs[0]
     aux = SliceSeries.from_real(coeffs)
-    for x in (0.3, -0.45, 0.6):
-        x_q = Quaternion(x)
-        fx, fpx = evaluate(f, x_q), evaluate(fp, x_q)
-        a = _displaced_point(aux, x_q, fx, fpx, "series")
-        b = _displaced_point(None, x_q, fx, fpx, "pointwise")
-        assert norm_array(np.array([np.array(a.components()) - np.array(b.components())]))[0] < 1e-12
+    x = slice_points_array(I, np.array([0.3, -0.45, 0.6]))
+    fx, fpx = evaluate_batch(f, x), evaluate_batch(fp, x)
+    a, singular_a = _displaced_points(aux, x, fx, fpx, "series")
+    b, singular_b = _displaced_points(None, x, fx, fpx, "pointwise")
+    assert not singular_a.any() and not singular_b.any()
+    assert np.max(norm_array(a - b)) < 1e-12
 
 
-def test_singular_point_raised_at_critical_point():
-    # f = q^2 has f'(0) = 0: the displaced point is undefined there
-    zero = Quaternion(0.0)
-    with pytest.raises(SingularPoint):
-        _displaced_point(None, zero, zero, zero, "pointwise")
+def test_singular_point_masked_at_critical_point():
+    # f = q^2 has f'(0) = 0: the displaced point is undefined there, and
+    # only there
+    x = slice_points_array(I, np.array([0.0, 0.5]))
+    fx, fpx = evaluate_batch(SQUARE, x), evaluate_batch(SliceSeries([0.0, 2.0]), x)
+    for aux, reading in ((SliceSeries([1.0, 0.0, 0.0, 0.0, -1.0]), "series"),
+                         (None, "pointwise")):
+        _, singular = _displaced_points(aux, x, fx, fpx, reading)
+        assert singular.tolist() == [True, False]
+
+
+def _schwarz_reference(f, omega, i, plan, interpretation):
+    """The criterion point by point with scalar quaternions: (hyp, der,
+    used, skipped)."""
+    xs = disc_points(plan)
+    s = SplitSeries.of(f, i)
+    fvals, fpvals = s.values(xs), s.derivative().values(xs)
+    M = float(np.max(norm_array(fvals)))
+    aux = SliceSeries([1.0]) - symmetrization(f)
+
+    def conjugated(c, q):
+        return hamilton_mul(hamilton_mul(c.inverse(), q), c)
+
+    hyp = der = 0.0
+    used = skipped = 0
+    for k, z in enumerate(xs):
+        fx, fpx = from_array(fvals[k]), from_array(fpvals[k])
+        if norm(fpx) <= 1e-6 or norm(fx) <= 1e-9:
+            skipped += 1
+            continue
+        p = conjugated(fpx, slice_point(i, complex(z)))
+        if interpretation == "series":
+            gp = evaluate(aux, p)
+            if norm(gp) ** 2 <= 1e-9:
+                skipped += 1
+                continue
+            p = conjugated(gp, p)
+        elif abs(1.0 - norm(fx) ** 2) <= 1e-9:
+            skipped += 1
+            continue
+        fxt = evaluate(f, conjugated(fx.conjugate(), p))
+        gap = 1.0 - abs(z)
+        w = omega(gap)
+        hyp = max(hyp, norm(Quaternion(M * M) - hamilton_mul(fx.conjugate(), fxt))
+                  / ((1.0 + abs(z)) * w))
+        der = max(der, M * norm(fpx) * gap / w)
+        used += 1
+    return hyp, der, used, skipped
+
+
+# flat: |f'(x)| = 2e-6 |x| crosses the derivative floor 1e-6 at |x| = 0.5
+_SCHWARZ_MEMBERS = {**{m.name: m.series for m in default_corpus()},
+                    "flat": SliceSeries([0.5, 0.0, 1e-6])}
+
+
+@pytest.mark.parametrize("name", ["identity", "square", "const_real", "random_0", "exp_taylor",
+                                  "flat"])
+@pytest.mark.parametrize("interpretation", ["series", "pointwise"])
+def test_schwarz_report_equals_point_by_point_reference(name, interpretation):
+    f = _SCHWARZ_MEMBERS[name]
+    plan = SamplePlan(n_points=64)
+    rep = schwarz_pick_criterion(f, W_HALF, I, plan, interpretation)
+    ref = _schwarz_reference(f, W_HALF, I, plan, interpretation)
+    assert (rep.hypothesis_constant, rep.derivative_constant, rep.n_used, rep.n_skipped) == ref
+    if name in ("square", "const_real", "flat"):
+        assert rep.n_skipped > 0
+    if name == "flat":
+        assert rep.n_used > 0

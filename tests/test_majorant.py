@@ -9,6 +9,7 @@ from slicereg.majorant import (
     ScaledMajorant,
     SumMajorant,
     TabulatedMajorant,
+    _ratio_max,
     check_regular,
     combine,
     power_regularity_constant,
@@ -142,3 +143,47 @@ def test_check_regular_needs_four_panels(panels):
     # with fewer panels the panel-doubling convergence check cannot fail
     with pytest.raises(ValueError):
         check_regular(PowerMajorant(0.5), quad_nodes=panels)
+
+
+def _reference_integrals(omega, x, panels):
+    """I1 and I2 of the regularity ratio at one x: composite 8-point
+    Gauss-Legendre panels in u = log t, split at the knots."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    log_knots = np.log(np.maximum(omega.knots(), 1e-300))
+
+    def panel_sum(a, b, width, integrand):
+        edges = np.array(sorted({a, b, *(float(u) for u in log_knots if a < u < b)}))
+        xs, ws = [], []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            sub = np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / width))) + 1)
+            for p_lo, p_hi in zip(sub[:-1], sub[1:]):
+                half, mid = 0.5 * (p_hi - p_lo), 0.5 * (p_hi + p_lo)
+                xs.append(mid + half * gl_x)
+                ws.append(half * gl_w)
+        u, w = np.concatenate(xs), np.concatenate(ws)
+        return float(np.sum(integrand(u, w)))
+
+    u_lo, u_hi = np.log(x) - 50.0, np.log(x)
+    i1 = panel_sum(u_lo, u_hi, (u_hi - u_lo) / panels,
+                   lambda u, w: w * omega._eval(np.exp(u)))
+    v_hi = np.log(2.0)
+    i2 = panel_sum(u_hi, v_hi, max((v_hi - u_hi) / panels, 1e-6),
+                   lambda v, w: w * omega._eval(np.exp(v)) * np.exp(-v))
+    return i1, i2
+
+
+@pytest.mark.parametrize("omega", [
+    PowerMajorant(0.5),
+    PowerMajorant(0.25) + PowerMajorant(0.75),
+    TabulatedMajorant([0.0, 0.001, 0.01, 0.1, 1.0, 2.0], [0.0, 0.03, 0.1, 0.3, 1.0, 1.4]),
+], ids=["power", "sum", "tabulated"])
+@pytest.mark.parametrize("panels", [64, 128])
+def test_batched_ratio_max_equals_per_x_reference(omega, panels):
+    xs = np.geomspace(1e-6, 1.9, 10)
+    best, best_x = -np.inf, None
+    for x in xs:
+        i1, i2 = _reference_integrals(omega, float(x), panels)
+        ratio = (i1 + x * i2) / omega(float(x))
+        if ratio > best:
+            best, best_x = ratio, float(x)
+    assert _ratio_max(omega, xs, panels) == (best, best_x)

@@ -320,5 +320,7 @@ def test_truncated_and_degree():
     assert f.degree == 3
     t = f.truncated(1)
     assert t.degree == 1 and norm(t.coefficients[1] - E1) == 0.0
-    # truncating beyond the degree pads nothing
-    assert f.truncated(9).degree <= 9
+    # truncating beyond the degree zero-pads to exactly that degree
+    padded = f.truncated(9)
+    assert padded.degree == 9
+    assert np.array_equal(padded.array[:4], f.array) and not padded.array[4:].any()

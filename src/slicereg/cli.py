@@ -187,7 +187,8 @@ def _parse_finite(text: str, size: int, what: str) -> list[float]:
 def parse_unit(text: str) -> ImaginaryUnit:
     """'x,y,z' -> the normalized imaginary unit along that vector."""
     v = np.asarray(_parse_finite(text, 3, "unit vector"))
-    n = float(np.linalg.norm(v))
+    with np.errstate(over="ignore", under="ignore"):  # caught below
+        n = float(np.linalg.norm(v))
     if n == 0.0:
         raise ValidationError("unit vector must be nonzero")
     try:  # the norm over- or underflows for extreme components

@@ -238,16 +238,14 @@ def _monotonicity(omega: Majorant, x_min: float) -> tuple[bool, bool]:
     return increasing, ratio_dec
 
 
-def check_regular(omega: Majorant, x_grid: np.ndarray | None = None,
-                  quad_nodes: int = 64) -> RegularityCertificate:
-    """Certify the integral regularity condition empirically.
+def check_regular(omega: Majorant, quad_nodes: int = 64) -> RegularityCertificate:
+    """Certify the integral regularity condition empirically on a 40-point
+    log grid on [1e-4, 2). Refinement extends the grid two times, each round
+    pushing x_min down by 100x and doubling the density.
 
     Parameters
     ----------
     omega : Majorant
-    x_grid : optional array of evaluation points in (0, 2]; defaults to a
-        log grid on [1e-4, 2). Refinement extends the grid two times, each
-        round pushing x_min down by 100x and doubling the density.
     quad_nodes : quadrature panels per integral (Gauss-Legendre, 8 points
         per panel, panels split at any tabulated knots).
 
@@ -257,14 +255,8 @@ def check_regular(omega: Majorant, x_grid: np.ndarray | None = None,
     """
     if quad_nodes < 4:  # fewer panels make the doubling check vacuous
         raise ValueError(f"need at least 4 quadrature panels, got {quad_nodes}")
-    if x_grid is None:
-        x_grid = np.geomspace(1e-4, DOMAIN_MAX * (1.0 - 1e-9), 40)
-    else:
-        x_grid = np.asarray(x_grid, dtype=float)
-        if np.any(x_grid <= 0.0) or np.any(x_grid > DOMAIN_MAX):
-            raise DomainError("x_grid must lie in (0, 2]")
-
-    x_min = float(x_grid.min())
+    grid = np.geomspace(1e-4, DOMAIN_MAX * (1.0 - 1e-9), 40)
+    x_min = float(grid[0])
     increasing, ratio_dec = _monotonicity(omega, min(x_min, 1e-6))
     if not (increasing and ratio_dec):
         # already rejected; the integral sup is left uncomputed
@@ -272,15 +264,13 @@ def check_regular(omega: Majorant, x_grid: np.ndarray | None = None,
             is_regular=False,
             empirical_C=float("nan"),
             worst_x=x_min,
-            grid_size=int(x_grid.size),
+            grid_size=int(grid.size),
             monotone=increasing,
             ratio_monotone=ratio_dec,
             history=(),
         )
 
     history: list[float] = []
-    worst_x = x_min
-    grid = np.sort(x_grid)
     for refinement in range(3):
         # convergence control: the same sup with doubled panel count
         m, wx = _ratio_max(omega, grid, quad_nodes)

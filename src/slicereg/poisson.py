@@ -6,54 +6,39 @@ point of the open unit ball:
     P_i[u](q) = (1/2pi) int_0^2pi u(t) (1 - |q|^2) / |q - e_i(t)|^2 dt,
 
 with e_i(t) = cos t + i sin t and the quaternion norm in the denominator.
+Writing q through its slice coordinate z = x0 + i<vec q, i> and its squared
+distance off^2 from the plane of i, |q - e_i(t)|^2 = |z - e^{it}|^2 + off^2,
+so one disc routine serves points on the plane (off^2 = 0) and off it.
 Quadrature is the periodic trapezoid rule (spectrally accurate for smooth
 boundary data), refusing evaluation points whose distance to the sphere
 falls under 10/nodes, where the kernel is no longer resolved.
+
+Boundary data u are plain callables from an angle array to a value array;
+u may return k stacked rows, (k, nodes), which share one kernel.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
+from .majorant import Majorant
 from .quaternion import (
     ImaginaryUnit,
     Quaternion,
     hamilton_mul,
     hmul_array,
-    norm,
     norm_array,
     rotate,
     slice_coordinate,
     slice_points_array,
 )
-from .series import SliceSeries, SplitSeries, on_circle
-from .series import eval_complex  # noqa: F401  bound here for benchmarks/test_benchmark.py
+from .series import SliceSeries, SplitSeries, eval_complex, on_circle
 
 MIN_NODES = 16
 
 
 class BoundaryTooClose(ValueError):
     """Evaluation point too close to the sphere for the node count."""
-
-
-class BoundaryFunction:
-    """Real boundary data on a slice circle, parameterized by angle.
-
-    Wraps a vectorized map from angle arrays to value arrays.
-    """
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self._fn = fn
-
-    def __call__(self, t) -> np.ndarray:
-        return np.asarray(self._fn(np.asarray(t, dtype=float)), dtype=float)
-
-    @classmethod
-    def constant(cls, value: float) -> "BoundaryFunction":
-        v = float(value)
-        return cls(lambda t: np.full_like(t, v))
 
 
 MODES = ("plus", "minus", "modulus", "modulus_squared_1", "modulus_squared_2")
@@ -85,63 +70,64 @@ def _mode_profile(f: SliceSeries, i: ImaginaryUnit, mode: str):
 
 
 def modulus_boundary_function(f: SliceSeries, i: ImaginaryUnit,
-                              mode: str = "modulus") -> BoundaryFunction:
+                              mode: str = "modulus"):
     """Boundary data t -> g(e_i(t)) for the given comparison mode of f."""
-    return BoundaryFunction(on_circle(_mode_profile(f, i, mode)))
+    return on_circle(_mode_profile(f, i, mode))
 
 
-def _kernel(q: Quaternion, i: ImaginaryUnit, angles: np.ndarray) -> np.ndarray:
-    cos_t = np.cos(angles)
-    sin_t = np.sin(angles)
-    d2 = (
-        (q.x0 - cos_t) ** 2
-        + (q.x1 - i.v1 * sin_t) ** 2
-        + (q.x2 - i.v2 * sin_t) ** 2
-        + (q.x3 - i.v3 * sin_t) ** 2
-    )
-    return (1.0 - norm(q) ** 2) / d2
+def _check_interior(r, nodes: int):
+    """Refuse fewer than MIN_NODES nodes, norms r outside the open ball and
+    norms under the resolution floor 1 - r < 10/nodes."""
+    if nodes < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes, got {nodes}")
+    if np.any(r >= 1.0):
+        raise ValueError("evaluation points must lie in the open ball")
+    if np.any(1.0 - r < 10.0 / nodes):
+        raise BoundaryTooClose("a point sits under the resolution floor")
 
 
-def _check_interior(q_norm: float, nodes: int):
-    if q_norm >= 1.0:
-        raise ValueError(f"evaluation point must lie in the open ball, norm {q_norm!r}")
-    if 1.0 - q_norm < 10.0 / nodes:
-        raise BoundaryTooClose(
-            f"1 - |q| = {1.0 - q_norm!r} under the resolution floor {10.0 / nodes!r}"
-        )
+def _trapezoid(u, zs, off2, nodes: int) -> np.ndarray:
+    """Trapezoid mean of u(t) (1 - r^2) / (|z - e^{it}|^2 + off2) over
+    `nodes` equispaced angles, r^2 = |z|^2 + off2, for every z of zs and
+    every row of u."""
+    zs = np.asarray(zs, dtype=complex)
+    r = np.hypot(np.abs(zs), np.sqrt(off2))  # |z| to the bit when off2 = 0
+    _check_interior(r, nodes)
+    angles = 2.0 * np.pi * np.arange(nodes) / nodes
+    vals = np.asarray(u(angles), dtype=float)
+    d2 = np.abs(zs[..., None] - np.exp(1j * angles)) ** 2 + off2
+    kernel = (1.0 - r[..., None] ** 2) / d2
+    vals = np.expand_dims(vals, tuple(range(-1 - zs.ndim, -1)))
+    return np.mean(vals * kernel, axis=-1)
 
 
 def poisson_integral(u, q: Quaternion, i: ImaginaryUnit, nodes: int = 4096) -> float:
-    """Trapezoid evaluation of P_i[u](q). u may be a BoundaryFunction or any
-    vectorized angle callable."""
-    if nodes < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes, got {nodes}")
-    _check_interior(norm(q), nodes)
-    angles = 2.0 * np.pi * np.arange(nodes) / nodes
-    vals = np.asarray(u(angles), dtype=float)
-    return float(np.mean(vals * _kernel(q, i, angles)))
+    """Trapezoid evaluation of P_i[u](q) at any point q of the open ball."""
+    y = q.x1 * i.v1 + q.x2 * i.v2 + q.x3 * i.v3
+    off2 = (q.x1 - y * i.v1) ** 2 + (q.x2 - y * i.v2) ** 2 + (q.x3 - y * i.v3) ** 2
+    return float(_trapezoid(u, complex(q.x0, y), off2, nodes))
 
 
 def poisson_integral_slice(u, zs, nodes: int = 4096) -> np.ndarray:
     """P[u] at complex points of the slice's own disc, batched.
 
     Classical disc Poisson integral; zs is any complex array with |z| < 1
-    and 1 - |z| >= 10/nodes.
+    and 1 - |z| >= 10/nodes.  Stacked data u -> (k, nodes) give a
+    (k, *zs.shape) result.
     """
-    if nodes < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes, got {nodes}")
-    zs = np.asarray(zs, dtype=complex)
-    r = np.abs(zs)
-    if np.any(r >= 1.0):
-        raise ValueError("evaluation points must lie in the open disc")
-    if np.any(1.0 - r < 10.0 / nodes):
-        raise BoundaryTooClose("a point sits under the resolution floor")
-    angles = 2.0 * np.pi * np.arange(nodes) / nodes
-    vals = np.asarray(u(angles), dtype=float)
-    boundary = np.exp(1j * angles)
-    d2 = np.abs(zs[..., None] - boundary) ** 2
-    kernel = (1.0 - r[..., None] ** 2) / d2
-    return np.mean(vals * kernel, axis=-1)
+    return _trapezoid(u, zs, 0.0, nodes)
+
+
+def defect_sup(comps, omega: Majorant, xs, nodes: int, power: int = 1) -> float:
+    """sup over the disc points xs and the complex coefficient arrays comps
+    of (P[|c|^power](x) - |c(x)|^power) / omega(1 - |x|)^power, from one
+    Poisson call with the components stacked."""
+    def moduli(z):
+        return np.stack([np.abs(eval_complex(c, z)) ** power for c in comps])
+
+    p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes)
+    defect = p_vals - moduli(xs)
+    return float(np.max(defect / omega(1.0 - np.abs(xs)) ** power))
 
 
 def harmonic_defect(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
@@ -151,7 +137,7 @@ def harmonic_defect(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
     from moduli of the holomorphic split components."""
     z = slice_coordinate(x, i)
     profile = _mode_profile(f, i, mode)
-    p = poisson_integral(BoundaryFunction(on_circle(profile)), x, i, nodes)
+    p = poisson_integral(on_circle(profile), x, i, nodes)
     return p - float(profile(np.asarray([z]))[0])
 
 
@@ -184,8 +170,6 @@ def star_kernel_bound(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
     with complex inversions taken inside the plane of i. Returns (lhs, rhs);
     lhs <= rhs up to quadrature error.
     """
-    if nodes < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes, got {nodes}")
     z = slice_coordinate(x, i)
     _check_interior(abs(z), nodes)
 
@@ -212,5 +196,5 @@ def star_kernel_bound(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
     weight = 1.0 - abs(z) ** 2
     lhs = float(np.mean(norm_array(term)) * weight)
 
-    rhs = 2.0 * poisson_integral(BoundaryFunction(on_circle(s.modulus)), x, i, nodes)
+    rhs = 2.0 * poisson_integral(on_circle(s.modulus), x, i, nodes)
     return lhs, rhs

@@ -197,17 +197,15 @@ def rotate(r: Quaternion, q: Quaternion) -> Quaternion:
 
 def orthogonal_unit(i: ImaginaryUnit) -> ImaginaryUnit:
     """Deterministic unit perpendicular to i: Gram-Schmidt applied to the
-    first standard basis vector of R^3 not parallel to i."""
+    standard basis vector of R^3 least aligned with i (the first on ties),
+    whose rejection from i has norm at least sqrt(2/3)."""
     iv = i.components()
-    for k in range(3):
-        cand = [0.0, 0.0, 0.0]
-        cand[k] = 1.0
-        d = iv[k]  # <e_k, i>
-        cand = [cand[m] - d * iv[m] for m in range(3)]
-        n = math.sqrt(sum(c * c for c in cand))
-        if n > 1e-6:
-            return ImaginaryUnit(cand[0] / n, cand[1] / n, cand[2] / n)
-    raise ValueError("no perpendicular direction found")  # pragma: no cover
+    k = min(range(3), key=lambda m: abs(iv[m]))
+    cand = [0.0, 0.0, 0.0]
+    cand[k] = 1.0
+    cand = [cand[m] - iv[k] * iv[m] for m in range(3)]
+    n = math.sqrt(sum(c * c for c in cand))
+    return ImaginaryUnit(cand[0] / n, cand[1] / n, cand[2] / n)
 
 
 def slice_point(i: ImaginaryUnit, z: complex) -> Quaternion:

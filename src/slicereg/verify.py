@@ -38,7 +38,7 @@ from .lipschitz import (
     slice_pair_coords,
 )
 from .majorant import Majorant, PowerMajorant, check_regular, combine
-from .poisson import poisson_integral_slice
+from .poisson import defect_sup, poisson_integral_slice
 from .quaternion import (
     E1,
     E2,
@@ -54,7 +54,6 @@ from .series import (
     SliceSeries,
     SplitSeries,
     cullen_derivative,
-    eval_complex,
     evaluate_batch,
     is_intrinsic,
     on_circle,
@@ -173,8 +172,8 @@ def _ratio_or_zero(num: float, den: float) -> float:
 
 
 def verify_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
-                           plan: SamplePlan, i: ImaginaryUnit = UNIT_E1,
-                           tol: float = 1e-9) -> VerificationReport:
+                           plan: SamplePlan, i: ImaginaryUnit = UNIT_E1
+                           ) -> VerificationReport:
     """Two-majorant membership controls global membership with constant
     6*C3, C3 = max of the component constants; and the global class embeds
     back into the slice class for the summed majorant.
@@ -183,6 +182,7 @@ def verify_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
     pair stream into the global stream, which makes sup(slice) <= sup(global)
     hold exactly as sampled.
     """
+    tol = 1e-9
     osum = omega1 + omega2
     records = []
     for m in corpus:
@@ -211,13 +211,13 @@ def verify_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
 
 def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
                              a: Quaternion, plan: SamplePlan,
-                             i: ImaginaryUnit = UNIT_E1,
-                             tol: float = 1e-9) -> VerificationReport:
+                             i: ImaginaryUnit = UNIT_E1) -> VerificationReport:
     """Right-module closure: f*a + g stays in the class with constant
     ||a||*C_f + C_g, and the components of f*a obey the swapped-majorant
     bound built by combine(). Both are checked pair-by-pair against
     constants sampled on the same pair stream, so they hold exactly up to
     roundoff."""
+    tol = 1e-9
     z1, z2 = slice_pair_coords(plan)
     d = np.abs(z1 - z2)
     a_series = SliceSeries([a])
@@ -265,11 +265,11 @@ def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
 
 
 def verify_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
-                                k: ImaginaryUnit, plan: SamplePlan,
-                                tol: float = 1e-10) -> VerificationReport:
+                                k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
     """Real-coefficient series have the same norm on every slice; their
     second split component vanishes, collapsing the two-majorant norm onto
     the first component. Raises NotIntrinsic on any other input."""
+    tol = 1e-10
     other = PowerMajorant(0.75)
     records = []
     for m in corpus:
@@ -296,12 +296,11 @@ def verify_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
 
 
 def verify_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
-                              k: ImaginaryUnit, plan: SamplePlan,
-                              delta: float = 0.1) -> VerificationReport:
+                              k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
     """Norms on two slices agree within a factor 2 (checked with relative
-    slack delta, so the window is [1/(2(1+delta)), 2(1+delta)]); intrinsic
-    members agree exactly under the paired pair stream."""
-    bound = 2.0 * (1.0 + delta)
+    slack 0.1, so the window is [1/2.2, 2.2]); intrinsic members agree
+    exactly under the paired pair stream."""
+    bound = 2.2
     records = []
     for m in corpus:
         rec = FunctionRecord(m.name)
@@ -325,12 +324,12 @@ def verify_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
 
 
 def verify_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
-                              plan: SamplePlan,
-                              tol: float = 1e-12) -> VerificationReport:
+                              plan: SamplePlan) -> VerificationReport:
     """Membership passes to the modulus and to the two sandwich moduli:
     per sampled pair, | ||f(x)|| - ||f(y)|| | <= ||f(x)-f(y)|| and the
     sandwich-modulus differences are <= 2 ||f(x)-f(y)||, hence the modulus
     norms are controlled by the slice norm."""
+    tol = 1e-12
     z1, z2 = slice_pair_coords(plan)
     w = omega(np.abs(z1 - z2))
     records = []
@@ -372,16 +371,7 @@ def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     radii = radial_grid(cap, 24)
     xs = (radii[:, None] * np.exp(1j * _golden_angles(6, offset=4))[None, :]).ravel()
     F, G, _ = split(f, i)
-    den = omega(1.0 - np.abs(xs)) ** power
-    best = 0.0
-    for comp in (F, G):
-        def moduli(z, c=comp):
-            return np.abs(eval_complex(c, z)) ** power
-
-        p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes)
-        defect = p_vals - moduli(xs)
-        best = max(best, float(np.max(defect / den)))
-    return best
+    return max(0.0, defect_sup((F, G), omega, xs, nodes, power))
 
 
 def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
@@ -436,9 +426,7 @@ def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
 
 def verify_derivative_characterizations(corpus, omega: Majorant,
                                         plan: SamplePlan,
-                                        i: ImaginaryUnit = UNIT_E1,
-                                        tol: float = 1e-8
-                                        ) -> VerificationReport:
+                                        i: ImaginaryUnit = UNIT_E1) -> VerificationReport:
     """Derivative growth: the weighted derivative sups are finite and
     radially stable; the full-ball derivative sup is controlled by twice
     the slice sup (checked exactly by folding the sampled projections into
@@ -446,6 +434,7 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
     points; and the full derivative ratio is controlled by the component
     constant times the regularity constant of omega. A weight that
     check_regular rejects fails every member with omega_not_regular."""
+    tol = 1e-8
     cert = check_regular(omega)
     mixed_window = 6.0 * cert.empirical_C
     records = []
@@ -573,8 +562,7 @@ def admissible_cone_points(qs: np.ndarray, i: ImaginaryUnit, sign: float,
 
 
 def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
-                          nodes: int = 2048, tol: float = 1e-9
-                          ) -> VerificationReport:
+                          nodes: int = 2048) -> VerificationReport:
     """For points admissible under the cone condition, the Poisson mean of
     ||f|| exceeds twice the value at the matched slice point by at most
     2*C_def*omega(1-|q|). Admissibility on a full angle grid forces the
@@ -582,6 +570,7 @@ def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sampl
     (admissible) with random ball points (rejected and counted). The
     crossed sign pairing is evaluated and reported without a pass
     condition."""
+    tol = 1e-9
     t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     zs = disc_points(plan, cap=min(plan.max_radius, 1.0 - 10.0 / nodes - 1e-9))[:24]
     on_slice = slice_points_array(i, zs)

@@ -134,6 +134,22 @@ def test_orthogonal_unit():
         k = hamilton_mul(i.as_quaternion(), jq)
         assert abs(k.x0) < 1e-12
         assert abs(norm(k) - 1.0) < 1e-12
+    # the companions of the axis units, which fix the default reports
+    assert orthogonal_unit(UNIT_E1) == UNIT_E2
+    assert orthogonal_unit(UNIT_E2) == orthogonal_unit(UNIT_E3) == UNIT_E1
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_orthogonal_unit_is_perpendicular_near_an_axis(axis):
+    # Gram-Schmidt from the axis least aligned with i never divides by a
+    # small rejection, so |i.j| stays at rounding level next to an axis too
+    rng = np.random.default_rng(axis)
+    for eps in (1e-2, 1e-3, 1e-5, 1e-7, 1e-9):
+        for _ in range(20):
+            v = eps * rng.normal(size=3)
+            v[axis] += 1.0
+            i = ImaginaryUnit.from_vector(*v)
+            assert abs(i.dot(orthogonal_unit(i))) <= 1e-15
 
 
 def test_imaginary_unit_from_quaternion_rejects_real_part():

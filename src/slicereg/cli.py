@@ -184,9 +184,10 @@ def _parse_finite(text: str, size: int, what: str) -> list[float]:
     return parts
 
 
-def parse_unit(text: str) -> ImaginaryUnit:
-    """'x,y,z' -> the normalized imaginary unit along that vector."""
-    v = np.asarray(_parse_finite(text, 3, "unit vector"))
+def _unit_along(v, text) -> ImaginaryUnit:
+    """The imaginary unit along three finite floats; text names them in
+    the error."""
+    v = np.asarray(v)
     with np.errstate(over="ignore", under="ignore"):  # caught below
         n = float(np.linalg.norm(v))
     if n == 0.0:
@@ -195,6 +196,11 @@ def parse_unit(text: str) -> ImaginaryUnit:
         return ImaginaryUnit(v[0] / n, v[1] / n, v[2] / n)
     except ValueError as exc:
         raise ValidationError(f"cannot normalize unit vector {text!r}") from exc
+
+
+def parse_unit(text: str) -> ImaginaryUnit:
+    """'x,y,z' -> the normalized imaginary unit along that vector."""
+    return _unit_along(_parse_finite(text, 3, "unit vector"), text)
 
 
 def parse_point(text: str) -> Quaternion:
@@ -322,11 +328,11 @@ class RunConfig:
 
     @property
     def i(self) -> ImaginaryUnit:
-        return parse_unit(",".join(str(c) for c in self.slice_i))
+        return _unit_along(self.slice_i, self.slice_i)
 
     @property
     def k(self) -> ImaginaryUnit:
-        return parse_unit(",".join(str(c) for c in self.slice_k))
+        return _unit_along(self.slice_k, self.slice_k)
 
     @property
     def a(self) -> Quaternion:

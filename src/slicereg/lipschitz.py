@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorant import Majorant
-from .poisson import defect_sup
+from .poisson import defect_sup, resolved_cap
 from .quaternion import (
     ImaginaryUnit,
     Quaternion,
@@ -244,6 +244,13 @@ def radial_grid(cap: float, n: int) -> np.ndarray:
     return cap * (1.0 - np.geomspace(1.0, 1e-4, n))
 
 
+def ray_grid(cap: float, n_radii: int, n_rays: int, offset: int) -> np.ndarray:
+    """radial_grid(cap, n_radii) along n_rays golden-angle rays (starting
+    at index offset), flattened radius-major to complex points."""
+    rays = np.exp(1j * _golden_angles(n_rays, offset))
+    return (radial_grid(cap, n_radii)[:, None] * rays[None, :]).ravel()
+
+
 def _require_positive(omega: Majorant, at: float):
     if omega(at) <= 0.0:
         raise ValueError("majorant must be positive away from zero")
@@ -361,12 +368,8 @@ def seminorms_N(fk: np.ndarray, omega: Majorant, i: ImaginaryUnit,
     chord = np.abs(np.exp(1j * t1) - np.exp(1j * t2))
     circle_part = float(np.max(np.abs(m1 - m2) / omega(chord)))
 
-    cap = min(plan.max_radius, 1.0 - 10.0 / nodes - 1e-9)
     n_rad = max(16, plan.n_points // 16)
-    radii = radial_grid(cap, n_rad)
-    rays = _golden_angles(8, offset=2)
-    xs = (radii[:, None] * np.exp(1j * rays)[None, :]).ravel()
-
+    xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
     n1 = circle_part + defect_sup([fk], omega, xs, nodes)
 
     r2 = radial_grid(1.0 - plan.min_separation, n_rad)

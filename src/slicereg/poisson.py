@@ -86,6 +86,12 @@ def _check_interior(r, nodes: int):
         raise BoundaryTooClose("a point sits under the resolution floor")
 
 
+def resolved_cap(cap: float, nodes: int) -> float:
+    """The largest radius up to cap that `nodes` resolve: just inside the
+    floor 1 - r >= 10/nodes."""
+    return min(cap, 1.0 - 10.0 / nodes - 1e-9)
+
+
 def _trapezoid(u, zs, off2, nodes: int) -> np.ndarray:
     """Trapezoid mean of u(t) (1 - r^2) / (|z - e^{it}|^2 + off2) over
     `nodes` equispaced angles, r^2 = |z|^2 + off2, for every z of zs and
@@ -150,7 +156,7 @@ def rotation_equivariance_residual(u, r: Quaternion, q: Quaternion,
     maps e_i(t) to e_(rir^-1)(t).
     """
     k_q = rotate(r, i.as_quaternion())
-    k = ImaginaryUnit.from_quaternion(k_q, tol=1e-9)
+    k = ImaginaryUnit.from_quaternion(k_q)
     lhs = poisson_integral(u, q, k, nodes)
     rhs = poisson_integral(u, rotate(r.conjugate(), q), i, nodes)
     return abs(lhs - rhs)

@@ -128,8 +128,10 @@ class ImaginaryUnit:
         return cls(v1 / n, v2 / n, v3 / n)
 
     @classmethod
-    def from_quaternion(cls, q: Quaternion, tol: float = 1e-9) -> "ImaginaryUnit":
-        if abs(q.x0) > tol:
+    def from_quaternion(cls, q: Quaternion) -> "ImaginaryUnit":
+        """Normalize the vector part of q; its real part must be within 1e-9
+        of zero."""
+        if abs(q.x0) > 1e-9:
             raise ValueError("quaternion has a nonzero real part")
         return cls.from_vector(q.x1, q.x2, q.x3)
 
@@ -213,17 +215,17 @@ def slice_point(i: ImaginaryUnit, z: complex) -> Quaternion:
     return Quaternion(z.real, z.imag * i.v1, z.imag * i.v2, z.imag * i.v3)
 
 
-def slice_coordinate(q: Quaternion, i: ImaginaryUnit, tol: float = 1e-9) -> complex:
+def slice_coordinate(q: Quaternion, i: ImaginaryUnit) -> complex:
     """Complex coordinate of a point lying on the slice plane of i.
 
-    Raises ValueError when q is farther than tol from that plane.
+    Raises ValueError when q is farther than 1e-9 from that plane.
     """
     y = q.x1 * i.v1 + q.x2 * i.v2 + q.x3 * i.v3
     # rejection vector, not sqrt(|vec|^2 - y^2): the difference of squares
-    # cancels and inflates rounding noise past tol for points built by
+    # cancels and inflates rounding noise past 1e-9 for points built by
     # slice_point with a generic unit
     off = math.hypot(q.x1 - y * i.v1, q.x2 - y * i.v2, q.x3 - y * i.v3)
-    if off > tol:
+    if off > 1e-9:
         raise ValueError(f"point is {off!r} away from the slice plane")
     return complex(q.x0, y)
 

@@ -153,11 +153,10 @@ def star_product(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     ))
 
 
-def star_pointwise(f: SliceSeries, g: SliceSeries, q: Quaternion,
-                   floor: float = BASE_FLOOR) -> Quaternion:
+def star_pointwise(f: SliceSeries, g: SliceSeries, q: Quaternion) -> Quaternion:
     """(f*g)(q) = f(q) * g(f(q)^-1 q f(q)) wherever f(q) != 0."""
     fq = evaluate(f, q)
-    if norm(fq) <= floor:
+    if norm(fq) <= BASE_FLOOR:
         raise ZeroBase(f"left factor vanishes at {q!r}")
     moved = hamilton_mul(hamilton_mul(fq.inverse(), q), fq)
     return hamilton_mul(fq, evaluate(g, moved))
@@ -302,10 +301,10 @@ def representation_extend(fplus: Quaternion, fminus: Quaternion,
     return half_sum + hamilton_mul(twist, (fminus - fplus) * 0.5)
 
 
-def is_intrinsic(f: SliceSeries, tol: float = 1e-12) -> bool:
-    """True when every coefficient is real (then f(conj q) = conj f(q) and
-    f maps each slice plane to itself)."""
-    return float(norm_array(f.array[:, 1:]).max()) <= tol
+def is_intrinsic(f: SliceSeries) -> bool:
+    """True when every coefficient is real to 1e-12 (then f(conj q) =
+    conj f(q) and f maps each slice plane to itself)."""
+    return float(norm_array(f.array[:, 1:]).max()) <= 1e-12
 
 
 def slice_cr_residual(f: PointwiseFunction, z: Quaternion, i: ImaginaryUnit,

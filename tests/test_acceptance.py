@@ -357,7 +357,7 @@ def test_criterion_11_poisson_defect_equivalence(corpus):
     t0 = time.monotonic()
     w = PowerMajorant(0.5)
     rep = verify_poisson_characterization(corpus, w, UNIT_E1, SamplePlan(),
-                                          nodes=2048)
+                                          nodes=2048, window=20.0)
     by_name = {rec.name: rec for rec in rep.records}
     defect = by_name["identity"].checks["defect_sup"]
     ok_units = abs(defect - 1.0) <= 0.02

@@ -258,12 +258,13 @@ DATA = Path(__file__).parent / "data"
      "norm_schwarz_pointwise.json", 0),
     (["verify", "--slice", "i=1,1,1", "--slice", "k=0.3,-1,2", "--pairs", "256",
       "--points", "64", "--nodes", "512"], "verify_off_axis.json", 0),
+    (["verify"], "verify_default.json", 0),
 ], ids=["verify_small", "star_product", "star_inverse", "eval", "norm_schwarz_series",
         "majorant_power", "majorant_power_tabulated", "majorant_linear",
-        "norm_schwarz_pointwise", "verify_off_axis"])
+        "norm_schwarz_pointwise", "verify_off_axis", "verify_default"])
 def test_verify_report_bytes_match_golden_file(argv, name, code, tmp_path):
-    """The output of a CLI call, byte for byte, and its exit code: small
-    verify runs on axis and off-axis slices, the series-calculus paths
+    """The output of a CLI call, byte for byte, and its exit code: verify
+    runs at the default plan and at small plans on axis and off-axis slices, the series-calculus paths
     (star product, star inverse, evaluation), weight certification, and
     both readings of the Schwarz criterion.
 
@@ -391,9 +392,11 @@ def _optional(flag: str, values) -> st.SearchStrategy:
 
 @st.composite
 def _cli_argv(draw) -> list[str]:
-    """An argv for eval, star, norm or report with small valid or invalid
-    values; sizes stay small, since a large valid order or plan is slow."""
-    command = draw(st.sampled_from(["eval", "star", "norm", "report"]))
+    """An argv for eval, star, norm, report, verify or majorant-check with
+    small valid or invalid values; sizes stay small, since a large valid
+    order or plan is slow."""
+    command = draw(st.sampled_from(
+        ["eval", "star", "norm", "report", "verify", "majorant-check"]))
     if command == "eval":
         return ["eval", "--at", draw(_POINT), *draw(_optional("--name", _NAME))]
     if command == "star":
@@ -402,6 +405,14 @@ def _cli_argv(draw) -> list[str]:
         return ["star", *draw(_optional("--left", _NAME)), *draw(_optional("--right", _NAME))]
     if command == "report":
         return ["report", "--in", draw(_REPORT), "--format", draw(st.sampled_from(["json", "csv"]))]
+    if command == "verify":
+        return ["verify", "--pairs", draw(_SIZE), "--points", draw(_SIZE),
+                "--nodes", draw(_SIZE), "--omega", draw(_OMEGA),
+                "--omega-small", draw(_OMEGA), "--window", draw(_REAL),
+                *draw(_optional("--slice", st.tuples(st.sampled_from("ik"), _UNIT)
+                                .map(lambda ku: f"{ku[0]}={ku[1]}")))]
+    if command == "majorant-check":
+        return ["majorant-check", "--omega", draw(_OMEGA), "--nodes", draw(_SIZE)]
     estimator = draw(st.sampled_from(_ESTIMATORS + ("bogus",)))
     return ["norm", "--name", draw(_NAME), "--estimator", estimator,
             "--pairs", draw(_SIZE), "--points", draw(_SIZE), "--eps", draw(_REAL),

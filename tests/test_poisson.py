@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slicereg.lipschitz import _golden_angles, radial_grid
+from slicereg.lipschitz import ray_grid
 from slicereg.majorant import PowerMajorant
 from slicereg.poisson import (
     MODES,
@@ -13,6 +13,7 @@ from slicereg.poisson import (
     modulus_boundary_function,
     poisson_integral,
     poisson_integral_slice,
+    resolved_cap,
     rotation_equivariance_residual,
     star_kernel_bound,
 )
@@ -159,8 +160,7 @@ def _defect_sup_loop(comps, omega, xs, nodes, power):
 def test_defect_sup_equals_per_component_loop(power):
     omega = PowerMajorant(0.5)
     nodes = 1024
-    radii = radial_grid(1.0 - 10.0 / nodes - 1e-9, 24)
-    xs = (radii[:, None] * np.exp(1j * _golden_angles(6, offset=4))[None, :]).ravel()
+    xs = ray_grid(resolved_cap(1.0, nodes), 24, 6, 4)
     for i in (UNIT_E1, ImaginaryUnit.from_vector(1.0, 1.0, 1.0)):
         for m in default_corpus():
             F, G, _ = split(m.series, i)
@@ -187,6 +187,23 @@ def test_off_plane_integral_matches_four_term_kernel():
             q = Quaternion(*(rng.uniform(0.0, 0.85) * v / np.linalg.norm(v)))
             want = _four_term_integral(u, q, i, 1024)
             assert abs(poisson_integral(u, q, i, 1024) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("nodes", [16, 64, 1024, 2048])
+def test_resolved_cap_is_the_largest_accepted_radius(nodes):
+    cap = resolved_cap(1.0, nodes)
+    assert resolved_cap(0.5, nodes) == min(0.5, cap)
+    edge = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
+    # accepted, with the trapezoid's aliasing error 2 r^N / (1 - r^N) for
+    # constant data, r^N < (1 - 10/N)^N < e^-10
+    alias = 2.0 * math.exp(-10.0) / (1.0 - math.exp(-10.0))
+    p_one = poisson_integral_slice(np.ones_like, cap * edge, nodes)
+    assert np.max(np.abs(p_one - 1.0)) <= alias
+    with pytest.raises(BoundaryTooClose):
+        poisson_integral_slice(np.ones_like, np.array([cap + 2e-9]), nodes)
+    xs = ray_grid(cap, 5, 3, 4)
+    assert xs.shape == (15,)
+    assert np.abs(xs).max() < cap and np.abs(xs[:3]).max() == 0.0
 
 
 def test_refused_points_and_node_counts():

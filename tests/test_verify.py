@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import slicereg.verify
 from slicereg.cli import RunConfig
 from slicereg.lipschitz import SamplePlan
 from slicereg.majorant import PowerMajorant
@@ -99,7 +100,8 @@ def test_modulus_membership(corpus):
 
 
 def test_norm_equivalences(corpus):
-    rep = verify_norm_equivalences(corpus, W_SMALL, UNIT_E1, PLAN, nodes=1024)
+    rep = verify_norm_equivalences(corpus, W_SMALL, UNIT_E1, PLAN, nodes=1024,
+                                   window=20.0)
     assert rep.passed
     by_name = {rec.name: rec for rec in rep.records}
     assert "constant member: vacuous pass" in by_name["const_real"].notes
@@ -115,7 +117,8 @@ def test_derivative_characterizations(corpus):
 
 
 def test_poisson_characterization(corpus):
-    rep = verify_poisson_characterization(corpus, W, UNIT_E1, PLAN, nodes=1024)
+    rep = verify_poisson_characterization(corpus, W, UNIT_E1, PLAN, nodes=1024,
+                                          window=20.0)
     assert rep.passed
     by_name = {rec.name: rec for rec in rep.records}
     assert "constant member: vacuous pass" in by_name["const_quat"].notes
@@ -128,6 +131,27 @@ def test_cone_corollary(corpus):
     assert rep.passed
     for rec in rep.records:
         assert rec.checks["rejected"] > 0  # off-slice samples refused
+
+
+def test_member_exception_fails_only_its_record(corpus, monkeypatch):
+    square = next(m for m in corpus if m.name == "square")
+    real_slice_norm = slicereg.verify.slice_norm
+
+    def slice_norm(series, *args):
+        if series is square.series:
+            raise RuntimeError("slice norm refused square")
+        return real_slice_norm(series, *args)
+
+    monkeypatch.setattr(slicereg.verify, "slice_norm", slice_norm)
+    rep = verify_slice_independence(corpus, W, UNIT_E1, UNIT_E2,
+                                    SamplePlan(n_pairs=256, n_points=64))
+    assert [rec.name for rec in rep.records] == [m.name for m in corpus]
+    by_name = {rec.name: rec for rec in rep.records}
+    failed = by_name.pop("square")
+    assert failed.failures == ["exception:RuntimeError"]
+    assert failed.notes == ["slice norm refused square"]
+    assert all(rec.passed for rec in by_name.values())
+    assert not rep.passed
 
 
 def test_cone_mask_oracle():

@@ -22,7 +22,7 @@ from .lipschitz import (
     DegeneratePlan,
     SamplePlan,
     boundary_norm,
-    component_norm,
+    component_estimates,
     derivative_ratio,
     global_norm,
     schwarz_pick_criterion,
@@ -469,6 +469,9 @@ def _cmd_majorant_check(args) -> int:
 _ESTIMATORS = ("slice", "component", "global", "boundary", "boundary-modulus",
                "derivative-full", "derivative-plus", "derivative-minus",
                "schwarz-series", "schwarz-pointwise")
+# the entry of an estimator's result tuple that each variant reads
+_VARIANT = {"boundary": 0, "boundary-modulus": 1,
+            "derivative-full": 0, "derivative-plus": 1, "derivative-minus": 2}
 
 
 def _cmd_norm(args) -> int:
@@ -483,15 +486,13 @@ def _cmd_norm(args) -> int:
     if kind == "slice":
         est = slice_norm(f, omega, i, plan)
     elif kind == "component":
-        est = component_norm(f, omega, omega2, i, plan)
+        est = component_estimates(f, omega, omega2, i, plan)[2]
     elif kind == "global":
         est = global_norm(f, omega, plan)
-    elif kind == "boundary":
-        est = boundary_norm(f, omega, i, plan)
-    elif kind == "boundary-modulus":
-        est = boundary_norm(f, omega, i, plan, values="modulus")
+    elif kind.startswith("boundary"):
+        est = boundary_norm(f, omega, i, plan)[_VARIANT[kind]]
     elif kind.startswith("derivative-"):
-        est = derivative_ratio(f, omega, i, kind.split("-", 1)[1], plan)
+        est = derivative_ratio(f, omega, i, plan)[_VARIANT[kind]]
     else:  # schwarz-series, schwarz-pointwise
         rep = schwarz_pick_criterion(f, omega, i, plan,
                                      interpretation=kind.split("-", 1)[1])

@@ -38,7 +38,6 @@ from .series import (
     cullen_derivative,
     eval_complex,
     evaluate_batch,
-    on_circle,
     split_modulus,
     symmetrization,
 )
@@ -298,13 +297,6 @@ def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
     return tuple(_pair_estimate(r, z1, z2, i) for r in (r1, r2, joint))
 
 
-def component_norm(f: SliceSeries, omega1: Majorant, omega2: Majorant,
-                   i: ImaginaryUnit, plan: SamplePlan) -> NormEstimate:
-    """Two-majorant slice estimate; collapses to slice_norm when
-    omega1 == omega2."""
-    return component_estimates(f, omega1, omega2, i, plan)[2]
-
-
 def global_norm(f: SliceSeries, omega: Majorant, plan: SamplePlan) -> NormEstimate:
     """Sampled sup of the difference quotient over pairs of the full ball."""
     q1, q2 = ball_pair_coords(plan)
@@ -321,92 +313,72 @@ def global_norm(f: SliceSeries, omega: Majorant, plan: SamplePlan) -> NormEstima
 
 
 def boundary_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
-                  plan: SamplePlan, values: str = "function") -> NormEstimate:
-    """Difference-quotient sup over pairs of the slice circle.
-
-    values="function" compares f itself, values="modulus" compares ||f||.
-    """
-    if values not in ("function", "modulus"):
-        raise ValueError(f"values must be 'function' or 'modulus', got {values!r}")
+                  plan: SamplePlan) -> tuple[NormEstimate, NormEstimate]:
+    """Difference-quotient sups over pairs of the slice circle, from one
+    evaluation: (function, modulus) compare f itself and ||f||."""
     t1, t2 = circle_pair_angles(plan)
     _require_positive(omega, plan.min_separation)
     z1, z2 = np.exp(1j * t1), np.exp(1j * t2)
     s = SplitSeries.of(f, i)
     v1, v2 = s.at(z1), s.at(z2)
-    if values == "function":
-        num = split_modulus(v1 - v2)
-    else:
-        num = np.abs(split_modulus(v1) - split_modulus(v2))
-    ratios = num / omega(np.abs(z1 - z2))
-    return _pair_estimate(ratios, z1, z2, i)
+    w = omega(np.abs(z1 - z2))
+    return (_pair_estimate(split_modulus(v1 - v2) / w, z1, z2, i),
+            _pair_estimate(np.abs(split_modulus(v1) - split_modulus(v2)) / w, z1, z2, i))
 
 
-def seminorms_N(fk: np.ndarray, omega: Majorant, i: ImaginaryUnit,
-                plan: SamplePlan, nodes: int = 4096
-                ) -> tuple[float, float, float]:
-    """Three boundary-flavored functionals of one split component.
+def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
+                plan: SamplePlan, nodes: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three boundary-flavored functionals of each split component f_k of f
+    along the plane of i, as (N1, N2, N3), each a length-2 array over the
+    components (F, G):
 
-    N1 = circle norm of |fk| + sup (P[|fk|](x) - |fk(x)|) / omega(1 - |x|)
-    N2 = circle norm of |fk| + sup | |fk(z)| - |fk(rz)| | / omega(1 - r)
-    N3 = closed-disc difference-quotient norm of |fk|
+    N1 = circle norm of |f_k| + sup (P[|f_k|](x) - |f_k(x)|) / omega(1 - |x|)
+    N2 = circle norm of |f_k| + sup | |f_k(z)| - |f_k(rz)| | / omega(1 - r)
+    N3 = closed-disc difference-quotient norm of |f_k|
 
-    fk is an ascending complex coefficient array obtained by splitting along
-    the plane of ``i``; samples live in that plane's closed unit disc, which
-    the complex coordinates identify with the classical one, so ``i`` only
-    names the plane.  P is the classical disc Poisson integral of the
-    boundary modulus.
+    Samples live in the plane's closed unit disc, which the complex
+    coordinates identify with the classical one; P is the classical disc
+    Poisson integral of the boundary modulus.
     """
-    fk = np.asarray(fk, dtype=complex)
     _require_positive(omega, plan.min_separation)
+    s = SplitSeries.of(f, i)
 
-    def modulus(z):
-        return np.abs(eval_complex(fk, z))
+    def moduli(z):
+        return np.abs(s.at(z))
 
-    boundary_modulus = on_circle(modulus)
     t1, t2 = circle_pair_angles(plan)
-    m1, m2 = boundary_modulus(t1), boundary_modulus(t2)
-    chord = np.abs(np.exp(1j * t1) - np.exp(1j * t2))
-    circle_part = float(np.max(np.abs(m1 - m2) / omega(chord)))
+    e1, e2 = np.exp(1j * t1), np.exp(1j * t2)
+    circle_part = np.max(np.abs(moduli(e1) - moduli(e2)) / omega(np.abs(e1 - e2)), axis=1)
 
     n_rad = max(16, plan.n_points // 16)
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
-    n1 = circle_part + defect_sup([fk], omega, xs, nodes)
+    n1 = circle_part + defect_sup((s.F, s.G), omega, xs, nodes)
 
     r2 = radial_grid(1.0 - plan.min_separation, n_rad)
     zeta = np.exp(1j * _golden_angles(32, offset=9))
-    inner = modulus(r2[:, None] * zeta[None, :])
-    outer = modulus(zeta)[None, :]
-    n2 = circle_part + float(np.max(np.abs(outer - inner) / omega(1.0 - r2)[:, None]))
+    inner = moduli(r2[:, None] * zeta[None, :])
+    outer = moduli(zeta)[:, None, :]
+    n2 = circle_part + np.max(np.abs(outer - inner) / omega(1.0 - r2)[:, None], axis=(1, 2))
 
     z1, z2 = disc_pair_coords(plan, 1.0)
-    d3 = modulus(z1) - modulus(z2)
-    n3 = float(np.max(np.abs(d3) / omega(np.abs(z1 - z2))))
+    n3 = np.max(np.abs(moduli(z1) - moduli(z2)) / omega(np.abs(z1 - z2)), axis=1)
 
     return n1, n2, n3
 
 
-DERIVATIVE_MODES = ("full", "plus", "minus")
-
-
 def derivative_ratio(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
-                     mode: str, plan: SamplePlan,
-                     cap: float | None = None) -> NormEstimate:
-    """Sampled sup of ||f'(x)|| (1 - |x|) / omega(1 - |x|) on the slice disc
-    (mode "full"), or of the sandwich combinations ||f' ± i f' i|| in modes
-    "plus"/"minus"."""
-    if mode not in DERIVATIVE_MODES:
-        raise ValueError(f"mode must be one of {DERIVATIVE_MODES}, got {mode!r}")
+                     plan: SamplePlan, cap: float | None = None
+                     ) -> tuple[NormEstimate, NormEstimate, NormEstimate]:
+    """Sampled sups of ||g(x)|| (1 - |x|) / omega(1 - |x|) on the slice disc,
+    from one evaluation of the derivative, as (full, plus, minus): g is f'
+    itself, or one of the sandwich combinations f' ± i f' i."""
     xs = disc_points(plan, cap)
     comps = SplitSeries.of(cullen_derivative(f), i).at(xs)
-    if mode == "full":
-        vals = split_modulus(comps)
-    elif mode == "minus":
-        vals = 2.0 * np.abs(comps[0])
-    else:
-        vals = 2.0 * np.abs(comps[1])
     gap = 1.0 - np.abs(xs)
-    ratios = vals * gap / omega(gap)
-    return _pair_estimate(ratios, xs, xs, i)
+    w = omega(gap)
+    return tuple(_pair_estimate(vals * gap / w, xs, xs, i) for vals in
+                 (split_modulus(comps), 2.0 * np.abs(comps[1]), 2.0 * np.abs(comps[0])))
 
 
 @dataclass(frozen=True)

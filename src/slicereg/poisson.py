@@ -103,8 +103,9 @@ def _trapezoid(u, zs, off2, nodes: int) -> np.ndarray:
     vals = np.asarray(u(angles), dtype=float)
     d2 = np.abs(zs[..., None] - np.exp(1j * angles)) ** 2 + off2
     kernel = (1.0 - r[..., None] ** 2) / d2
-    vals = np.expand_dims(vals, tuple(range(-1 - zs.ndim, -1)))
-    return np.mean(vals * kernel, axis=-1)
+    # one row at a time, so stacked data never multiply the kernel's memory
+    means = [np.mean(row * kernel, axis=-1) for row in vals.reshape(-1, nodes)]
+    return np.reshape(means, vals.shape[:-1] + zs.shape)
 
 
 def poisson_integral(u, q: Quaternion, i: ImaginaryUnit, nodes: int = 4096) -> float:
@@ -124,16 +125,16 @@ def poisson_integral_slice(u, zs, nodes: int = 4096) -> np.ndarray:
     return _trapezoid(u, zs, 0.0, nodes)
 
 
-def defect_sup(comps, omega: Majorant, xs, nodes: int, power: int = 1) -> float:
-    """sup over the disc points xs and the complex coefficient arrays comps
-    of (P[|c|^power](x) - |c(x)|^power) / omega(1 - |x|)^power, from one
-    Poisson call with the components stacked."""
+def defect_sup(comps, omega: Majorant, xs, nodes: int, power: int = 1) -> np.ndarray:
+    """sup over the disc points xs of (P[|c|^power](x) - |c(x)|^power) /
+    omega(1 - |x|)^power for each complex coefficient array c of comps, as
+    a (k,) array, from one Poisson call with the components stacked."""
     def moduli(z):
         return np.stack([np.abs(eval_complex(c, z)) ** power for c in comps])
 
     p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes)
     defect = p_vals - moduli(xs)
-    return float(np.max(defect / omega(1.0 - np.abs(xs)) ** power))
+    return np.max(defect / omega(1.0 - np.abs(xs)) ** power, axis=-1)
 
 
 def harmonic_defect(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,

@@ -35,7 +35,7 @@ from .lipschitz import (
     slice_norm,
     slice_pair_coords,
 )
-from .majorant import Majorant, PowerMajorant, check_regular, combine
+from .majorant import Majorant, PowerMajorant, check_regular, combine, squared
 from .poisson import defect_sup, poisson_integral_slice, resolved_cap
 from .quaternion import (
     E1,
@@ -344,7 +344,7 @@ def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     (P[|f_k|^power](x) - |f_k(x)|^power) / omega(1-|x|)^power."""
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), 24, 6, 4)
     F, G, _ = split(f, i)
-    return max(0.0, defect_sup((F, G), omega, xs, nodes, power))
+    return max(0.0, float(np.max(defect_sup((F, G), omega, xs, nodes, power))))
 
 
 def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
@@ -355,14 +355,20 @@ def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
     pairwise comparable within the window; all-zero members pass vacuously.
 
     Needs omega and omega^2 both regular; the default config uses the 1/4
-    power so its square is the 1/2 power.
+    power so its square is the 1/2 power. A weight that check_regular
+    rejects fails every member with omega_not_regular.
     """
+    rejected = [c for c in (check_regular(omega), check_regular(squared(omega)))
+                if not c.is_regular]
+
     def check(rec, m):
-        F, G, _ = split(m.series, i)
+        if rejected:
+            rec.check("omega_not_regular", rejected[0].empirical_C, False)
+            return
         lam2 = slice_norm(m.series, omega, i, plan).value ** 2
-        n_f = seminorms_N(F, omega, i, plan, nodes)
-        n_g = seminorms_N(G, omega, i, plan, nodes)
-        sums = [n_f[t] ** 2 + n_g[t] ** 2 for t in range(3)]
+        # Python floats: numpy's float64 ** 2 is x*x, not libm pow
+        sums = [nf ** 2 + ng ** 2 for nf, ng in
+                (n.tolist() for n in seminorms_N(m.series, omega, i, plan, nodes))]
         pdef = _component_defect_sup(m.series, omega, i, plan, nodes, power=2)
         funcs = {
             "slice_sq": lam2,
@@ -409,8 +415,7 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
     trend = []
     for deg in (8, 16, 32):
         log_like = SliceSeries([0.0] + [1.0 / n for n in range(1, deg + 1)])
-        trend.append(derivative_ratio(log_like, PowerMajorant(0.5), i,
-                                      "full", plan).value)
+        trend.append(derivative_ratio(log_like, PowerMajorant(0.5), i, plan)[0].value)
     notes = [
         "truncation trend (degrees 8,16,32): "
         + ", ".join(f"{v:.6f}" for v in trend)
@@ -418,11 +423,9 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
     ]
 
     def check(rec, m):
-        modes = {}
-        for mode in ("full", "plus", "minus"):
-            est = derivative_ratio(m.series, omega, i, mode, plan)
-            inner = derivative_ratio(m.series, omega, i, mode, plan, cap=0.9)
-            modes[mode] = est.value
+        ests = derivative_ratio(m.series, omega, i, plan)
+        inners = derivative_ratio(m.series, omega, i, plan, cap=0.9)
+        for mode, est, inner in zip(("full", "plus", "minus"), ests, inners):
             rec.check(f"ratio_{mode}", est.value, math.isfinite(est.value))
             growth = _ratio_or_zero(est.value, inner.value) if inner.value else 1.0
             rec.checks[f"radial_stability_{mode}"] = float(growth)
@@ -433,7 +436,7 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
         sp = SplitSeries.of(fp, i)
         proj = qs[:, 0] + 1j * np.linalg.norm(qs[:, 1:], axis=1)
         pvals = np.maximum(sp.modulus(proj), sp.modulus(proj.conj()))
-        s_aug = max(modes["full"], float(np.max(pvals * gaps / wq)))
+        s_aug = max(ests[0].value, float(np.max(pvals * gaps / wq)))
         rec.check("global_derivative_ratio", g_ratio,
                   g_ratio <= 2.0 * s_aug * (1.0 + 1e-12) + tol)
 
@@ -448,7 +451,7 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
 
         if cert.is_regular:
             _, _, joint = component_estimates(m.series, omega, omega, i, plan)
-            mixed = _ratio_or_zero(modes["full"], math.sqrt(2.0) * joint.value)
+            mixed = _ratio_or_zero(ests[0].value, math.sqrt(2.0) * joint.value)
             rec.check("mixed_bound_constant", mixed,
                       mixed <= mixed_window * (1.0 + 1e-9))
         else:
@@ -467,7 +470,7 @@ def verify_poisson_characterization(corpus, omega: Majorant,
     C_lip = slice norm are finite together and comparable within the
     window."""
     def check(rec, m):
-        b_mod = boundary_norm(m.series, omega, i, plan, values="modulus")
+        b_mod = boundary_norm(m.series, omega, i, plan)[1]
         rec.check("boundary_modulus_norm", b_mod.value,
                   math.isfinite(b_mod.value))
         c_def = _component_defect_sup(m.series, omega, i, plan, nodes)

@@ -336,9 +336,9 @@ def test_criterion_10_derivative_characterization(corpus):
     ident = SliceSeries([0.0, 1.0])
     square = SliceSeries([0.0, 0.0, 1.0])
     w_lin = PowerMajorant(1.0)
-    r1 = derivative_ratio(ident, w_lin, i, "full", plan).value
-    r1_cap = derivative_ratio(ident, w_lin, i, "full", plan, cap=0.4).value
-    r2 = derivative_ratio(square, w_lin, i, "full", plan).value
+    r1 = derivative_ratio(ident, w_lin, i, plan)[0].value
+    r1_cap = derivative_ratio(ident, w_lin, i, plan, cap=0.4)[0].value
+    r2 = derivative_ratio(square, w_lin, i, plan)[0].value
     worst_slack = 0.0
     for m in corpus:
         for z in disc_points(SamplePlan(n_pairs=128, n_points=128), cap=0.9)[:100]:

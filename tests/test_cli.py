@@ -241,6 +241,9 @@ def test_main_error_exit_codes(tmp_path, capsys):
 
 
 DATA = Path(__file__).parent / "data"
+# estimators that read one entry of a result tuple shared with other variants
+_VARIANTS = ("component", "boundary", "boundary-modulus",
+             "derivative-full", "derivative-plus", "derivative-minus")
 
 
 @pytest.mark.parametrize("argv, name, code", [
@@ -259,14 +262,19 @@ DATA = Path(__file__).parent / "data"
     (["verify", "--slice", "i=1,1,1", "--slice", "k=0.3,-1,2", "--pairs", "256",
       "--points", "64", "--nodes", "512"], "verify_off_axis.json", 0),
     (["verify"], "verify_default.json", 0),
+    *((["norm", "--name", "random_0", "--estimator", kind],
+       f"norm_{kind.replace('-', '_')}.json", 0)
+      for kind in _VARIANTS),
 ], ids=["verify_small", "star_product", "star_inverse", "eval", "norm_schwarz_series",
         "majorant_power", "majorant_power_tabulated", "majorant_linear",
-        "norm_schwarz_pointwise", "verify_off_axis", "verify_default"])
+        "norm_schwarz_pointwise", "verify_off_axis", "verify_default",
+        *(f"norm_{kind.replace('-', '_')}" for kind in _VARIANTS)])
 def test_verify_report_bytes_match_golden_file(argv, name, code, tmp_path):
     """The output of a CLI call, byte for byte, and its exit code: verify
     runs at the default plan and at small plans on axis and off-axis slices, the series-calculus paths
-    (star product, star inverse, evaluation), weight certification, and
-    both readings of the Schwarz criterion.
+    (star product, star inverse, evaluation), weight certification,
+    both readings of the Schwarz criterion, and the entry each `norm`
+    variant reads from its estimator.
 
     The files pin this environment (Python 3.11.7, numpy 2.4.6): another
     numpy may round the last digit of a float differently. Regenerate one with

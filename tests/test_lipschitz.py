@@ -6,28 +6,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicereg.lipschitz import (
-    DERIVATIVE_MODES,
     DegeneratePlan,
     GrowthCheck,
     NormEstimate,
     SamplePlan,
     _displaced_points,
+    _golden_angles,
     ball_pair_coords,
     boundary_norm,
     bounded_growth_check,
     circle_pair_angles,
     component_estimates,
-    component_norm,
     derivative_ratio,
     disc_pair_coords,
     disc_points,
     global_norm,
+    radial_grid,
+    ray_grid,
     schwarz_pick_criterion,
     seminorms_N,
     slice_norm,
     slice_pair_coords,
 )
 from slicereg.majorant import PowerMajorant
+from slicereg.poisson import poisson_integral_slice, resolved_cap
 from slicereg.quaternion import (
     E1,
     E2,
@@ -48,6 +50,7 @@ from slicereg.series import (
     eval_complex,
     evaluate,
     evaluate_batch,
+    on_circle,
     split,
     symmetrization,
 )
@@ -143,7 +146,7 @@ def test_global_norm_oracle():
 
 def test_component_norm_matches_slice_for_single_component():
     # f = q has F(z) = z, G = 0: the joint norm reduces to the slice norm
-    joint = component_norm(IDENT, W_HALF, W_HALF, I, PLAN)
+    joint = component_estimates(IDENT, W_HALF, W_HALF, I, PLAN)[2]
     plain = slice_norm(IDENT, W_HALF, I, PLAN)
     assert joint.value == pytest.approx(plain.value, rel=1e-12)
 
@@ -196,7 +199,7 @@ _CORPUS = default_corpus()
 _PAIR_ESTIMATORS = {
     "slice": lambda f, plan: slice_norm(f, W_HALF, I, plan),
     "global": lambda f, plan: global_norm(f, W_HALF, plan),
-    "boundary": lambda f, plan: boundary_norm(f, W_HALF, I, plan),
+    "boundary": lambda f, plan: boundary_norm(f, W_HALF, I, plan)[0],
 }
 
 
@@ -215,41 +218,78 @@ def test_estimates_never_decrease_as_pairs_grow(member, kind, n, grow, seed):
 
 
 def test_boundary_norm_oracles():
-    est = boundary_norm(IDENT, W_LIN, I, PLAN)
+    est, mod = boundary_norm(IDENT, W_LIN, I, PLAN)
     assert abs(est.value - 1.0) < 1e-12  # isometry on the circle
-    mod = boundary_norm(IDENT, W_LIN, I, PLAN, values="modulus")
     assert mod.value < 1e-10  # |f| is constant on the circle
-    with pytest.raises(ValueError):
-        boundary_norm(IDENT, W_LIN, I, PLAN, values="nope")
 
 
 def test_seminorms_oracles():
-    n1, n2, n3 = seminorms_N(np.array([0.0, 1.0]), W_HALF, I, PLAN, nodes=2048)
+    # f = q splits into F(z) = z and G = 0
+    n1, n2, n3 = seminorms_N(IDENT, W_HALF, I, PLAN, nodes=2048)
     # radial difference sup (1-r)^(1/2) -> 1 and the defect sup matches
-    assert n1 == pytest.approx(1.0, abs=1e-6)
-    assert n2 == pytest.approx(1.0, abs=1e-6)
+    assert n1[0] == pytest.approx(1.0, abs=1e-6)
+    assert n2[0] == pytest.approx(1.0, abs=1e-6)
     # same-ray pairs extremize the quotient of the modulus: sqrt(d) <= 1
-    assert n3 == pytest.approx(1.0, abs=1e-12)
-    c1, c2, c3 = seminorms_N(np.array([0.3 + 0.0j]), W_HALF, I, PLAN, nodes=2048)
-    assert c1 < 1e-3 and c2 == 0.0 and c3 == 0.0  # c1 carries quadrature noise
+    assert n3[0] == pytest.approx(1.0, abs=1e-12)
+    assert n1[1] == n2[1] == n3[1] == 0.0
+    c1, c2, c3 = seminorms_N(SliceSeries([0.3]), W_HALF, I, PLAN, nodes=2048)
+    assert c1[0] < 1e-3 and c2[0] == 0.0 and c3[0] == 0.0  # c1 carries quadrature noise
+
+
+def _seminorms_one_component(fk, omega, plan, nodes):
+    """seminorms_N as it was written for one split component fk: one
+    Poisson call and one set of streams per component."""
+    def modulus(z):
+        return np.abs(eval_complex(fk, z))
+
+    boundary_modulus = on_circle(modulus)
+    t1, t2 = circle_pair_angles(plan)
+    m1, m2 = boundary_modulus(t1), boundary_modulus(t2)
+    chord = np.abs(np.exp(1j * t1) - np.exp(1j * t2))
+    circle_part = float(np.max(np.abs(m1 - m2) / omega(chord)))
+
+    n_rad = max(16, plan.n_points // 16)
+    xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
+    p_vals = poisson_integral_slice(boundary_modulus, xs, nodes)
+    n1 = circle_part + float(np.max((p_vals - modulus(xs)) / omega(1.0 - np.abs(xs))))
+
+    r2 = radial_grid(1.0 - plan.min_separation, n_rad)
+    zeta = np.exp(1j * _golden_angles(32, offset=9))
+    inner = modulus(r2[:, None] * zeta[None, :])
+    outer = modulus(zeta)[None, :]
+    n2 = circle_part + float(np.max(np.abs(outer - inner) / omega(1.0 - r2)[:, None]))
+
+    z1, z2 = disc_pair_coords(plan, 1.0)
+    d3 = modulus(z1) - modulus(z2)
+    n3 = float(np.max(np.abs(d3) / omega(np.abs(z1 - z2))))
+    return n1, n2, n3
+
+
+def test_seminorms_N_equals_one_component_reference():
+    # stacking F and G changes no bit of either component's functionals
+    plan = SamplePlan(n_pairs=256, n_points=64)
+    nodes = 512
+    for i in (UNIT_E1, ImaginaryUnit.from_vector(1.0, 1.0, 1.0)):
+        for m in _CORPUS:
+            stacked = seminorms_N(m.series, W_HALF, i, plan, nodes)
+            for k, fk in enumerate(split(m.series, i)[:2]):
+                want = _seminorms_one_component(fk, W_HALF, plan, nodes)
+                assert tuple(n[k] for n in stacked) == want, (m.name, k)
 
 
 # --- derivative functionals -----------------------------------------------------
 
 def test_derivative_ratio_oracles():
-    assert set(DERIVATIVE_MODES) == {"full", "plus", "minus"}
-    est = derivative_ratio(IDENT, W_LIN, I, "full", PLAN)
-    assert abs(est.value - 1.0) < 1e-12  # (1-|x|)/(1-|x|) at every sample
+    full, plus, minus = derivative_ratio(IDENT, W_LIN, I, PLAN)
+    assert abs(full.value - 1.0) < 1e-12  # (1-|x|)/(1-|x|) at every sample
     # f' = 1 is a slice-plane value: the minus sandwich doubles it, plus kills it
-    assert derivative_ratio(IDENT, W_LIN, I, "plus", PLAN).value < 1e-12
-    assert abs(derivative_ratio(IDENT, W_LIN, I, "minus", PLAN).value - 2.0) < 1e-12
+    assert plus.value < 1e-12
+    assert abs(minus.value - 2.0) < 1e-12
     # f = q^2: sup 2|x| = 2 rho
-    est2 = derivative_ratio(SQUARE, W_LIN, I, "full", PLAN)
+    est2 = derivative_ratio(SQUARE, W_LIN, I, PLAN)[0]
     assert est2.value == pytest.approx(2.0 * PLAN.max_radius, rel=1e-6)
-    capped = derivative_ratio(SQUARE, W_LIN, I, "full", PLAN, cap=0.5)
+    capped = derivative_ratio(SQUARE, W_LIN, I, PLAN, cap=0.5)[0]
     assert capped.value == pytest.approx(1.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        derivative_ratio(IDENT, W_LIN, I, "sideways", PLAN)
 
 
 def test_parallelogram_identity_at_samples():

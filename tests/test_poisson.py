@@ -144,16 +144,16 @@ def test_stacked_boundary_data_equals_separate_calls():
 
 
 def _defect_sup_loop(comps, omega, xs, nodes, power):
-    """One Poisson call per component, the sup taken across the calls."""
+    """One Poisson call per component, one sup per call."""
     den = omega(1.0 - np.abs(xs)) ** power
-    best = -math.inf
+    sups = []
     for c in comps:
         def moduli(z, c=c):
             return np.abs(eval_complex(c, z)) ** power
 
         p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes)
-        best = max(best, float(np.max((p_vals - moduli(xs)) / den)))
-    return best
+        sups.append(float(np.max((p_vals - moduli(xs)) / den)))
+    return sups
 
 
 @pytest.mark.parametrize("power", [1, 2])
@@ -166,7 +166,7 @@ def test_defect_sup_equals_per_component_loop(power):
             F, G, _ = split(m.series, i)
             for comps in ((F, G), (F,), (G,)):
                 want = _defect_sup_loop(comps, omega, xs, nodes, power)
-                assert defect_sup(comps, omega, xs, nodes, power) == want, m.name
+                assert defect_sup(comps, omega, xs, nodes, power).tolist() == want, m.name
 
 
 def _four_term_integral(u, q, i, nodes):

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import slicereg.verify
-from slicereg.cli import RunConfig
+from slicereg.cli import RunConfig, main
 from slicereg.lipschitz import SamplePlan
 from slicereg.majorant import PowerMajorant
 from slicereg.quaternion import E1, UNIT_E1, UNIT_E2, Quaternion
@@ -106,6 +108,18 @@ def test_norm_equivalences(corpus):
     by_name = {rec.name: rec for rec in rep.records}
     assert "constant member: vacuous pass" in by_name["const_real"].notes
     assert by_name["identity"].checks["max_over_min"] <= 20.0
+
+
+def test_norm_equivalences_fails_on_uncertified_square(tmp_path):
+    # power:0.5 is certified, its square power:1 is not; nothing else is computed
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--suite", "norm_equivalences", "--omega-small", "power:0.5",
+                 "--out", str(out)]) == 1
+    (rep,) = json.loads(out.read_text())["reports"]
+    assert len(rep["records"]) == 9
+    for rec in rep["records"]:
+        assert rec["failures"] == ["omega_not_regular"]
+        assert list(rec["checks"]) == ["omega_not_regular"]
 
 
 def test_derivative_characterizations(corpus):

@@ -36,7 +36,7 @@ from .majorant import (
     check_regular,
 )
 from .poisson import MIN_NODES
-from .quaternion import ImaginaryUnit, Quaternion, UNIT_E1
+from .quaternion import ImaginaryUnit, Quaternion
 from .series import NotInvertibleAtOrigin, SliceSeries, evaluate, star_inverse, star_product
 from .verify import CorpusMember, default_corpus, run_suite
 
@@ -260,9 +260,9 @@ def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Serializable description of a verify run, the one input of run_suite,
-    validated when built; the parsed plan, weights, units and corpus are
-    properties."""
+    """Serializable description of a run, the one input of run_suite and
+    of the norm, eval and star commands, validated when built; the parsed
+    plan, weights, units and corpus are properties."""
 
     seed: int = SamplePlan.seed
     n_pairs: int = SamplePlan.n_pairs
@@ -293,6 +293,8 @@ class RunConfig:
         require(self.corpus_seed >= 0, "corpus_seed", "nonnegative")
         for name in ("min_separation", "max_radius", "window"):
             require(_is_finite(getattr(self, name)), name, "a finite number")
+        # 1/window <= ratio <= window is empty below 1
+        require(self.window >= 1.0, "window", "at least 1")
         for name, size in (("slice_i", 3), ("slice_k", 3), ("a_coeff", 4)):
             value = getattr(self, name)
             require(isinstance(value, (list, tuple)) and len(value) == size
@@ -363,13 +365,12 @@ def _write_text(text: str, path: str | None):
             fh.write(text)
 
 
-def _csv_summary(reports) -> str:
+def _csv_summary(docs) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["suite", "function", "passed", "main_check",
                      "main_value", "witness"])
-    for rep in reports:
-        doc = rep.to_dict() if hasattr(rep, "to_dict") else rep
+    for doc in docs:
         for rec in doc["records"]:
             checks = rec["checks"]
             main = next(iter(checks)) if checks else ""
@@ -388,31 +389,22 @@ def _csv_summary(reports) -> str:
     return buf.getvalue()
 
 
-def emit_report(reports, path: str | None = None, fmt: str = "json",
-                config: RunConfig | None = None) -> int:
+def emit_report(reports, path: str | None, fmt: str, config: RunConfig) -> int:
     """Write the suite reports; returns 0 iff every suite passed."""
     if fmt not in ("json", "csv"):
         raise ValidationError(f"format must be json or csv, got {fmt!r}")
-    all_passed = all(r.passed for r in reports)
+    docs = [r.to_dict() for r in reports]
+    all_passed = all(d["passed"] for d in docs)
     if fmt == "json":
-        doc = {
-            "all_passed": all_passed,
-            "config": dataclasses.asdict(config) if config is not None else None,
-            "reports": [r.to_dict() for r in reports],
-        }
+        doc = {"all_passed": all_passed, "config": dataclasses.asdict(config),
+               "reports": docs}
         _write_text(to_json(doc), path)
     else:
-        _write_text(_csv_summary(reports), path)
+        _write_text(_csv_summary(docs), path)
     return 0 if all_passed else 1
 
 
 # ---------------------------------------------------------------- subcommands
-
-def _corpus_from_args(args) -> tuple[CorpusMember, ...]:
-    if getattr(args, "file", None):
-        return load_function_spec(args.file)
-    return default_corpus()
-
 
 def _pick(corpus, name: str) -> SliceSeries:
     for m in corpus:
@@ -422,7 +414,7 @@ def _pick(corpus, name: str) -> SliceSeries:
 
 
 def _cmd_eval(args) -> int:
-    corpus = _corpus_from_args(args)
+    corpus = _config_from_args(args).corpus
     if args.name:
         corpus = tuple(m for m in corpus if m.name in args.name)
         missing = set(args.name) - {m.name for m in corpus}
@@ -441,7 +433,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    corpus = _corpus_from_args(args)
+    corpus = _config_from_args(args).corpus
     if args.inverse:
         if args.order < 0:
             raise ValidationError(f"--order must be nonnegative, got {args.order}")
@@ -466,40 +458,36 @@ def _cmd_majorant_check(args) -> int:
     return 0 if cert.is_regular else 1
 
 
-_ESTIMATORS = ("slice", "component", "global", "boundary", "boundary-modulus",
-               "derivative-full", "derivative-plus", "derivative-minus",
-               "schwarz-series", "schwarz-pointwise")
-# the entry of an estimator's result tuple that each variant reads
-_VARIANT = {"boundary": 0, "boundary-modulus": 1,
-            "derivative-full": 0, "derivative-plus": 1, "derivative-minus": 2}
+# each pair or point estimator: the call that yields its NormEstimate. The
+# lambdas look the estimators up in this module when called, so a wrapper
+# set on slicereg.cli sees every call.
+_ESTIMATORS = {
+    "slice": lambda f, w, w2, i, plan: slice_norm(f, w, i, plan),
+    "component": lambda f, w, w2, i, plan: component_estimates(f, w, w2, i, plan)[2],
+    "global": lambda f, w, w2, i, plan: global_norm(f, w, plan),
+    "boundary": lambda f, w, w2, i, plan: boundary_norm(f, w, i, plan)[0],
+    "boundary-modulus": lambda f, w, w2, i, plan: boundary_norm(f, w, i, plan)[1],
+    "derivative-full": lambda f, w, w2, i, plan: derivative_ratio(f, w, i, plan)[0],
+    "derivative-plus": lambda f, w, w2, i, plan: derivative_ratio(f, w, i, plan)[1],
+    "derivative-minus": lambda f, w, w2, i, plan: derivative_ratio(f, w, i, plan)[2],
+}
+_SCHWARZ = ("schwarz-series", "schwarz-pointwise")
 
 
 def _cmd_norm(args) -> int:
-    corpus = _corpus_from_args(args)
-    f = _pick(corpus, args.name)
-    plan = SamplePlan(args.pairs, args.points, args.eps, args.rho, args.seed)
-    omega = parse_majorant(args.omega)
-    omega2 = parse_majorant(args.omega2) if args.omega2 else omega
-    units = _slice_units(args.slice)
-    i = units.get("i", UNIT_E1)
-    kind = args.estimator
-    if kind == "slice":
-        est = slice_norm(f, omega, i, plan)
-    elif kind == "component":
-        est = component_estimates(f, omega, omega2, i, plan)[2]
-    elif kind == "global":
-        est = global_norm(f, omega, plan)
-    elif kind.startswith("boundary"):
-        est = boundary_norm(f, omega, i, plan)[_VARIANT[kind]]
-    elif kind.startswith("derivative-"):
-        est = derivative_ratio(f, omega, i, plan)[_VARIANT[kind]]
-    else:  # schwarz-series, schwarz-pointwise
+    config = _config_from_args(args)
+    f = _pick(config.corpus, args.name)
+    omega, i, plan, kind = config.omega, config.i, config.plan, args.estimator
+    if kind in _SCHWARZ:
         rep = schwarz_pick_criterion(f, omega, i, plan,
                                      interpretation=kind.split("-", 1)[1])
         doc = {"function": args.name, "estimator": kind, **dataclasses.asdict(rep)}
         del doc["interpretation"]  # named by the estimator already
         _write_text(to_json(doc), args.out)
         return 0
+    # the second weight is the first unless --omega2 is given
+    omega2 = config.omega2 if args.omega2_spec is not None else omega
+    est = _ESTIMATORS[kind](f, omega, omega2, i, plan)
     _write_text(to_json({
         "function": args.name,
         "estimator": kind,
@@ -510,27 +498,18 @@ def _cmd_norm(args) -> int:
     return 0
 
 
-def _slice_units(entries) -> dict:
-    units = {}
-    for entry in entries or ():
-        name, sep, rest = entry.partition("=")
-        if not sep:
-            raise ParseError(f"--slice expects name=x,y,z, got {entry!r}")
-        units[name.strip()] = parse_unit(rest)
-    return units
-
-
 def _config_from_args(args) -> RunConfig:
-    if args.config:
+    if getattr(args, "config", None):
         return RunConfig.from_dict(_load_json_object(args.config))
-    # verify flags store into the RunConfig field of the same name
+    # each flag stores into the RunConfig field of the same name
     updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
                if getattr(args, f.name, None) is not None}
-    if args.suite is not None:
-        updates["suites"] = tuple(s for s in args.suite.split(",") if s)
-    for name, u in _slice_units(args.slice).items():
-        if name in ("i", "k"):
-            updates[f"slice_{name}"] = (u.v1, u.v2, u.v3)
+    for entry in getattr(args, "slice", None) or ():
+        name, sep, rest = entry.partition("=")
+        if not sep or name.strip() not in ("i", "k"):
+            raise ParseError(f"--slice expects i=x,y,z or k=x,y,z, got {entry!r}")
+        u = parse_unit(rest)
+        updates[f"slice_{name.strip()}"] = (u.v1, u.v2, u.v3)
     return RunConfig(**updates)
 
 
@@ -553,6 +532,17 @@ def _cmd_report(args) -> int:
     return 0 if doc.get("all_passed", False) else 1
 
 
+def _add_run_flags(p):
+    """The sampling flags norm and verify share; each stores into the
+    RunConfig field of its dest, and None leaves the RunConfig default."""
+    p.add_argument("--seed", type=int)
+    p.add_argument("--pairs", type=int, dest="n_pairs")
+    p.add_argument("--points", type=int, dest="n_points")
+    p.add_argument("--omega", dest="omega_spec")
+    p.add_argument("--omega2", dest="omega2_spec")
+    p.add_argument("--slice", action="append", metavar="i=X,Y,Z")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicereg",
@@ -561,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate functions at points")
-    p.add_argument("--file", help="JSON function spec (default: built-in corpus)")
+    p.add_argument("--file", dest="corpus_path",
+                   help="JSON function spec (default: built-in corpus)")
     p.add_argument("--name", action="append", help="restrict to these names")
     p.add_argument("--at", action="append", required=True,
                    metavar="X0,X1,X2,X3", help="evaluation point")
@@ -569,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("star", help="star product or inverse, to JSON")
-    p.add_argument("--file")
+    p.add_argument("--file", dest="corpus_path")
     p.add_argument("--left")
     p.add_argument("--right")
     p.add_argument("--inverse")
@@ -584,31 +575,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_majorant_check)
 
     p = sub.add_parser("norm", help="run one estimator")
-    p.add_argument("--file")
+    p.add_argument("--file", dest="corpus_path")
     p.add_argument("--name", required=True)
-    p.add_argument("--estimator", required=True, choices=_ESTIMATORS)
-    p.add_argument("--omega", default="power:0.5")
-    p.add_argument("--omega2")
-    p.add_argument("--slice", action="append", metavar="i=X,Y,Z")
-    p.add_argument("--pairs", type=int, default=SamplePlan.n_pairs)
-    p.add_argument("--points", type=int, default=SamplePlan.n_points)
-    p.add_argument("--eps", type=float, default=SamplePlan.min_separation)
-    p.add_argument("--rho", type=float, default=SamplePlan.max_radius)
-    p.add_argument("--seed", type=int, default=SamplePlan.seed)
+    p.add_argument("--estimator", required=True, choices=(*_ESTIMATORS, *_SCHWARZ))
+    _add_run_flags(p)
+    p.add_argument("--eps", type=float, dest="min_separation")
+    p.add_argument("--rho", type=float, dest="max_radius")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("verify", help="run property suites")
-    p.add_argument("--suite", help="comma-separated suite names (default all)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pairs", type=int, dest="n_pairs")
-    p.add_argument("--points", type=int, dest="n_points")
+    p.add_argument("--suite", dest="suites", help="comma-separated suite names (default all)",
+                   type=lambda text: tuple(s for s in text.split(",") if s))
+    _add_run_flags(p)
     p.add_argument("--nodes", type=int)
-    p.add_argument("--omega", dest="omega_spec")
-    p.add_argument("--omega2", dest="omega2_spec")
     p.add_argument("--omega-small", dest="omega_small_spec")
     p.add_argument("--window", type=float)
-    p.add_argument("--slice", action="append", metavar="i=X,Y,Z")
     p.add_argument("--corpus", dest="corpus_path",
                    help="JSON function spec replacing the corpus")
     p.add_argument("--config", help="JSON RunConfig; overrides other flags")

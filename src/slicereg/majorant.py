@@ -313,17 +313,6 @@ def power_regularity_constant(alpha: float) -> float:
     return 1.0 / alpha + 1.0 / (1.0 - alpha)
 
 
-def _linear_combination(c1: float, w1: Majorant, c2: float, w2: Majorant) -> Majorant:
-    terms = [(c, w) for c, w in ((c1, w1), (c2, w2)) if c > 0.0]
-    if not terms:
-        return ScaledMajorant(0.0, w1)
-    if len(terms) == 1:
-        c, w = terms[0]
-        return w if c == 1.0 else ScaledMajorant(c, w)
-    return SumMajorant(ScaledMajorant(terms[0][0], terms[0][1]),
-                       ScaledMajorant(terms[1][0], terms[1][1]))
-
-
 def combine(a1_norm: float, a2_norm: float, omega1: Majorant,
             omega2: Majorant) -> tuple[Majorant, Majorant]:
     """Majorant pair governing the components of f * a when the components
@@ -331,13 +320,13 @@ def combine(a1_norm: float, a2_norm: float, omega1: Majorant,
 
         (|a1| omega1 + |a2| omega2,  |a2| omega1 + |a1| omega2).
 
-    Zero weights are dropped so degenerate factors stay representable.
+    A zero factor scales its weight to the zero function, which adds an
+    exact 0 on [0, 2].
     """
     if a1_norm < 0.0 or a2_norm < 0.0:
         raise ValueError("component norms must be nonnegative")
-    first = _linear_combination(a1_norm, omega1, a2_norm, omega2)
-    second = _linear_combination(a2_norm, omega1, a1_norm, omega2)
-    return first, second
+    return (a1_norm * omega1 + a2_norm * omega2,
+            a2_norm * omega1 + a1_norm * omega2)
 
 
 def squared(omega: Majorant) -> Majorant:

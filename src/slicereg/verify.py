@@ -570,57 +570,45 @@ def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sampl
     return _member_report("cone_corollary", corpus, check, {"absolute": tol})
 
 
-ALL_SUITES = (
-    "inclusion_chain",
-    "algebraic_closure",
-    "intrinsic_invariance",
-    "slice_independence",
-    "modulus_membership",
-    "norm_equivalences",
-    "derivative_characterizations",
-    "poisson_characterization",
-    "cone_corollary",
-)
+# each suite: its call on (config, corpus). The lambdas look the suites up
+# in this module when called, so a wrapper set on slicereg.verify sees them.
+_SUITES = {
+    "inclusion_chain": lambda c, corpus: verify_inclusion_chain(
+        corpus, c.omega, c.omega2, c.plan, c.i),
+    "algebraic_closure": lambda c, corpus: verify_algebraic_closure(
+        corpus, c.omega, c.omega2, c.a, c.plan, c.i),
+    "intrinsic_invariance": lambda c, corpus: verify_intrinsic_invariance(
+        tuple(m for m in corpus if m.intrinsic), c.omega, c.i, c.k, c.plan),
+    "slice_independence": lambda c, corpus: verify_slice_independence(
+        corpus, c.omega, c.i, c.k, c.plan),
+    "modulus_membership": lambda c, corpus: verify_modulus_membership(
+        corpus, c.omega, c.i, c.plan),
+    "norm_equivalences": lambda c, corpus: verify_norm_equivalences(
+        corpus, c.omega_small, c.i, c.plan, c.nodes, c.window),
+    "derivative_characterizations": lambda c, corpus: verify_derivative_characterizations(
+        corpus, c.omega, c.plan, c.i),
+    "poisson_characterization": lambda c, corpus: verify_poisson_characterization(
+        corpus, c.omega, c.i, c.plan, c.nodes, c.window),
+    "cone_corollary": lambda c, corpus: verify_cone_corollary(
+        corpus, c.omega, c.i, c.plan, c.nodes),
+}
+ALL_SUITES = tuple(_SUITES)
 
 
 def run_suite(config: RunConfig) -> list[VerificationReport]:
     """Run the selected suites (config.suites, all when None) over the
     configured corpus and plan. A suite that raises is reported as failed;
     the batch always completes."""
-    plan, corpus, unit_i, unit_k = config.plan, config.corpus, config.i, config.k
-    omega1, omega2, omega_small = config.omega, config.omega2, config.omega_small
-    names = ALL_SUITES if config.suites is None else config.suites
-
-    intrinsic = tuple(m for m in corpus if m.intrinsic)
-    builders = {
-        "inclusion_chain": lambda: verify_inclusion_chain(
-            corpus, omega1, omega2, plan, unit_i),
-        "algebraic_closure": lambda: verify_algebraic_closure(
-            corpus, omega1, omega2, config.a, plan, unit_i),
-        "intrinsic_invariance": lambda: verify_intrinsic_invariance(
-            intrinsic, omega1, unit_i, unit_k, plan),
-        "slice_independence": lambda: verify_slice_independence(
-            corpus, omega1, unit_i, unit_k, plan),
-        "modulus_membership": lambda: verify_modulus_membership(
-            corpus, omega1, unit_i, plan),
-        "norm_equivalences": lambda: verify_norm_equivalences(
-            corpus, omega_small, unit_i, plan, config.nodes, config.window),
-        "derivative_characterizations": lambda: verify_derivative_characterizations(
-            corpus, omega1, plan, unit_i),
-        "poisson_characterization": lambda: verify_poisson_characterization(
-            corpus, omega1, unit_i, plan, config.nodes, config.window),
-        "cone_corollary": lambda: verify_cone_corollary(
-            corpus, omega1, unit_i, plan, config.nodes),
-    }
+    corpus = config.corpus
     reports = []
-    for name in names:
-        if name not in builders:
+    for name in ALL_SUITES if config.suites is None else config.suites:
+        if name not in _SUITES:
             reports.append(VerificationReport(
                 suite=str(name), records=[], tolerances={},
                 notes=[f"error: unknown suite {name!r}"]))
             continue
         try:
-            reports.append(builders[name]())
+            reports.append(_SUITES[name](config, corpus))
         except Exception as exc:  # isolate suite crashes
             reports.append(VerificationReport(
                 suite=name, records=[], tolerances={},

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from slicereg.cli import (
     _ESTIMATORS,
+    _SCHWARZ,
     ParseError,
     RunConfig,
     ValidationError,
@@ -265,16 +266,28 @@ _VARIANTS = ("component", "boundary", "boundary-modulus",
     *((["norm", "--name", "random_0", "--estimator", kind],
        f"norm_{kind.replace('-', '_')}.json", 0)
       for kind in _VARIANTS),
+    (["norm", "--name", "random_0", "--estimator", "slice"], "norm_slice.json", 0),
+    (["norm", "--name", "random_0", "--estimator", "global"], "norm_global.json", 0),
+    # without --omega2 the second weight is --omega
+    (["norm", "--name", "random_0", "--estimator", "component", "--omega", "power:0.3"],
+     "norm_component_omega.json", 0),
+    (["norm", "--name", "random_0", "--estimator", "slice", "--slice", "i=1,1,1",
+      "--pairs", "512", "--eps", "0.001", "--rho", "0.9"], "norm_slice_off_axis.json", 0),
+    (["verify", "--pairs", "256", "--points", "64", "--nodes", "512", "--format", "csv"],
+     "verify_small.csv", 0),
 ], ids=["verify_small", "star_product", "star_inverse", "eval", "norm_schwarz_series",
         "majorant_power", "majorant_power_tabulated", "majorant_linear",
         "norm_schwarz_pointwise", "verify_off_axis", "verify_default",
-        *(f"norm_{kind.replace('-', '_')}" for kind in _VARIANTS)])
+        *(f"norm_{kind.replace('-', '_')}" for kind in _VARIANTS),
+        "norm_slice", "norm_global", "norm_component_omega", "norm_slice_off_axis",
+        "verify_small_csv"])
 def test_verify_report_bytes_match_golden_file(argv, name, code, tmp_path):
     """The output of a CLI call, byte for byte, and its exit code: verify
     runs at the default plan and at small plans on axis and off-axis slices, the series-calculus paths
     (star product, star inverse, evaluation), weight certification,
-    both readings of the Schwarz criterion, and the entry each `norm`
-    variant reads from its estimator.
+    both readings of the Schwarz criterion, the entry each `norm`
+    variant reads from its estimator, norm's plan, weight and slice flags,
+    and the CSV summary.
 
     The files pin this environment (Python 3.11.7, numpy 2.4.6): another
     numpy may round the last digit of a float differently. Regenerate one with
@@ -343,6 +356,11 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
     (None, ["norm", "--name", "identity", "--estimator", "schwarz-series",
             "--omega", "tabulated:0,0;2,0"]),
     (None, ["verify", "--omega", "scaled:0:power:0.5"]),
+    (None, ["verify", "--slice", "x=1,0,0"]),
+    (None, ["norm", "--name", "identity", "--estimator", "slice", "--slice", "j=0,1,0"]),
+    (None, ["norm", "--name", "identity", "--estimator", "component", "--omega2", ""]),
+    (None, ["verify", "--window", "0.5"]),
+    ('{"window": 0.99}', ["verify", "--config", "{file}"]),
 ], ids=["truncated_config", "config_not_object", "report_not_object", "negative_order",
         "config_seed_str", "config_seed_bool", "config_pairs_2", "config_pairs_inf",
         "config_points_float", "config_nodes_8", "config_slice_str", "config_slice_zero",
@@ -353,7 +371,8 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
         "eval_at_nan", "spec_nan", "tabulated_nan", "power_inf", "panels_0", "panels_2",
         "panels_negative", "norm_scaled_zero", "global_scaled_zero", "norm_table_zero",
         "global_table_zero_knot", "derivative_scaled_zero", "schwarz_table_zero",
-        "verify_scaled_zero"])
+        "verify_scaled_zero", "verify_slice_x", "norm_slice_j", "norm_omega2_empty",
+        "verify_window_half", "config_window_below_1"])
 def test_bad_input_exits_two(text, argv, tmp_path, capsys):
     path = tmp_path / "input.json"
     if text is not None:
@@ -421,7 +440,7 @@ def _cli_argv(draw) -> list[str]:
                                 .map(lambda ku: f"{ku[0]}={ku[1]}")))]
     if command == "majorant-check":
         return ["majorant-check", "--omega", draw(_OMEGA), "--nodes", draw(_SIZE)]
-    estimator = draw(st.sampled_from(_ESTIMATORS + ("bogus",)))
+    estimator = draw(st.sampled_from([*_ESTIMATORS, *_SCHWARZ, "bogus"]))
     return ["norm", "--name", draw(_NAME), "--estimator", estimator,
             "--pairs", draw(_SIZE), "--points", draw(_SIZE), "--eps", draw(_REAL),
             "--rho", draw(_REAL), "--seed", draw(_SIZE), "--omega", draw(_OMEGA),

@@ -130,6 +130,12 @@ def test_combine_scales_componentwise():
     assert abs(m1(1.0) - 2.5) < 1e-12
     assert abs(m2(1.0) - 2.5) < 1e-12
     assert m1(0.0) == 0.0
+    # a zero factor adds an exact 0: the same bits as the one live term
+    t = np.linspace(0.0, 2.0, 101)
+    m1, m2 = combine(2.0, 0.0, w1, w2)
+    assert np.array_equal(m1(t), 2.0 * w1(t))
+    assert np.array_equal(m2(t), 2.0 * w2(t))
+    assert not np.any(combine(0.0, 0.0, w1, w2)[0](t))
 
 
 def test_evaluate_majorant_helper():

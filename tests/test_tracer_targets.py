@@ -17,3 +17,28 @@ def test_every_traced_function_resolves(monkeypatch):
         fn = getattr(importlib.import_module(f"slicereg.{module}"), function, None)
         assert callable(fn), f"slicereg.{module}.{function}"
         assert fn.__module__ == f"slicereg.{module}", f"slicereg.{module}.{function}"
+
+
+def test_dispatch_reads_module_globals(monkeypatch, tmp_path):
+    # the tracer replaces functions in slicereg.cli and slicereg.verify; the
+    # suite and estimator tables must reach the replacements, not the
+    # function objects they saw at import
+    from slicereg import cli, verify
+
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(verify, "verify_modulus_membership")
+    spy(cli, "global_norm")
+    (report,) = verify.run_suite(cli.RunConfig(n_pairs=256, suites=("modulus_membership",)))
+    assert report.passed
+    assert cli.main(["norm", "--name", "identity", "--estimator", "global",
+                     "--pairs", "256", "--out", str(tmp_path / "n.json")]) == 0
+    assert calls == ["verify_modulus_membership", "global_norm"]

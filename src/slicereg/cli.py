@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -262,7 +263,9 @@ def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
 class RunConfig:
     """Serializable description of a run, the one input of run_suite and
     of the norm, eval and star commands, validated when built; the parsed
-    plan, weights, units and corpus are properties."""
+    plan, weights, units and corpus are properties. The plan, weights and
+    units are parsed once, so every suite of a run shares one plan and
+    with it the plan's store of streams, kernels and constants."""
 
     seed: int = SamplePlan.seed
     n_pairs: int = SamplePlan.n_pairs
@@ -311,28 +314,28 @@ class RunConfig:
         for name in ("plan", "i", "k", "omega", "omega2", "omega_small"):
             getattr(self, name)  # parsed now, so a bad value is refused here
 
-    @property
+    @cached_property
     def plan(self) -> SamplePlan:
         return SamplePlan(self.n_pairs, self.n_points, self.min_separation,
                           self.max_radius, self.seed)
 
-    @property
+    @cached_property
     def omega(self) -> Majorant:
         return parse_majorant(self.omega_spec)
 
-    @property
+    @cached_property
     def omega2(self) -> Majorant:
         return parse_majorant(self.omega2_spec)
 
-    @property
+    @cached_property
     def omega_small(self) -> Majorant:
         return parse_majorant(self.omega_small_spec)
 
-    @property
+    @cached_property
     def i(self) -> ImaginaryUnit:
         return _unit_along(self.slice_i, self.slice_i)
 
-    @property
+    @cached_property
     def k(self) -> ImaginaryUnit:
         return _unit_along(self.slice_k, self.slice_k)
 

@@ -7,6 +7,12 @@ streams are prefix-stable: enlarging n_pairs or n_points extends the sample
 set, so estimates can only grow under refinement, and identical plans give
 identical results bit for bit.
 
+Each plan carries its own store: a stream, a plan-bound Poisson kernel or
+a shared constant is built once per plan and argument values and read from
+the store afterwards, read-only. The store lives and dies with the plan,
+so a run that holds one plan builds each array once, and nothing is kept
+between runs.
+
 Points of a slice plane are handled in their complex coordinate; values of
 a series along the plane come from the split components, so each estimator
 is a handful of vectorized polynomial evaluations.
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorant import Majorant
-from .poisson import defect_sup, resolved_cap
+from .poisson import defect_sup, poisson_kernel, resolved_cap
 from .quaternion import (
     ImaginaryUnit,
     Quaternion,
@@ -77,6 +83,22 @@ class SamplePlan:
     def child_rng(self, tag: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, tag])
 
+    def memo(self, key, build):
+        """build() on the first call with this key, the stored value after.
+
+        The store sits in the instance __dict__ beside the fields, so
+        equality and hashing still read the fields only. Arrays, alone or
+        in a tuple, are stored read-only, as every later caller shares them.
+        """
+        store = self.__dict__.setdefault("_store", {})
+        if key not in store:
+            value = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            store[key] = value
+        return store[key]
+
 
 @dataclass(frozen=True)
 class NormEstimate:
@@ -110,11 +132,16 @@ def _quarters(n: int) -> tuple[int, int, int, int]:
 
 
 def disc_pair_coords(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pair stream inside the closed disc of the given radius.
+    """Pair stream inside the closed disc of the given radius, built once
+    per plan and cap.
 
     Four strata: near-diameter chords, independent uniforms, near-diagonal
     offsets down to min_separation, and boundary-to-inner radial pairs.
     """
+    return plan.memo(("disc_pairs", cap), lambda: _disc_pairs(plan, cap))
+
+
+def _disc_pairs(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarray]:
     eps = plan.min_separation
     n_diam, n_unif, n_diag, n_rad = _quarters(plan.n_pairs)
 
@@ -154,7 +181,12 @@ def slice_pair_coords(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ball_pair_coords(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
-    """Pair stream in the four-dimensional ball, strata as in the disc."""
+    """Pair stream in the four-dimensional ball, strata as in the disc,
+    built once per plan."""
+    return plan.memo("ball_pairs", lambda: _ball_pairs(plan))
+
+
+def _ball_pairs(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
     eps = plan.min_separation
     rho = plan.max_radius
     n_diam, n_unif, n_diag, n_rad = _quarters(plan.n_pairs)
@@ -201,7 +233,12 @@ def ball_pair_coords(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
 
 
 def circle_pair_angles(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
-    """Angle pairs on the unit circle with chords >= min_separation."""
+    """Angle pairs on the unit circle with chords >= min_separation, built
+    once per plan."""
+    return plan.memo("circle_pairs", lambda: _circle_pairs(plan))
+
+
+def _circle_pairs(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
     eps = plan.min_separation
     half = plan.n_pairs // 2
     t = plan.child_rng(31).uniform(0.0, 2.0 * np.pi, size=(half, 2))
@@ -223,10 +260,15 @@ def circle_pair_angles(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
 
 
 def disc_points(plan: SamplePlan, cap: float | None = None) -> np.ndarray:
-    """Point stream in the closed disc of radius cap: the origin, an
-    equidistributed bulk, a geometric edge layer, and the cap circle itself."""
+    """Point stream in the closed disc of radius cap (max_radius when None):
+    the origin, an equidistributed bulk, a geometric edge layer, and the cap
+    circle itself; built once per plan and cap."""
     if cap is None:
         cap = plan.max_radius
+    return plan.memo(("disc_points", cap), lambda: _disc_points(plan, cap))
+
+
+def _disc_points(plan: SamplePlan, cap: float) -> np.ndarray:
     n = plan.n_points
     # shares 2:1:1 with no stratum shrinking as n grows
     n_bulk, n_edge, n_circ = (n + 1) // 2, (n + 2) // 4, n // 4
@@ -248,6 +290,13 @@ def ray_grid(cap: float, n_radii: int, n_rays: int, offset: int) -> np.ndarray:
     at index offset), flattened radius-major to complex points."""
     rays = np.exp(1j * _golden_angles(n_rays, offset))
     return (radial_grid(cap, n_radii)[:, None] * rays[None, :]).ravel()
+
+
+def grid_kernel(plan: SamplePlan, zs: np.ndarray, nodes: int) -> np.ndarray:
+    """poisson_kernel(zs, nodes) of a grid the plan determines, built once
+    per plan, grid and node count."""
+    zs = np.asarray(zs, dtype=complex)
+    return plan.memo(("kernel", zs.tobytes(), nodes), lambda: poisson_kernel(zs, nodes))
 
 
 def _require_positive(omega: Majorant, at: float):
@@ -353,7 +402,8 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
 
     n_rad = max(16, plan.n_points // 16)
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
-    n1 = circle_part + defect_sup((s.F, s.G), omega, xs, nodes)
+    n1 = circle_part + defect_sup((s.F, s.G), omega, xs, nodes,
+                                  kernel=grid_kernel(plan, xs, nodes))
 
     r2 = radial_grid(1.0 - plan.min_separation, n_rad)
     zeta = np.exp(1j * _golden_angles(32, offset=9))

@@ -15,6 +15,13 @@ falls under 10/nodes, where the kernel is no longer resolved.
 
 Boundary data u are plain callables from an angle array to a value array;
 u may return k stacked rows, (k, nodes), which share one kernel.
+
+The (points, nodes) kernel is built and applied in blocks of _BLOCK points,
+so no temporary outgrows one block; each value is the same expression as
+for the whole array at once, so blocking moves no bit. A caller that
+evaluates on one grid many times passes the kernel it built once; the
+estimators and suites keep each plan-bound grid's kernel in the plan's
+store (lipschitz.grid_kernel), so a run builds it once.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .quaternion import (
 from .series import SliceSeries, SplitSeries, eval_complex, on_circle
 
 MIN_NODES = 16
+_BLOCK = 128  # kernel rows built and applied at a time
 
 
 class BoundaryTooClose(ValueError):
@@ -92,20 +100,45 @@ def resolved_cap(cap: float, nodes: int) -> float:
     return min(cap, 1.0 - 10.0 / nodes - 1e-9)
 
 
-def _trapezoid(u, zs, off2, nodes: int) -> np.ndarray:
-    """Trapezoid mean of u(t) (1 - r^2) / (|z - e^{it}|^2 + off2) over
-    `nodes` equispaced angles, r^2 = |z|^2 + off2, for every z of zs and
-    every row of u."""
-    zs = np.asarray(zs, dtype=complex)
+def _angles(nodes: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(nodes) / nodes
+
+
+def poisson_kernel(zs, nodes: int, off2: float = 0.0) -> np.ndarray:
+    """The trapezoid kernel (1 - r^2) / (|z - e^{it}|^2 + off2) at `nodes`
+    equispaced angles, r^2 = |z|^2 + off2, as a (points, nodes) array over
+    the points of zs in flat order, built _BLOCK rows at a time."""
+    zs = np.asarray(zs, dtype=complex).ravel()
     r = np.hypot(np.abs(zs), np.sqrt(off2))  # |z| to the bit when off2 = 0
     _check_interior(r, nodes)
-    angles = 2.0 * np.pi * np.arange(nodes) / nodes
-    vals = np.asarray(u(angles), dtype=float)
-    d2 = np.abs(zs[..., None] - np.exp(1j * angles)) ** 2 + off2
-    kernel = (1.0 - r[..., None] ** 2) / d2
-    # one row at a time, so stacked data never multiply the kernel's memory
-    means = [np.mean(row * kernel, axis=-1) for row in vals.reshape(-1, nodes)]
-    return np.reshape(means, vals.shape[:-1] + zs.shape)
+    e = np.exp(1j * _angles(nodes))
+    kernel = np.empty((zs.size, nodes))
+    for lo in range(0, zs.size, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        d2 = np.abs(zs[rows, None] - e) ** 2 + off2
+        kernel[rows] = (1.0 - r[rows, None] ** 2) / d2
+    return kernel
+
+
+def _trapezoid(u, zs, off2, nodes: int, kernel=None) -> np.ndarray:
+    """Trapezoid mean of u(t) (1 - r^2) / (|z - e^{it}|^2 + off2) over
+    `nodes` equispaced angles, r^2 = |z|^2 + off2, for every z of zs and
+    every row of u. kernel, when given, is poisson_kernel(zs, nodes, off2)."""
+    zs = np.asarray(zs, dtype=complex)
+    if kernel is None:
+        kernel = poisson_kernel(zs, nodes, off2)
+    elif kernel.shape != (zs.size, nodes):
+        raise ValueError(f"kernel of shape {kernel.shape} for {zs.size} points "
+                         f"and {nodes} nodes")
+    vals = np.asarray(u(_angles(nodes)), dtype=float)
+    rows = vals.reshape(-1, nodes)
+    means = np.empty((len(rows), len(kernel)))
+    # one block and one row at a time, so no product outgrows a block
+    for lo in range(0, len(kernel), _BLOCK):
+        block = kernel[lo:lo + _BLOCK]
+        for row, out in zip(rows, means):
+            out[lo:lo + _BLOCK] = np.mean(row * block, axis=-1)
+    return means.reshape(vals.shape[:-1] + zs.shape)
 
 
 def poisson_integral(u, q: Quaternion, i: ImaginaryUnit, nodes: int = 4096) -> float:
@@ -115,24 +148,26 @@ def poisson_integral(u, q: Quaternion, i: ImaginaryUnit, nodes: int = 4096) -> f
     return float(_trapezoid(u, complex(q.x0, y), off2, nodes))
 
 
-def poisson_integral_slice(u, zs, nodes: int = 4096) -> np.ndarray:
+def poisson_integral_slice(u, zs, nodes: int = 4096, kernel=None) -> np.ndarray:
     """P[u] at complex points of the slice's own disc, batched.
 
     Classical disc Poisson integral; zs is any complex array with |z| < 1
     and 1 - |z| >= 10/nodes.  Stacked data u -> (k, nodes) give a
-    (k, *zs.shape) result.
+    (k, *zs.shape) result. kernel, when given, is poisson_kernel(zs, nodes).
     """
-    return _trapezoid(u, zs, 0.0, nodes)
+    return _trapezoid(u, zs, 0.0, nodes, kernel)
 
 
-def defect_sup(comps, omega: Majorant, xs, nodes: int, power: int = 1) -> np.ndarray:
+def defect_sup(comps, omega: Majorant, xs, nodes: int, power: int = 1,
+               kernel=None) -> np.ndarray:
     """sup over the disc points xs of (P[|c|^power](x) - |c(x)|^power) /
     omega(1 - |x|)^power for each complex coefficient array c of comps, as
-    a (k,) array, from one Poisson call with the components stacked."""
+    a (k,) array, from one Poisson call with the components stacked.
+    kernel, when given, is poisson_kernel(xs, nodes)."""
     def moduli(z):
         return np.stack([np.abs(eval_complex(c, z)) ** power for c in comps])
 
-    p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes)
+    p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes, kernel)
     defect = p_vals - moduli(xs)
     return np.max(defect / omega(1.0 - np.abs(xs)) ** power, axis=-1)
 
@@ -180,7 +215,7 @@ def star_kernel_bound(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
     z = slice_coordinate(x, i)
     _check_interior(abs(z), nodes)
 
-    angles = 2.0 * np.pi * np.arange(nodes) / nodes
+    angles = _angles(nodes)
     e_plus = np.exp(1j * angles)
     e_minus = np.exp(-1j * angles)
 

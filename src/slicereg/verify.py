@@ -30,6 +30,7 @@ from .lipschitz import (
     derivative_ratio,
     disc_points,
     global_norm,
+    grid_kernel,
     ray_grid,
     seminorms_N,
     slice_norm,
@@ -341,10 +342,15 @@ def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
                           plan: SamplePlan, nodes: int,
                           power: int = 1) -> float:
     """sup over a radial/ray grid and both split components of
-    (P[|f_k|^power](x) - |f_k(x)|^power) / omega(1-|x|)^power."""
-    xs = ray_grid(resolved_cap(plan.max_radius, nodes), 24, 6, 4)
-    F, G, _ = split(f, i)
-    return max(0.0, float(np.max(defect_sup((F, G), omega, xs, nodes, power))))
+    (P[|f_k|^power](x) - |f_k(x)|^power) / omega(1-|x|)^power, computed
+    once per plan and arguments: the Poisson and cone suites share it."""
+    def build():
+        xs = ray_grid(resolved_cap(plan.max_radius, nodes), 24, 6, 4)
+        F, G, _ = split(f, i)
+        sups = defect_sup((F, G), omega, xs, nodes, power, grid_kernel(plan, xs, nodes))
+        return max(0.0, float(np.max(sups)))
+
+    return plan.memo(("defect_sup", f, omega, i, nodes, power), build)
 
 
 def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
@@ -553,7 +559,8 @@ def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sampl
             # admissible points lie on the slice; the matched complex
             # coordinate carries the branch sign
             zq = sel[:, 0] + sign * 1j * np.linalg.norm(sel[:, 1:], axis=1)
-            p_mean = poisson_integral_slice(on_circle(s.modulus), zq, nodes)
+            p_mean = poisson_integral_slice(on_circle(s.modulus), zq, nodes,
+                                            grid_kernel(plan, zq, nodes))
             gapw = omega(1.0 - np.abs(zq))
             bound = 2.0 * c_def * gapw + tol * (1.0 + 2.0 * c_def)
             aligned, crossed = (float(np.max((p_mean - 2.0 * s.modulus(z)) - bound))

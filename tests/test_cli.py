@@ -263,6 +263,8 @@ _VARIANTS = ("component", "boundary", "boundary-modulus",
     (["verify", "--slice", "i=1,1,1", "--slice", "k=0.3,-1,2", "--pairs", "256",
       "--points", "64", "--nodes", "512"], "verify_off_axis.json", 0),
     (["verify"], "verify_default.json", 0),
+    # its 2048-point ray grid spans several Poisson kernel blocks
+    (["verify", "--seed", "1", "--pairs", "65536", "--points", "4096"], "verify_16x.json", 0),
     *((["norm", "--name", "random_0", "--estimator", kind],
        f"norm_{kind.replace('-', '_')}.json", 0)
       for kind in _VARIANTS),
@@ -277,14 +279,15 @@ _VARIANTS = ("component", "boundary", "boundary-modulus",
      "verify_small.csv", 0),
 ], ids=["verify_small", "star_product", "star_inverse", "eval", "norm_schwarz_series",
         "majorant_power", "majorant_power_tabulated", "majorant_linear",
-        "norm_schwarz_pointwise", "verify_off_axis", "verify_default",
+        "norm_schwarz_pointwise", "verify_off_axis", "verify_default", "verify_16x",
         *(f"norm_{kind.replace('-', '_')}" for kind in _VARIANTS),
         "norm_slice", "norm_global", "norm_component_omega", "norm_slice_off_axis",
         "verify_small_csv"])
 def test_verify_report_bytes_match_golden_file(argv, name, code, tmp_path):
     """The output of a CLI call, byte for byte, and its exit code: verify
-    runs at the default plan and at small plans on axis and off-axis slices, the series-calculus paths
-    (star product, star inverse, evaluation), weight certification,
+    runs at the default and 16x plans and at small plans on axis and
+    off-axis slices, the series-calculus paths (star product, star
+    inverse, evaluation), weight certification,
     both readings of the Schwarz criterion, the entry each `norm`
     variant reads from its estimator, norm's plan, weight and slice flags,
     and the CSV summary.

@@ -123,6 +123,38 @@ def test_disc_points_cover_origin_and_cap():
     assert np.max(np.abs(capped)) <= 0.5 + 1e-12
 
 
+# each stream with the arguments of one call, its result as a tuple of arrays
+_STREAMS = {
+    "disc_pair_coords": lambda plan: disc_pair_coords(plan, 1.0),
+    "ball_pair_coords": ball_pair_coords,
+    "circle_pair_angles": circle_pair_angles,
+    "disc_points": lambda plan: (disc_points(plan, cap=0.5),),
+}
+
+
+@pytest.mark.parametrize("stream", _STREAMS.values(), ids=_STREAMS)
+def test_stored_stream_is_read_only_and_equals_a_fresh_build(stream):
+    plan = SamplePlan(n_pairs=512, n_points=64)
+    arrays = stream(plan)
+    assert all(a is b for a, b in zip(arrays, stream(plan)))
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    fresh = stream(SamplePlan(n_pairs=512, n_points=64))
+    for a, b in zip(arrays, fresh):
+        assert a is not b
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_store_leaves_plan_identity_to_its_fields():
+    used, fresh = SamplePlan(n_pairs=512), SamplePlan(n_pairs=512)
+    slice_pair_coords(used)
+    # cap None is max_radius: one stored stream for both spellings
+    assert disc_points(used) is disc_points(used, used.max_radius)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert used != SamplePlan(n_pairs=1024)
+
+
 # --- norm estimators against closed forms --------------------------------------
 
 def test_slice_norm_oracles():

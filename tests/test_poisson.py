@@ -8,11 +8,13 @@ from slicereg.majorant import PowerMajorant
 from slicereg.poisson import (
     MODES,
     BoundaryTooClose,
+    _trapezoid,
     defect_sup,
     harmonic_defect,
     modulus_boundary_function,
     poisson_integral,
     poisson_integral_slice,
+    poisson_kernel,
     resolved_cap,
     rotation_equivariance_residual,
     star_kernel_bound,
@@ -141,6 +143,48 @@ def test_stacked_boundary_data_equals_separate_calls():
     assert both.shape == (2, zs.size)
     assert np.array_equal(both[0], poisson_integral_slice(u_a, zs, 1024))
     assert np.array_equal(both[1], poisson_integral_slice(u_b, zs, 1024))
+
+
+def _one_shot_trapezoid(u, zs, off2, nodes):
+    """The kernel and the means built for all points at once, as before the
+    kernel was blocked: the reference the blocked build must match bit for
+    bit."""
+    zs = np.asarray(zs, dtype=complex)
+    r = np.hypot(np.abs(zs), np.sqrt(off2))
+    angles = 2.0 * np.pi * np.arange(nodes) / nodes
+    vals = np.asarray(u(angles), dtype=float)
+    d2 = np.abs(zs[..., None] - np.exp(1j * angles)) ** 2 + off2
+    kernel = (1.0 - r[..., None] ** 2) / d2
+    means = [np.mean(row * kernel, axis=-1) for row in vals.reshape(-1, nodes)]
+    return kernel, np.reshape(means, vals.shape[:-1] + zs.shape)
+
+
+@pytest.mark.parametrize("n, off2", [(300, 0.0), (300, 0.04), (128, 0.0), (1, 0.3)])
+def test_blocked_kernel_keeps_its_bits(n, off2):
+    # 300 points are two full blocks and a partial one; off2 > 0 is off the slice
+    rng = np.random.default_rng(n)
+    zs = 0.7 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+    def stacked(t):
+        return np.stack([np.exp(np.cos(t)), np.abs(np.sin(3.0 * t)) ** 0.3])
+
+    kernel, means = _one_shot_trapezoid(stacked, zs, off2, 512)
+    assert np.array_equal(poisson_kernel(zs, 512, off2), kernel)
+    got = _trapezoid(stacked, zs, off2, 512)
+    assert got.shape == (2, n)
+    assert np.array_equal(got, means)
+    # a kernel built once and passed in gives the same bits
+    assert np.array_equal(_trapezoid(stacked, zs, off2, 512, poisson_kernel(zs, 512, off2)),
+                          means)
+    # one point as a 0-d array, the shape poisson_integral passes
+    one = _trapezoid(np.exp, zs[0], off2, 512)
+    assert one.shape == () and one == _one_shot_trapezoid(np.exp, zs[0], off2, 512)[1]
+
+
+def test_kernel_must_match_points_and_nodes():
+    zs = np.array([0.1, 0.2j])
+    with pytest.raises(ValueError, match="kernel of shape"):
+        poisson_integral_slice(np.cos, zs, 64, poisson_kernel(zs, 128))
 
 
 def _defect_sup_loop(comps, omega, xs, nodes, power):

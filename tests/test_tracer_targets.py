@@ -1,9 +1,20 @@
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+
+
+# the call arguments the tracer's probes read, by parameter name
+PROBED = {
+    ("poisson", "poisson_integral_slice"): ("zs", "nodes"),
+    ("series", "eval_complex"): ("z",),
+    ("lipschitz", "disc_pair_coords"): ("plan",),
+    ("lipschitz", "ball_pair_coords"): ("plan",),
+    ("lipschitz", "circle_pair_angles"): ("plan",),
+}
 
 
 def test_every_traced_function_resolves(monkeypatch):
@@ -17,6 +28,11 @@ def test_every_traced_function_resolves(monkeypatch):
         fn = getattr(importlib.import_module(f"slicereg.{module}"), function, None)
         assert callable(fn), f"slicereg.{module}.{function}"
         assert fn.__module__ == f"slicereg.{module}", f"slicereg.{module}.{function}"
+    for (module, function), names in PROBED.items():
+        assert (module, function) in tracing.PROBES
+        params = inspect.signature(getattr(importlib.import_module(f"slicereg.{module}"),
+                                           function)).parameters
+        assert set(names) <= set(params), f"slicereg.{module}.{function}"
 
 
 def test_dispatch_reads_module_globals(monkeypatch, tmp_path):

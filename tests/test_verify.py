@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import slicereg.lipschitz
 import slicereg.verify
 from slicereg.cli import RunConfig, main
 from slicereg.lipschitz import SamplePlan
@@ -197,6 +199,34 @@ def test_run_suite_subset_and_unknown():
     assert not reports[1].passed
     assert any(n.startswith("error:") for n in reports[1].notes)
     assert run_suite(RunConfig(suites=())) == []
+
+
+def test_each_run_builds_its_arrays_once(monkeypatch):
+    # every suite of a run reads one plan's store; a second RunConfig has its
+    # own plan and builds everything again, so nothing outlives its run
+    builds = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            builds[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(slicereg.lipschitz, "_disc_pairs")  # two caps: max_radius and 1
+    count(slicereg.lipschitz, "poisson_kernel")  # seminorms, defect and two cone grids
+    count(slicereg.verify, "defect_sup")  # 9 members at powers 1 and 2
+    plans = []
+    for _ in range(2):
+        config = RunConfig(n_pairs=256, n_points=64, nodes=512)
+        assert all(getattr(config, name) is getattr(config, name)
+                   for name in ("plan", "omega", "omega2", "omega_small", "i", "k"))
+        assert all(r.passed for r in run_suite(config))
+        assert builds == {"_disc_pairs": 2, "poisson_kernel": 4, "defect_sup": 18}
+        builds.clear()
+        plans.append(config.plan)
+    assert plans[0] == plans[1] and plans[0] is not plans[1]
 
 
 def test_run_suite_deterministic():

@@ -73,6 +73,13 @@ class PowerMajorant(Majorant):
     def _eval(self, t):
         return self.scale * np.power(t, self.alpha)
 
+    def __eq__(self, other):
+        return (isinstance(other, PowerMajorant)
+                and (self.alpha, self.scale) == (other.alpha, other.scale))
+
+    def __hash__(self):
+        return hash((self.alpha, self.scale))
+
     def __repr__(self):
         return f"PowerMajorant(alpha={self.alpha}, scale={self.scale})"
 

@@ -121,13 +121,27 @@ def evaluate(f: SliceSeries, q: Quaternion) -> Quaternion:
 
 
 def evaluate_batch(f: SliceSeries, points: np.ndarray) -> np.ndarray:
-    """Vectorized Horner over an array of points shaped (..., 4)."""
-    pts = np.asarray(points, dtype=float)
-    acc = np.broadcast_to(f.array[-1], pts.shape).copy()
+    """Vectorized Horner over an array of points shaped (..., 4).
+
+    Points and accumulator are held as four contiguous component arrays;
+    each step is hmul_array(points, acc) written out component by
+    component in its operation order, so the bits are those of the scalar
+    hamilton_mul Horner loop in evaluate.
+    """
+    p0, p1, p2, p3 = np.moveaxis(np.asarray(points, dtype=float), -1, 0).copy()
+    c = f.array
+    a0, a1, a2, a3 = (np.full(p0.shape, x) for x in c[-1])
     for n in range(f.degree - 1, -1, -1):
-        acc = hmul_array(pts, acc)
-        acc += f.array[n]
-    return acc
+        b0 = p0 * a0 - p1 * a1 - p2 * a2 - p3 * a3
+        b1 = p0 * a1 + p1 * a0 + p2 * a3 - p3 * a2
+        b2 = p0 * a2 - p1 * a3 + p2 * a0 + p3 * a1
+        b3 = p0 * a3 + p1 * a2 - p2 * a1 + p3 * a0
+        b0 += c[n, 0]
+        b1 += c[n, 1]
+        b2 += c[n, 2]
+        b3 += c[n, 3]
+        a0, a1, a2, a3 = b0, b1, b2, b3
+    return np.stack([a0, a1, a2, a3], axis=-1)
 
 
 def cullen_derivative(f: SliceSeries) -> SliceSeries:
@@ -244,8 +258,23 @@ def split(f: SliceSeries, i: ImaginaryUnit):
 
 
 def eval_complex(coeffs: np.ndarray, z) -> np.ndarray:
-    """Evaluate an ascending complex coefficient array at complex points."""
-    return npoly.polyval(np.asarray(z, dtype=complex), np.asarray(coeffs, dtype=complex))
+    """Evaluate an ascending complex coefficient array at complex points
+    by Horner, with the bits of numpy.polynomial.polynomial.polyval at
+    finite z (polyval starts from c[-1] + z*0, so a -0.0 part of the
+    leading coefficient may come out as +0.0 there and stays -0.0 here)."""
+    c = np.asarray(coeffs, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    # numpy's SIMD complex multiply uses FMA, so its bits depend on operand
+    # order (z * acc and acc * z differ in the last bit for 11 of 40 random
+    # values) and on the loop: acc *= z on a one-element array takes another
+    # loop than on a batch (10 of 80 components differ). So acc * z out of
+    # place, as polyval computes it; only the add, the same either way round,
+    # in place.
+    acc = np.full(z.shape, c[-1])
+    for a in c[-2::-1]:
+        acc = acc * z
+        acc += a
+    return acc
 
 
 def split_modulus(values: np.ndarray) -> np.ndarray:

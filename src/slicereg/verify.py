@@ -36,7 +36,14 @@ from .lipschitz import (
     slice_norm,
     slice_pair_coords,
 )
-from .majorant import Majorant, PowerMajorant, check_regular, combine, squared
+from .majorant import (
+    Majorant,
+    PowerMajorant,
+    RegularityCertificate,
+    check_regular,
+    combine,
+    squared,
+)
 from .poisson import defect_sup, poisson_integral_slice, resolved_cap
 from .quaternion import (
     E1,
@@ -353,6 +360,12 @@ def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     return plan.memo(("defect_sup", f, omega, i, nodes, power), build)
 
 
+def _certificate(plan: SamplePlan, omega: Majorant) -> RegularityCertificate:
+    """check_regular(omega) once per plan and weight value: the 1/2 power
+    is certified as omega and as the square of omega_small in one run."""
+    return plan.memo(("certificate", omega), lambda: check_regular(omega))
+
+
 def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
                              plan: SamplePlan, nodes: int,
                              window: float) -> VerificationReport:
@@ -364,7 +377,7 @@ def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
     power so its square is the 1/2 power. A weight that check_regular
     rejects fails every member with omega_not_regular.
     """
-    rejected = [c for c in (check_regular(omega), check_regular(squared(omega)))
+    rejected = [c for c in (_certificate(plan, omega), _certificate(plan, squared(omega)))
                 if not c.is_regular]
 
     def check(rec, m):
@@ -413,7 +426,7 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
     constant times the regularity constant of omega. A weight that
     check_regular rejects fails every member with omega_not_regular."""
     tol = 1e-8
-    cert = check_regular(omega)
+    cert = _certificate(plan, omega)
     mixed_window = 6.0 * cert.empirical_C
     qs = ball_pair_coords(plan)[0]
     gaps = 1.0 - np.linalg.norm(qs, axis=1)

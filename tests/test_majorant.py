@@ -34,6 +34,14 @@ def test_power_majorant_basics():
         PowerMajorant(1.5)  # omega(t)/t would increase
 
 
+def test_power_majorants_are_equal_by_value():
+    w = PowerMajorant(0.5)
+    assert w == squared(PowerMajorant(0.25)) and hash(w) == hash(squared(PowerMajorant(0.25)))
+    assert w != PowerMajorant(0.5, 2.0) and w != PowerMajorant(0.25)
+    assert w != TabulatedMajorant([0.0, 1.0, 2.0], [0.0, 1.0, w(2.0)])
+    assert len({w, PowerMajorant(0.5), PowerMajorant(0.75)}) == 2
+
+
 def test_closed_form_regularity_constant():
     # integral constant for t^alpha: 1/alpha + 1/(1-alpha)
     assert abs(power_regularity_constant(0.5) - 4.0) < 1e-12

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
+
+import slicereg.series
+from slicereg.cli import RunConfig
 
 from slicereg.quaternion import (
     E1,
@@ -12,6 +16,7 @@ from slicereg.quaternion import (
     ImaginaryUnit,
     Quaternion,
     hamilton_mul,
+    hmul_array,
     norm,
     orthogonal_unit,
     slice_point,
@@ -22,6 +27,7 @@ from slicereg.series import (
     NotInvertibleAtOrigin,
     SliceSeries,
     StepOutOfDomain,
+    SplitSeries,
     ZeroBase,
     cullen_derivative,
     eval_complex,
@@ -40,6 +46,7 @@ from slicereg.series import (
     star_product,
     symmetrization,
 )
+from slicereg.verify import default_corpus, run_suite
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 quats = st.builds(Quaternion, small, small, small, small)
@@ -80,6 +87,68 @@ def test_evaluate_batch_matches_scalar(f, q):
     vals = evaluate_batch(f, pts)
     assert np.allclose(vals[0], evaluate(f, q).components(), atol=1e-9, rtol=1e-9)
     assert np.allclose(vals[1], evaluate(f, Quaternion(0.0)).components(), atol=0)
+
+
+def same_bits(got, want) -> bool:
+    """Equal shapes and equal float components, signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape or got.dtype != want.dtype:
+        return False
+    g, w = got.reshape(-1).view(float), want.reshape(-1).view(float)
+    return np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def horner_by_hmul_array(f, points):
+    # the Horner loop evaluate_batch replaced, kept as the reference
+    pts = np.asarray(points, dtype=float)
+    acc = np.broadcast_to(f.array[-1], pts.shape).copy()
+    for n in range(f.degree - 1, -1, -1):
+        acc = hmul_array(pts, acc)
+        acc += f.array[n]
+    return acc
+
+
+def test_eval_complex_keeps_polyval_bits():
+    rng = np.random.default_rng(7)
+    radius = np.sqrt(rng.uniform(0.0, 0.98, 300))
+    zs = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+    grid = zs[:240].reshape(12, 20)
+    for m in default_corpus():
+        for unit in (UNIT_E1, ImaginaryUnit(0.6, 0.0, 0.8)):
+            split_f = SplitSeries.of(m.series, unit)
+            deriv = split_f.derivative()
+            for c in (split_f.F, split_f.G, deriv.F, deriv.G):
+                assert same_bits(eval_complex(c, zs), npoly.polyval(zs, c)), m.name
+                for z in zs[:40]:
+                    one = np.array([z])
+                    assert same_bits(eval_complex(c, one), npoly.polyval(one, c)), m.name
+                    assert same_bits(eval_complex(c, np.asarray(z)),
+                                     npoly.polyval(np.asarray(z), c)), m.name
+                assert same_bits(eval_complex(c, grid), npoly.polyval(grid, c)), m.name
+    constant = np.array([0.75 - 0.25j])
+    for z in (zs, zs[:1], np.asarray(zs[0]), grid):
+        assert same_bits(eval_complex(constant, z), npoly.polyval(z, constant))
+
+
+def test_evaluate_batch_keeps_hmul_array_bits():
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-0.5, 0.5, (257, 4))
+    shapes = (pts, pts[0], pts[:240].reshape(12, 20, 4), pts[::3])
+    for f in (*(m.series for m in default_corpus()), MIX, SliceSeries([Quaternion(1, -2, 0.5, 0)])):
+        for p in shapes:
+            assert same_bits(evaluate_batch(f, p), horner_by_hmul_array(f, p))
+        rows = evaluate_batch(f, pts)
+        for q, row in zip(pts[:64], rows):
+            assert same_bits(row, evaluate(f, Quaternion(*q)).components())
+
+
+def test_horner_kernels_leave_polyval_and_hmul_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Horner kernels evaluate on their own")
+    monkeypatch.setattr(npoly, "polyval", refuse)
+    assert all(r.passed for r in run_suite(RunConfig(n_pairs=64, n_points=16, nodes=64)))
+    monkeypatch.setattr(slicereg.series, "hmul_array", refuse)
+    evaluate_batch(default_corpus()[-1].series, np.full((3, 4), 0.25))
 
 
 def test_cullen_derivative_termwise():

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +228,23 @@ def test_each_run_builds_its_arrays_once(monkeypatch):
         builds.clear()
         plans.append(config.plan)
     assert plans[0] == plans[1] and plans[0] is not plans[1]
+
+
+def test_each_weight_is_certified_once_per_run(monkeypatch, tmp_path):
+    # the default run certifies the 1/2 power as omega and as the square of
+    # omega_small; the plan's store shares that certificate, and the report
+    # stays the golden one
+    certified = []
+    real = slicereg.verify.check_regular
+
+    def counted(omega, *args, **kwargs):
+        certified.append(omega)
+        return real(omega, *args, **kwargs)
+    monkeypatch.setattr(slicereg.verify, "check_regular", counted)
+    out = tmp_path / "verify_default.json"
+    assert main(["verify", "--out", str(out)]) == 0
+    assert sorted(certified, key=lambda w: w.alpha) == [PowerMajorant(0.25), PowerMajorant(0.5)]
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "verify_default.json").read_bytes()
 
 
 def test_run_suite_deterministic():

@@ -186,15 +186,18 @@ def _parse_finite(text: str, size: int, what: str) -> list[float]:
 
 
 def _unit_along(v, text) -> ImaginaryUnit:
-    """The imaginary unit along three finite floats; text names them in
-    the error."""
-    v = np.asarray(v)
+    """The imaginary unit along three finite floats: v over its norm, or v
+    as it is when that norm is 1 to rounding, so a unit this returned keeps
+    its bits when it comes back; text names v in the error."""
+    v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore", under="ignore"):  # caught below
         n = float(np.linalg.norm(v))
     if n == 0.0:
         raise ValidationError("unit vector must be nonzero")
+    if abs(n - 1.0) > 1e-15:
+        v = v / n
     try:  # the norm over- or underflows for extreme components
-        return ImaginaryUnit(v[0] / n, v[1] / n, v[2] / n)
+        return ImaginaryUnit(*v)
     except ValueError as exc:
         raise ValidationError(f"cannot normalize unit vector {text!r}") from exc
 
@@ -263,9 +266,10 @@ def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
 class RunConfig:
     """Serializable description of a run, the one input of run_suite and
     of the norm, eval and star commands, validated when built; the parsed
-    plan, weights, units and corpus are properties. The plan, weights and
-    units are parsed once, so every suite of a run shares one plan and
-    with it the plan's store of streams, kernels and constants."""
+    plan, weights, units and corpus are properties. The slice units are
+    stored normalized, as the run uses them. The plan, weights and units
+    are parsed once, so every suite of a run shares one plan and with it
+    the plan's store of streams, certificates and defect sups."""
 
     seed: int = SamplePlan.seed
     n_pairs: int = SamplePlan.n_pairs
@@ -303,6 +307,10 @@ class RunConfig:
             require(isinstance(value, (list, tuple)) and len(value) == size
                     and all(map(_is_finite, value)), name, f"{size} finite numbers")
             object.__setattr__(self, name, tuple(float(c) for c in value))
+        # normalized once here: the config block records the bits the run uses
+        for name in ("slice_i", "slice_k"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, _unit_along(value, value).components())
         for name in ("omega_spec", "omega2_spec", "omega_small_spec"):
             require(isinstance(getattr(self, name), str), name, "a string")
         require(self.corpus_path is None or isinstance(self.corpus_path, str),
@@ -311,7 +319,7 @@ class RunConfig:
             require(isinstance(self.suites, (list, tuple)), "suites", "a list")
             require(all(isinstance(s, str) for s in self.suites), "suites", "strings")
             object.__setattr__(self, "suites", tuple(self.suites))
-        for name in ("plan", "i", "k", "omega", "omega2", "omega_small"):
+        for name in ("plan", "omega", "omega2", "omega_small"):
             getattr(self, name)  # parsed now, so a bad value is refused here
 
     @cached_property
@@ -333,11 +341,11 @@ class RunConfig:
 
     @cached_property
     def i(self) -> ImaginaryUnit:
-        return _unit_along(self.slice_i, self.slice_i)
+        return ImaginaryUnit(*self.slice_i)
 
     @cached_property
     def k(self) -> ImaginaryUnit:
-        return _unit_along(self.slice_k, self.slice_k)
+        return ImaginaryUnit(*self.slice_k)
 
     @property
     def a(self) -> Quaternion:

@@ -7,11 +7,12 @@ streams are prefix-stable: enlarging n_pairs or n_points extends the sample
 set, so estimates can only grow under refinement, and identical plans give
 identical results bit for bit.
 
-Each plan carries its own store: a stream, a plan-bound Poisson kernel or
-a shared constant is built once per plan and argument values and read from
-the store afterwards, read-only. The store lives and dies with the plan,
-so a run that holds one plan builds each array once, and nothing is kept
-between runs.
+Each plan carries its own store: a stream or a shared constant is built
+once per plan and argument values and read from the store afterwards,
+read-only. The store lives and dies with the plan, so a run that holds one
+plan builds each stream once, and nothing is kept between runs. Poisson
+means need no stored array: the spectral trapezoid builds nothing of size
+points x nodes.
 
 Points of a slice plane are handled in their complex coordinate; values of
 a series along the plane come from the split components, so each estimator
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorant import Majorant
-from .poisson import defect_sup, poisson_kernel, resolved_cap
+from .poisson import defect_sup, resolved_cap
 from .quaternion import (
     ImaginaryUnit,
     Quaternion,
@@ -292,13 +293,6 @@ def ray_grid(cap: float, n_radii: int, n_rays: int, offset: int) -> np.ndarray:
     return (radial_grid(cap, n_radii)[:, None] * rays[None, :]).ravel()
 
 
-def grid_kernel(plan: SamplePlan, zs: np.ndarray, nodes: int) -> np.ndarray:
-    """poisson_kernel(zs, nodes) of a grid the plan determines, built once
-    per plan, grid and node count."""
-    zs = np.asarray(zs, dtype=complex)
-    return plan.memo(("kernel", zs.tobytes(), nodes), lambda: poisson_kernel(zs, nodes))
-
-
 def _require_positive(omega: Majorant, at: float):
     if omega(at) <= 0.0:
         raise ValueError("majorant must be positive away from zero")
@@ -402,8 +396,7 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
 
     n_rad = max(16, plan.n_points // 16)
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
-    n1 = circle_part + defect_sup((s.F, s.G), omega, xs, nodes,
-                                  kernel=grid_kernel(plan, xs, nodes))
+    n1 = circle_part + defect_sup((s.F, s.G), omega, xs, nodes)
 
     r2 = radial_grid(1.0 - plan.min_separation, n_rad)
     zeta = np.exp(1j * _golden_angles(32, offset=9))

@@ -7,24 +7,25 @@ point of the open unit ball:
 
 with e_i(t) = cos t + i sin t and the quaternion norm in the denominator.
 Writing q through its slice coordinate z = x0 + i<vec q, i> and its squared
-distance off^2 from the plane of i, |q - e_i(t)|^2 = |z - e^{it}|^2 + off^2,
-so one disc routine serves points on the plane (off^2 = 0) and off it.
+distance off^2 from the plane of i, |q - e_i(t)|^2 = |z - e^{it}|^2 + off^2.
 Quadrature is the periodic trapezoid rule (spectrally accurate for smooth
-boundary data), refusing evaluation points whose distance to the sphere
-falls under 10/nodes, where the kernel is no longer resolved.
+boundary data), refusing points whose distance to the sphere falls under
+10/nodes, where the kernel is no longer resolved. Boundary data u are
+callables from an angle array to values, or to k stacked rows (k, nodes).
 
-Boundary data u are plain callables from an angle array to a value array;
-u may return k stacked rows, (k, nodes), which share one kernel.
-
-The (points, nodes) kernel is built and applied in blocks of _BLOCK points,
-so no temporary outgrows one block; each value is the same expression as
-for the whole array at once, so blocking moves no bit. A caller that
-evaluates on one grid many times passes the kernel it built once; the
-estimators and suites keep each plan-bound grid's kernel in the plan's
-store (lipschitz.grid_kernel), so a run builds it once.
+Off the plane the kernel is not the disc Poisson kernel: poisson_integral
+sums it directly at one point. On the plane the trapezoid mean has a
+closed form (Trefethen & Weideman, SIAM Review 56, 2014): with u^ =
+fft(u)/N and A(z) = sum_(m<N) u^_m z^m it is 2 Re(A(z)/(1 - z^N)) - u^_0.
+poisson_integral_slice evaluates A by baby-step/giant-step (Paterson &
+Stockmeyer, SIAM J. Comput. 2, 1973) from about 2 sqrt(N) powers of each
+point, so no (points, nodes) array is built. P[|c|^2] of a polynomial c
+is exact from the autocorrelation of its coefficients (poisson_modulus_sq).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .quaternion import (
 from .series import SliceSeries, SplitSeries, eval_complex, on_circle
 
 MIN_NODES = 16
-_BLOCK = 128  # kernel rows built and applied at a time
 
 
 class BoundaryTooClose(ValueError):
@@ -104,72 +104,69 @@ def _angles(nodes: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(nodes) / nodes
 
 
-def poisson_kernel(zs, nodes: int, off2: float = 0.0) -> np.ndarray:
-    """The trapezoid kernel (1 - r^2) / (|z - e^{it}|^2 + off2) at `nodes`
-    equispaced angles, r^2 = |z|^2 + off2, as a (points, nodes) array over
-    the points of zs in flat order, built _BLOCK rows at a time."""
-    zs = np.asarray(zs, dtype=complex).ravel()
-    r = np.hypot(np.abs(zs), np.sqrt(off2))  # |z| to the bit when off2 = 0
+def poisson_integral(u, q: Quaternion, i: ImaginaryUnit, nodes: int = 4096) -> float:
+    """Trapezoid evaluation of P_i[u](q) at any point q of the open ball,
+    summing the kernel (1 - |q|^2) / (|z - e^{it}|^2 + off^2) directly."""
+    y = q.x1 * i.v1 + q.x2 * i.v2 + q.x3 * i.v3
+    off2 = (q.x1 - y * i.v1) ** 2 + (q.x2 - y * i.v2) ** 2 + (q.x3 - y * i.v3) ** 2
+    z = complex(q.x0, y)
+    r = np.hypot(abs(z), np.sqrt(off2))
     _check_interior(r, nodes)
-    e = np.exp(1j * _angles(nodes))
-    kernel = np.empty((zs.size, nodes))
-    for lo in range(0, zs.size, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        d2 = np.abs(zs[rows, None] - e) ** 2 + off2
-        kernel[rows] = (1.0 - r[rows, None] ** 2) / d2
-    return kernel
+    t = _angles(nodes)
+    return float(np.mean(u(t) * ((1.0 - r ** 2) / (np.abs(z - np.exp(1j * t)) ** 2 + off2))))
 
 
-def _trapezoid(u, zs, off2, nodes: int, kernel=None) -> np.ndarray:
-    """Trapezoid mean of u(t) (1 - r^2) / (|z - e^{it}|^2 + off2) over
-    `nodes` equispaced angles, r^2 = |z|^2 + off2, for every z of zs and
-    every row of u. kernel, when given, is poisson_kernel(zs, nodes, off2)."""
+def poisson_integral_slice(u, zs, nodes: int = 4096) -> np.ndarray:
+    """P[u] at complex points zs of the slice's own disc (|z| < 1, 1 - |z|
+    >= 10/nodes), batched; stacked data u -> (k, nodes) give (k, *zs.shape).
+    The baby step is one product of the (points, s) baby powers with the
+    (k, s, g) coefficient blocks, the giant step sums against (z^s)^a."""
     zs = np.asarray(zs, dtype=complex)
-    if kernel is None:
-        kernel = poisson_kernel(zs, nodes, off2)
-    elif kernel.shape != (zs.size, nodes):
-        raise ValueError(f"kernel of shape {kernel.shape} for {zs.size} points "
-                         f"and {nodes} nodes")
+    _check_interior(np.abs(zs), nodes)
     vals = np.asarray(u(_angles(nodes)), dtype=float)
     rows = vals.reshape(-1, nodes)
-    means = np.empty((len(rows), len(kernel)))
-    # one block and one row at a time, so no product outgrows a block
-    for lo in range(0, len(kernel), _BLOCK):
-        block = kernel[lo:lo + _BLOCK]
-        for row, out in zip(rows, means):
-            out[lo:lo + _BLOCK] = np.mean(row * block, axis=-1)
+    s = math.isqrt(nodes - 1) + 1  # ceil(sqrt(nodes))
+    g = -(-nodes // s)  # the coefficients are zero-padded to g*s
+    coef = np.zeros((len(rows), g * s), dtype=complex)
+    coef[:, :nodes] = np.fft.fft(rows) / nodes
+    z = zs.ravel()[:, None]
+    baby = z ** np.arange(s)
+    giant = (z ** s) ** np.arange(g + 1)
+    blocks = baby @ coef.reshape(-1, g, s).transpose(0, 2, 1)  # (k, points, g)
+    a = np.sum(blocks * giant[:, :g], axis=-1)
+    z_n = giant[:, nodes // s] * baby[:, nodes % s]
+    means = 2.0 * (a / (1.0 - z_n)).real - coef[:, :1].real
     return means.reshape(vals.shape[:-1] + zs.shape)
 
 
-def poisson_integral(u, q: Quaternion, i: ImaginaryUnit, nodes: int = 4096) -> float:
-    """Trapezoid evaluation of P_i[u](q) at any point q of the open ball."""
-    y = q.x1 * i.v1 + q.x2 * i.v2 + q.x3 * i.v3
-    off2 = (q.x1 - y * i.v1) ** 2 + (q.x2 - y * i.v2) ** 2 + (q.x3 - y * i.v3) ** 2
-    return float(_trapezoid(u, complex(q.x0, y), off2, nodes))
+def poisson_modulus_sq(c: np.ndarray, zs) -> np.ndarray:
+    """P[|c|^2] at complex points zs of the open disc, for an ascending
+    complex coefficient array c, exactly: |c(e^{it})|^2 has the Fourier
+    coefficients gamma_m = sum_k c_(k+m) conj(c_k), so its Poisson
+    integral is gamma_0 + 2 Re sum_(m>=1) gamma_m z^m."""
+    gamma = np.correlate(c, c, "full")[len(c) - 1:]
+    return 2.0 * eval_complex(gamma, zs).real - gamma[0].real
 
 
-def poisson_integral_slice(u, zs, nodes: int = 4096, kernel=None) -> np.ndarray:
-    """P[u] at complex points of the slice's own disc, batched.
-
-    Classical disc Poisson integral; zs is any complex array with |z| < 1
-    and 1 - |z| >= 10/nodes.  Stacked data u -> (k, nodes) give a
-    (k, *zs.shape) result. kernel, when given, is poisson_kernel(zs, nodes).
-    """
-    return _trapezoid(u, zs, 0.0, nodes, kernel)
-
-
-def defect_sup(comps, omega: Majorant, xs, nodes: int, power: int = 1,
-               kernel=None) -> np.ndarray:
+def defect_sup(comps, omega: Majorant, xs, nodes: int, power: int = 1) -> np.ndarray:
     """sup over the disc points xs of (P[|c|^power](x) - |c(x)|^power) /
     omega(1 - |x|)^power for each complex coefficient array c of comps, as
-    a (k,) array, from one Poisson call with the components stacked.
-    kernel, when given, is poisson_kernel(xs, nodes)."""
+    a (k,) array, from one trapezoid Poisson call with the components
+    stacked."""
     def moduli(z):
         return np.stack([np.abs(eval_complex(c, z)) ** power for c in comps])
 
-    p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes, kernel)
+    p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes)
     defect = p_vals - moduli(xs)
     return np.max(defect / omega(1.0 - np.abs(xs)) ** power, axis=-1)
+
+
+def sq_defect_sup(comps, omega: Majorant, xs) -> np.ndarray:
+    """defect_sup at power 2 with the exact Poisson integral
+    poisson_modulus_sq in place of the quadrature, so no node count."""
+    defect = np.stack([poisson_modulus_sq(c, xs) - np.abs(eval_complex(c, xs)) ** 2
+                       for c in comps])
+    return np.max(defect / omega(1.0 - np.abs(xs)) ** 2, axis=-1)
 
 
 def harmonic_defect(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,

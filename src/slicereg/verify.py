@@ -30,7 +30,6 @@ from .lipschitz import (
     derivative_ratio,
     disc_points,
     global_norm,
-    grid_kernel,
     ray_grid,
     seminorms_N,
     slice_norm,
@@ -44,7 +43,7 @@ from .majorant import (
     combine,
     squared,
 )
-from .poisson import defect_sup, poisson_integral_slice, resolved_cap
+from .poisson import defect_sup, poisson_integral_slice, resolved_cap, sq_defect_sup
 from .quaternion import (
     E1,
     E2,
@@ -350,11 +349,15 @@ def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
                           power: int = 1) -> float:
     """sup over a radial/ray grid and both split components of
     (P[|f_k|^power](x) - |f_k(x)|^power) / omega(1-|x|)^power, computed
-    once per plan and arguments: the Poisson and cone suites share it."""
+    once per plan and arguments: the Poisson and cone suites share it.
+    Power 1 takes the trapezoid Poisson mean, power 2 the exact one."""
     def build():
         xs = ray_grid(resolved_cap(plan.max_radius, nodes), 24, 6, 4)
         F, G, _ = split(f, i)
-        sups = defect_sup((F, G), omega, xs, nodes, power, grid_kernel(plan, xs, nodes))
+        if power == 2:
+            sups = sq_defect_sup((F, G), omega, xs)
+        else:
+            sups = defect_sup((F, G), omega, xs, nodes, power)
         return max(0.0, float(np.max(sups)))
 
     return plan.memo(("defect_sup", f, omega, i, nodes, power), build)
@@ -396,10 +399,6 @@ def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
             "n3_sum": sums[2],
             "poisson_sq_defect": pdef,
         }
-        # The difference-quotient functionals are quadrature-free and
-        # vanish exactly iff the member is constant; the Poisson-defect
-        # ones sit on a small positive quadrature floor even then, so
-        # they cannot be used to detect vacuity.
         scale = max(funcs.values())
         if max(lam2, sums[1], sums[2]) <= 1e-12:
             for label, v in funcs.items():
@@ -572,8 +571,7 @@ def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sampl
             # admissible points lie on the slice; the matched complex
             # coordinate carries the branch sign
             zq = sel[:, 0] + sign * 1j * np.linalg.norm(sel[:, 1:], axis=1)
-            p_mean = poisson_integral_slice(on_circle(s.modulus), zq, nodes,
-                                            grid_kernel(plan, zq, nodes))
+            p_mean = poisson_integral_slice(on_circle(s.modulus), zq, nodes)
             gapw = omega(1.0 - np.abs(zq))
             bound = 2.0 * c_def * gapw + tol * (1.0 + 2.0 * c_def)
             aligned, crossed = (float(np.max((p_mean - 2.0 * s.modulus(z)) - bound))

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slicereg
 from slicereg.cli import (
     _ESTIMATORS,
     _SCHWARZ,
@@ -127,6 +130,24 @@ def test_run_config_roundtrip_and_validation():
     assert cfg.plan.n_pairs == 256
     assert cfg.omega(0.25) == pytest.approx(0.5)
     assert cfg.i.components() == (1.0, 0.0, 0.0)
+
+
+def test_slice_unit_is_normalized_once(tmp_path):
+    # the config block records the unit the run uses, to the bit: --slice
+    # normalizes, RunConfig keeps a unit as it is, and a saved config that
+    # comes back keeps its bits
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--slice", "i=0,1,1", "--suite", "", "--out", str(out)]) == 0
+    cfg = RunConfig.from_dict(json.loads(out.read_text())["config"])
+    assert cfg.slice_i == (0.0, 0.7071067811865475, 0.7071067811865475)
+    assert cfg.i.components() == cfg.slice_i
+    rng = np.random.default_rng(11)
+    for v in rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 1)):
+        text = ",".join(str(float(c)) for c in v)
+        cfg = RunConfig(slice_i=parse_unit(text).components(), slice_k=tuple(v))
+        assert cfg.i.components() == cfg.slice_i == parse_unit(text).components()
+        assert cfg.k.components() == cfg.slice_k == cfg.slice_i
+        assert RunConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_run_config_reproduces_run(tmp_path):
@@ -263,7 +284,7 @@ _VARIANTS = ("component", "boundary", "boundary-modulus",
     (["verify", "--slice", "i=1,1,1", "--slice", "k=0.3,-1,2", "--pairs", "256",
       "--points", "64", "--nodes", "512"], "verify_off_axis.json", 0),
     (["verify"], "verify_default.json", 0),
-    # its 2048-point ray grid spans several Poisson kernel blocks
+    # its 2048-point ray grid is the largest spectral Poisson call
     (["verify", "--seed", "1", "--pairs", "65536", "--points", "4096"], "verify_16x.json", 0),
     *((["norm", "--name", "random_0", "--estimator", kind],
        f"norm_{kind.replace('-', '_')}.json", 0)
@@ -300,6 +321,22 @@ def test_verify_report_bytes_match_golden_file(argv, name, code, tmp_path):
     out = tmp_path / name
     assert main([*argv, "--out", str(out)]) == code
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the spectral Poisson sum multiplies matrices through BLAS, which may
+    # split them between threads; the report must keep its bits
+    src = str(Path(slicereg.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}.json"
+        subprocess.run([sys.executable, "-m", "slicereg.cli", "verify", "--pairs", "256",
+                        "--points", "1024", "--out", str(out)],
+                       env=env, check=True, timeout=300)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_fails_on_uncertified_weight(tmp_path):

@@ -73,6 +73,19 @@ def test_power_quarter_and_three_quarters():
     assert c75.empirical_C <= power_regularity_constant(0.75) + 1e-6
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_power_weight_constant_matches_closed_form(alpha):
+    # for t^alpha the regularity quotient at x is exactly
+    # 1/alpha + (1 - (x/2)^(1-alpha)) / (1 - alpha), decreasing in x, so
+    # the certificate's sup sits at the finest grid's x_min = 1e-8 (1e-4
+    # pushed down 100x by each of two refinements)
+    x_min = 1e-8
+    cert = check_regular(PowerMajorant(alpha))
+    exact = 1.0 / alpha + (1.0 - (x_min / 2.0) ** (1.0 - alpha)) / (1.0 - alpha)
+    assert cert.worst_x == pytest.approx(x_min, rel=1e-12)
+    assert cert.empirical_C == pytest.approx(exact, rel=1e-5)
+
+
 def test_identity_majorant_rejected_with_log_divergence():
     cert = check_regular(PowerMajorant(1.0))
     assert not cert.is_regular

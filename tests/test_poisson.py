@@ -8,15 +8,15 @@ from slicereg.majorant import PowerMajorant
 from slicereg.poisson import (
     MODES,
     BoundaryTooClose,
-    _trapezoid,
     defect_sup,
     harmonic_defect,
     modulus_boundary_function,
     poisson_integral,
     poisson_integral_slice,
-    poisson_kernel,
+    poisson_modulus_sq,
     resolved_cap,
     rotation_equivariance_residual,
+    sq_defect_sup,
     star_kernel_bound,
 )
 from slicereg.quaternion import (
@@ -145,46 +145,86 @@ def test_stacked_boundary_data_equals_separate_calls():
     assert np.array_equal(both[1], poisson_integral_slice(u_b, zs, 1024))
 
 
-def _one_shot_trapezoid(u, zs, off2, nodes):
-    """The kernel and the means built for all points at once, as before the
-    kernel was blocked: the reference the blocked build must match bit for
-    bit."""
+def _direct_trapezoid(u, zs, nodes):
+    """The trapezoid mean of u against the disc Poisson kernel, summed
+    directly over a (points, nodes) kernel: the reference the spectral form
+    must match."""
     zs = np.asarray(zs, dtype=complex)
-    r = np.hypot(np.abs(zs), np.sqrt(off2))
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
     vals = np.asarray(u(angles), dtype=float)
-    d2 = np.abs(zs[..., None] - np.exp(1j * angles)) ** 2 + off2
-    kernel = (1.0 - r[..., None] ** 2) / d2
+    kernel = (1.0 - np.abs(zs[..., None]) ** 2) / np.abs(zs[..., None] - np.exp(1j * angles)) ** 2
     means = [np.mean(row * kernel, axis=-1) for row in vals.reshape(-1, nodes)]
-    return kernel, np.reshape(means, vals.shape[:-1] + zs.shape)
+    return np.reshape(means, vals.shape[:-1] + zs.shape)
 
 
-@pytest.mark.parametrize("n, off2", [(300, 0.0), (300, 0.04), (128, 0.0), (1, 0.3)])
-def test_blocked_kernel_keeps_its_bits(n, off2):
-    # 300 points are two full blocks and a partial one; off2 > 0 is off the slice
-    rng = np.random.default_rng(n)
-    zs = 0.7 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
-
-    def stacked(t):
-        return np.stack([np.exp(np.cos(t)), np.abs(np.sin(3.0 * t)) ** 0.3])
-
-    kernel, means = _one_shot_trapezoid(stacked, zs, off2, 512)
-    assert np.array_equal(poisson_kernel(zs, 512, off2), kernel)
-    got = _trapezoid(stacked, zs, off2, 512)
-    assert got.shape == (2, n)
-    assert np.array_equal(got, means)
-    # a kernel built once and passed in gives the same bits
-    assert np.array_equal(_trapezoid(stacked, zs, off2, 512, poisson_kernel(zs, 512, off2)),
-                          means)
-    # one point as a 0-d array, the shape poisson_integral passes
-    one = _trapezoid(np.exp, zs[0], off2, 512)
-    assert one.shape == () and one == _one_shot_trapezoid(np.exp, zs[0], off2, 512)[1]
+def _positive_rows(t):
+    f = SliceSeries([0.2 * E1, ONE, 0.3 * E2])
+    return np.stack([np.exp(np.cos(t)), np.abs(np.sin(3.0 * t)) ** 0.3 + 0.1,
+                     modulus_boundary_function(f, UNIT_E1)(t)])
 
 
-def test_kernel_must_match_points_and_nodes():
-    zs = np.array([0.1, 0.2j])
-    with pytest.raises(ValueError, match="kernel of shape"):
-        poisson_integral_slice(np.cos, zs, 64, poisson_kernel(zs, 128))
+@pytest.mark.parametrize("nodes", [16, 17, 1000, 2048, 4096])
+def test_spectral_trapezoid_matches_direct_sum(nodes):
+    # positive data, so the Poisson mean is bounded away from 0 and the
+    # comparison is relative; the origin and the resolved cap are included
+    cap = resolved_cap(1.0, nodes)
+    rng = np.random.default_rng(nodes)
+    zs = cap * np.sqrt(rng.uniform(size=500)) * np.exp(2j * np.pi * rng.uniform(size=500))
+    zs[:3] = (0.0, cap, cap * np.exp(2.5j))
+    want = _direct_trapezoid(_positive_rows, zs, nodes)
+    got = poisson_integral_slice(_positive_rows, zs, nodes)
+    assert got.shape == (3, 500)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    # one point as a 0-d array, and a 2-D grid of points
+    one = poisson_integral_slice(np.exp, zs[1], nodes)
+    assert one.shape == () and abs(one - _direct_trapezoid(np.exp, zs[1], nodes)) <= 1e-12 * one
+    grid = poisson_integral_slice(_positive_rows, zs.reshape(20, 25), nodes)
+    assert np.array_equal(grid, got.reshape(3, 20, 25))
+    with pytest.raises(BoundaryTooClose):
+        poisson_integral_slice(np.exp, np.array(cap + 2e-9), nodes)
+
+
+def test_modulus_sq_closed_form_is_the_trapezoid_limit():
+    # |F|^2 on the circle is a trigonometric polynomial of degree d with
+    # coefficients gamma_m, so the trapezoid rule aliases only frequencies
+    # past N - d: its error is at most 2 sum|gamma| r^(N-d) / (1 - r^N)
+    # at |z| <= r, falling geometrically in N (Trefethen & Weideman)
+    xs = ray_grid(0.6, 24, 6, 4)
+    r = float(np.max(np.abs(xs)))
+    for m in default_corpus():
+        for c in split(m.series, UNIT_E1)[:2]:
+            d = len(c) - 1
+            gamma = [sum(c[k + j] * np.conj(c[k]) for k in range(d + 1 - j)) for j in range(d + 1)]
+            total = abs(gamma[0]) + 2.0 * sum(abs(g) for g in gamma[1:])
+            exact = poisson_modulus_sq(c, xs)
+            want = gamma[0].real + 2.0 * sum((g * xs ** j).real for j, g in enumerate(gamma) if j)
+            assert np.max(np.abs(exact - want)) <= 1e-15 * (1.0 + total)
+
+            def sq(t, c=c):
+                return np.abs(eval_complex(c, np.exp(1j * t))) ** 2
+
+            errs = []
+            for nodes in (32, 64, 128):
+                err = float(np.max(np.abs(poisson_integral_slice(sq, xs, nodes) - exact)))
+                bound = 2.0 * total * r ** (nodes - d) / (1.0 - r ** nodes)
+                assert err <= bound + 1e-14 * (1.0 + total), (m.name, nodes)
+                errs.append(err)
+            # not vacuous: at 32 nodes the aliasing of nonzero data shows
+            assert total == 0.0 or errs[0] > 1e-9
+
+
+def test_sq_defect_sup_is_exact():
+    omega = PowerMajorant(0.25)
+    xs = ray_grid(resolved_cap(0.995, 2048), 24, 6, 4)
+    for m in default_corpus():
+        comps = split(m.series, UNIT_E1)[:2]
+        exact = sq_defect_sup(comps, omega, xs)
+        trap = defect_sup(comps, omega, xs, 2048, power=2)
+        assert exact.shape == (2,)
+        if m.series.degree == 0:
+            # the quadrature floor is gone: the defect of a constant is 0
+            assert np.all(np.abs(exact) <= 1e-15)
+        assert np.all(np.abs(exact - trap) <= 1e-3)
 
 
 def _defect_sup_loop(comps, omega, xs, nodes, power):

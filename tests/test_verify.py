@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import slicereg.lipschitz
+import slicereg.poisson
 import slicereg.verify
 from slicereg.cli import RunConfig, main
 from slicereg.lipschitz import SamplePlan
@@ -216,18 +218,39 @@ def test_each_run_builds_its_arrays_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(slicereg.lipschitz, "_disc_pairs")  # two caps: max_radius and 1
-    count(slicereg.lipschitz, "poisson_kernel")  # seminorms, defect and two cone grids
-    count(slicereg.verify, "defect_sup")  # 9 members at powers 1 and 2
+    count(slicereg.verify, "defect_sup")  # 9 members at power 1; power 2 is exact
     plans = []
     for _ in range(2):
         config = RunConfig(n_pairs=256, n_points=64, nodes=512)
         assert all(getattr(config, name) is getattr(config, name)
                    for name in ("plan", "omega", "omega2", "omega_small", "i", "k"))
         assert all(r.passed for r in run_suite(config))
-        assert builds == {"_disc_pairs": 2, "poisson_kernel": 4, "defect_sup": 18}
+        assert builds == {"_disc_pairs": 2, "defect_sup": 9}
         builds.clear()
         plans.append(config.plan)
     assert plans[0] == plans[1] and plans[0] is not plans[1]
+
+
+def test_a_run_keeps_no_poisson_kernel(monkeypatch):
+    # the suites take on-slice Poisson means spectrally: the direct kernel
+    # sum is refused, no (points, nodes) kernel is built, even for a moment,
+    # and none is left in the plan's store
+    def refused(*args, **kwargs):
+        raise AssertionError("direct Poisson kernel sum on the slice")
+    monkeypatch.setattr(slicereg.poisson, "poisson_integral", refused)
+    config = RunConfig(n_pairs=256, n_points=1024, nodes=8192)
+    kernel_bytes = 8 * max(16, config.n_points // 16) * 8 * config.nodes  # seminorms grid
+    tracemalloc.start()
+    try:
+        reports = run_suite(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < kernel_bytes / 2
+    stored = [a for v in config.plan.__dict__["_store"].values()
+              for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    assert stored and all(a.size < config.nodes for a in stored)
 
 
 def test_each_weight_is_certified_once_per_run(monkeypatch, tmp_path):

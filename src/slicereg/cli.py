@@ -185,26 +185,13 @@ def _parse_finite(text: str, size: int, what: str) -> list[float]:
     return parts
 
 
-def _unit_along(v, text) -> ImaginaryUnit:
-    """The imaginary unit along three finite floats: v over its norm, or v
-    as it is when that norm is 1 to rounding, so a unit this returned keeps
-    its bits when it comes back; text names v in the error."""
-    v = np.asarray(v, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):  # caught below
-        n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValidationError("unit vector must be nonzero")
-    if abs(n - 1.0) > 1e-15:
-        v = v / n
-    try:  # the norm over- or underflows for extreme components
-        return ImaginaryUnit(*v)
-    except ValueError as exc:
-        raise ValidationError(f"cannot normalize unit vector {text!r}") from exc
-
-
 def parse_unit(text: str) -> ImaginaryUnit:
     """'x,y,z' -> the normalized imaginary unit along that vector."""
-    return _unit_along(_parse_finite(text, 3, "unit vector"), text)
+    v = _parse_finite(text, 3, "unit vector")
+    try:
+        return ImaginaryUnit.from_vector(*v)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def parse_point(text: str) -> Quaternion:
@@ -246,8 +233,11 @@ def _load_json_object(path: str) -> dict:
 
 def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
     """Read a JSON object {name: [[x0,x1,x2,x3], ...], ...} into corpus
-    members, in file order."""
+    members, in file order; at least one entry, as a run over none would
+    check nothing."""
     doc = _load_json_object(path)
+    if not doc:
+        raise ValidationError(f"{path}: a function spec needs at least one entry")
     members = []
     for name, coeffs in doc.items():
         if not isinstance(coeffs, list):
@@ -309,8 +299,11 @@ class RunConfig:
             object.__setattr__(self, name, tuple(float(c) for c in value))
         # normalized once here: the config block records the bits the run uses
         for name in ("slice_i", "slice_k"):
-            value = getattr(self, name)
-            object.__setattr__(self, name, _unit_along(value, value).components())
+            try:
+                unit = ImaginaryUnit.from_vector(*getattr(self, name))
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from exc
+            object.__setattr__(self, name, unit.components())
         for name in ("omega_spec", "omega2_spec", "omega_small_spec"):
             require(isinstance(getattr(self, name), str), name, "a string")
         require(self.corpus_path is None or isinstance(self.corpus_path, str),
@@ -318,6 +311,8 @@ class RunConfig:
         if self.suites is not None:
             require(isinstance(self.suites, (list, tuple)), "suites", "a list")
             require(all(isinstance(s, str) for s in self.suites), "suites", "strings")
+            # a run that checks nothing must not pass
+            require(len(self.suites) > 0, "suites", "nonempty")
             object.__setattr__(self, "suites", tuple(self.suites))
         for name in ("plan", "omega", "omega2", "omega_small"):
             getattr(self, name)  # parsed now, so a bad value is refused here
@@ -519,8 +514,7 @@ def _config_from_args(args) -> RunConfig:
         name, sep, rest = entry.partition("=")
         if not sep or name.strip() not in ("i", "k"):
             raise ParseError(f"--slice expects i=x,y,z or k=x,y,z, got {entry!r}")
-        u = parse_unit(rest)
-        updates[f"slice_{name.strip()}"] = (u.v1, u.v2, u.v3)
+        updates[f"slice_{name.strip()}"] = parse_unit(rest).components()
     return RunConfig(**updates)
 
 

@@ -15,8 +15,8 @@ means need no stored array: the spectral trapezoid builds nothing of size
 points x nodes.
 
 Points of a slice plane are handled in their complex coordinate; values of
-a series along the plane come from the split components, so each estimator
-is a handful of vectorized polynomial evaluations.
+a series along the plane come from the two coefficient rows of split(f, i),
+so each estimator is a handful of vectorized complex Horner evaluations.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from .quaternion import (
 )
 from .series import (
     SliceSeries,
-    SplitSeries,
     cullen_derivative,
     eval_complex,
     evaluate_batch,
+    split,
     split_modulus,
     symmetrization,
 )
@@ -314,7 +314,7 @@ def slice_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     slice disc."""
     z1, z2 = slice_pair_coords(plan)
     _require_positive(omega, plan.min_separation)
-    s = SplitSeries.of(f, i)
+    s = split(f, i)
     num = split_modulus(s.at(z1) - s.at(z2))
     ratios = num / omega(np.abs(z1 - z2))
     return _pair_estimate(ratios, z1, z2, i)
@@ -331,7 +331,7 @@ def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
     z1, z2 = slice_pair_coords(plan)
     _require_positive(omega1, plan.min_separation)
     _require_positive(omega2, plan.min_separation)
-    s = SplitSeries.of(f, i)
+    s = split(f, i)
     dF, dG = s.at(z1) - s.at(z2)
     d = np.abs(z1 - z2)
     r1 = np.abs(dF) / omega1(d)
@@ -362,7 +362,7 @@ def boundary_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     t1, t2 = circle_pair_angles(plan)
     _require_positive(omega, plan.min_separation)
     z1, z2 = np.exp(1j * t1), np.exp(1j * t2)
-    s = SplitSeries.of(f, i)
+    s = split(f, i)
     v1, v2 = s.at(z1), s.at(z2)
     w = omega(np.abs(z1 - z2))
     return (_pair_estimate(split_modulus(v1 - v2) / w, z1, z2, i),
@@ -385,7 +385,7 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     Poisson integral of the boundary modulus.
     """
     _require_positive(omega, plan.min_separation)
-    s = SplitSeries.of(f, i)
+    s = split(f, i)
 
     def moduli(z):
         return np.abs(s.at(z))
@@ -396,7 +396,7 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
 
     n_rad = max(16, plan.n_points // 16)
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
-    n1 = circle_part + defect_sup((s.F, s.G), omega, xs, nodes)
+    n1 = circle_part + defect_sup(s.C, omega, xs, nodes)
 
     r2 = radial_grid(1.0 - plan.min_separation, n_rad)
     zeta = np.exp(1j * _golden_angles(32, offset=9))
@@ -417,7 +417,7 @@ def derivative_ratio(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     from one evaluation of the derivative, as (full, plus, minus): g is f'
     itself, or one of the sandwich combinations f' ± i f' i."""
     xs = disc_points(plan, cap)
-    comps = SplitSeries.of(cullen_derivative(f), i).at(xs)
+    comps = split(cullen_derivative(f), i).at(xs)
     gap = 1.0 - np.abs(xs)
     w = omega(gap)
     return tuple(_pair_estimate(vals * gap / w, xs, xs, i) for vals in
@@ -466,12 +466,12 @@ def bounded_growth_check(f: SliceSeries, x: Quaternion | np.ndarray,
     r = np.hypot(z.real, z.imag)
     if np.any(r >= 1.0):
         raise ValueError("x must lie in the open disc")
-    s = SplitSeries.of(f, i)
+    s = split(f, i)
 
     gap = 1.0 - r
     circle = z[:, None] + gap[:, None] * np.exp(1j * _golden_angles(plan.n_points))
     # one component at a time keeps a single (n, n_points) complex array alive
-    a1, a2 = (np.abs(eval_complex(c, circle)) for c in (s.F, s.G))
+    a1, a2 = (np.abs(eval_complex(c, circle)) for c in s.C)
     m1, m2 = a1.max(axis=1), a2.max(axis=1)
     local_sup = np.max(np.hypot(a1, a2), axis=1)
 
@@ -561,7 +561,7 @@ def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     if interpretation not in INTERPRETATIONS:
         raise ValueError(f"interpretation must be in {INTERPRETATIONS}")
     xs = disc_points(plan)
-    s = SplitSeries.of(f, i)
+    s = split(f, i)
     fvals = s.values(xs)
     fpvals = s.derivative().values(xs)
     M = float(np.max(norm_array(fvals)))

@@ -40,7 +40,7 @@ from .quaternion import (
     slice_coordinate,
     slice_points_array,
 )
-from .series import SliceSeries, SplitSeries, eval_complex, on_circle
+from .series import SliceSeries, eval_complex, on_circle, split
 
 MIN_NODES = 16
 
@@ -49,32 +49,24 @@ class BoundaryTooClose(ValueError):
     """Evaluation point too close to the sphere for the node count."""
 
 
-MODES = ("plus", "minus", "modulus", "modulus_squared_1", "modulus_squared_2")
+# each comparison mode of the component moduli a = (|F|, |G|): the sandwich
+# moduli ||f +- i f i|| = 2|G|, 2|F|, ||f||, and the squared moduli
+_PROFILES = {
+    "plus": lambda a: 2.0 * a[1],
+    "minus": lambda a: 2.0 * a[0],
+    "modulus": lambda a: np.hypot(a[0], a[1]),
+    "modulus_squared_1": lambda a: a[0] ** 2,
+    "modulus_squared_2": lambda a: a[1] ** 2,
+}
+MODES = tuple(_PROFILES)
 
 
 def _mode_profile(f: SliceSeries, i: ImaginaryUnit, mode: str):
-    """Complex point -> value of one comparison mode.
-
-    plus / minus are the sandwich moduli ||f ± i f i|| = 2||component||;
-    modulus is ||f||; modulus_squared_k are the squared component moduli.
-    """
-    if mode not in MODES:
+    """Complex point -> value of one comparison mode of f on the plane of i."""
+    if mode not in _PROFILES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    s = SplitSeries.of(f, i)
-
-    def at(z: np.ndarray) -> np.ndarray:
-        if mode == "modulus":
-            return s.modulus(z)
-        Fv, Gv = np.abs(s.at(z))
-        if mode == "minus":
-            return 2.0 * Fv
-        if mode == "plus":
-            return 2.0 * Gv
-        if mode == "modulus_squared_1":
-            return Fv ** 2
-        return Gv ** 2
-
-    return at
+    s, profile = split(f, i), _PROFILES[mode]
+    return lambda z: profile(np.abs(s.at(z)))
 
 
 def modulus_boundary_function(f: SliceSeries, i: ImaginaryUnit,
@@ -150,9 +142,9 @@ def poisson_modulus_sq(c: np.ndarray, zs) -> np.ndarray:
 
 def defect_sup(comps, omega: Majorant, xs, nodes: int, power: int = 1) -> np.ndarray:
     """sup over the disc points xs of (P[|c|^power](x) - |c(x)|^power) /
-    omega(1 - |x|)^power for each complex coefficient array c of comps, as
-    a (k,) array, from one trapezoid Poisson call with the components
-    stacked."""
+    omega(1 - |x|)^power for each row c of comps, a stack of ascending
+    complex coefficient rows such as SplitSeries.C, as a (k,) array, from
+    one trapezoid Poisson call with the components stacked."""
     def moduli(z):
         return np.stack([np.abs(eval_complex(c, z)) ** power for c in comps])
 
@@ -216,7 +208,7 @@ def star_kernel_bound(f: SliceSeries, x: Quaternion, i: ImaginaryUnit,
     e_plus = np.exp(1j * angles)
     e_minus = np.exp(-1j * angles)
 
-    s = SplitSeries.of(f, i)
+    s = split(f, i)
 
     # the complex inverses act on the left as points of the plane of i
     inv_minus = slice_points_array(i, (z - e_minus) ** -2.0)

@@ -121,11 +121,21 @@ class ImaginaryUnit:
 
     @classmethod
     def from_vector(cls, v1: float, v2: float, v3: float) -> "ImaginaryUnit":
-        """Normalize an arbitrary nonzero 3-vector into a unit."""
-        n = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+        """The unit along a nonzero 3-vector: v over its norm, or v as it is
+        when that norm is 1 to rounding, so a unit this returned keeps its
+        bits when it comes back. ValueError for a zero vector, or one whose
+        norm over- or underflows."""
+        v = np.array((v1, v2, v3), dtype=float)
+        with np.errstate(over="ignore", under="ignore"):  # caught below
+            n = float(np.linalg.norm(v))
         if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(v1 / n, v2 / n, v3 / n)
+            raise ValueError("unit vector must be nonzero")
+        if abs(n - 1.0) > 1e-15:
+            v = v / n
+        try:
+            return cls(*v)
+        except ValueError as exc:
+            raise ValueError(f"cannot normalize unit vector {(v1, v2, v3)!r}") from exc
 
     @classmethod
     def from_quaternion(cls, q: Quaternion) -> "ImaginaryUnit":

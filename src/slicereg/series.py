@@ -3,7 +3,8 @@
 These are the polynomial (truncated-series) models of slice regular
 functions on the unit ball: evaluation is by left-power Horner, the
 noncommutative *-product is the Cauchy convolution of coefficients, and
-each series splits over a slice plane into two complex-coefficient series.
+split(f, i) gives f = F + G*j on the plane of i as one SplitSeries, whose
+two rows of complex coefficients (F, G) feed every slice sample.
 """
 
 from __future__ import annotations
@@ -244,17 +245,45 @@ def slice_basis(i: ImaginaryUnit, j: ImaginaryUnit) -> np.ndarray:
                      (0.0, a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)])
 
 
-def split(f: SliceSeries, i: ImaginaryUnit):
+@dataclass(frozen=True, eq=False)
+class SplitSeries:
+    """A series on the plane of i through its splitting f = F + G*j, F and
+    G complex: C stacks the ascending coefficients of F and of G as the
+    rows of one (2, n+1) complex array, and every slice sample is taken
+    from those two rows. split builds it."""
+
+    C: np.ndarray
+    i: ImaginaryUnit
+    j: ImaginaryUnit
+
+    def derivative(self) -> "SplitSeries":
+        return SplitSeries(npoly.polyder(self.C, axis=1), self.i, self.j)
+
+    def at(self, z) -> np.ndarray:
+        """Component values (F(z), G(z)) stacked along a new first axis."""
+        return np.stack([eval_complex(c, z) for c in self.C])
+
+    def modulus(self, z) -> np.ndarray:
+        """||f|| at complex coordinates z."""
+        return split_modulus(self.at(z))
+
+    def values(self, z) -> np.ndarray:
+        """Quaternion values F(z) + G(z)*j at complex coordinates z, as (..., 4)."""
+        parts = np.stack(self.at(z), axis=-1).view(float)  # (F.re, F.im, G.re, G.im)
+        return parts @ slice_basis(self.i, self.j)
+
+
+def split(f: SliceSeries, i: ImaginaryUnit) -> SplitSeries:
     """Split coefficients a_n = alpha_n + beta_n * j over the plane of i.
 
-    j is the deterministic perpendicular unit; alpha and beta are returned
-    as complex arrays relative to the basis (1, i) and (j, i*j), read off
-    the coordinates of a_n in slice_basis(i, j).
+    j is the deterministic perpendicular unit; alpha and beta are complex
+    relative to the basis (1, i) and (j, i*j), read off the coordinates of
+    a_n in slice_basis(i, j): each coordinate row (c0, c1, c2, c3) viewed
+    as complex is (alpha_n, beta_n) = (c0 + c1 i, c2 + c3 i).
     """
     j = orthogonal_unit(i)
     coords = f.array @ slice_basis(i, j).T
-    F, G = coords.view(complex).T.copy()  # (c0 + c1 i, c2 + c3 i)
-    return F, G, j
+    return SplitSeries(coords.view(complex).T.copy(), i, j)
 
 
 def eval_complex(coeffs: np.ndarray, z) -> np.ndarray:
@@ -286,39 +315,6 @@ def split_modulus(values: np.ndarray) -> np.ndarray:
 def on_circle(g: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Boundary data t -> g(e^{it}) of a function of the complex coordinate."""
     return lambda t: g(np.exp(1j * t))
-
-
-@dataclass(frozen=True)
-class SplitSeries:
-    """A series on the plane of i through its splitting f = F + G*j, with F
-    and G complex; every slice sample is taken from the two components."""
-
-    F: np.ndarray
-    G: np.ndarray
-    i: ImaginaryUnit
-    j: ImaginaryUnit
-
-    @classmethod
-    def of(cls, f: SliceSeries, i: ImaginaryUnit) -> "SplitSeries":
-        F, G, j = split(f, i)
-        return cls(F, G, i, j)
-
-    def derivative(self) -> "SplitSeries":
-        return SplitSeries(npoly.polyder(self.F), npoly.polyder(self.G), self.i, self.j)
-
-    def at(self, z) -> np.ndarray:
-        """Component values (F(z), G(z)) stacked along a new first axis."""
-        return np.stack([eval_complex(self.F, z), eval_complex(self.G, z)])
-
-    def modulus(self, z) -> np.ndarray:
-        """||f|| at complex coordinates z."""
-        return split_modulus(self.at(z))
-
-    def values(self, z) -> np.ndarray:
-        """Quaternion values F(z) + G(z)*j at complex coordinates z, as (..., 4)."""
-        Fv, Gv = self.at(z)
-        parts = np.stack([Fv, Gv], axis=-1).view(float)  # (F.re, F.im, G.re, G.im)
-        return parts @ slice_basis(self.i, self.j)
 
 
 def representation_extend(fplus: Quaternion, fminus: Quaternion,
@@ -358,8 +354,3 @@ def slice_cr_residual(f: PointwiseFunction, z: Quaternion, i: ImaginaryUnit,
     dx = (f(stencil[0]) - f(stencil[1])) / (2.0 * h)
     dy = (f(stencil[2]) - f(stencil[3])) / (2.0 * h)
     return norm((dx + hamilton_mul(iq, dy)) * 0.5)
-
-
-def evaluate_on_slice(f: SliceSeries, i: ImaginaryUnit, zs) -> np.ndarray:
-    """Values of f along the plane of i at complex coordinates zs, as (..., 4)."""
-    return SplitSeries.of(f, i).values(zs)

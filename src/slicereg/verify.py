@@ -56,7 +56,6 @@ from .quaternion import (
 )
 from .series import (
     SliceSeries,
-    SplitSeries,
     cullen_derivative,
     evaluate_batch,
     is_intrinsic,
@@ -224,15 +223,14 @@ def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
     tol = 1e-9
     z1, z2 = slice_pair_coords(plan)
     d = np.abs(z1 - z2)
-    a1c, a2c, _ = split(SliceSeries([a]), i)
-    a1n, a2n = abs(a1c[0]), abs(a2c[0])
+    a1n, a2n = map(abs, split(SliceSeries([a]), i).C[:, 0])
     mu1, mu2 = combine(a1n, a2n, omega1, omega2)
     w1, w2 = omega1(d), omega2(d)
     mu1d, mu2d = mu1(d), mu2(d)
     partners = iter(corpus[1:] + corpus[:1])
 
     def diffs(series):
-        s = SplitSeries.of(series, i)
+        s = split(series, i)
         return s.at(z1) - s.at(z2)
 
     def check(rec, m):
@@ -322,7 +320,7 @@ def verify_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
     w = omega(np.abs(z1 - z2))
 
     def check(rec, m):
-        s = SplitSeries.of(m.series, i)
+        s = split(m.series, i)
         v1, v2 = s.at(z1), s.at(z2)
         full = split_modulus(v1 - v2)
         floor = tol * (1.0 + float(np.max(full)))
@@ -353,11 +351,11 @@ def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     Power 1 takes the trapezoid Poisson mean, power 2 the exact one."""
     def build():
         xs = ray_grid(resolved_cap(plan.max_radius, nodes), 24, 6, 4)
-        F, G, _ = split(f, i)
+        comps = split(f, i).C
         if power == 2:
-            sups = sq_defect_sup((F, G), omega, xs)
+            sups = sq_defect_sup(comps, omega, xs)
         else:
-            sups = defect_sup((F, G), omega, xs, nodes, power)
+            sups = defect_sup(comps, omega, xs, nodes, power)
         return max(0.0, float(np.max(sups)))
 
     return plan.memo(("defect_sup", f, omega, i, nodes, power), build)
@@ -451,7 +449,7 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
         fp = cullen_derivative(m.series)
         gvals = evaluate_batch(fp, qs)
         g_ratio = float(np.max(np.linalg.norm(gvals, axis=1) * gaps / wq))
-        sp = SplitSeries.of(fp, i)
+        sp = split(fp, i)
         proj = qs[:, 0] + 1j * np.linalg.norm(qs[:, 1:], axis=1)
         pvals = np.maximum(sp.modulus(proj), sp.modulus(proj.conj()))
         s_aug = max(ests[0].value, float(np.max(pvals * gaps / wq)))
@@ -552,7 +550,7 @@ def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sampl
     qs = np.concatenate([on_slice, off_slice])
 
     def check(rec, m):
-        s = SplitSeries.of(m.series, i)
+        s = split(m.series, i)
         c_def = _component_defect_sup(m.series, omega, i, plan, nodes)
         worst_aligned = 0.0
         worst_crossed = 0.0

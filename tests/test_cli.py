@@ -137,7 +137,8 @@ def test_slice_unit_is_normalized_once(tmp_path):
     # normalizes, RunConfig keeps a unit as it is, and a saved config that
     # comes back keeps its bits
     out = tmp_path / "rep.json"
-    assert main(["verify", "--slice", "i=0,1,1", "--suite", "", "--out", str(out)]) == 0
+    assert main(["verify", "--slice", "i=0,1,1", "--suite", "modulus_membership",
+                 "--pairs", "64", "--out", str(out)]) == 0
     cfg = RunConfig.from_dict(json.loads(out.read_text())["config"])
     assert cfg.slice_i == (0.0, 0.7071067811865475, 0.7071067811865475)
     assert cfg.i.components() == cfg.slice_i
@@ -401,6 +402,10 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
     (None, ["norm", "--name", "identity", "--estimator", "component", "--omega2", ""]),
     (None, ["verify", "--window", "0.5"]),
     ('{"window": 0.99}', ["verify", "--config", "{file}"]),
+    (None, ["verify", "--suite", ","]),
+    (None, ["verify", "--suite", ""]),
+    ('{"suites": []}', ["verify", "--config", "{file}"]),
+    ("{}", ["verify", "--corpus", "{file}"]),
 ], ids=["truncated_config", "config_not_object", "report_not_object", "negative_order",
         "config_seed_str", "config_seed_bool", "config_pairs_2", "config_pairs_inf",
         "config_points_float", "config_nodes_8", "config_slice_str", "config_slice_zero",
@@ -412,7 +417,8 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
         "panels_negative", "norm_scaled_zero", "global_scaled_zero", "norm_table_zero",
         "global_table_zero_knot", "derivative_scaled_zero", "schwarz_table_zero",
         "verify_scaled_zero", "verify_slice_x", "norm_slice_j", "norm_omega2_empty",
-        "verify_window_half", "config_window_below_1"])
+        "verify_window_half", "config_window_below_1", "verify_suite_comma",
+        "verify_suite_empty", "config_suites_empty", "corpus_spec_empty"])
 def test_bad_input_exits_two(text, argv, tmp_path, capsys):
     path = tmp_path / "input.json"
     if text is not None:

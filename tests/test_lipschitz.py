@@ -46,7 +46,6 @@ from slicereg.quaternion import (
 )
 from slicereg.series import (
     SliceSeries,
-    SplitSeries,
     eval_complex,
     evaluate,
     evaluate_batch,
@@ -187,7 +186,7 @@ def test_component_sandwich_per_pair():
     # max(r1, r2) <= r_full <= r1 + r2 at every sampled pair, as evaluated
     f = SliceSeries([0.2 * E1, ONE, 0.4 * E2])
     z1, z2 = slice_pair_coords(PLAN)
-    F, G, _ = split(f, I)
+    F, G = split(f, I).C
     d = W_HALF(np.abs(z1 - z2))
     r1 = np.abs(eval_complex(F, z1) - eval_complex(F, z2)) / d
     r2 = np.abs(eval_complex(G, z1) - eval_complex(G, z2)) / d
@@ -205,7 +204,7 @@ def test_pythagoras_on_components():
     # at near-diagonal separations)
     f = SliceSeries([0.2 * E1, ONE, 0.4 * E2])
     z1, z2 = slice_pair_coords(PLAN)
-    F, G, _ = split(f, I)
+    F, G = split(f, I).C
     dF = np.abs(eval_complex(F, z1) - eval_complex(F, z2))
     dG = np.abs(eval_complex(G, z1) - eval_complex(G, z2))
     full = norm_array(
@@ -304,7 +303,7 @@ def test_seminorms_N_equals_one_component_reference():
     for i in (UNIT_E1, ImaginaryUnit.from_vector(1.0, 1.0, 1.0)):
         for m in _CORPUS:
             stacked = seminorms_N(m.series, W_HALF, i, plan, nodes)
-            for k, fk in enumerate(split(m.series, i)[:2]):
+            for k, fk in enumerate(split(m.series, i).C):
                 want = _seminorms_one_component(fk, W_HALF, plan, nodes)
                 assert tuple(n[k] for n in stacked) == want, (m.name, k)
 
@@ -328,7 +327,7 @@ def test_parallelogram_identity_at_samples():
     f = SliceSeries([0.2 * E1, ONE, 0.4 * E2, 0.1 * Quaternion(1, 1, 1, 1)])
     from slicereg.series import cullen_derivative
 
-    Fp, Gp, _ = split(cullen_derivative(f), I)
+    Fp, Gp = split(cullen_derivative(f), I).C
     xs = disc_points(PLAN)
     a, b = np.abs(eval_complex(Fp, xs)), np.abs(eval_complex(Gp, xs))
     full_sq = 4.0 * (a ** 2 + b ** 2)
@@ -431,7 +430,7 @@ def _schwarz_reference(f, omega, i, plan, interpretation):
     """The criterion point by point with scalar quaternions: (hyp, der,
     used, skipped)."""
     xs = disc_points(plan)
-    s = SplitSeries.of(f, i)
+    s = split(f, i)
     fvals, fpvals = s.values(xs), s.derivative().values(xs)
     M = float(np.max(norm_array(fvals)))
     aux = SliceSeries([1.0]) - symmetrization(f)

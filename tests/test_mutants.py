@@ -1,0 +1,116 @@
+"""Which defects the property suites catch.
+
+Each defect scales one estimator's result by 2 or by 1/2 at the name
+slicereg.verify reads, or breaks the split layer, and then runs every
+suite at a small plan. A caught defect must fail exactly its named suites.
+A survivor passes every suite; it is listed with the reason no check sees
+it, and moves to CAUGHT when a check that kills it lands. A window is
+never widened, nor the corpus or a seed changed, to kill one.
+"""
+
+import dataclasses
+
+import pytest
+
+import slicereg.verify
+from slicereg.cli import RunConfig
+from slicereg.lipschitz import NormEstimate
+from slicereg.series import SplitSeries
+
+SMALL = dict(n_pairs=64, n_points=16, nodes=64)
+
+
+def _scaled(result, factor):
+    if isinstance(result, NormEstimate):
+        return dataclasses.replace(result, value=result.value * factor)
+    if isinstance(result, tuple):
+        return tuple(_scaled(r, factor) for r in result)
+    return result * factor
+
+
+def _scale(name, factor):
+    def apply(monkeypatch):
+        real = getattr(slicereg.verify, name)
+        monkeypatch.setattr(slicereg.verify, name,
+                            lambda *args, **kwargs: _scaled(real(*args, **kwargs), factor))
+    return apply
+
+
+def _break_split(defect):
+    def apply(monkeypatch):
+        real = SplitSeries.at
+        monkeypatch.setattr(SplitSeries, "at", lambda self, z: defect(real(self, z)))
+    return apply
+
+
+def _zero_g(values):
+    values[1] = 0.0
+    return values
+
+
+CAUGHT = {
+    "slice_norm_x2": (_scale("slice_norm", 2.0), {"intrinsic_invariance"}),
+    "slice_norm_half": (_scale("slice_norm", 0.5),
+                        {"intrinsic_invariance", "norm_equivalences"}),
+    "component_estimates_x2": (_scale("component_estimates", 2.0), {"intrinsic_invariance"}),
+    "component_estimates_half": (_scale("component_estimates", 0.5), {"intrinsic_invariance"}),
+    "seminorms_N_x2": (_scale("seminorms_N", 2.0), {"norm_equivalences"}),
+    "poisson_integral_slice_x2": (_scale("poisson_integral_slice", 2.0), {"cone_corollary"}),
+    "split_modulus_half": (_scale("split_modulus", 0.5), {"modulus_membership"}),
+    "split_rows_swapped": (_break_split(lambda values: values[::-1]), {"intrinsic_invariance"}),
+    "split_g_row_zeroed": (_break_split(_zero_g), {"derivative_characterizations",
+                                                   "inclusion_chain", "slice_independence"}),
+}
+
+ONE_SIDED_DERIVATIVE = ("derivative_characterizations checks upper sides only: the ratios "
+                        "need be finite and mixed <= 6*C(omega)")
+BOUNDARY_FINITE = "poisson_characterization only asks the boundary modulus norm to be finite"
+WINDOWS = ("the K = 20 windows (defect_over_lip, max_over_min) hold a factor 2, and the "
+           "cone's aligned_excess <= 0 is one-sided")
+
+SURVIVORS = {
+    "global_norm_x2": (_scale("global_norm", 2.0),
+                       "one-sided: global_over_6c3 <= 1 has room for a factor 2, and no "
+                       "check bounds an estimate from above"),
+    "global_norm_half": (_scale("global_norm", 0.5),
+                         "the g_aug fold: inclusion_chain holds the slice norm against "
+                         "max(global, slice), which hides an underestimated global norm"),
+    "derivative_ratio_x2": (_scale("derivative_ratio", 2.0), ONE_SIDED_DERIVATIVE),
+    "derivative_ratio_half": (_scale("derivative_ratio", 0.5), ONE_SIDED_DERIVATIVE),
+    "boundary_norm_x2": (_scale("boundary_norm", 2.0), BOUNDARY_FINITE),
+    "boundary_norm_half": (_scale("boundary_norm", 0.5), BOUNDARY_FINITE),
+    "_component_defect_sup_x2": (_scale("_component_defect_sup", 2.0), WINDOWS),
+    "_component_defect_sup_half": (_scale("_component_defect_sup", 0.5), WINDOWS),
+    "seminorms_N_half": (_scale("seminorms_N", 0.5),
+                         "the K = 20 window: max_over_min stays inside it, and the "
+                         "positivity checks are one-sided"),
+    "poisson_integral_slice_half": (_scale("poisson_integral_slice", 0.5),
+                                    "one-sided: the cone bounds the Poisson mean from "
+                                    "above only"),
+    "split_modulus_x2": (_scale("split_modulus", 2.0),
+                         "the modulus and closure checks compare split_modulus values with "
+                         "one another, so a common factor cancels or adds one-sided slack"),
+}
+
+
+def _failing_suites():
+    reports = slicereg.verify.run_suite(RunConfig(**SMALL))
+    return {r.suite for r in reports if not r.passed}
+
+
+def test_every_suite_passes_unmutated_at_the_small_plan():
+    assert _failing_suites() == set()
+
+
+@pytest.mark.parametrize("name", CAUGHT)
+def test_caught_defect_fails_its_suites(name, monkeypatch):
+    apply, suites = CAUGHT[name]
+    apply(monkeypatch)
+    assert _failing_suites() == suites
+
+
+@pytest.mark.parametrize("name", SURVIVORS)
+def test_surviving_defect_passes_every_suite(name, monkeypatch):
+    apply, reason = SURVIVORS[name]
+    apply(monkeypatch)
+    assert _failing_suites() == set(), f"{name} is caught now; was: {reason}"

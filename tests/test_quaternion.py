@@ -152,6 +152,17 @@ def test_orthogonal_unit_is_perpendicular_near_an_axis(axis):
             assert abs(i.dot(orthogonal_unit(i))) <= 1e-15
 
 
+def test_from_vector_returns_its_own_output_unchanged():
+    # a unit that comes back, at any scale the vector had, keeps its bits
+    rng = np.random.default_rng(5)
+    for v in rng.normal(size=(5000, 3)) * 10.0 ** rng.uniform(-100, 100, size=(5000, 1)):
+        u = ImaginaryUnit.from_vector(*v)
+        assert ImaginaryUnit.from_vector(*u.components()).components() == u.components()
+    for bad in ((0.0, 0.0, 0.0), (1e300, 1e300, 0.0), (1e-170, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            ImaginaryUnit.from_vector(*bad)
+
+
 def test_imaginary_unit_from_quaternion_rejects_real_part():
     with pytest.raises(ValueError):
         ImaginaryUnit.from_quaternion(Quaternion(0.5, 1.0, 0.0, 0.0))

@@ -27,13 +27,11 @@ from slicereg.series import (
     NotInvertibleAtOrigin,
     SliceSeries,
     StepOutOfDomain,
-    SplitSeries,
     ZeroBase,
     cullen_derivative,
     eval_complex,
     evaluate,
     evaluate_batch,
-    evaluate_on_slice,
     is_intrinsic,
     regular_conjugate,
     representation_extend,
@@ -115,9 +113,9 @@ def test_eval_complex_keeps_polyval_bits():
     grid = zs[:240].reshape(12, 20)
     for m in default_corpus():
         for unit in (UNIT_E1, ImaginaryUnit(0.6, 0.0, 0.8)):
-            split_f = SplitSeries.of(m.series, unit)
+            split_f = split(m.series, unit)
             deriv = split_f.derivative()
-            for c in (split_f.F, split_f.G, deriv.F, deriv.G):
+            for c in (*split_f.C, *deriv.C):
                 assert same_bits(eval_complex(c, zs), npoly.polyval(zs, c)), m.name
                 for z in zs[:40]:
                     one = np.array([z])
@@ -251,10 +249,10 @@ def test_star_inverse_derivative_consistent():
 @settings(deadline=None, max_examples=40)
 def test_split_roundtrip(f):
     i = ImaginaryUnit.from_vector(1.0, 1.0, -1.0)
-    F, G, j = split(f, i)
+    j = split(f, i).j
     assert abs(i.dot(j)) < 1e-12
     zs = np.array([0.3 + 0.4j, -0.2j, 0.8, 0.0])
-    vals = evaluate_on_slice(f, i, zs)
+    vals = split(f, i).values(zs)
     direct = evaluate_batch(f, slice_points_array(i, zs))
     scale = max(1.0, float(np.abs(direct).max()))
     assert np.abs(vals - direct).max() <= 1e-12 * scale
@@ -263,7 +261,7 @@ def test_split_roundtrip(f):
 def test_split_components_of_known_function():
     # f = e1 + q e2 over the e1 slice: F = i constant, G(z) = z
     f = SliceSeries([E1, E2])
-    F, G, _ = split(f, UNIT_E1)
+    F, G = split(f, UNIT_E1).C
     assert np.allclose(F, [1j, 0.0])
     assert np.allclose(G, [0.0, 1.0])
 
@@ -292,7 +290,7 @@ unit_vectors = st.tuples(small, small, small).filter(lambda v: np.linalg.norm(v)
 @settings(deadline=None, max_examples=40)
 def test_split_is_the_sandwich_split_bit_for_bit_on_axis_units(f):
     for i in AXIS_UNITS:
-        F, G, _ = split(f, i)
+        F, G = split(f, i).C
         F_ref, G_ref = _sandwich_split(f, i)
         assert np.array_equal(F, F_ref) and np.array_equal(G, G_ref)
 
@@ -303,7 +301,7 @@ def test_split_matches_the_sandwich_split_on_any_unit(f, v):
     # The two formulas agree exactly for an orthonormal (i, j) and part by
     # rounding only, near the coordinate axes too
     i = ImaginaryUnit.from_vector(*v)
-    F, G, _ = split(f, i)
+    F, G = split(f, i).C
     F_ref, G_ref = _sandwich_split(f, i)
     bound = 4e-15 * np.linalg.norm(f.array, axis=1)
     assert np.all(np.abs(F - F_ref) <= bound) and np.all(np.abs(G - G_ref) <= bound)
@@ -312,7 +310,7 @@ def test_split_matches_the_sandwich_split_on_any_unit(f, v):
 @given(st.lists(small, min_size=1, max_size=8), unit_vectors)
 @settings(deadline=None, max_examples=100)
 def test_split_of_real_coefficients_has_no_second_component(values, v):
-    F, G, _ = split(SliceSeries.from_real(values), ImaginaryUnit.from_vector(*v))
+    F, G = split(SliceSeries.from_real(values), ImaginaryUnit.from_vector(*v)).C
     assert np.all(G == 0.0)
     assert np.array_equal(F, np.asarray(values, dtype=complex))
 

@@ -17,13 +17,18 @@ PROBED = {
 }
 
 
-def test_every_traced_function_resolves(monkeypatch):
-    # the benchmark tracer wraps slicereg functions by name: a removed or
-    # renamed function must fail here, not only in the benchmark's own tests
+def _load_tracing(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("_slicereg_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    # the benchmark tracer wraps slicereg functions by name: a removed or
+    # renamed function must fail here, not only in the benchmark's own tests
+    tracing = _load_tracing(monkeypatch)
     for module, function in tracing.WRAPPED:
         fn = getattr(importlib.import_module(f"slicereg.{module}"), function, None)
         assert callable(fn), f"slicereg.{module}.{function}"
@@ -33,6 +38,14 @@ def test_every_traced_function_resolves(monkeypatch):
         params = inspect.signature(getattr(importlib.import_module(f"slicereg.{module}"),
                                            function)).parameters
         assert set(names) <= set(params), f"slicereg.{module}.{function}"
+
+
+def test_tracer_spans_every_suite(monkeypatch):
+    # the tracer keeps its own list of suite names; a suite added to the
+    # verify table without a trace span must fail here
+    from slicereg.verify import ALL_SUITES
+
+    assert _load_tracing(monkeypatch).SUITES == ALL_SUITES
 
 
 def test_dispatch_reads_module_globals(monkeypatch, tmp_path):

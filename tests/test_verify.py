@@ -9,7 +9,7 @@ import pytest
 import slicereg.lipschitz
 import slicereg.poisson
 import slicereg.verify
-from slicereg.cli import RunConfig, main
+from slicereg.cli import RunConfig, ValidationError, main
 from slicereg.lipschitz import SamplePlan
 from slicereg.majorant import PowerMajorant
 from slicereg.quaternion import E1, UNIT_E1, UNIT_E2, Quaternion
@@ -201,7 +201,8 @@ def test_run_suite_subset_and_unknown():
     assert reports[0].passed
     assert not reports[1].passed
     assert any(n.startswith("error:") for n in reports[1].notes)
-    assert run_suite(RunConfig(suites=())) == []
+    with pytest.raises(ValidationError):
+        RunConfig(suites=())
 
 
 def test_each_run_builds_its_arrays_once(monkeypatch):

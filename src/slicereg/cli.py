@@ -259,7 +259,8 @@ class RunConfig:
     plan, weights, units and corpus are properties. The slice units are
     stored normalized, as the run uses them. The plan, weights and units
     are parsed once, so every suite of a run shares one plan and with it
-    the plan's store of streams, certificates and defect sups."""
+    the plan's store of streams, weights and certificates, and, during a
+    member's step, of that member's values."""
 
     seed: int = SamplePlan.seed
     n_pairs: int = SamplePlan.n_pairs

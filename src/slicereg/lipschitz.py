@@ -10,9 +10,13 @@ identical results bit for bit.
 Each plan carries its own store: a stream or a shared constant is built
 once per plan and argument values and read from the store afterwards,
 read-only. The store lives and dies with the plan, so a run that holds one
-plan builds each stream once, and nothing is kept between runs. Poisson
-means need no stored array: the spectral trapezoid builds nothing of size
-points x nodes.
+plan builds each stream once, and nothing is kept between runs. The slice
+estimators also store a series' own values there: the moduli of its split
+increments over the slice pair stream, once per series and unit, and the
+weight of each pair distance, once per weight. A series' values stay until
+plan.drop(f); a run drops each member's after the member's last suite, so
+at most one member's values are alive. Poisson means need no stored
+array: the spectral trapezoid builds nothing of size points x nodes.
 
 Points of a slice plane are handled in their complex coordinate; values of
 a series along the plane come from the two coefficient rows of split(f, i),
@@ -99,6 +103,12 @@ class SamplePlan:
                     a.setflags(write=False)
             store[key] = value
         return store[key]
+
+    def drop(self, obj):
+        """Remove every stored value whose key holds obj (by identity)."""
+        store = self.__dict__.get("_store", {})
+        for key in [k for k in store if isinstance(k, tuple) and any(x is obj for x in k)]:
+            del store[key]
 
 
 @dataclass(frozen=True)
@@ -308,16 +318,44 @@ def _pair_estimate(ratios: np.ndarray, z1: np.ndarray, z2: np.ndarray,
     )
 
 
+def _slice_increments(f: SliceSeries, i: ImaginaryUnit, z1: np.ndarray,
+                      z2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|dF|, |dG| and their hypot (the split_modulus of the increment) of
+    the split components of f over the pairs z1, z2, as the rows of one
+    array: one block per member and unit."""
+    s = split(f, i)
+    out = np.empty((3, z1.size))
+    np.abs(s.at(z1) - s.at(z2), out=out[:2])
+    np.hypot(out[0], out[1], out=out[2])
+    return tuple(out)
+
+
+def slice_pair_weights(plan: SamplePlan, *omegas: Majorant) -> tuple[np.ndarray, ...]:
+    """The slice pair stream z1, z2, then omega(|z1 - z2|) for each weight,
+    built once per plan and weight."""
+    z1, z2 = slice_pair_coords(plan)
+    return (z1, z2, *(plan.memo(("slice_weight", w), lambda w=w: w(np.abs(z1 - z2)))
+                      for w in omegas))
+
+
+def _slice_samples(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan,
+                   *omegas: Majorant) -> tuple[np.ndarray, ...]:
+    """z1, z2, then f's increments |dF|, |dG|, hypot(|dF|, |dG|) over those
+    pairs, then the weights of slice_pair_weights. The increments are built
+    once per series and unit and kept until plan.drop(f)."""
+    z1, z2, *ws = slice_pair_weights(plan, *omegas)
+    for omega in omegas:
+        _require_positive(omega, plan.min_separation)
+    incs = plan.memo(("slice_increments", f, i), lambda: _slice_increments(f, i, z1, z2))
+    return (z1, z2, *incs, *ws)
+
+
 def slice_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
                plan: SamplePlan) -> NormEstimate:
     """Sampled sup of ||f(x) - f(y)|| / omega(||x - y||) over pairs of the
     slice disc."""
-    z1, z2 = slice_pair_coords(plan)
-    _require_positive(omega, plan.min_separation)
-    s = split(f, i)
-    num = split_modulus(s.at(z1) - s.at(z2))
-    ratios = num / omega(np.abs(z1 - z2))
-    return _pair_estimate(ratios, z1, z2, i)
+    z1, z2, _, _, num, w = _slice_samples(f, i, plan, omega)
+    return _pair_estimate(num / w, z1, z2, i)
 
 
 def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
@@ -328,14 +366,9 @@ def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
 
         joint = sup sqrt( (|dF|/omega1)^2 + (|dG|/omega2)^2 ).
     """
-    z1, z2 = slice_pair_coords(plan)
-    _require_positive(omega1, plan.min_separation)
-    _require_positive(omega2, plan.min_separation)
-    s = split(f, i)
-    dF, dG = s.at(z1) - s.at(z2)
-    d = np.abs(z1 - z2)
-    r1 = np.abs(dF) / omega1(d)
-    r2 = np.abs(dG) / omega2(d)
+    z1, z2, dF, dG, _, w1, w2 = _slice_samples(f, i, plan, omega1, omega2)
+    r1 = dF / w1
+    r2 = dG / w2
     joint = np.hypot(r1, r2)
     return tuple(_pair_estimate(r, z1, z2, i) for r in (r1, r2, joint))
 

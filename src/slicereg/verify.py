@@ -10,13 +10,24 @@ refinement of the sampling plan.
 
 All sampling is driven by the shared SamplePlan, so reports are
 deterministic for a fixed seed.
+
+Each suite is a set-up, setup_<suite>, returning a Suite with a per-member
+check. run_suite runs every selected set-up first, then one member step
+per member: every suite's check on that member, after which the member's
+values leave the plan's store, so at most one member's values are alive
+and each is built once for all suites. verify_<suite> runs one suite the
+same way. A set-up also builds the slice-pair weights its checks read
+(slice_pair_weights), so these per-run arrays are allocated before any
+member's values and temporaries: built inside the first member's step,
+they fragmented glibc's heap and raised the peak RSS of a 16x run by
+about 6 MB (2-CPU Xeon host, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -33,7 +44,7 @@ from .lipschitz import (
     ray_grid,
     seminorms_N,
     slice_norm,
-    slice_pair_coords,
+    slice_pair_weights,
 )
 from .majorant import (
     Majorant,
@@ -157,21 +168,49 @@ class VerificationReport:
         }
 
 
-def _member_report(suite: str, corpus, check, tolerances: dict,
-                   notes=()) -> VerificationReport:
-    """Run check(rec, m) on a fresh record for every member, in corpus
-    order. An exception inside a member's checks marks its record failed
-    instead of aborting the suite."""
-    records = []
+@dataclass
+class Suite:
+    """A suite after its set-up: the members it checks, in corpus order,
+    and check(rec, m), which fills a fresh record for one member. Member
+    steps append the records; report() assembles them."""
+
+    name: str
+    members: tuple
+    check: Callable[[FunctionRecord, CorpusMember], None] | None
+    tolerances: dict
+    notes: list = field(default_factory=list)
+    records: list = field(default_factory=list)
+
+    def report(self) -> VerificationReport:
+        return VerificationReport(self.name, self.records, self.tolerances, self.notes)
+
+    def run(self, plan: SamplePlan) -> VerificationReport:
+        """This suite alone over its members: the report of verify_<name>."""
+        _member_steps(self.members, [self], plan)
+        return self.report()
+
+
+def _failed_suite(name, note: str) -> Suite:
+    return Suite(str(name), (), None, {}, [f"error: {note}"])
+
+
+def _member_steps(corpus, suites: list[Suite], plan: SamplePlan):
+    """Member-major: each member runs the check of every suite that holds
+    it, in suite order, on a fresh record; then its values leave the plan's
+    store, so at most one member's values are alive. An exception inside a
+    check fails that record only."""
     for m in corpus:
-        rec = FunctionRecord(m.name)
-        try:
-            check(rec, m)
-        except Exception as exc:
-            rec.failures.append(f"exception:{type(exc).__name__}")
-            rec.notes.append(str(exc))
-        records.append(rec)
-    return VerificationReport(suite, records, tolerances, list(notes))
+        for suite in suites:
+            if not any(x is m for x in suite.members):
+                continue
+            rec = FunctionRecord(m.name)
+            try:
+                suite.check(rec, m)
+            except Exception as exc:
+                rec.failures.append(f"exception:{type(exc).__name__}")
+                rec.notes.append(str(exc))
+            suite.records.append(rec)
+        plan.drop(m.series)
 
 
 def _ratio_or_zero(num: float, den: float) -> float:
@@ -180,8 +219,8 @@ def _ratio_or_zero(num: float, den: float) -> float:
     return 0.0 if num == 0.0 else math.inf
 
 
-def verify_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
-                           plan: SamplePlan, i: ImaginaryUnit) -> VerificationReport:
+def setup_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
+                          plan: SamplePlan, i: ImaginaryUnit) -> Suite:
     """Two-majorant membership controls global membership with constant
     6*C3, C3 = max of the component constants; and the global class embeds
     back into the slice class for the summed majorant.
@@ -192,6 +231,7 @@ def verify_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
     """
     tol = 1e-9
     osum = omega1 + omega2
+    slice_pair_weights(plan, omega1, omega2, osum)
 
     def check(rec, m):
         c1, c2, _ = component_estimates(m.series, omega1, omega2, i, plan)
@@ -208,25 +248,28 @@ def verify_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
                   s_sum.value <= g_aug * (1.0 + tol) + tol)
         rec.witness("global", g)
 
-    return _member_report("inclusion_chain", corpus, check, {"ratio_max": 1.0 + tol})
+    return Suite("inclusion_chain", corpus, check, {"ratio_max": 1.0 + tol})
 
 
-def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
-                             a: Quaternion, plan: SamplePlan,
-                             i: ImaginaryUnit) -> VerificationReport:
+def verify_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
+                           plan: SamplePlan, i: ImaginaryUnit) -> VerificationReport:
+    return setup_inclusion_chain(corpus, omega1, omega2, plan, i).run(plan)
+
+
+def setup_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
+                            a: Quaternion, plan: SamplePlan,
+                            i: ImaginaryUnit) -> Suite:
     """Right-module closure: f*a + g stays in the class with constant
     ||a||*C_f + C_g, and the components of f*a obey the swapped-majorant
     bound built by combine(). Both are checked pair-by-pair against
     constants sampled on the same pair stream, so they hold exactly up to
     roundoff. The partner g of a member is the next member by position,
-    wrapping around."""
+    wrapping around. The member's constants come from the estimators; the
+    partner's values are evaluated here."""
     tol = 1e-9
-    z1, z2 = slice_pair_coords(plan)
-    d = np.abs(z1 - z2)
     a1n, a2n = map(abs, split(SliceSeries([a]), i).C[:, 0])
     mu1, mu2 = combine(a1n, a2n, omega1, omega2)
-    w1, w2 = omega1(d), omega2(d)
-    mu1d, mu2d = mu1(d), mu2(d)
+    z1, z2, w1, _, mu1d, mu2d = slice_pair_weights(plan, omega1, omega2, mu1, mu2)
     partners = iter(corpus[1:] + corpus[:1])
 
     def diffs(series):
@@ -235,8 +278,7 @@ def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
 
     def check(rec, m):
         partner = next(partners)
-        dF, dG = d_f = diffs(m.series)
-        cf = float(np.max(split_modulus(d_f) / w1))
+        cf = slice_norm(m.series, omega1, i, plan).value
         cg = float(np.max(split_modulus(diffs(partner.series)) / w1))
 
         combo = m.series * a + partner.series
@@ -246,29 +288,37 @@ def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
         viol = float(np.max(lhs - rhs * (1.0 + tol)))
         rec.check("linear_closure_violation", viol, viol <= floor)
 
-        c1 = float(np.max(np.abs(dF) / w1))
-        c2 = float(np.max(np.abs(dG) / w2))
-        c3 = max(c1, c2)
+        c1, c2, _ = component_estimates(m.series, omega1, omega2, i, plan)
+        c3 = max(c1.value, c2.value)
         dFa, dGa = diffs(m.series * a)
         v1 = float(np.max(np.abs(dFa) - c3 * mu1d * (1.0 + tol)))
         v2 = float(np.max(np.abs(dGa) - c3 * mu2d * (1.0 + tol)))
         rec.check("combine_component1_violation", v1, v1 <= floor)
         rec.check("combine_component2_violation", v2, v2 <= floor)
 
-    return _member_report("algebraic_closure", corpus, check, {"relative": tol},
-                          [f"a = [{a.x0}, {a.x1}, {a.x2}, {a.x3}]"])
+    return Suite("algebraic_closure", corpus, check, {"relative": tol},
+                 [f"a = [{a.x0}, {a.x1}, {a.x2}, {a.x3}]"])
 
 
-def verify_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
-                                k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
+def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
+                             a: Quaternion, plan: SamplePlan,
+                             i: ImaginaryUnit) -> VerificationReport:
+    return setup_algebraic_closure(corpus, omega1, omega2, a, plan, i).run(plan)
+
+
+def setup_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
+                               k: ImaginaryUnit, plan: SamplePlan) -> Suite:
     """Real-coefficient series have the same norm on every slice; their
     second split component vanishes, collapsing the two-majorant norm onto
-    the first component. Raises NotIntrinsic on any other input."""
+    the first component. Raises NotIntrinsic on any other input; an empty
+    corpus fails the suite, which would check nothing."""
     tol = 1e-10
     other = PowerMajorant(0.75)
     for m in corpus:
         if not m.intrinsic:
             raise NotIntrinsic(m.name)
+    notes = [] if corpus else ["error: no intrinsic member in the corpus"]
+    slice_pair_weights(plan, omega, other)
 
     def check(rec, m):
         n_i = slice_norm(m.series, omega, i, plan)
@@ -282,16 +332,22 @@ def verify_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
         rec.check("component_vs_slice", abs(joint.value - n_i.value),
                   abs(joint.value - n_i.value) <= 1e-12 * scale)
 
-    return _member_report("intrinsic_invariance", corpus, check,
-                          {"paired_sampling": tol})
+    return Suite("intrinsic_invariance", corpus, check, {"paired_sampling": tol},
+                 notes)
 
 
-def verify_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
-                              k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
+def verify_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
+                                k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
+    return setup_intrinsic_invariance(corpus, omega, i, k, plan).run(plan)
+
+
+def setup_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
+                             k: ImaginaryUnit, plan: SamplePlan) -> Suite:
     """Norms on two slices agree within a factor 2 (checked with relative
     slack 0.1, so the window is [1/2.2, 2.2]); intrinsic members agree
     exactly under the paired pair stream."""
     bound = 2.2
+    slice_pair_weights(plan, omega)
 
     def check(rec, m):
         n_i = slice_norm(m.series, omega, i, plan).value
@@ -305,19 +361,22 @@ def verify_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
             rec.check("intrinsic_gap", abs(ratio - 1.0),
                       abs(ratio - 1.0) <= 1e-10)
 
-    return _member_report("slice_independence", corpus, check,
-                          {"ratio_window": bound})
+    return Suite("slice_independence", corpus, check, {"ratio_window": bound})
 
 
-def verify_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
-                              plan: SamplePlan) -> VerificationReport:
+def verify_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
+                              k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
+    return setup_slice_independence(corpus, omega, i, k, plan).run(plan)
+
+
+def setup_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
+                             plan: SamplePlan) -> Suite:
     """Membership passes to the modulus and to the two sandwich moduli:
     per sampled pair, | ||f(x)|| - ||f(y)|| | <= ||f(x)-f(y)|| and the
     sandwich-modulus differences are <= 2 ||f(x)-f(y)||, hence the modulus
     norms are controlled by the slice norm."""
     tol = 1e-12
-    z1, z2 = slice_pair_coords(plan)
-    w = omega(np.abs(z1 - z2))
+    z1, z2, w = slice_pair_weights(plan, omega)
 
     def check(rec, m):
         s = split(m.series, i)
@@ -339,7 +398,12 @@ def verify_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
                   mod_norm <= f_norm * (1.0 + tol) + floor)
         rec.check("function_norm", f_norm, True)
 
-    return _member_report("modulus_membership", corpus, check, {"pointwise": tol})
+    return Suite("modulus_membership", corpus, check, {"pointwise": tol})
+
+
+def verify_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
+                              plan: SamplePlan) -> VerificationReport:
+    return setup_modulus_membership(corpus, omega, i, plan).run(plan)
 
 
 def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
@@ -367,9 +431,8 @@ def _certificate(plan: SamplePlan, omega: Majorant) -> RegularityCertificate:
     return plan.memo(("certificate", omega), lambda: check_regular(omega))
 
 
-def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
-                             plan: SamplePlan, nodes: int,
-                             window: float) -> VerificationReport:
+def setup_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
+                            plan: SamplePlan, nodes: int, window: float) -> Suite:
     """The squared slice norm, the three component-summed boundary
     functionals, and the squared-modulus Poisson-defect functional are
     pairwise comparable within the window; all-zero members pass vacuously.
@@ -378,6 +441,7 @@ def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
     power so its square is the 1/2 power. A weight that check_regular
     rejects fails every member with omega_not_regular.
     """
+    slice_pair_weights(plan, omega)
     rejected = [c for c in (_certificate(plan, omega), _certificate(plan, squared(omega)))
                 if not c.is_regular]
 
@@ -409,12 +473,29 @@ def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
             ratio = scale / lo if lo > 0 else math.inf
             rec.check("max_over_min", ratio, ratio <= window)
 
-    return _member_report("norm_equivalences", corpus, check, {"window": window})
+    return Suite("norm_equivalences", corpus, check, {"window": window})
 
 
-def verify_derivative_characterizations(corpus, omega: Majorant,
-                                        plan: SamplePlan,
-                                        i: ImaginaryUnit) -> VerificationReport:
+def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
+                             plan: SamplePlan, nodes: int,
+                             window: float) -> VerificationReport:
+    return setup_norm_equivalences(corpus, omega, i, plan, nodes, window).run(plan)
+
+
+def _ball_derivative_ratios(fp: SliceSeries, qs: np.ndarray, gaps: np.ndarray,
+                            wq: np.ndarray, i: ImaginaryUnit) -> tuple[float, float]:
+    """sup ||fp(q)|| gaps / wq over the ball samples q, and the same sup of
+    the larger modulus at the two slice points q projects to. Its arrays
+    die on return, before the member's growth check runs."""
+    g_ratio = float(np.max(np.linalg.norm(evaluate_batch(fp, qs), axis=1) * gaps / wq))
+    sp = split(fp, i)
+    proj = qs[:, 0] + 1j * np.linalg.norm(qs[:, 1:], axis=1)
+    pvals = np.maximum(sp.modulus(proj), sp.modulus(proj.conj()))
+    return g_ratio, float(np.max(pvals * gaps / wq))
+
+
+def setup_derivative_characterizations(corpus, omega: Majorant, plan: SamplePlan,
+                                       i: ImaginaryUnit) -> Suite:
     """Derivative growth: the weighted derivative sups are finite and
     radially stable; the full-ball derivative sup is controlled by twice
     the slice sup (checked exactly by folding the sampled projections into
@@ -424,6 +505,7 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
     check_regular rejects fails every member with omega_not_regular."""
     tol = 1e-8
     cert = _certificate(plan, omega)
+    slice_pair_weights(plan, omega)
     mixed_window = 6.0 * cert.empirical_C
     qs = ball_pair_coords(plan)[0]
     gaps = 1.0 - np.linalg.norm(qs, axis=1)
@@ -446,13 +528,9 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
             growth = _ratio_or_zero(est.value, inner.value) if inner.value else 1.0
             rec.checks[f"radial_stability_{mode}"] = float(growth)
 
-        fp = cullen_derivative(m.series)
-        gvals = evaluate_batch(fp, qs)
-        g_ratio = float(np.max(np.linalg.norm(gvals, axis=1) * gaps / wq))
-        sp = split(fp, i)
-        proj = qs[:, 0] + 1j * np.linalg.norm(qs[:, 1:], axis=1)
-        pvals = np.maximum(sp.modulus(proj), sp.modulus(proj.conj()))
-        s_aug = max(ests[0].value, float(np.max(pvals * gaps / wq)))
+        g_ratio, p_ratio = _ball_derivative_ratios(cullen_derivative(m.series), qs,
+                                                   gaps, wq, i)
+        s_aug = max(ests[0].value, p_ratio)
         rec.check("global_derivative_ratio", g_ratio,
                   g_ratio <= 2.0 * s_aug * (1.0 + 1e-12) + tol)
 
@@ -473,18 +551,24 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
         else:
             rec.check("omega_not_regular", cert.empirical_C, False)
 
-    return _member_report("derivative_characterizations", corpus, check,
-                          {"slack": tol, "mixed_window": mixed_window}, notes)
+    return Suite("derivative_characterizations", corpus, check,
+                 {"slack": tol, "mixed_window": mixed_window}, notes)
 
 
-def verify_poisson_characterization(corpus, omega: Majorant,
-                                    i: ImaginaryUnit, plan: SamplePlan,
-                                    nodes: int, window: float
-                                    ) -> VerificationReport:
+def verify_derivative_characterizations(corpus, omega: Majorant,
+                                        plan: SamplePlan,
+                                        i: ImaginaryUnit) -> VerificationReport:
+    return setup_derivative_characterizations(corpus, omega, plan, i).run(plan)
+
+
+def setup_poisson_characterization(corpus, omega: Majorant, i: ImaginaryUnit,
+                                   plan: SamplePlan, nodes: int, window: float) -> Suite:
     """Membership is equivalent to a bounded Poisson defect of the
     component moduli: C_def = sup (P[|f_k|](x)-|f_k(x)|)/omega(1-|x|) and
     C_lip = slice norm are finite together and comparable within the
     window."""
+    slice_pair_weights(plan, omega)
+
     def check(rec, m):
         b_mod = boundary_norm(m.series, omega, i, plan)[1]
         rec.check("boundary_modulus_norm", b_mod.value,
@@ -503,8 +587,14 @@ def verify_poisson_characterization(corpus, omega: Majorant,
             rec.check("defect_over_lip", ratio,
                       1.0 / window <= ratio <= window)
 
-    return _member_report("poisson_characterization", corpus, check,
-                          {"window": window})
+    return Suite("poisson_characterization", corpus, check, {"window": window})
+
+
+def verify_poisson_characterization(corpus, omega: Majorant,
+                                    i: ImaginaryUnit, plan: SamplePlan,
+                                    nodes: int, window: float
+                                    ) -> VerificationReport:
+    return setup_poisson_characterization(corpus, omega, i, plan, nodes, window).run(plan)
 
 
 def cone_admissible_mask(qs: np.ndarray, i: ImaginaryUnit, sign: float,
@@ -531,8 +621,8 @@ def admissible_cone_points(qs: np.ndarray, i: ImaginaryUnit, sign: float,
     return np.nonzero(mask)[0]
 
 
-def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
-                          nodes: int) -> VerificationReport:
+def setup_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
+                         nodes: int) -> Suite:
     """For points admissible under the cone condition, the Poisson mean of
     ||f|| exceeds twice the value at the matched slice point by at most
     2*C_def*omega(1-|q|). Admissibility on a full angle grid forces the
@@ -583,29 +673,34 @@ def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sampl
         rec.check("aligned_excess", worst_aligned, worst_aligned <= 0.0)
         rec.checks["crossed_excess"] = worst_crossed
 
-    return _member_report("cone_corollary", corpus, check, {"absolute": tol})
+    return Suite("cone_corollary", corpus, check, {"absolute": tol})
 
 
-# each suite: its call on (config, corpus). The lambdas look the suites up
-# in this module when called, so a wrapper set on slicereg.verify sees them.
+def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
+                          nodes: int) -> VerificationReport:
+    return setup_cone_corollary(corpus, omega, i, plan, nodes).run(plan)
+
+
+# each suite: its set-up on (config, corpus). The lambdas look the set-ups
+# up in this module when called, so a wrapper set on slicereg.verify sees them.
 _SUITES = {
-    "inclusion_chain": lambda c, corpus: verify_inclusion_chain(
+    "inclusion_chain": lambda c, corpus: setup_inclusion_chain(
         corpus, c.omega, c.omega2, c.plan, c.i),
-    "algebraic_closure": lambda c, corpus: verify_algebraic_closure(
+    "algebraic_closure": lambda c, corpus: setup_algebraic_closure(
         corpus, c.omega, c.omega2, c.a, c.plan, c.i),
-    "intrinsic_invariance": lambda c, corpus: verify_intrinsic_invariance(
+    "intrinsic_invariance": lambda c, corpus: setup_intrinsic_invariance(
         tuple(m for m in corpus if m.intrinsic), c.omega, c.i, c.k, c.plan),
-    "slice_independence": lambda c, corpus: verify_slice_independence(
+    "slice_independence": lambda c, corpus: setup_slice_independence(
         corpus, c.omega, c.i, c.k, c.plan),
-    "modulus_membership": lambda c, corpus: verify_modulus_membership(
+    "modulus_membership": lambda c, corpus: setup_modulus_membership(
         corpus, c.omega, c.i, c.plan),
-    "norm_equivalences": lambda c, corpus: verify_norm_equivalences(
+    "norm_equivalences": lambda c, corpus: setup_norm_equivalences(
         corpus, c.omega_small, c.i, c.plan, c.nodes, c.window),
-    "derivative_characterizations": lambda c, corpus: verify_derivative_characterizations(
+    "derivative_characterizations": lambda c, corpus: setup_derivative_characterizations(
         corpus, c.omega, c.plan, c.i),
-    "poisson_characterization": lambda c, corpus: verify_poisson_characterization(
+    "poisson_characterization": lambda c, corpus: setup_poisson_characterization(
         corpus, c.omega, c.i, c.plan, c.nodes, c.window),
-    "cone_corollary": lambda c, corpus: verify_cone_corollary(
+    "cone_corollary": lambda c, corpus: setup_cone_corollary(
         corpus, c.omega, c.i, c.plan, c.nodes),
 }
 ALL_SUITES = tuple(_SUITES)
@@ -613,20 +708,20 @@ ALL_SUITES = tuple(_SUITES)
 
 def run_suite(config: RunConfig) -> list[VerificationReport]:
     """Run the selected suites (config.suites, all when None) over the
-    configured corpus and plan. A suite that raises is reported as failed;
-    the batch always completes."""
+    configured corpus and plan, and return their reports in selection
+    order. Every set-up runs first; then each member runs every suite's
+    check in one member step, so its values are built once and dropped
+    after its last suite. A suite whose set-up raises, or whose name is
+    unknown, is reported as failed; the batch always completes."""
     corpus = config.corpus
-    reports = []
+    suites = []
     for name in ALL_SUITES if config.suites is None else config.suites:
         if name not in _SUITES:
-            reports.append(VerificationReport(
-                suite=str(name), records=[], tolerances={},
-                notes=[f"error: unknown suite {name!r}"]))
+            suites.append(_failed_suite(name, f"unknown suite {name!r}"))
             continue
         try:
-            reports.append(_SUITES[name](config, corpus))
-        except Exception as exc:  # isolate suite crashes
-            reports.append(VerificationReport(
-                suite=name, records=[], tolerances={},
-                notes=[f"error: {type(exc).__name__}: {exc}"]))
-    return reports
+            suites.append(_SUITES[name](config, corpus))
+        except Exception as exc:  # isolate set-up crashes
+            suites.append(_failed_suite(name, f"{type(exc).__name__}: {exc}"))
+    _member_steps(corpus, suites, config.plan)
+    return [s.report() for s in suites]

@@ -51,12 +51,14 @@ def _zero_g(values):
 CAUGHT = {
     "slice_norm_x2": (_scale("slice_norm", 2.0), {"intrinsic_invariance"}),
     "slice_norm_half": (_scale("slice_norm", 0.5),
-                        {"intrinsic_invariance", "norm_equivalences"}),
+                        {"algebraic_closure", "intrinsic_invariance", "norm_equivalences"}),
     "component_estimates_x2": (_scale("component_estimates", 2.0), {"intrinsic_invariance"}),
-    "component_estimates_half": (_scale("component_estimates", 0.5), {"intrinsic_invariance"}),
+    "component_estimates_half": (_scale("component_estimates", 0.5),
+                                 {"algebraic_closure", "intrinsic_invariance"}),
     "seminorms_N_x2": (_scale("seminorms_N", 2.0), {"norm_equivalences"}),
     "poisson_integral_slice_x2": (_scale("poisson_integral_slice", 2.0), {"cone_corollary"}),
     "split_modulus_half": (_scale("split_modulus", 0.5), {"modulus_membership"}),
+    "split_modulus_x2": (_scale("split_modulus", 2.0), {"algebraic_closure"}),
     "split_rows_swapped": (_break_split(lambda values: values[::-1]), {"intrinsic_invariance"}),
     "split_g_row_zeroed": (_break_split(_zero_g), {"derivative_characterizations",
                                                    "inclusion_chain", "slice_independence"}),
@@ -87,9 +89,6 @@ SURVIVORS = {
     "poisson_integral_slice_half": (_scale("poisson_integral_slice", 0.5),
                                     "one-sided: the cone bounds the Poisson mean from "
                                     "above only"),
-    "split_modulus_x2": (_scale("split_modulus", 2.0),
-                         "the modulus and closure checks compare split_modulus values with "
-                         "one another, so a common factor cancels or adds one-sided slack"),
 }
 
 

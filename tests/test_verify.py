@@ -232,6 +232,90 @@ def test_each_run_builds_its_arrays_once(monkeypatch):
     assert plans[0] == plans[1] and plans[0] is not plans[1]
 
 
+def test_each_member_builds_its_increments_once_per_unit(monkeypatch):
+    # the slice estimators of every suite read one stored entry per member
+    # and unit: i for every member, k for the members slice_independence
+    # reads (intrinsic_invariance reads k too, in the same member step)
+    config = RunConfig(n_pairs=256, n_points=64, nodes=512)
+    names = {m.series.array.tobytes(): m.name for m in config.corpus}
+    builds = Counter()
+    real = slicereg.lipschitz._slice_increments
+
+    def counted(f, i, *args):
+        builds[names[f.array.tobytes()], i] += 1
+        # at most one member's values are alive: any stored increments are f's
+        store = config.plan.__dict__["_store"]
+        assert all(key[1] is f for key in store if key[0] == "slice_increments")
+        return real(f, i, *args)
+    monkeypatch.setattr(slicereg.lipschitz, "_slice_increments", counted)
+    assert all(r.passed for r in run_suite(config))
+    assert builds == {(m.name, unit): 1 for m in config.corpus for unit in (config.i, config.k)}
+
+
+def test_a_run_drops_every_member_value():
+    # streams and weights stay with the plan; no value keyed by a series does
+    config = RunConfig(n_pairs=256, n_points=64, nodes=512)
+    assert all(r.passed for r in run_suite(config))
+    store = config.plan.__dict__["_store"]
+    assert store and not [key for key in store if isinstance(key, tuple)
+                          and any(isinstance(x, SliceSeries) for x in key)]
+
+
+def test_check_exception_fails_only_that_suites_record(monkeypatch):
+    # member-major: square's other suites still run, and pass, in its step
+    config = RunConfig(n_pairs=256, n_points=64, nodes=512)
+    square = next(m for m in config.corpus if m.name == "square").series.array
+    real = slicereg.verify.global_norm  # read by inclusion_chain only
+
+    def global_norm(series, *args):
+        if np.array_equal(series.array, square):
+            raise RuntimeError("global norm refused square")
+        return real(series, *args)
+    monkeypatch.setattr(slicereg.verify, "global_norm", global_norm)
+    reports = run_suite(config)
+    assert [r.suite for r in reports] == list(ALL_SUITES)
+    failed = [(r.suite, rec.name) for r in reports for rec in r.records if not rec.passed]
+    assert failed == [("inclusion_chain", "square")]
+    (rec,) = [rec for rec in reports[0].records if rec.name == "square"]
+    assert rec.failures == ["exception:RuntimeError"]
+    assert rec.notes == ["global norm refused square"]
+    assert sum(rec.name == "square" for r in reports for rec in r.records) == len(ALL_SUITES)
+
+
+def test_setup_exception_fails_only_its_suite(monkeypatch):
+    def refused(*args):
+        raise RuntimeError("no cone sample")
+    monkeypatch.setattr(slicereg.verify, "setup_cone_corollary", refused)
+    reports = run_suite(RunConfig(n_pairs=256, n_points=64, nodes=512))
+    assert [r.suite for r in reports] == list(ALL_SUITES)
+    *rest, cone = reports
+    assert all(r.passed for r in rest)
+    assert not cone.passed and cone.records == []
+    assert cone.notes == ["error: RuntimeError: no cone sample"]
+
+
+def test_duplicate_and_unknown_suites_keep_their_positions():
+    reports = run_suite(RunConfig(n_pairs=256, n_points=64, nodes=512,
+                                  suites=("inclusion_chain", "inclusion_chain", "bogus")))
+    assert [r.suite for r in reports] == ["inclusion_chain", "inclusion_chain", "bogus"]
+    assert reports[0].passed and reports[0].to_dict() == reports[1].to_dict()
+    assert reports[2].notes == ["error: unknown suite 'bogus'"] and not reports[2].passed
+
+
+def test_intrinsic_suite_without_an_intrinsic_member_fails(tmp_path):
+    # the filter leaves nothing to check: the suite fails instead of passing
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"q": [[0, 1, 0, 0], [0, 0, 0.3, 0]]}))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--corpus", str(spec), "--suite", "intrinsic_invariance",
+                 "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["all_passed"] is False
+    (rep,) = doc["reports"]
+    assert rep["records"] == [] and rep["passed"] is False
+    assert rep["notes"] == ["error: no intrinsic member in the corpus"]
+
+
 def test_a_run_keeps_no_poisson_kernel(monkeypatch):
     # the suites take on-slice Poisson means spectrally: the direct kernel
     # sum is refused, no (points, nodes) kernel is built, even for a moment,

@@ -226,6 +226,8 @@ def _load_json_object(path: str) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return doc

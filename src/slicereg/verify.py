@@ -11,16 +11,16 @@ refinement of the sampling plan.
 All sampling is driven by the shared SamplePlan, so reports are
 deterministic for a fixed seed.
 
-Each suite is a set-up, setup_<suite>, returning a Suite with a per-member
-check. run_suite runs every selected set-up first, then one member step
-per member: every suite's check on that member, after which the member's
-values leave the plan's store, so at most one member's values are alive
-and each is built once for all suites. verify_<suite> runs one suite the
-same way. A set-up also builds the slice-pair weights its checks read
-(slice_pair_weights), so these per-run arrays are allocated before any
-member's values and temporaries: built inside the first member's step,
-they fragmented glibc's heap and raised the peak RSS of a 16x run by
-about 6 MB (2-CPU Xeon host, Python 3.11, numpy 2.4).
+Each suite is a set-up, setup_<suite>, which builds what does not depend
+on the member and returns the suite's VerificationReport holding its
+members and check(rec, m), which fills a fresh record for one member.
+run_suite runs every selected set-up, then one member step per member:
+every suite's check on that member, after which the member's values leave
+the plan's store, so at most one member's values are alive and each is
+built once for all suites. verify_<suite> runs one suite the same way.
+Set-ups build the per-run slice-pair weights (slice_pair_weights) before
+any member's values: built in the first member's step, they fragmented
+glibc's heap (+6 MB peak RSS at 16x; 2-CPU Xeon, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -135,8 +135,12 @@ class FunctionRecord:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, label: str, value: float, ok: bool):
+    def measure(self, label: str, value: float):
+        """Record a value that cannot fail."""
         self.checks[label] = float(value)
+
+    def check(self, label: str, value: float, ok: bool):
+        self.measure(label, value)
         if not ok:
             self.failures.append(label)
 
@@ -146,10 +150,20 @@ class FunctionRecord:
 
 @dataclass
 class VerificationReport:
+    """One suite's report. Its set-up adds the members it checks and
+    check(rec, m); member steps append the records. to_dict reads neither."""
+
     suite: str
     records: list[FunctionRecord]
     tolerances: dict[str, float]
     notes: list[str] = field(default_factory=list)
+    members: tuple = ()
+    check: Callable[[FunctionRecord, CorpusMember], None] | None = None
+
+    def run(self, plan: SamplePlan) -> VerificationReport:
+        """This suite alone over its members: the report of verify_<suite>."""
+        _member_steps(self.members, [self], plan)
+        return self
 
     @property
     def passed(self) -> bool:
@@ -168,48 +182,26 @@ class VerificationReport:
         }
 
 
-@dataclass
-class Suite:
-    """A suite after its set-up: the members it checks, in corpus order,
-    and check(rec, m), which fills a fresh record for one member. Member
-    steps append the records; report() assembles them."""
-
-    name: str
-    members: tuple
-    check: Callable[[FunctionRecord, CorpusMember], None] | None
-    tolerances: dict
-    notes: list = field(default_factory=list)
-    records: list = field(default_factory=list)
-
-    def report(self) -> VerificationReport:
-        return VerificationReport(self.name, self.records, self.tolerances, self.notes)
-
-    def run(self, plan: SamplePlan) -> VerificationReport:
-        """This suite alone over its members: the report of verify_<name>."""
-        _member_steps(self.members, [self], plan)
-        return self.report()
+def _failed_suite(name, note: str) -> VerificationReport:
+    return VerificationReport(str(name), [], {}, [f"error: {note}"])
 
 
-def _failed_suite(name, note: str) -> Suite:
-    return Suite(str(name), (), None, {}, [f"error: {note}"])
-
-
-def _member_steps(corpus, suites: list[Suite], plan: SamplePlan):
+def _member_steps(corpus, reports: list[VerificationReport], plan: SamplePlan):
     """Member-major: each member runs the check of every suite that holds
     it, in suite order, on a fresh record; then its values leave the plan's
     store, so at most one member's values are alive. An exception inside a
     check fails that record only."""
     for m in corpus:
-        for suite in suites:
-            if not any(x is m for x in suite.members):
+        for report in reports:
+            if not any(x is m for x in report.members):
                 continue
             rec = FunctionRecord(m.name)
             try:
-                suite.check(rec, m)
+                report.check(rec, m)
             except Exception as exc:
                 rec.failures.append(f"exception:{type(exc).__name__}")
                 rec.notes.append(str(exc))
-            suite.records.append(rec)
+            report.records.append(rec)
         plan.drop(m.series)
 
 
@@ -220,7 +212,7 @@ def _ratio_or_zero(num: float, den: float) -> float:
 
 
 def setup_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
-                          plan: SamplePlan, i: ImaginaryUnit) -> Suite:
+                          plan: SamplePlan, i: ImaginaryUnit) -> VerificationReport:
     """Two-majorant membership controls global membership with constant
     6*C3, C3 = max of the component constants; and the global class embeds
     back into the slice class for the summed majorant.
@@ -239,16 +231,17 @@ def setup_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
         g = global_norm(m.series, osum, plan)
         s_sum = slice_norm(m.series, osum, i, plan)
         g_aug = max(g.value, s_sum.value)
-        rec.check("component_c1", c1.value, True)
-        rec.check("component_c2", c2.value, True)
-        rec.check("global", g.value, True)
+        rec.measure("component_c1", c1.value)
+        rec.measure("component_c2", c2.value)
+        rec.measure("global", g.value)
         ratio = _ratio_or_zero(g.value, 6.0 * c3)
         rec.check("global_over_6c3", ratio, ratio <= 1.0 + tol)
         rec.check("slice_sum_norm", s_sum.value,
                   s_sum.value <= g_aug * (1.0 + tol) + tol)
         rec.witness("global", g)
 
-    return Suite("inclusion_chain", corpus, check, {"ratio_max": 1.0 + tol})
+    return VerificationReport("inclusion_chain", [], {"ratio_max": 1.0 + tol},
+                              members=corpus, check=check)
 
 
 def verify_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
@@ -258,7 +251,7 @@ def verify_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
 
 def setup_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
                             a: Quaternion, plan: SamplePlan,
-                            i: ImaginaryUnit) -> Suite:
+                            i: ImaginaryUnit) -> VerificationReport:
     """Right-module closure: f*a + g stays in the class with constant
     ||a||*C_f + C_g, and the components of f*a obey the swapped-majorant
     bound built by combine(). Both are checked pair-by-pair against
@@ -296,8 +289,8 @@ def setup_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
         rec.check("combine_component1_violation", v1, v1 <= floor)
         rec.check("combine_component2_violation", v2, v2 <= floor)
 
-    return Suite("algebraic_closure", corpus, check, {"relative": tol},
-                 [f"a = [{a.x0}, {a.x1}, {a.x2}, {a.x3}]"])
+    return VerificationReport("algebraic_closure", [], {"relative": tol},
+                              [f"a = [{a.x0}, {a.x1}, {a.x2}, {a.x3}]"], corpus, check)
 
 
 def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
@@ -307,7 +300,7 @@ def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
 
 
 def setup_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
-                               k: ImaginaryUnit, plan: SamplePlan) -> Suite:
+                               k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
     """Real-coefficient series have the same norm on every slice; their
     second split component vanishes, collapsing the two-majorant norm onto
     the first component. Raises NotIntrinsic on any other input; an empty
@@ -324,7 +317,7 @@ def setup_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
         n_i = slice_norm(m.series, omega, i, plan)
         n_k = slice_norm(m.series, omega, k, plan)
         scale = max(1.0, n_i.value)
-        rec.check("norm_i", n_i.value, True)
+        rec.measure("norm_i", n_i.value)
         rec.check("slice_gap", abs(n_i.value - n_k.value),
                   abs(n_i.value - n_k.value) <= tol * scale)
         c1, c2, joint = component_estimates(m.series, omega, other, i, plan)
@@ -332,8 +325,8 @@ def setup_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
         rec.check("component_vs_slice", abs(joint.value - n_i.value),
                   abs(joint.value - n_i.value) <= 1e-12 * scale)
 
-    return Suite("intrinsic_invariance", corpus, check, {"paired_sampling": tol},
-                 notes)
+    return VerificationReport("intrinsic_invariance", [], {"paired_sampling": tol},
+                              notes, corpus, check)
 
 
 def verify_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
@@ -342,7 +335,7 @@ def verify_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
 
 
 def setup_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
-                             k: ImaginaryUnit, plan: SamplePlan) -> Suite:
+                             k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
     """Norms on two slices agree within a factor 2 (checked with relative
     slack 0.1, so the window is [1/2.2, 2.2]); intrinsic members agree
     exactly under the paired pair stream."""
@@ -361,7 +354,8 @@ def setup_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
             rec.check("intrinsic_gap", abs(ratio - 1.0),
                       abs(ratio - 1.0) <= 1e-10)
 
-    return Suite("slice_independence", corpus, check, {"ratio_window": bound})
+    return VerificationReport("slice_independence", [], {"ratio_window": bound},
+                              members=corpus, check=check)
 
 
 def verify_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
@@ -370,7 +364,7 @@ def verify_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
 
 
 def setup_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
-                             plan: SamplePlan) -> Suite:
+                             plan: SamplePlan) -> VerificationReport:
     """Membership passes to the modulus and to the two sandwich moduli:
     per sampled pair, | ||f(x)|| - ||f(y)|| | <= ||f(x)-f(y)|| and the
     sandwich-modulus differences are <= 2 ||f(x)-f(y)||, hence the modulus
@@ -396,9 +390,10 @@ def setup_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
         f_norm = float(np.max(full / w))
         rec.check("modulus_norm", mod_norm,
                   mod_norm <= f_norm * (1.0 + tol) + floor)
-        rec.check("function_norm", f_norm, True)
+        rec.measure("function_norm", f_norm)
 
-    return Suite("modulus_membership", corpus, check, {"pointwise": tol})
+    return VerificationReport("modulus_membership", [], {"pointwise": tol},
+                              members=corpus, check=check)
 
 
 def verify_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
@@ -406,23 +401,21 @@ def verify_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
     return setup_modulus_membership(corpus, omega, i, plan).run(plan)
 
 
+def _defect_grid(plan: SamplePlan, nodes: int) -> np.ndarray:
+    """The radial/ray grid of disc points the Poisson-defect sups run over."""
+    return ray_grid(resolved_cap(plan.max_radius, nodes), 24, 6, 4)
+
+
 def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
-                          plan: SamplePlan, nodes: int,
-                          power: int = 1) -> float:
-    """sup over a radial/ray grid and both split components of
-    (P[|f_k|^power](x) - |f_k(x)|^power) / omega(1-|x|)^power, computed
-    once per plan and arguments: the Poisson and cone suites share it.
-    Power 1 takes the trapezoid Poisson mean, power 2 the exact one."""
+                          plan: SamplePlan, nodes: int) -> float:
+    """sup over the defect grid and both split components of (P[|f_k|](x)
+    - |f_k(x)|) / omega(1-|x|), P by the trapezoid rule, computed once per
+    plan and arguments: the Poisson and cone suites share it."""
     def build():
-        xs = ray_grid(resolved_cap(plan.max_radius, nodes), 24, 6, 4)
-        comps = split(f, i).C
-        if power == 2:
-            sups = sq_defect_sup(comps, omega, xs)
-        else:
-            sups = defect_sup(comps, omega, xs, nodes, power)
+        sups = defect_sup(split(f, i).C, omega, _defect_grid(plan, nodes), nodes)
         return max(0.0, float(np.max(sups)))
 
-    return plan.memo(("defect_sup", f, omega, i, nodes, power), build)
+    return plan.memo(("defect_sup", f, omega, i, nodes), build)
 
 
 def _certificate(plan: SamplePlan, omega: Majorant) -> RegularityCertificate:
@@ -431,8 +424,8 @@ def _certificate(plan: SamplePlan, omega: Majorant) -> RegularityCertificate:
     return plan.memo(("certificate", omega), lambda: check_regular(omega))
 
 
-def setup_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
-                            plan: SamplePlan, nodes: int, window: float) -> Suite:
+def setup_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
+                            nodes: int, window: float) -> VerificationReport:
     """The squared slice norm, the three component-summed boundary
     functionals, and the squared-modulus Poisson-defect functional are
     pairwise comparable within the window; all-zero members pass vacuously.
@@ -444,6 +437,7 @@ def setup_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
     slice_pair_weights(plan, omega)
     rejected = [c for c in (_certificate(plan, omega), _certificate(plan, squared(omega)))
                 if not c.is_regular]
+    xs = _defect_grid(plan, nodes)
 
     def check(rec, m):
         if rejected:
@@ -453,18 +447,13 @@ def setup_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
         # Python floats: numpy's float64 ** 2 is x*x, not libm pow
         sums = [nf ** 2 + ng ** 2 for nf, ng in
                 (n.tolist() for n in seminorms_N(m.series, omega, i, plan, nodes))]
-        pdef = _component_defect_sup(m.series, omega, i, plan, nodes, power=2)
-        funcs = {
-            "slice_sq": lam2,
-            "n1_sum": sums[0],
-            "n2_sum": sums[1],
-            "n3_sum": sums[2],
-            "poisson_sq_defect": pdef,
-        }
+        pdef = max(0.0, float(np.max(sq_defect_sup(split(m.series, i).C, omega, xs))))
+        funcs = {"slice_sq": lam2, "n1_sum": sums[0], "n2_sum": sums[1],
+                 "n3_sum": sums[2], "poisson_sq_defect": pdef}
         scale = max(funcs.values())
         if max(lam2, sums[1], sums[2]) <= 1e-12:
             for label, v in funcs.items():
-                rec.check(label, v, True)
+                rec.measure(label, v)
             rec.notes.append("constant member: vacuous pass")
         else:
             lo = min(funcs.values())
@@ -473,7 +462,8 @@ def setup_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
             ratio = scale / lo if lo > 0 else math.inf
             rec.check("max_over_min", ratio, ratio <= window)
 
-    return Suite("norm_equivalences", corpus, check, {"window": window})
+    return VerificationReport("norm_equivalences", [], {"window": window},
+                              members=corpus, check=check)
 
 
 def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
@@ -495,7 +485,7 @@ def _ball_derivative_ratios(fp: SliceSeries, qs: np.ndarray, gaps: np.ndarray,
 
 
 def setup_derivative_characterizations(corpus, omega: Majorant, plan: SamplePlan,
-                                       i: ImaginaryUnit) -> Suite:
+                                       i: ImaginaryUnit) -> VerificationReport:
     """Derivative growth: the weighted derivative sups are finite and
     radially stable; the full-ball derivative sup is controlled by twice
     the slice sup (checked exactly by folding the sampled projections into
@@ -510,6 +500,8 @@ def setup_derivative_characterizations(corpus, omega: Majorant, plan: SamplePlan
     qs = ball_pair_coords(plan)[0]
     gaps = 1.0 - np.linalg.norm(qs, axis=1)
     wq = omega(gaps)
+    growth_points = slice_points_array(
+        i, disc_points(plan, cap=min(plan.max_radius, 0.99))[:100])
     trend = []
     for deg in (8, 16, 32):
         log_like = SliceSeries([0.0] + [1.0 / n for n in range(1, deg + 1)])
@@ -526,7 +518,7 @@ def setup_derivative_characterizations(corpus, omega: Majorant, plan: SamplePlan
         for mode, est, inner in zip(("full", "plus", "minus"), ests, inners):
             rec.check(f"ratio_{mode}", est.value, math.isfinite(est.value))
             growth = _ratio_or_zero(est.value, inner.value) if inner.value else 1.0
-            rec.checks[f"radial_stability_{mode}"] = float(growth)
+            rec.measure(f"radial_stability_{mode}", growth)
 
         g_ratio, p_ratio = _ball_derivative_ratios(cullen_derivative(m.series), qs,
                                                    gaps, wq, i)
@@ -534,8 +526,7 @@ def setup_derivative_characterizations(corpus, omega: Majorant, plan: SamplePlan
         rec.check("global_derivative_ratio", g_ratio,
                   g_ratio <= 2.0 * s_aug * (1.0 + 1e-12) + tol)
 
-        pts = disc_points(plan, cap=min(plan.max_radius, 0.99))[:100]
-        chk = bounded_growth_check(m.series, slice_points_array(i, pts), i, plan)
+        chk = bounded_growth_check(m.series, growth_points, i, plan)
         scale = 1.0 + chk.local_sup
         worst2 = float(np.min(chk.sandwich_slack / scale))
         # libm pow, as Python's float ** 2; scale * scale may differ in the last bit
@@ -551,8 +542,9 @@ def setup_derivative_characterizations(corpus, omega: Majorant, plan: SamplePlan
         else:
             rec.check("omega_not_regular", cert.empirical_C, False)
 
-    return Suite("derivative_characterizations", corpus, check,
-                 {"slack": tol, "mixed_window": mixed_window}, notes)
+    return VerificationReport("derivative_characterizations", [],
+                              {"slack": tol, "mixed_window": mixed_window}, notes,
+                              corpus, check)
 
 
 def verify_derivative_characterizations(corpus, omega: Majorant,
@@ -562,7 +554,8 @@ def verify_derivative_characterizations(corpus, omega: Majorant,
 
 
 def setup_poisson_characterization(corpus, omega: Majorant, i: ImaginaryUnit,
-                                   plan: SamplePlan, nodes: int, window: float) -> Suite:
+                                   plan: SamplePlan, nodes: int,
+                                   window: float) -> VerificationReport:
     """Membership is equivalent to a bounded Poisson defect of the
     component moduli: C_def = sup (P[|f_k|](x)-|f_k(x)|)/omega(1-|x|) and
     C_lip = slice norm are finite together and comparable within the
@@ -587,7 +580,8 @@ def setup_poisson_characterization(corpus, omega: Majorant, i: ImaginaryUnit,
             rec.check("defect_over_lip", ratio,
                       1.0 / window <= ratio <= window)
 
-    return Suite("poisson_characterization", corpus, check, {"window": window})
+    return VerificationReport("poisson_characterization", [], {"window": window},
+                              members=corpus, check=check)
 
 
 def verify_poisson_characterization(corpus, omega: Majorant,
@@ -622,7 +616,7 @@ def admissible_cone_points(qs: np.ndarray, i: ImaginaryUnit, sign: float,
 
 
 def setup_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
-                         nodes: int) -> Suite:
+                         nodes: int) -> VerificationReport:
     """For points admissible under the cone condition, the Poisson mean of
     ||f|| exceeds twice the value at the matched slice point by at most
     2*C_def*omega(1-|q|). Admissibility on a full angle grid forces the
@@ -638,42 +632,45 @@ def setup_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sample
         np.random.default_rng([plan.seed, 41]).normal(size=(24, 4)))
     off_slice *= 0.8 / np.linalg.norm(off_slice, axis=1, keepdims=True)
     qs = np.concatenate([on_slice, off_slice])
+    # admissibility depends on the sample only, so every member shares it
+    branches, notes = [], []
+    counts = {"admissible_plus": 0, "admissible_minus": 0}
+    seen = np.zeros(len(qs), dtype=bool)
+    for sign, label in ((1.0, "plus"), (-1.0, "minus")):
+        try:
+            idx = admissible_cone_points(qs, i, sign, t_grid)
+        except NoAdmissibleSamples as exc:
+            notes.append(str(exc))
+            continue
+        counts[f"admissible_{label}"] = idx.size
+        seen[idx] = True
+        sel = qs[idx]
+        # admissible points lie on the slice; the matched complex
+        # coordinate carries the branch sign
+        zq = sel[:, 0] + sign * 1j * np.linalg.norm(sel[:, 1:], axis=1)
+        branches.append((zq, omega(1.0 - np.abs(zq))))
+    counts["rejected"] = np.sum(~seen)
 
     def check(rec, m):
         s = split(m.series, i)
         c_def = _component_defect_sup(m.series, omega, i, plan, nodes)
-        worst_aligned = 0.0
-        worst_crossed = 0.0
-        counts = {}
-        seen = np.zeros(len(qs), dtype=bool)
-        for sign, label in ((1.0, "plus"), (-1.0, "minus")):
-            try:
-                idx = admissible_cone_points(qs, i, sign, t_grid)
-            except NoAdmissibleSamples as exc:
-                rec.notes.append(str(exc))
-                counts[label] = 0
-                continue
-            counts[label] = int(idx.size)
-            seen[idx] = True
-            sel = qs[idx]
-            # admissible points lie on the slice; the matched complex
-            # coordinate carries the branch sign
-            zq = sel[:, 0] + sign * 1j * np.linalg.norm(sel[:, 1:], axis=1)
+        rec.notes.extend(notes)
+        worst_aligned = worst_crossed = 0.0
+        for zq, gapw in branches:
             p_mean = poisson_integral_slice(on_circle(s.modulus), zq, nodes)
-            gapw = omega(1.0 - np.abs(zq))
             bound = 2.0 * c_def * gapw + tol * (1.0 + 2.0 * c_def)
             aligned, crossed = (float(np.max((p_mean - 2.0 * s.modulus(z)) - bound))
                                 for z in (zq, zq.conj()))
             worst_aligned = max(worst_aligned, aligned)
             worst_crossed = max(worst_crossed, crossed)
-        rec.check("admissible_plus", float(counts.get("plus", 0)), True)
-        rec.check("admissible_minus", float(counts.get("minus", 0)), True)
-        rec.check("rejected", float(np.sum(~seen)), True)
-        rec.check("defect_constant", c_def, True)
+        for label, count in counts.items():
+            rec.measure(label, count)
+        rec.measure("defect_constant", c_def)
         rec.check("aligned_excess", worst_aligned, worst_aligned <= 0.0)
-        rec.checks["crossed_excess"] = worst_crossed
+        rec.measure("crossed_excess", worst_crossed)
 
-    return Suite("cone_corollary", corpus, check, {"absolute": tol})
+    return VerificationReport("cone_corollary", [], {"absolute": tol},
+                              members=corpus, check=check)
 
 
 def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
@@ -708,20 +705,20 @@ ALL_SUITES = tuple(_SUITES)
 
 def run_suite(config: RunConfig) -> list[VerificationReport]:
     """Run the selected suites (config.suites, all when None) over the
-    configured corpus and plan, and return their reports in selection
-    order. Every set-up runs first; then each member runs every suite's
-    check in one member step, so its values are built once and dropped
-    after its last suite. A suite whose set-up raises, or whose name is
-    unknown, is reported as failed; the batch always completes."""
+    configured corpus and plan, and return the reports their set-ups
+    built, in selection order. Every set-up runs first; then each member
+    runs every suite's check in one member step, so its values are built
+    once and dropped after its last suite. A suite whose set-up raises, or
+    whose name is unknown, is reported as failed; the batch always completes."""
     corpus = config.corpus
-    suites = []
+    reports = []
     for name in ALL_SUITES if config.suites is None else config.suites:
         if name not in _SUITES:
-            suites.append(_failed_suite(name, f"unknown suite {name!r}"))
+            reports.append(_failed_suite(name, f"unknown suite {name!r}"))
             continue
         try:
-            suites.append(_SUITES[name](config, corpus))
+            reports.append(_SUITES[name](config, corpus))
         except Exception as exc:  # isolate set-up crashes
-            suites.append(_failed_suite(name, f"{type(exc).__name__}: {exc}"))
-    _member_steps(corpus, suites, config.plan)
-    return [s.report() for s in suites]
+            reports.append(_failed_suite(name, f"{type(exc).__name__}: {exc}"))
+    _member_steps(corpus, reports, config.plan)
+    return reports

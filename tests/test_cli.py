@@ -406,6 +406,11 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
     (None, ["verify", "--suite", ""]),
     ('{"suites": []}', ["verify", "--config", "{file}"]),
     ("{}", ["verify", "--corpus", "{file}"]),
+    *((text, argv) for text in (b"\xff\xfe{}", b"[" * 100000)
+      for argv in (["report", "--in", "{file}"], ["verify", "--corpus", "{file}"],
+                   ["verify", "--config", "{file}"],
+                   ["eval", "--file", "{file}", "--at", "0,0,0,0"])),
+    ('{"seed": ' + "9" * 5000 + "}", ["verify", "--config", "{file}"]),
 ], ids=["truncated_config", "config_not_object", "report_not_object", "negative_order",
         "config_seed_str", "config_seed_bool", "config_pairs_2", "config_pairs_inf",
         "config_points_float", "config_nodes_8", "config_slice_str", "config_slice_zero",
@@ -418,10 +423,15 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
         "global_table_zero_knot", "derivative_scaled_zero", "schwarz_table_zero",
         "verify_scaled_zero", "verify_slice_x", "norm_slice_j", "norm_omega2_empty",
         "verify_window_half", "config_window_below_1", "verify_suite_comma",
-        "verify_suite_empty", "config_suites_empty", "corpus_spec_empty"])
+        "verify_suite_empty", "config_suites_empty", "corpus_spec_empty",
+        *(f"{kind}_{where}" for kind in ("not_utf8", "nested_too_deep")
+          for where in ("report", "corpus", "config", "eval")),
+        "config_int_too_long"])
 def test_bad_input_exits_two(text, argv, tmp_path, capsys):
     path = tmp_path / "input.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     assert main([a.replace("{file}", str(path)) for a in argv]) == 2
     err = capsys.readouterr().err

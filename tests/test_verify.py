@@ -252,6 +252,36 @@ def test_each_member_builds_its_increments_once_per_unit(monkeypatch):
     assert builds == {(m.name, unit): 1 for m in config.corpus for unit in (config.i, config.k)}
 
 
+def test_setups_build_what_every_member_shares(monkeypatch):
+    # the cone's admissible points come from its set-up, once per sign; the
+    # only stored defect sup is the power-1 one the Poisson and cone suites
+    # share; and run_suite returns the reports the set-ups built
+    config = RunConfig(n_pairs=256, n_points=64, nodes=512)
+    assert len(config.corpus) == 9
+    signs, keys, built = [], [], []
+
+    def spy(owner, name, seen, pick):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            seen.append(pick(args, result))
+            return result
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(slicereg.verify, "admissible_cone_points", signs, lambda args, _: args[2])
+    spy(SamplePlan, "memo", keys, lambda args, _: args[1])
+    for name in ALL_SUITES:
+        spy(slicereg.verify, f"setup_{name}", built, lambda _, report: report)
+    reports = run_suite(config)
+    assert all(r.passed for r in reports)
+    assert signs == [1.0, -1.0]
+    defect_keys = [key for key in keys if key[0] == "defect_sup"]
+    assert len({id(key[1]) for key in defect_keys}) == len(config.corpus)
+    assert {key[2:] for key in defect_keys} == {(config.omega, config.i, config.nodes)}
+    assert len(reports) == len(built) and all(r is b for r, b in zip(reports, built))
+
+
 def test_a_run_drops_every_member_value():
     # streams and weights stay with the plan; no value keyed by a series does
     config = RunConfig(n_pairs=256, n_points=64, nodes=512)
@@ -365,7 +395,8 @@ def test_run_suite_deterministic():
 def test_report_and_record_plumbing():
     rec = FunctionRecord("demo")
     rec.check("fine", 1.0, True)
-    assert rec.passed
+    rec.measure("count", 3)
+    assert rec.passed and rec.checks["count"] == 3.0
     rec.check("bad", 2.0, False)
     assert not rec.passed and rec.failures == ["bad"]
     rep = VerificationReport(suite="s", records=[rec], tolerances={"t": 1.0})

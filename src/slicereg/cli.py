@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,6 +48,12 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Well-formed input with an invalid value."""
+
+
+# largest element count a size flag may ask for: 64-bit hardware addresses
+# at most 2^48 bytes, so no larger array can be allocated; far past it numpy
+# refuses with a ValueError (the byte count overflows), not a MemoryError
+MAX_SIZE = 2 ** 48
 
 
 # ---------------------------------------------------------------- serialization
@@ -290,6 +296,8 @@ class RunConfig:
         for name in ("seed", "n_pairs", "n_points", "nodes", "corpus_seed"):
             require(type(getattr(self, name)) is int, name, "an integer")
         require(self.nodes >= MIN_NODES, "nodes", f"at least {MIN_NODES}")
+        for name in ("n_pairs", "n_points", "nodes"):
+            require(getattr(self, name) <= MAX_SIZE, name, "at most 2**48")
         require(self.corpus_seed >= 0, "corpus_seed", "nonnegative")
         for name in ("min_separation", "max_radius", "window"):
             require(_is_finite(getattr(self, name)), name, "a finite number")
@@ -444,8 +452,8 @@ def _cmd_eval(args) -> int:
 def _cmd_star(args) -> int:
     corpus = _config_from_args(args).corpus
     if args.inverse:
-        if args.order < 0:
-            raise ValidationError(f"--order must be nonnegative, got {args.order}")
+        if not 0 <= args.order <= MAX_SIZE:
+            raise ValidationError(f"--order must lie in [0, 2**48], got {args.order}")
         result = star_inverse(_pick(corpus, args.inverse), args.order)
         label = f"inverse:{args.inverse}"
     else:
@@ -551,6 +559,7 @@ def _add_run_flags(p):
     p.add_argument("--slice", action="append", metavar="i=X,Y,Z")
 
 
+@cache  # built once per process: every main call parses with the same parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicereg",
@@ -624,6 +633,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size flag too large for this machine
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,6 +18,7 @@ from slicereg.cli import (
     ParseError,
     RunConfig,
     ValidationError,
+    build_parser,
     emit_report,
     load_function_spec,
     main,
@@ -223,6 +224,47 @@ def test_main_majorant_check_exit_codes(tmp_path):
     assert main(["majorant-check", "--omega", "power:9"]) == 2
 
 
+@pytest.mark.parametrize("spec, constant", [
+    ("power:0.9", 1.0 / 0.9 + 10.0),  # the quadrature's history grew past 1.05
+    ("scaled:1e308:power:0.5", 4.0),  # omega(t)/t overflowed the ratio screen
+    ("power:0.5:1e308", 4.0),
+])
+def test_majorant_check_certifies_powers_by_closed_form(spec, constant, tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["majorant-check", "--omega", spec, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["is_regular"] and doc["empirical_C"] == pytest.approx(constant, rel=1e-15)
+    assert doc["history"] == [doc["empirical_C"]]
+    assert main(["majorant-check", "--omega", spec, "--nodes", "3"]) == 2
+
+
+def test_majorant_check_rejects_an_overflowing_power_constant(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["majorant-check", "--omega", "power:1e-320", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert not doc["is_regular"] and doc["empirical_C"] is None
+
+
+def test_verify_passes_with_power_near_one(tmp_path):
+    # power:0.9 failed derivative_characterizations with omega_not_regular
+    # while its constant came from the quadrature
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--omega", "power:0.9", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["reports"]) == 9 and all(r["passed"] for r in doc["reports"])
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    argv = ["norm", "--name", "random_0", "--estimator", "slice", "--pairs", "64"]
+    outputs = []
+    for extra in ([], ["--slice", "i=1,1,1"], []):
+        assert main([*argv, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    # the appended --slice of the second call does not reach the third
+    assert outputs[0] == outputs[2] != outputs[1]
+
+
 def test_main_norm(tmp_path, capsys):
     spec = tmp_path / "f.json"
     spec.write_text('{"id": [[0,0,0,0],[1,0,0,0]]}')
@@ -280,6 +322,7 @@ _VARIANTS = ("component", "boundary", "boundary-modulus",
     (["majorant-check", "--omega", "power:0.5+tabulated:0,0;0.5,0.2;2,0.5"],
      "majorant_power_tabulated.json", 0),
     (["majorant-check", "--omega", "power:1"], "majorant_linear.json", 1),
+    (["majorant-check", "--omega", "power:0.25+power:0.75"], "majorant_power_sum.json", 0),
     (["norm", "--name", "random_0", "--estimator", "schwarz-pointwise", "--points", "256"],
      "norm_schwarz_pointwise.json", 0),
     (["verify", "--slice", "i=1,1,1", "--slice", "k=0.3,-1,2", "--pairs", "256",
@@ -300,7 +343,7 @@ _VARIANTS = ("component", "boundary", "boundary-modulus",
     (["verify", "--pairs", "256", "--points", "64", "--nodes", "512", "--format", "csv"],
      "verify_small.csv", 0),
 ], ids=["verify_small", "star_product", "star_inverse", "eval", "norm_schwarz_series",
-        "majorant_power", "majorant_power_tabulated", "majorant_linear",
+        "majorant_power", "majorant_power_tabulated", "majorant_linear", "majorant_power_sum",
         "norm_schwarz_pointwise", "verify_off_axis", "verify_default", "verify_16x",
         *(f"norm_{kind.replace('-', '_')}" for kind in _VARIANTS),
         "norm_slice", "norm_global", "norm_component_omega", "norm_slice_off_axis",
@@ -436,6 +479,29 @@ def test_bad_input_exits_two(text, argv, tmp_path, capsys):
     assert main([a.replace("{file}", str(path)) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_TOO_BIG = str(10 ** 13)  # numpy refuses the allocation before touching memory
+_BEYOND_ADDRESSES = str(4 * 10 ** 18)  # its byte count overflows: no MemoryError
+
+
+@pytest.mark.parametrize("argv", [
+    ["majorant-check", "--omega", "power:0.5+tabulated:0,0;0.5,0.2;2,0.5", "--nodes", _TOO_BIG],
+    ["star", "--inverse", "exp_taylor", "--order", _TOO_BIG],
+    ["norm", "--name", "identity", "--estimator", "global", "--pairs", _TOO_BIG],
+    ["norm", "--name", "identity", "--estimator", "schwarz-series", "--points", _TOO_BIG],
+    ["majorant-check", "--omega", "tabulated:0,0;1,1;2,1.5", "--nodes", _BEYOND_ADDRESSES],
+    ["star", "--inverse", "exp_taylor", "--order", _BEYOND_ADDRESSES],
+    ["norm", "--name", "identity", "--estimator", "global", "--pairs", _BEYOND_ADDRESSES],
+    ["norm", "--name", "identity", "--estimator", "schwarz-series", "--points", _BEYOND_ADDRESSES],
+    ["verify", "--nodes", str(10 ** 20)],
+], ids=["majorant_nodes", "star_order", "global_pairs", "schwarz_points",
+        "majorant_nodes_overflow", "star_order_overflow", "global_pairs_overflow",
+        "schwarz_points_overflow", "verify_nodes_overflow"])
+def test_oversized_sizes_exit_two(argv, capsys):
+    assert main([*argv, "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_valid_config_keeps_its_serialized_bytes(tmp_path):

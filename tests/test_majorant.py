@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import slicereg.majorant
 from slicereg.majorant import (
     DomainError,
     PowerMajorant,
     ScaledMajorant,
     SumMajorant,
     TabulatedMajorant,
+    _quadrature_certificate,
     _ratio_max,
     check_regular,
     combine,
@@ -48,9 +50,11 @@ def test_closed_form_regularity_constant():
     assert abs(power_regularity_constant(0.25) - (4.0 + 4.0 / 3.0)) < 1e-12
 
 
+# check_regular certifies powers by the closed form; the quadrature it runs
+# for every other weight is tested on powers against that closed form
 @pytest.fixture(scope="module")
 def cert_half():
-    return check_regular(PowerMajorant(0.5))
+    return _quadrature_certificate(PowerMajorant(0.5), 64)
 
 
 def test_power_half_certified_regular(cert_half):
@@ -64,10 +68,10 @@ def test_power_half_certified_regular(cert_half):
 
 
 def test_power_quarter_and_three_quarters():
-    c25 = check_regular(PowerMajorant(0.25))
+    c25 = _quadrature_certificate(PowerMajorant(0.25), 64)
     assert c25.is_regular
     assert c25.empirical_C <= power_regularity_constant(0.25) + 1e-6
-    c75 = check_regular(PowerMajorant(0.75))
+    c75 = _quadrature_certificate(PowerMajorant(0.75), 64)
     assert c75.is_regular
     # the grid minimum of the regularity quotient sits below the closed form
     assert c75.empirical_C <= power_regularity_constant(0.75) + 1e-6
@@ -80,10 +84,68 @@ def test_power_weight_constant_matches_closed_form(alpha):
     # the certificate's sup sits at the finest grid's x_min = 1e-8 (1e-4
     # pushed down 100x by each of two refinements)
     x_min = 1e-8
-    cert = check_regular(PowerMajorant(alpha))
+    cert = _quadrature_certificate(PowerMajorant(alpha), 64)
     exact = 1.0 / alpha + (1.0 - (x_min / 2.0) ** (1.0 - alpha)) / (1.0 - alpha)
     assert cert.worst_x == pytest.approx(x_min, rel=1e-12)
     assert cert.empirical_C == pytest.approx(exact, rel=1e-5)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.25, 0.5, 0.75, 0.9])
+def test_quadrature_never_exceeds_closed_form(alpha):
+    # the quadrature samples x >= 1e-8 and cuts I1 50 log-units below x, so
+    # each refinement's sup is a lower bound (40.4 against 101 at 0.01)
+    cert = _quadrature_certificate(PowerMajorant(alpha), 64)
+    assert max(cert.history) <= power_regularity_constant(alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-9])
+@pytest.mark.parametrize("make", [
+    lambda a: PowerMajorant(a),
+    lambda a: PowerMajorant(a, 3.0),
+    lambda a: ScaledMajorant(0.5, PowerMajorant(a)),
+    lambda a: ScaledMajorant(1e308, PowerMajorant(a, 1.5)),
+], ids=["plain", "power_scale", "scaled", "scaled_huge"])
+def test_check_regular_certifies_powers_by_closed_form(alpha, make, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("quadrature ran for a power weight")
+
+    monkeypatch.setattr(slicereg.majorant, "_gauss_sums", refuse)
+    monkeypatch.setattr(slicereg.majorant, "_monotonicity", refuse)
+    c = 1.0 / alpha + 1.0 / (1.0 - alpha)
+    cert = check_regular(make(alpha))
+    assert cert.empirical_C == power_regularity_constant(alpha) == pytest.approx(c, rel=1e-12)
+    assert cert.is_regular and cert.monotone and cert.ratio_monotone
+    assert cert.history == (cert.empirical_C,)
+    assert (cert.worst_x, cert.grid_size) == (0.0, 0)
+
+
+def test_closed_form_rejects_an_overflowing_constant(monkeypatch):
+    monkeypatch.setattr(slicereg.majorant, "_gauss_sums", None)  # must not be called
+    cert = check_regular(PowerMajorant(1e-320))  # 1/alpha overflows to inf
+    assert not cert.is_regular
+    assert cert.empirical_C == math.inf and cert.history == (math.inf,)
+
+
+@pytest.mark.parametrize("omega", [
+    PowerMajorant(1.0),
+    ScaledMajorant(2.0, PowerMajorant(1.0)),
+    ScaledMajorant(0.0, PowerMajorant(0.5)),
+    PowerMajorant(0.25) + PowerMajorant(0.75),
+    squared(PowerMajorant(0.75)),
+    TabulatedMajorant([0.0, 0.001, 0.01, 0.1, 1.0, 2.0], [0.0, 0.03, 0.1, 0.3, 1.0, 1.4]),
+], ids=["linear", "scaled_linear", "zero_scale", "sum", "squared_table", "tabulated"])
+def test_other_weights_go_through_the_quadrature(omega, monkeypatch):
+    calls = []
+    real = slicereg.majorant._quadrature_certificate
+
+    def spy(w, quad_nodes):
+        calls.append((w, quad_nodes))
+        return real(w, quad_nodes)
+
+    monkeypatch.setattr(slicereg.majorant, "_quadrature_certificate", spy)
+    cert = check_regular(omega, quad_nodes=32)
+    assert calls == [(omega, 32)]
+    assert repr(cert) == repr(real(omega, 32))
 
 
 def test_identity_majorant_rejected_with_log_divergence():
@@ -120,10 +182,11 @@ def test_scaled_and_sum_combinators(cert_half):
     w = PowerMajorant(0.5)
     s = ScaledMajorant(2.0, w)
     assert abs(s(0.25) - 1.0) < 1e-15
-    scert = check_regular(s)
+    scert = _quadrature_certificate(s, 64)
     assert scert.is_regular
     # the regularity quotient is scale-invariant
     assert abs(scert.empirical_C - cert_half.empirical_C) < 1e-9
+    assert check_regular(s) == check_regular(w)
     both = SumMajorant(PowerMajorant(0.5), PowerMajorant(0.25))
     cert = check_regular(both)
     assert cert.is_regular

@@ -262,13 +262,16 @@ def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Serializable description of a run, the one input of run_suite and
-    of the norm, eval and star commands, validated when built; the parsed
-    plan, weights, units and corpus are properties. The slice units are
-    stored normalized, as the run uses them. The plan, weights and units
-    are parsed once, so every suite of a run shares one plan and with it
-    the plan's store of streams, weights and certificates, and, during a
-    member's step, of that member's values."""
+    """Serializable description of a run, validated when built: the one
+    input of run_suite, of each suite function verify_<suite>(config), and
+    of the norm, eval and star commands. The parsed plan, weights, units
+    and corpus are properties, each built once per config, so every suite
+    of a run reads the same plan, with its store of streams, weights and
+    certificates, and the same member objects, whose values the plan's
+    store holds during the member's step. The slice units are stored
+    normalized, as the run uses them. A weight must be a positive normal
+    float at min_separation and finite at 2, since the estimators divide by
+    it and the bounds scale with it."""
 
     seed: int = SamplePlan.seed
     n_pairs: int = SamplePlan.n_pairs
@@ -327,6 +330,10 @@ class RunConfig:
             object.__setattr__(self, "suites", tuple(self.suites))
         for name in ("plan", "omega", "omega2", "omega_small"):
             getattr(self, name)  # parsed now, so a bad value is refused here
+        for name in ("omega", "omega2", "omega_small"):
+            low, high = getattr(self, name)([self.min_separation, 2.0]).tolist()
+            require(sys.float_info.min <= low < math.inf and math.isfinite(high),
+                    f"{name}_spec", "a weight that is normal at min_separation and finite at 2")
 
     @cached_property
     def plan(self) -> SamplePlan:
@@ -357,7 +364,7 @@ class RunConfig:
     def a(self) -> Quaternion:
         return Quaternion(*self.a_coeff)
 
-    @property
+    @cached_property
     def corpus(self) -> tuple[CorpusMember, ...]:
         if self.corpus_path is not None:
             return load_function_spec(self.corpus_path)

@@ -11,16 +11,18 @@ refinement of the sampling plan.
 All sampling is driven by the shared SamplePlan, so reports are
 deterministic for a fixed seed.
 
-Each suite is a set-up, setup_<suite>, which builds what does not depend
-on the member and returns the suite's VerificationReport holding its
-members and check(rec, m), which fills a fresh record for one member.
-run_suite runs every selected set-up, then one member step per member:
-every suite's check on that member, after which the member's values leave
-the plan's store, so at most one member's values are alive and each is
-built once for all suites. verify_<suite> runs one suite the same way.
-Set-ups build the per-run slice-pair weights (slice_pair_weights) before
-any member's values: built in the first member's step, they fragmented
-glibc's heap (+6 MB peak RSS at 16x; 2-CPU Xeon, Python 3.11, numpy 2.4).
+Each suite is one function, verify_<suite>(config), over the run's one
+RunConfig: it reads its weights, slice units, plan, nodes, window and
+members from the config, builds what does not depend on the member, and
+returns the suite's VerificationReport holding its members and check(rec,
+m), which fills a fresh record for one member. run_suite calls every
+selected suite function, then runs one member step per member: every
+suite's check on that member, after which the member's values leave the
+plan's store, so at most one member's values are alive and each is built
+once for all suites. The suite functions build the per-run slice-pair
+weights (slice_pair_weights) before any member's values: built in the first
+member's step, they fragmented glibc's heap (+6 MB peak RSS at 16x; 2-CPU
+Xeon, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -77,10 +79,6 @@ from .series import (
 
 if TYPE_CHECKING:
     from .cli import RunConfig
-
-
-class NotIntrinsic(ValueError):
-    """A suite restricted to real-coefficient series got something else."""
 
 
 class NoAdmissibleSamples(RuntimeError):
@@ -140,8 +138,10 @@ class FunctionRecord:
         self.checks[label] = float(value)
 
     def check(self, label: str, value: float, ok: bool):
+        """Record a value that fails unless ok; a value that is not finite
+        fails too, since no bound holds it."""
         self.measure(label, value)
-        if not ok:
+        if not (ok and math.isfinite(value)):
             self.failures.append(label)
 
     def witness(self, label: str, est: NormEstimate):
@@ -150,8 +150,9 @@ class FunctionRecord:
 
 @dataclass
 class VerificationReport:
-    """One suite's report. Its set-up adds the members it checks and
-    check(rec, m); member steps append the records. to_dict reads neither."""
+    """One suite's report. Its suite function adds the members it checks
+    and check(rec, m); member steps append the records. to_dict reads
+    neither."""
 
     suite: str
     records: list[FunctionRecord]
@@ -159,11 +160,6 @@ class VerificationReport:
     notes: list[str] = field(default_factory=list)
     members: tuple = ()
     check: Callable[[FunctionRecord, CorpusMember], None] | None = None
-
-    def run(self, plan: SamplePlan) -> VerificationReport:
-        """This suite alone over its members: the report of verify_<suite>."""
-        _member_steps(self.members, [self], plan)
-        return self
 
     @property
     def passed(self) -> bool:
@@ -206,13 +202,15 @@ def _member_steps(corpus, reports: list[VerificationReport], plan: SamplePlan):
 
 
 def _ratio_or_zero(num: float, den: float) -> float:
+    # a finite num over an infinite den reads 0 and would pass any upper bound
+    if not math.isfinite(den):
+        return math.nan
     if den > 0.0:
         return num / den
     return 0.0 if num == 0.0 else math.inf
 
 
-def setup_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
-                          plan: SamplePlan, i: ImaginaryUnit) -> VerificationReport:
+def verify_inclusion_chain(config: RunConfig) -> VerificationReport:
     """Two-majorant membership controls global membership with constant
     6*C3, C3 = max of the component constants; and the global class embeds
     back into the slice class for the summed majorant.
@@ -221,6 +219,7 @@ def setup_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
     pair stream into the global stream, which makes sup(slice) <= sup(global)
     hold exactly as sampled.
     """
+    omega1, omega2, plan, i = config.omega, config.omega2, config.plan, config.i
     tol = 1e-9
     osum = omega1 + omega2
     slice_pair_weights(plan, omega1, omega2, osum)
@@ -241,17 +240,10 @@ def setup_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
         rec.witness("global", g)
 
     return VerificationReport("inclusion_chain", [], {"ratio_max": 1.0 + tol},
-                              members=corpus, check=check)
+                              members=config.corpus, check=check)
 
 
-def verify_inclusion_chain(corpus, omega1: Majorant, omega2: Majorant,
-                           plan: SamplePlan, i: ImaginaryUnit) -> VerificationReport:
-    return setup_inclusion_chain(corpus, omega1, omega2, plan, i).run(plan)
-
-
-def setup_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
-                            a: Quaternion, plan: SamplePlan,
-                            i: ImaginaryUnit) -> VerificationReport:
+def verify_algebraic_closure(config: RunConfig) -> VerificationReport:
     """Right-module closure: f*a + g stays in the class with constant
     ||a||*C_f + C_g, and the components of f*a obey the swapped-majorant
     bound built by combine(). Both are checked pair-by-pair against
@@ -259,6 +251,8 @@ def setup_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
     roundoff. The partner g of a member is the next member by position,
     wrapping around. The member's constants come from the estimators; the
     partner's values are evaluated here."""
+    omega1, omega2, a, plan, i = config.omega, config.omega2, config.a, config.plan, config.i
+    corpus = config.corpus
     tol = 1e-9
     a1n, a2n = map(abs, split(SliceSeries([a]), i).C[:, 0])
     mu1, mu2 = combine(a1n, a2n, omega1, omega2)
@@ -293,23 +287,15 @@ def setup_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
                               [f"a = [{a.x0}, {a.x1}, {a.x2}, {a.x3}]"], corpus, check)
 
 
-def verify_algebraic_closure(corpus, omega1: Majorant, omega2: Majorant,
-                             a: Quaternion, plan: SamplePlan,
-                             i: ImaginaryUnit) -> VerificationReport:
-    return setup_algebraic_closure(corpus, omega1, omega2, a, plan, i).run(plan)
-
-
-def setup_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
-                               k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
+def verify_intrinsic_invariance(config: RunConfig) -> VerificationReport:
     """Real-coefficient series have the same norm on every slice; their
     second split component vanishes, collapsing the two-majorant norm onto
-    the first component. Raises NotIntrinsic on any other input; an empty
-    corpus fails the suite, which would check nothing."""
+    the first component. Only the intrinsic members are checked; a corpus
+    without one fails the suite, which would check nothing."""
+    omega, i, k, plan = config.omega, config.i, config.k, config.plan
     tol = 1e-10
     other = PowerMajorant(0.75)
-    for m in corpus:
-        if not m.intrinsic:
-            raise NotIntrinsic(m.name)
+    corpus = tuple(m for m in config.corpus if m.intrinsic)
     notes = [] if corpus else ["error: no intrinsic member in the corpus"]
     slice_pair_weights(plan, omega, other)
 
@@ -329,16 +315,11 @@ def setup_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
                               notes, corpus, check)
 
 
-def verify_intrinsic_invariance(corpus, omega: Majorant, i: ImaginaryUnit,
-                                k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
-    return setup_intrinsic_invariance(corpus, omega, i, k, plan).run(plan)
-
-
-def setup_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
-                             k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
+def verify_slice_independence(config: RunConfig) -> VerificationReport:
     """Norms on two slices agree within a factor 2 (checked with relative
     slack 0.1, so the window is [1/2.2, 2.2]); intrinsic members agree
     exactly under the paired pair stream."""
+    omega, i, k, plan = config.omega, config.i, config.k, config.plan
     bound = 2.2
     slice_pair_weights(plan, omega)
 
@@ -355,20 +336,15 @@ def setup_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
                       abs(ratio - 1.0) <= 1e-10)
 
     return VerificationReport("slice_independence", [], {"ratio_window": bound},
-                              members=corpus, check=check)
+                              members=config.corpus, check=check)
 
 
-def verify_slice_independence(corpus, omega: Majorant, i: ImaginaryUnit,
-                              k: ImaginaryUnit, plan: SamplePlan) -> VerificationReport:
-    return setup_slice_independence(corpus, omega, i, k, plan).run(plan)
-
-
-def setup_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
-                             plan: SamplePlan) -> VerificationReport:
+def verify_modulus_membership(config: RunConfig) -> VerificationReport:
     """Membership passes to the modulus and to the two sandwich moduli:
     per sampled pair, | ||f(x)|| - ||f(y)|| | <= ||f(x)-f(y)|| and the
     sandwich-modulus differences are <= 2 ||f(x)-f(y)||, hence the modulus
     norms are controlled by the slice norm."""
+    omega, i, plan = config.omega, config.i, config.plan
     tol = 1e-12
     z1, z2, w = slice_pair_weights(plan, omega)
 
@@ -393,12 +369,7 @@ def setup_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
         rec.measure("function_norm", f_norm)
 
     return VerificationReport("modulus_membership", [], {"pointwise": tol},
-                              members=corpus, check=check)
-
-
-def verify_modulus_membership(corpus, omega: Majorant, i: ImaginaryUnit,
-                              plan: SamplePlan) -> VerificationReport:
-    return setup_modulus_membership(corpus, omega, i, plan).run(plan)
+                              members=config.corpus, check=check)
 
 
 def _defect_grid(plan: SamplePlan, nodes: int) -> np.ndarray:
@@ -424,8 +395,7 @@ def _certificate(plan: SamplePlan, omega: Majorant) -> RegularityCertificate:
     return plan.memo(("certificate", omega), lambda: check_regular(omega))
 
 
-def setup_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
-                            nodes: int, window: float) -> VerificationReport:
+def verify_norm_equivalences(config: RunConfig) -> VerificationReport:
     """The squared slice norm, the three component-summed boundary
     functionals, and the squared-modulus Poisson-defect functional are
     pairwise comparable within the window; all-zero members pass vacuously.
@@ -434,6 +404,8 @@ def setup_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sam
     power so its square is the 1/2 power. A weight that check_regular
     rejects fails every member with omega_not_regular.
     """
+    omega, i, plan = config.omega_small, config.i, config.plan
+    nodes, window = config.nodes, config.window
     slice_pair_weights(plan, omega)
     rejected = [c for c in (_certificate(plan, omega), _certificate(plan, squared(omega)))
                 if not c.is_regular]
@@ -463,13 +435,7 @@ def setup_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sam
             rec.check("max_over_min", ratio, ratio <= window)
 
     return VerificationReport("norm_equivalences", [], {"window": window},
-                              members=corpus, check=check)
-
-
-def verify_norm_equivalences(corpus, omega: Majorant, i: ImaginaryUnit,
-                             plan: SamplePlan, nodes: int,
-                             window: float) -> VerificationReport:
-    return setup_norm_equivalences(corpus, omega, i, plan, nodes, window).run(plan)
+                              members=config.corpus, check=check)
 
 
 def _ball_derivative_ratios(fp: SliceSeries, qs: np.ndarray, gaps: np.ndarray,
@@ -484,8 +450,7 @@ def _ball_derivative_ratios(fp: SliceSeries, qs: np.ndarray, gaps: np.ndarray,
     return g_ratio, float(np.max(pvals * gaps / wq))
 
 
-def setup_derivative_characterizations(corpus, omega: Majorant, plan: SamplePlan,
-                                       i: ImaginaryUnit) -> VerificationReport:
+def verify_derivative_characterizations(config: RunConfig) -> VerificationReport:
     """Derivative growth: the weighted derivative sups are finite and
     radially stable; the full-ball derivative sup is controlled by twice
     the slice sup (checked exactly by folding the sampled projections into
@@ -493,6 +458,7 @@ def setup_derivative_characterizations(corpus, omega: Majorant, plan: SamplePlan
     points; and the full derivative ratio is controlled by the component
     constant times the regularity constant of omega. A weight that
     check_regular rejects fails every member with omega_not_regular."""
+    omega, plan, i = config.omega, config.plan, config.i
     tol = 1e-8
     cert = _certificate(plan, omega)
     slice_pair_weights(plan, omega)
@@ -544,22 +510,16 @@ def setup_derivative_characterizations(corpus, omega: Majorant, plan: SamplePlan
 
     return VerificationReport("derivative_characterizations", [],
                               {"slack": tol, "mixed_window": mixed_window}, notes,
-                              corpus, check)
+                              config.corpus, check)
 
 
-def verify_derivative_characterizations(corpus, omega: Majorant,
-                                        plan: SamplePlan,
-                                        i: ImaginaryUnit) -> VerificationReport:
-    return setup_derivative_characterizations(corpus, omega, plan, i).run(plan)
-
-
-def setup_poisson_characterization(corpus, omega: Majorant, i: ImaginaryUnit,
-                                   plan: SamplePlan, nodes: int,
-                                   window: float) -> VerificationReport:
+def verify_poisson_characterization(config: RunConfig) -> VerificationReport:
     """Membership is equivalent to a bounded Poisson defect of the
     component moduli: C_def = sup (P[|f_k|](x)-|f_k(x)|)/omega(1-|x|) and
     C_lip = slice norm are finite together and comparable within the
     window."""
+    omega, i, plan = config.omega, config.i, config.plan
+    nodes, window = config.nodes, config.window
     slice_pair_weights(plan, omega)
 
     def check(rec, m):
@@ -581,14 +541,7 @@ def setup_poisson_characterization(corpus, omega: Majorant, i: ImaginaryUnit,
                       1.0 / window <= ratio <= window)
 
     return VerificationReport("poisson_characterization", [], {"window": window},
-                              members=corpus, check=check)
-
-
-def verify_poisson_characterization(corpus, omega: Majorant,
-                                    i: ImaginaryUnit, plan: SamplePlan,
-                                    nodes: int, window: float
-                                    ) -> VerificationReport:
-    return setup_poisson_characterization(corpus, omega, i, plan, nodes, window).run(plan)
+                              members=config.corpus, check=check)
 
 
 def cone_admissible_mask(qs: np.ndarray, i: ImaginaryUnit, sign: float,
@@ -615,8 +568,7 @@ def admissible_cone_points(qs: np.ndarray, i: ImaginaryUnit, sign: float,
     return np.nonzero(mask)[0]
 
 
-def setup_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
-                         nodes: int) -> VerificationReport:
+def verify_cone_corollary(config: RunConfig) -> VerificationReport:
     """For points admissible under the cone condition, the Poisson mean of
     ||f|| exceeds twice the value at the matched slice point by at most
     2*C_def*omega(1-|q|). Admissibility on a full angle grid forces the
@@ -624,6 +576,7 @@ def setup_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sample
     (admissible) with random ball points (rejected and counted). The
     crossed sign pairing is evaluated and reported without a pass
     condition."""
+    omega, i, plan, nodes = config.omega, config.i, config.plan, config.nodes
     tol = 1e-9
     t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     zs = disc_points(plan, cap=resolved_cap(plan.max_radius, nodes))[:24]
@@ -670,54 +623,35 @@ def setup_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: Sample
         rec.measure("crossed_excess", worst_crossed)
 
     return VerificationReport("cone_corollary", [], {"absolute": tol},
-                              members=corpus, check=check)
+                              members=config.corpus, check=check)
 
 
-def verify_cone_corollary(corpus, omega: Majorant, i: ImaginaryUnit, plan: SamplePlan,
-                          nodes: int) -> VerificationReport:
-    return setup_cone_corollary(corpus, omega, i, plan, nodes).run(plan)
-
-
-# each suite: its set-up on (config, corpus). The lambdas look the set-ups
-# up in this module when called, so a wrapper set on slicereg.verify sees them.
-_SUITES = {
-    "inclusion_chain": lambda c, corpus: setup_inclusion_chain(
-        corpus, c.omega, c.omega2, c.plan, c.i),
-    "algebraic_closure": lambda c, corpus: setup_algebraic_closure(
-        corpus, c.omega, c.omega2, c.a, c.plan, c.i),
-    "intrinsic_invariance": lambda c, corpus: setup_intrinsic_invariance(
-        tuple(m for m in corpus if m.intrinsic), c.omega, c.i, c.k, c.plan),
-    "slice_independence": lambda c, corpus: setup_slice_independence(
-        corpus, c.omega, c.i, c.k, c.plan),
-    "modulus_membership": lambda c, corpus: setup_modulus_membership(
-        corpus, c.omega, c.i, c.plan),
-    "norm_equivalences": lambda c, corpus: setup_norm_equivalences(
-        corpus, c.omega_small, c.i, c.plan, c.nodes, c.window),
-    "derivative_characterizations": lambda c, corpus: setup_derivative_characterizations(
-        corpus, c.omega, c.plan, c.i),
-    "poisson_characterization": lambda c, corpus: setup_poisson_characterization(
-        corpus, c.omega, c.i, c.plan, c.nodes, c.window),
-    "cone_corollary": lambda c, corpus: setup_cone_corollary(
-        corpus, c.omega, c.i, c.plan, c.nodes),
-}
-ALL_SUITES = tuple(_SUITES)
+# run_suite calls verify_<name> through the module's globals, so a wrapper
+# set on slicereg.verify sees every call
+ALL_SUITES = (
+    "inclusion_chain", "algebraic_closure", "intrinsic_invariance",
+    "slice_independence", "modulus_membership", "norm_equivalences",
+    "derivative_characterizations", "poisson_characterization", "cone_corollary",
+)
 
 
 def run_suite(config: RunConfig) -> list[VerificationReport]:
     """Run the selected suites (config.suites, all when None) over the
-    configured corpus and plan, and return the reports their set-ups
-    built, in selection order. Every set-up runs first; then each member
-    runs every suite's check in one member step, so its values are built
-    once and dropped after its last suite. A suite whose set-up raises, or
-    whose name is unknown, is reported as failed; the batch always completes."""
+    configured corpus and plan, and return the reports their suite
+    functions built, in selection order. The corpus is loaded first, so a
+    bad corpus file is refused before any suite runs. Every suite function
+    runs next; then each member runs every suite's check in one member
+    step, so its values are built once and dropped after its last suite. A
+    suite whose function raises, or whose name is unknown, is reported as
+    failed; the batch always completes."""
     corpus = config.corpus
     reports = []
     for name in ALL_SUITES if config.suites is None else config.suites:
-        if name not in _SUITES:
+        if name not in ALL_SUITES:
             reports.append(_failed_suite(name, f"unknown suite {name!r}"))
             continue
         try:
-            reports.append(_SUITES[name](config, corpus))
+            reports.append(globals()[f"verify_{name}"](config))
         except Exception as exc:  # isolate set-up crashes
             reports.append(_failed_suite(name, f"{type(exc).__name__}: {exc}"))
     _member_steps(corpus, reports, config.plan)

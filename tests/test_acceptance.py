@@ -59,13 +59,7 @@ from slicereg.series import (
     star_pointwise,
     star_product,
 )
-from slicereg.verify import (
-    default_corpus,
-    run_suite,
-    verify_inclusion_chain,
-    verify_poisson_characterization,
-    verify_slice_independence,
-)
+from slicereg.verify import default_corpus, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -287,10 +281,9 @@ def test_criterion_07_norm_estimators():
             10.0, elapsed)
 
 
-def test_criterion_08_inclusion_constant(corpus):
+def test_criterion_08_inclusion_constant():
     t0 = time.monotonic()
-    w = PowerMajorant(0.5)
-    rep = verify_inclusion_chain(corpus, w, w, SamplePlan(), i=UNIT_E1)
+    (rep,) = run_suite(RunConfig(suites=("inclusion_chain",)))
     ratios = {rec.name: rec.checks["global_over_6c3"] for rec in rep.records}
     worst = max(ratios.values())
     elapsed = time.monotonic() - t0
@@ -299,10 +292,8 @@ def test_criterion_08_inclusion_constant(corpus):
             60.0, elapsed)
 
 
-def test_criterion_09_slice_independence(corpus):
+def test_criterion_09_slice_independence():
     t0 = time.monotonic()
-    w = PowerMajorant(0.5)
-    plan = SamplePlan()
     rng = np.random.default_rng(1009)
     pairs = [(UNIT_E1, UNIT_E2)]
     while len(pairs) < 6:  # the default pair plus 5 random ones
@@ -313,7 +304,8 @@ def test_criterion_09_slice_independence(corpus):
     all_ok = True
     worst_ratio, worst_gap = 1.0, 0.0
     for i, k in pairs:
-        rep = verify_slice_independence(corpus, w, i, k, plan)
+        (rep,) = run_suite(RunConfig(slice_i=i.components(), slice_k=k.components(),
+                                     suites=("slice_independence",)))
         all_ok = all_ok and rep.passed
         for rec in rep.records:
             r = rec.checks.get("ratio")
@@ -353,11 +345,9 @@ def test_criterion_10_derivative_characterization(corpus):
             30.0, elapsed)
 
 
-def test_criterion_11_poisson_defect_equivalence(corpus):
+def test_criterion_11_poisson_defect_equivalence():
     t0 = time.monotonic()
-    w = PowerMajorant(0.5)
-    rep = verify_poisson_characterization(corpus, w, UNIT_E1, SamplePlan(),
-                                          nodes=2048, window=20.0)
+    (rep,) = run_suite(RunConfig(suites=("poisson_characterization",)))
     by_name = {rec.name: rec for rec in rep.records}
     defect = by_name["identity"].checks["defect_sup"]
     ok_units = abs(defect - 1.0) <= 0.02

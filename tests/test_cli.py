@@ -440,6 +440,8 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
     (None, ["norm", "--name", "identity", "--estimator", "schwarz-series",
             "--omega", "tabulated:0,0;2,0"]),
     (None, ["verify", "--omega", "scaled:0:power:0.5"]),
+    (None, ["verify", "--omega", "scaled:1e-320:power:0.5", "--pairs", "256",
+            "--points", "64", "--nodes", "512"]),
     (None, ["verify", "--slice", "x=1,0,0"]),
     (None, ["norm", "--name", "identity", "--estimator", "slice", "--slice", "j=0,1,0"]),
     (None, ["norm", "--name", "identity", "--estimator", "component", "--omega2", ""]),
@@ -464,8 +466,8 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
         "eval_at_nan", "spec_nan", "tabulated_nan", "power_inf", "panels_0", "panels_2",
         "panels_negative", "norm_scaled_zero", "global_scaled_zero", "norm_table_zero",
         "global_table_zero_knot", "derivative_scaled_zero", "schwarz_table_zero",
-        "verify_scaled_zero", "verify_slice_x", "norm_slice_j", "norm_omega2_empty",
-        "verify_window_half", "config_window_below_1", "verify_suite_comma",
+        "verify_scaled_zero", "verify_scaled_subnormal", "verify_slice_x", "norm_slice_j",
+        "norm_omega2_empty", "verify_window_half", "config_window_below_1", "verify_suite_comma",
         "verify_suite_empty", "config_suites_empty", "corpus_spec_empty",
         *(f"{kind}_{where}" for kind in ("not_utf8", "nested_too_deep")
           for where in ("report", "corpus", "config", "eval")),

@@ -1,7 +1,7 @@
 """Which defects the property suites catch.
 
-Each defect scales one estimator's result by 2 or by 1/2 at the name
-slicereg.verify reads, or breaks the split layer, and then runs every
+Each defect scales one estimator's result (by 2, 1/2, 25 or inf) at the
+name slicereg.verify reads, or breaks the split layer, and then runs every
 suite at a small plan. A caught defect must fail exactly its named suites.
 A survivor passes every suite; it is listed with the reason no check sees
 it, and moves to CAUGHT when a check that kills it lands. A window is
@@ -9,6 +9,7 @@ never widened, nor the corpus or a seed changed, to kill one.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -55,6 +56,10 @@ CAUGHT = {
     "component_estimates_x2": (_scale("component_estimates", 2.0), {"intrinsic_invariance"}),
     "component_estimates_half": (_scale("component_estimates", 0.5),
                                  {"algebraic_closure", "intrinsic_invariance"}),
+    # no check passes on a non-finite value, nor on a ratio over an infinite bound
+    "component_estimates_inf": (_scale("component_estimates", math.inf),
+                                {"algebraic_closure", "derivative_characterizations",
+                                 "inclusion_chain", "intrinsic_invariance"}),
     "seminorms_N_x2": (_scale("seminorms_N", 2.0), {"norm_equivalences"}),
     "poisson_integral_slice_x2": (_scale("poisson_integral_slice", 2.0), {"cone_corollary"}),
     "split_modulus_half": (_scale("split_modulus", 0.5), {"modulus_membership"}),

@@ -50,8 +50,8 @@ def test_tracer_spans_every_suite(monkeypatch):
 
 def test_dispatch_reads_module_globals(monkeypatch, tmp_path):
     # the tracer replaces functions in slicereg.cli and slicereg.verify; the
-    # suite set-up and estimator tables must reach the replacements, not the
-    # function objects they saw at import
+    # suite dispatch and the estimator table must reach the replacements, not
+    # the function objects they saw at import
     from slicereg import cli, verify
 
     calls = []
@@ -64,10 +64,10 @@ def test_dispatch_reads_module_globals(monkeypatch, tmp_path):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    spy(verify, "setup_modulus_membership")
+    spy(verify, "verify_modulus_membership")
     spy(cli, "global_norm")
     (report,) = verify.run_suite(cli.RunConfig(n_pairs=256, suites=("modulus_membership",)))
     assert report.passed
     assert cli.main(["norm", "--name", "identity", "--estimator", "global",
                      "--pairs", "256", "--out", str(tmp_path / "n.json")]) == 0
-    assert calls == ["setup_modulus_membership", "global_norm"]
+    assert calls == ["verify_modulus_membership", "global_norm"]

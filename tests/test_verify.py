@@ -1,4 +1,6 @@
+import inspect
 import json
+import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -12,38 +14,28 @@ import slicereg.verify
 from slicereg.cli import RunConfig, ValidationError, main
 from slicereg.lipschitz import SamplePlan
 from slicereg.majorant import PowerMajorant
-from slicereg.quaternion import E1, UNIT_E1, UNIT_E2, Quaternion
+from slicereg.quaternion import UNIT_E1
 from slicereg.series import SliceSeries
 from slicereg.verify import (
     ALL_SUITES,
-    CorpusMember,
     FunctionRecord,
     NoAdmissibleSamples,
-    NotIntrinsic,
     VerificationReport,
     admissible_cone_points,
     cone_admissible_mask,
     default_corpus,
     run_suite,
-    verify_algebraic_closure,
-    verify_cone_corollary,
-    verify_derivative_characterizations,
-    verify_inclusion_chain,
-    verify_intrinsic_invariance,
-    verify_modulus_membership,
-    verify_norm_equivalences,
-    verify_poisson_characterization,
-    verify_slice_independence,
 )
-
-PLAN = SamplePlan()
-W = PowerMajorant(0.5)
-W_SMALL = PowerMajorant(0.25)
 
 
 @pytest.fixture(scope="module")
 def corpus():
     return default_corpus()
+
+
+def _one_suite(name, **fields):
+    (report,) = run_suite(RunConfig(suites=(name,), **fields))
+    return report
 
 
 def test_default_corpus_shape(corpus):
@@ -70,45 +62,38 @@ def test_default_corpus_shape(corpus):
 
 
 def test_inclusion_chain(corpus):
-    rep = verify_inclusion_chain(corpus, W, W, PLAN, i=UNIT_E1)
+    rep = _one_suite("inclusion_chain")
     assert rep.passed
     assert len(rep.records) == len(corpus)
     for rec in rep.records:
         assert rec.checks["global_over_6c3"] <= 1.0 + 1e-9
 
 
-def test_algebraic_closure(corpus):
-    rep = verify_algebraic_closure(corpus, W, W, E1, PLAN, i=UNIT_E1)
+def test_algebraic_closure():
+    rep = _one_suite("algebraic_closure")
     assert rep.passed
 
 
-def test_intrinsic_invariance(corpus):
-    intrinsic = tuple(m for m in corpus if m.intrinsic)
-    rep = verify_intrinsic_invariance(intrinsic, W, UNIT_E1, UNIT_E2, PLAN)
+def test_intrinsic_invariance():
+    rep = _one_suite("intrinsic_invariance")
     assert rep.passed
     assert len(rep.records) == 4
-    with pytest.raises(NotIntrinsic):
-        verify_intrinsic_invariance(
-            (CorpusMember("bad", SliceSeries([E1, Quaternion(1.0)])),),
-            W, UNIT_E1, UNIT_E2, PLAN,
-        )
 
 
-def test_slice_independence(corpus):
-    rep = verify_slice_independence(corpus, W, UNIT_E1, UNIT_E2, PLAN)
+def test_slice_independence():
+    rep = _one_suite("slice_independence")
     assert rep.passed
     for rec in rep.records:
         if "norm_ratio" in rec.checks and rec.checks["norm_ratio"] > 0:
             assert 1.0 / 2.2 <= rec.checks["norm_ratio"] <= 2.2
 
 
-def test_modulus_membership(corpus):
-    assert verify_modulus_membership(corpus, W, UNIT_E1, PLAN).passed
+def test_modulus_membership():
+    assert _one_suite("modulus_membership").passed
 
 
-def test_norm_equivalences(corpus):
-    rep = verify_norm_equivalences(corpus, W_SMALL, UNIT_E1, PLAN, nodes=1024,
-                                   window=20.0)
+def test_norm_equivalences():
+    rep = _one_suite("norm_equivalences", nodes=1024)
     assert rep.passed
     by_name = {rec.name: rec for rec in rep.records}
     assert "constant member: vacuous pass" in by_name["const_real"].notes
@@ -127,17 +112,16 @@ def test_norm_equivalences_fails_on_uncertified_square(tmp_path):
         assert list(rec["checks"]) == ["omega_not_regular"]
 
 
-def test_derivative_characterizations(corpus):
-    rep = verify_derivative_characterizations(corpus, W, PLAN, i=UNIT_E1)
+def test_derivative_characterizations():
+    rep = _one_suite("derivative_characterizations")
     assert rep.passed
     for rec in rep.records:
         if "growth_sandwich_min_slack" in rec.checks:
             assert rec.checks["growth_sandwich_min_slack"] >= -1e-8
 
 
-def test_poisson_characterization(corpus):
-    rep = verify_poisson_characterization(corpus, W, UNIT_E1, PLAN, nodes=1024,
-                                          window=20.0)
+def test_poisson_characterization():
+    rep = _one_suite("poisson_characterization", nodes=1024)
     assert rep.passed
     by_name = {rec.name: rec for rec in rep.records}
     assert "constant member: vacuous pass" in by_name["const_quat"].notes
@@ -145,15 +129,16 @@ def test_poisson_characterization(corpus):
     assert 1.0 / 20.0 <= ratio <= 20.0
 
 
-def test_cone_corollary(corpus):
-    rep = verify_cone_corollary(corpus, W, UNIT_E1, PLAN, nodes=1024)
+def test_cone_corollary():
+    rep = _one_suite("cone_corollary", nodes=1024)
     assert rep.passed
     for rec in rep.records:
         assert rec.checks["rejected"] > 0  # off-slice samples refused
 
 
 def test_member_exception_fails_only_its_record(corpus, monkeypatch):
-    square = next(m for m in corpus if m.name == "square")
+    config = RunConfig(n_pairs=256, n_points=64, suites=("slice_independence",))
+    square = next(m for m in config.corpus if m.name == "square")
     real_slice_norm = slicereg.verify.slice_norm
 
     def slice_norm(series, *args):
@@ -162,8 +147,7 @@ def test_member_exception_fails_only_its_record(corpus, monkeypatch):
         return real_slice_norm(series, *args)
 
     monkeypatch.setattr(slicereg.verify, "slice_norm", slice_norm)
-    rep = verify_slice_independence(corpus, W, UNIT_E1, UNIT_E2,
-                                    SamplePlan(n_pairs=256, n_points=64))
+    (rep,) = run_suite(config)
     assert [rec.name for rec in rep.records] == [m.name for m in corpus]
     by_name = {rec.name: rec for rec in rep.records}
     failed = by_name.pop("square")
@@ -272,7 +256,7 @@ def test_setups_build_what_every_member_shares(monkeypatch):
     spy(slicereg.verify, "admissible_cone_points", signs, lambda args, _: args[2])
     spy(SamplePlan, "memo", keys, lambda args, _: args[1])
     for name in ALL_SUITES:
-        spy(slicereg.verify, f"setup_{name}", built, lambda _, report: report)
+        spy(slicereg.verify, f"verify_{name}", built, lambda _, report: report)
     reports = run_suite(config)
     assert all(r.passed for r in reports)
     assert signs == [1.0, -1.0]
@@ -315,7 +299,7 @@ def test_check_exception_fails_only_that_suites_record(monkeypatch):
 def test_setup_exception_fails_only_its_suite(monkeypatch):
     def refused(*args):
         raise RuntimeError("no cone sample")
-    monkeypatch.setattr(slicereg.verify, "setup_cone_corollary", refused)
+    monkeypatch.setattr(slicereg.verify, "verify_cone_corollary", refused)
     reports = run_suite(RunConfig(n_pairs=256, n_points=64, nodes=512))
     assert [r.suite for r in reports] == list(ALL_SUITES)
     *rest, cone = reports
@@ -390,6 +374,24 @@ def test_run_suite_deterministic():
     a = run_suite(cfg)[0].to_dict()
     b = run_suite(cfg)[0].to_dict()
     assert a == b
+
+
+def test_every_suite_is_one_function_of_the_config():
+    # a suite missing from ALL_SUITES, or a leftover set-up or wrapper, fails here
+    functions = {name for name, value in vars(slicereg.verify).items()
+                 if name.startswith(("verify_", "setup_")) and callable(value)}
+    assert functions == {f"verify_{name}" for name in ALL_SUITES}
+    for name in functions:
+        params = inspect.signature(getattr(slicereg.verify, name)).parameters
+        assert list(params) == ["config"], name
+
+
+def test_check_fails_a_non_finite_value():
+    rec = FunctionRecord("demo")
+    rec.check("inf", math.inf, True)
+    rec.check("nan", math.nan, True)
+    rec.check("finite", 1.0, True)
+    assert rec.failures == ["inf", "nan"]
 
 
 def test_report_and_record_plumbing():

@@ -112,7 +112,7 @@ def parse_majorant(spec: str) -> Majorant:
     """Build a majorant from a compact spec string.
 
     Terms are joined with '+'. Each term is one of
-      power:<alpha>[:<scale>]
+      power:<alpha>[:<c>]                shorthand for scaled:<c>:power:<alpha>
       scaled:<c>:<term>                  c > 0
       tabulated:<t0>,<v0>;<t1>,<v1>;...  t0 = v0 = 0, every later value > 0
     Example: "power:0.5+scaled:2:power:0.25". A weight vanishing away from
@@ -146,22 +146,25 @@ def _validated(ctor, term: str, *args) -> Majorant:
         raise ValidationError(f"bad majorant term {term!r}: {exc}") from exc
 
 
+def _scaled(c: float, base: Majorant, term: str) -> Majorant:
+    if c <= 0.0:  # a weight must be positive away from 0
+        raise ValidationError(f"scale must be positive: {term!r}")
+    return ScaledMajorant(c, base)
+
+
 def _parse_majorant_term(term: str) -> Majorant:
     head, _, rest = term.partition(":")
     if head == "power":
         parts = rest.split(":")
         if len(parts) not in (1, 2) or not parts[0]:
             raise ParseError(f"power needs 1 or 2 parameters: {term!r}")
-        alpha = _num(parts[0], term)
-        scale = _num(parts[1], term) if len(parts) == 2 else 1.0
-        return _validated(PowerMajorant, term, alpha, scale)
+        nums = [_num(p, term) for p in parts]
+        power = _validated(PowerMajorant, term, nums[0])
+        return power if len(nums) == 1 else _scaled(nums[1], power, term)
     if head == "scaled":
         c_text, _, inner = rest.partition(":")
         base = _parse_majorant_term(inner)
-        c = _num(c_text, term)
-        if c <= 0.0:  # a weight must be positive away from 0
-            raise ValidationError(f"scale must be positive: {term!r}")
-        return _validated(ScaledMajorant, term, c, base)
+        return _scaled(_num(c_text, term), base, term)
     if head == "tabulated":
         pairs = [p for p in rest.split(";") if p]
         if not pairs:

@@ -39,7 +39,6 @@ from .quaternion import (
     from_array,
     hmul_array,
     norm_array,
-    quat_array,
     slice_point,
     slice_points_array,
 )
@@ -459,16 +458,16 @@ def derivative_ratio(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
 
 @dataclass(frozen=True)
 class GrowthCheck:
-    """Bounded-growth report at slice points: sandwich left sides against
-    twice the local sup, and the quadratic form against its majorant.
-    Fields are floats for one point and (n,) arrays for n points."""
+    """Bounded-growth report at n slice points: sandwich left sides against
+    twice the local sup, and the quadratic form against its majorant, as
+    (n,) arrays."""
 
-    lhs_plus: float | np.ndarray
-    lhs_minus: float | np.ndarray
-    local_sup: float | np.ndarray
-    lhs_quadratic: float | np.ndarray
-    rhs_quadratic: float | np.ndarray
-    samples: int | np.ndarray
+    lhs_plus: np.ndarray
+    lhs_minus: np.ndarray
+    local_sup: np.ndarray
+    lhs_quadratic: np.ndarray
+    rhs_quadratic: np.ndarray
+    samples: np.ndarray
 
     @property
     def sandwich_slack(self):
@@ -479,16 +478,16 @@ class GrowthCheck:
         return self.rhs_quadratic - self.lhs_quadratic
 
 
-def bounded_growth_check(f: SliceSeries, x: Quaternion | np.ndarray,
-                         i: ImaginaryUnit, plan: SamplePlan) -> GrowthCheck:
-    """Evaluate the bounded-growth inequalities of f at one slice point, or
-    at each row of an (n, 4) array of slice points.
+def bounded_growth_check(f: SliceSeries, x: np.ndarray, i: ImaginaryUnit,
+                         plan: SamplePlan) -> GrowthCheck:
+    """Evaluate the bounded-growth inequalities of f at each row of an
+    (n, 4) array of slice points.
 
     The local sup runs over the disc around x of radius 1 - |x| inside the
     slice plane; by subharmonicity of the component moduli it is sampled on
     the bounding circle only.
     """
-    q = quat_array([x]) if isinstance(x, Quaternion) else np.asarray(x, dtype=float)
+    q = np.asarray(x, dtype=float)
     y = q[:, 1] * i.v1 + q[:, 2] * i.v2 + q[:, 3] * i.v3
     off = np.linalg.norm(q[:, 1:] - y[:, None] * np.array(i.components()), axis=1)
     if np.any(off > 1e-9):
@@ -516,11 +515,8 @@ def bounded_growth_check(f: SliceSeries, x: Quaternion | np.ndarray,
     lhs_plus = gap * d2 + 2.0 * f2
     lhs_quad = 0.25 * gap * gap * (d1 * d1 + d2 * d2) + f1 * f1 + f2 * f2
     rhs_quad = (r - 1.0) * (d1 * f1 + d2 * f2) + m1 * m1 + m2 * m2
-    fields = (lhs_plus, lhs_minus, local_sup, lhs_quad, rhs_quad,
-              np.full(len(q), plan.n_points))
-    if isinstance(x, Quaternion):
-        return GrowthCheck(*(v[0].item() for v in fields))
-    return GrowthCheck(*fields)
+    return GrowthCheck(lhs_plus, lhs_minus, local_sup, lhs_quad, rhs_quad,
+                       np.full(len(q), plan.n_points))
 
 
 @dataclass(frozen=True)

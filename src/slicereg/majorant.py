@@ -7,13 +7,19 @@ additionally
     int_0^x omega(t)/t dt  +  x * int_x^2 omega(t)/t^2 dt  <=  C * omega(x)
 
 for a finite C independent of x in (0, 2]. check_regular certifies a power
-t^alpha with 0 < alpha < 1, plain or positively scaled, by its closed-form
-constant C = 1/alpha + 1/(1 - alpha). Every other weight is certified
-empirically: both integrals are evaluated with the substitution t = e^u
-(which removes the endpoint singularity) by composite Gauss-Legendre
-panels, and the sup of the ratio must stabilize under grid refinement.
+t^alpha with 0 < alpha < 1, plain or under any chain of positive scales,
+by its closed-form constant C = 1/alpha + 1/(1 - alpha). Every other weight
+is certified empirically: both integrals are evaluated with the
+substitution t = e^u (which removes the endpoint singularity) by composite
+Gauss-Legendre panels, and the sup of the ratio must stabilize under grid
+refinement.
 That sup is a lower bound for C: the grid stops at x = 1e-8 and I1 is cut
 50 log-units below x.
+
+Powers, sums and scalings are frozen dataclasses, so equal weights are
+equal values with equal hashes and can key a store; c * t^alpha has the
+one form ScaledMajorant(c, PowerMajorant(alpha)). A TabulatedMajorant holds
+arrays and compares by identity.
 """
 
 from __future__ import annotations
@@ -63,35 +69,25 @@ class Majorant:
         return np.empty(0)
 
 
+@dataclass(frozen=True)
 class PowerMajorant(Majorant):
-    """omega(t) = scale * t^alpha with 0 < alpha <= 1."""
+    """omega(t) = t^alpha with 0 < alpha <= 1; a scaled power c * t^alpha
+    is ScaledMajorant(c, PowerMajorant(alpha))."""
 
-    def __init__(self, alpha: float, scale: float = 1.0):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"exponent must lie in (0, 1], got {alpha!r}")
-        if scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {scale!r}")
-        self.alpha = float(alpha)
-        self.scale = float(scale)
+    alpha: float
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"exponent must lie in (0, 1], got {self.alpha!r}")
 
     def _eval(self, t):
-        return self.scale * np.power(t, self.alpha)
-
-    def __eq__(self, other):
-        return (isinstance(other, PowerMajorant)
-                and (self.alpha, self.scale) == (other.alpha, other.scale))
-
-    def __hash__(self):
-        return hash((self.alpha, self.scale))
-
-    def __repr__(self):
-        return f"PowerMajorant(alpha={self.alpha}, scale={self.scale})"
+        return np.power(t, self.alpha)
 
 
+@dataclass(frozen=True)
 class SumMajorant(Majorant):
-    def __init__(self, first: Majorant, second: Majorant):
-        self.first = first
-        self.second = second
+    first: Majorant
+    second: Majorant
 
     def _eval(self, t):
         return self.first._eval(t) + self.second._eval(t)
@@ -99,18 +95,17 @@ class SumMajorant(Majorant):
     def knots(self):
         return np.union1d(self.first.knots(), self.second.knots())
 
-    def __repr__(self):
-        return f"SumMajorant({self.first!r}, {self.second!r})"
 
-
+@dataclass(frozen=True)
 class ScaledMajorant(Majorant):
     """c * base. c = 0 is tolerated and yields the degenerate zero function."""
 
-    def __init__(self, c: float, base: Majorant):
-        if c < 0.0:
-            raise ValueError(f"scale must be nonnegative, got {c!r}")
-        self.c = float(c)
-        self.base = base
+    c: float
+    base: Majorant
+
+    def __post_init__(self):
+        if self.c < 0.0:
+            raise ValueError(f"scale must be nonnegative, got {self.c!r}")
 
     def _eval(self, t):
         return self.c * self.base._eval(t)
@@ -118,14 +113,12 @@ class ScaledMajorant(Majorant):
     def knots(self):
         return self.base.knots()
 
-    def __repr__(self):
-        return f"ScaledMajorant({self.c}, {self.base!r})"
-
 
 class TabulatedMajorant(Majorant):
     """Piecewise-linear interpolant through (grid, values) with grid[0] = 0,
     values[0] = 0. Monotonicity is checked by check_regular, not here, so
-    that inadmissible tables can be constructed and then rejected."""
+    that inadmissible tables can be constructed and then rejected. Equality
+    is identity."""
 
     def __init__(self, grid, values):
         grid = np.asarray(grid, dtype=float)
@@ -160,9 +153,9 @@ class RegularityCertificate:
     history[-1] equals it. A quadrature certificate's history holds the
     ratio sup of each grid refinement, worst_x the x attaining the last
     one and grid_size the last grid's length. A closed-form certificate
-    (a plain or scaled power) has history (C,), worst_x 0.0, the x -> 0
-    limit where the sup is approached but never attained, and grid_size 0,
-    as it samples no grid."""
+    (a plain or positively scaled power) has history (C,), worst_x 0.0,
+    the x -> 0 limit where the sup is approached but never attained, and
+    grid_size 0, as it samples no grid."""
 
     is_regular: bool
     empirical_C: float
@@ -262,8 +255,8 @@ def _monotonicity(omega: Majorant, x_min: float) -> tuple[bool, bool]:
 def check_regular(omega: Majorant, quad_nodes: int = 64) -> RegularityCertificate:
     """Certify the integral regularity condition.
 
-    A power t^alpha with 0 < alpha < 1, plain or times a positive scale, is
-    certified by power_regularity_constant(alpha): the ratio is
+    A power t^alpha with 0 < alpha < 1, plain or under any chain of positive
+    scales, is certified by power_regularity_constant(alpha): the ratio is
     scale-invariant, both monotonicity screens hold for t^alpha, and no
     quadrature runs. Every other weight goes through the Gauss-Legendre
     quadrature of _quadrature_certificate, whose C is a lower bound.
@@ -277,7 +270,7 @@ def check_regular(omega: Majorant, quad_nodes: int = 64) -> RegularityCertificat
     """
     if quad_nodes < 4:  # fewer panels make the doubling check vacuous
         raise ValueError(f"need at least 4 quadrature panels, got {quad_nodes}")
-    base = omega.base if isinstance(omega, ScaledMajorant) and omega.c > 0.0 else omega
+    _, base = _scale_chain(omega)
     if isinstance(base, PowerMajorant) and base.alpha < 1.0:
         c = power_regularity_constant(base.alpha)
         return RegularityCertificate(
@@ -378,12 +371,26 @@ def combine(a1_norm: float, a2_norm: float, omega1: Majorant,
             a2_norm * omega1 + a1_norm * omega2)
 
 
+def _scale_chain(omega: Majorant) -> tuple[list[float], Majorant]:
+    """The positive factors c of the ScaledMajorants wrapping omega,
+    outermost first, and the weight under them."""
+    factors = []
+    while isinstance(omega, ScaledMajorant) and omega.c > 0.0:
+        factors.append(omega.c)
+        omega = omega.base
+    return factors, omega
+
+
 def squared(omega: Majorant) -> Majorant:
-    """omega^2 as a majorant value: exact for powers (alpha doubles), a dense
+    """omega^2 as a majorant value: exact for a power with alpha <= 1/2
+    under positive scales (alpha doubles, each scale is squared), a dense
     tabulation otherwise. The result may fail regularity; callers certify."""
-    if isinstance(omega, PowerMajorant):
-        if omega.alpha <= 0.5:
-            return PowerMajorant(2.0 * omega.alpha, omega.scale ** 2)
+    factors, base = _scale_chain(omega)
+    if isinstance(base, PowerMajorant) and base.alpha <= 0.5:
+        out = PowerMajorant(2.0 * base.alpha)
+        for c in reversed(factors):
+            out = c ** 2 * out
+        return out
     grid = np.concatenate([[0.0], np.geomspace(1e-8, DOMAIN_MAX, 512)])
     vals = np.concatenate([[0.0], np.asarray(omega(grid[1:]), dtype=float) ** 2])
     return TabulatedMajorant(grid, vals)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,8 @@ def test_parse_majorant_kinds():
     assert isinstance(parse_majorant("power:0.5"), PowerMajorant)
     w = parse_majorant("power:0.5:2.0")
     assert w(0.25) == pytest.approx(1.0)
+    # power:<alpha>:<c> is shorthand for scaled:<c>:power:<alpha>
+    assert w == parse_majorant("scaled:2:power:0.5") == ScaledMajorant(2.0, PowerMajorant(0.5))
     assert isinstance(parse_majorant("scaled:2:power:0.5"), ScaledMajorant)
     assert isinstance(parse_majorant("power:0.5+power:0.25"), SumMajorant)
     tab = parse_majorant("tabulated:0,0;1,1;2,1.5")
@@ -50,7 +53,8 @@ def test_parse_majorant_malformed(bad):
         parse_majorant(bad)
 
 
-@pytest.mark.parametrize("bad", ["power:3", "power:0", "scaled:-1:power:0.5", "tabulated:1,1;2,2"])
+@pytest.mark.parametrize("bad", ["power:3", "power:0", "power:0.5:0", "power:0.5:-2",
+                                 "scaled:-1:power:0.5", "tabulated:1,1;2,2"])
 def test_parse_majorant_invalid_values(bad):
     with pytest.raises(ValidationError):
         parse_majorant(bad)
@@ -252,6 +256,22 @@ def test_verify_passes_with_power_near_one(tmp_path):
     assert main(["verify", "--omega", "power:0.9", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["reports"]) == 9 and all(r["passed"] for r in doc["reports"])
+
+
+def test_verify_fails_on_an_overflowing_bound(tmp_path):
+    # c3 * mu1d overflows on some pairs for two members; the bound holds
+    # nothing there, so the check fails instead of warning and passing
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--omega", "scaled:1e308:power:0.5", "--pairs", "256",
+                     "--points", "64", "--nodes", "512", "--out", str(out)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    failed = [(r["suite"], rec["name"], rec["failures"])
+              for r in json.loads(out.read_text())["reports"] for rec in r["records"]
+              if not rec["passed"]]
+    assert failed == [("algebraic_closure", name, ["combine_component1_violation"])
+                      for name in ("cubic_basis", "linear_mix")]
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

@@ -336,30 +336,31 @@ def test_parallelogram_identity_at_samples():
 
 
 def test_bounded_growth_oracles():
-    chk = bounded_growth_check(IDENT, Quaternion(0.0), I, PLAN)
-    assert isinstance(chk, GrowthCheck)
-    assert chk.lhs_quadratic == pytest.approx(0.25, abs=1e-12)
-    assert chk.rhs_quadratic == pytest.approx(1.0, rel=1e-6)
-    assert chk.sandwich_slack >= -1e-12 and chk.quadratic_slack >= -1e-12
+    origin = slice_points_array(I, [0.0])
+    chk = bounded_growth_check(IDENT, origin, I, PLAN)
+    assert isinstance(chk, GrowthCheck) and chk.local_sup.shape == (1,)
+    assert chk.lhs_quadratic[0] == pytest.approx(0.25, abs=1e-12)
+    assert chk.rhs_quadratic[0] == pytest.approx(1.0, rel=1e-6)
+    assert chk.sandwich_slack[0] >= -1e-12 and chk.quadratic_slack[0] >= -1e-12
     # constant: lhs_plus = |c + ici|, lhs_minus = |c - ici|, rhs = |c|
     c = Quaternion(0.3, 0.4, 0.1, 0.0)
-    chc = bounded_growth_check(SliceSeries([c]), Quaternion(0.0), I, PLAN)
-    assert chc.lhs_plus == pytest.approx(0.2, abs=1e-12)
-    assert chc.lhs_minus == pytest.approx(1.0, abs=1e-12)
-    assert chc.local_sup == pytest.approx(0.5099019513592785, rel=1e-12)
-    assert chc.sandwich_slack >= 0.0
+    chc = bounded_growth_check(SliceSeries([c]), origin, I, PLAN)
+    assert chc.lhs_plus[0] == pytest.approx(0.2, abs=1e-12)
+    assert chc.lhs_minus[0] == pytest.approx(1.0, abs=1e-12)
+    assert chc.local_sup[0] == pytest.approx(0.5099019513592785, rel=1e-12)
+    assert chc.sandwich_slack[0] >= 0.0
     with pytest.raises(ValueError):
-        bounded_growth_check(IDENT, Quaternion(1.5), I, PLAN)
+        bounded_growth_check(IDENT, slice_points_array(I, [1.5]), I, PLAN)
 
 
 def test_bounded_growth_random_points():
     rng = np.random.default_rng(3)
     f = SliceSeries([Quaternion(*r) for r in rng.normal(size=(4, 4)) * 0.4])
-    for _ in range(20):
-        z = rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6)
-        chk = bounded_growth_check(f, slice_point(I, complex(z)), I, PLAN)
-        assert chk.sandwich_slack >= -1e-8
-        assert chk.quadratic_slack >= -1e-8
+    u = rng.uniform(-0.6, 0.6, size=(20, 2))  # the draws of 20 (real, imag) pairs
+    zs = u[:, 0] + 1j * u[:, 1]
+    chk = bounded_growth_check(f, slice_points_array(I, zs), I, PLAN)
+    assert np.all(chk.sandwich_slack >= -1e-8)
+    assert np.all(chk.quadratic_slack >= -1e-8)
 
 
 @pytest.mark.parametrize("unit", [UNIT_E1, ImaginaryUnit.from_vector(0.3, -1.0, 2.0)],
@@ -368,11 +369,11 @@ def test_bounded_growth_batch_equals_one_point_calls(unit):
     f = default_corpus()[-1].series
     zs = disc_points(SamplePlan(n_points=64), cap=0.99)[:40]
     batch = bounded_growth_check(f, slice_points_array(unit, zs), unit, PLAN)
-    single = [bounded_growth_check(f, slice_point(unit, complex(z)), unit, PLAN) for z in zs]
+    single = [bounded_growth_check(f, slice_points_array(unit, [z]), unit, PLAN) for z in zs]
     for field in ("lhs_plus", "lhs_minus", "local_sup", "lhs_quadratic", "rhs_quadratic",
                   "samples", "sandwich_slack", "quadratic_slack"):
-        assert np.array_equal(getattr(batch, field), [getattr(c, field) for c in single])
-    assert isinstance(single[0].local_sup, float) and isinstance(single[0].samples, int)
+        assert np.array_equal(getattr(batch, field),
+                              np.concatenate([getattr(c, field) for c in single]))
 
 
 # --- Schwarz-Pick functional ------------------------------------------------------

@@ -39,9 +39,42 @@ def test_power_majorant_basics():
 def test_power_majorants_are_equal_by_value():
     w = PowerMajorant(0.5)
     assert w == squared(PowerMajorant(0.25)) and hash(w) == hash(squared(PowerMajorant(0.25)))
-    assert w != PowerMajorant(0.5, 2.0) and w != PowerMajorant(0.25)
+    assert w != ScaledMajorant(2.0, w) and w != PowerMajorant(0.25)
     assert w != TabulatedMajorant([0.0, 1.0, 2.0], [0.0, 1.0, w(2.0)])
     assert len({w, PowerMajorant(0.5), PowerMajorant(0.75)}) == 2
+
+
+def test_scaled_and_sum_weights_are_equal_by_value():
+    def scaled(c):
+        return ScaledMajorant(c, PowerMajorant(0.5))
+
+    def total():
+        return SumMajorant(scaled(2.0), PowerMajorant(0.25))
+
+    assert scaled(2.0) == 2.0 * PowerMajorant(0.5) and hash(scaled(2.0)) == hash(scaled(2.0))
+    assert scaled(2.0) != scaled(3.0)
+    assert scaled(2.0) != ScaledMajorant(2.0, PowerMajorant(0.25))
+    assert total() == scaled(2.0) + PowerMajorant(0.25) and hash(total()) == hash(total())
+    assert total() != SumMajorant(PowerMajorant(0.25), scaled(2.0))
+    assert len({scaled(2.0), scaled(2.0), total(), total()}) == 2
+    # a table compares by identity, and so does every weight built on one
+    tab = TabulatedMajorant([0.0, 2.0], [0.0, 1.0])
+    assert ScaledMajorant(2.0, tab) == ScaledMajorant(2.0, tab)
+    assert ScaledMajorant(2.0, tab) != ScaledMajorant(2.0, TabulatedMajorant([0.0, 2.0],
+                                                                             [0.0, 1.0]))
+
+
+def test_squared_scaled_power_is_exact():
+    w = squared(ScaledMajorant(2.0, PowerMajorant(0.25)))
+    assert w == ScaledMajorant(4.0, PowerMajorant(0.5))
+    assert check_regular(w).empirical_C == 4.0
+    # each factor of a chain is squared in place, and the bits are c * t^alpha
+    chain = squared(ScaledMajorant(3.0, ScaledMajorant(0.5, PowerMajorant(0.5))))
+    assert chain == ScaledMajorant(9.0, ScaledMajorant(0.25, PowerMajorant(1.0)))
+    t = np.linspace(0.0, 2.0, 101)
+    assert np.array_equal(w(t), 4.0 * np.power(t, 0.5))
+    # past alpha = 1/2 the square is no weight t^(2 alpha); it is tabulated
+    assert isinstance(squared(ScaledMajorant(2.0, PowerMajorant(0.75))), TabulatedMajorant)
 
 
 def test_closed_form_regularity_constant():
@@ -101,9 +134,9 @@ def test_quadrature_never_exceeds_closed_form(alpha):
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-9])
 @pytest.mark.parametrize("make", [
     lambda a: PowerMajorant(a),
-    lambda a: PowerMajorant(a, 3.0),
+    lambda a: 3.0 * PowerMajorant(a),
     lambda a: ScaledMajorant(0.5, PowerMajorant(a)),
-    lambda a: ScaledMajorant(1e308, PowerMajorant(a, 1.5)),
+    lambda a: ScaledMajorant(1e308, ScaledMajorant(1.5, PowerMajorant(a))),
 ], ids=["plain", "power_scale", "scaled", "scaled_huge"])
 def test_check_regular_certifies_powers_by_closed_form(alpha, make, monkeypatch):
     def refuse(*args):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import slicereg.lipschitz
+import slicereg.majorant
 import slicereg.poisson
 import slicereg.verify
 from slicereg.cli import RunConfig, ValidationError, main
@@ -19,9 +20,7 @@ from slicereg.series import SliceSeries
 from slicereg.verify import (
     ALL_SUITES,
     FunctionRecord,
-    NoAdmissibleSamples,
     VerificationReport,
-    admissible_cone_points,
     cone_admissible_mask,
     default_corpus,
     run_suite,
@@ -167,8 +166,6 @@ def test_cone_mask_oracle():
     ])
     assert list(cone_admissible_mask(qs, UNIT_E1, +1.0, t)) == [True, False, True, False]
     assert list(cone_admissible_mask(qs, UNIT_E1, -1.0, t)) == [False, True, True, False]
-    with pytest.raises(NoAdmissibleSamples):
-        admissible_cone_points(qs[3:], UNIT_E1, +1.0, t)
 
 
 # --- the batch runner -----------------------------------------------------------
@@ -253,7 +250,7 @@ def test_setups_build_what_every_member_shares(monkeypatch):
             return result
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(slicereg.verify, "admissible_cone_points", signs, lambda args, _: args[2])
+    spy(slicereg.verify, "cone_admissible_mask", signs, lambda args, _: args[2])
     spy(SamplePlan, "memo", keys, lambda args, _: args[1])
     for name in ALL_SUITES:
         spy(slicereg.verify, f"verify_{name}", built, lambda _, report: report)
@@ -353,20 +350,36 @@ def test_a_run_keeps_no_poisson_kernel(monkeypatch):
 
 
 def test_each_weight_is_certified_once_per_run(monkeypatch, tmp_path):
-    # the default run certifies the 1/2 power as omega and as the square of
-    # omega_small; the plan's store shares that certificate, and the report
-    # stays the golden one
+    # the default run certifies omega_small, its square and omega, each by
+    # the closed form, and the report stays the golden one
     certified = []
     real = slicereg.verify.check_regular
 
     def counted(omega, *args, **kwargs):
         certified.append(omega)
         return real(omega, *args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("quadrature ran in the default run")
     monkeypatch.setattr(slicereg.verify, "check_regular", counted)
+    monkeypatch.setattr(slicereg.majorant, "_quadrature_certificate", refused)
     out = tmp_path / "verify_default.json"
     assert main(["verify", "--out", str(out)]) == 0
-    assert sorted(certified, key=lambda w: w.alpha) == [PowerMajorant(0.25), PowerMajorant(0.5)]
+    assert certified == [PowerMajorant(0.25), PowerMajorant(0.5), PowerMajorant(0.5)]
     assert out.read_bytes() == (Path(__file__).parent / "data" / "verify_default.json").read_bytes()
+
+
+def test_equal_weights_share_one_stored_array():
+    # omega and omega2 are equal values, so the store keys them once: the
+    # weight itself and the summed weight
+    config = RunConfig(omega_spec="scaled:2:power:0.5", omega2_spec="scaled:2:power:0.5",
+                       suites=("inclusion_chain",), n_pairs=256, n_points=64, nodes=512)
+    assert config.omega == config.omega2 and config.omega is not config.omega2
+    (report,) = run_suite(config)
+    assert report.passed
+    weights = [key[1] for key in config.plan.__dict__["_store"]
+               if isinstance(key, tuple) and key[0] == "slice_weight"]
+    assert weights == [config.omega, config.omega + config.omega2]
 
 
 def test_run_suite_deterministic():

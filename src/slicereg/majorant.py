@@ -45,12 +45,13 @@ class Majorant:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > DOMAIN_MAX + _DOMAIN_SLACK):
+        # one scan, NaN failing both tests; maximum(0.0, arr) keeps clip's -0.0
+        if ((arr < -_DOMAIN_SLACK) | (arr > DOMAIN_MAX + _DOMAIN_SLACK)).any():
             raise DomainError(
                 f"majorant argument outside [0, {DOMAIN_MAX}]: "
                 f"range [{arr.min()!r}, {arr.max()!r}]"
             )
-        out = self._eval(np.clip(arr, 0.0, DOMAIN_MAX))
+        out = self._eval(np.minimum(np.maximum(0.0, arr), DOMAIN_MAX))
         if np.ndim(t) == 0:
             return float(out)
         return out
@@ -177,30 +178,29 @@ def _gauss_sums(integrand, a: np.ndarray, b: np.ndarray, breaks: np.ndarray,
     interval and capped at max_width[k] so piecewise-smooth integrands stay
     panel-smooth.
 
-    Rows sharing a panel layout (the pieces of each sub-interval between
-    breaks; 0 for a break outside the interval) are summed as one array.
+    All panels are built as one flat array; rows sharing a total panel count
+    are summed as one array, with one integrand call.
     """
     edges = np.column_stack([a, np.clip(breaks, a[:, None], b[:, None]), b])
     lengths = np.diff(edges, axis=1)
     pieces = np.where(lengths > 0.0, np.ceil(lengths / max_width[:, None]), 0.0).astype(int)
-    layouts, group = np.unique(pieces, axis=0, return_inverse=True)
-    sums = np.empty(a.size)
-    for g, layout in enumerate(layouts):
-        rows = np.flatnonzero(group.ravel() == g)
-        ends = edges[rows]
-        lo, hi = np.empty((2, rows.size, layout.sum()))
-        first = np.cumsum(layout) - layout  # first panel of each sub-interval
-        for p in np.unique(layout[layout > 0]):
-            s = np.flatnonzero(layout == p)
-            sub = np.linspace(ends[:, s], ends[:, s + 1], p + 1, axis=-1)
-            cols = first[s, None] + np.arange(p)
-            lo[:, cols], hi[:, cols] = sub[..., :-1], sub[..., 1:]
-        half = (0.5 * (hi - lo))[..., None]
-        mid = (0.5 * (hi + lo))[..., None]
-        # nodes in panel order, one contiguous row per x: the row sum is the
-        # same pairwise sum, to the bit, as the sum for that x alone
-        nodes = (mid + half * _GL_X).reshape(rows.size, -1)
-        sums[rows] = np.sum(integrand(nodes, (half * _GL_W).reshape(rows.size, -1)), axis=1)
+    totals = pieces.sum(axis=1)
+    order = np.argsort(totals, kind="stable")  # each count's panels form one block
+    row, sub = np.nonzero(pieces[order])
+    start, stop, p = edges[order[row], sub], edges[order[row], sub + 1], pieces[order[row], sub]
+    # panel k of p runs from k * step + start to (k + 1) * step + start, the
+    # last one to exactly stop: the same bits as numpy's linspace
+    k = (np.arange(p.sum()) - np.repeat(np.cumsum(p) - p, p))[:, None]
+    step, start, stop, p = (np.repeat(v, p)[:, None] for v in ((stop - start) / p, start, stop, p))
+    lo, hi = k * step + start, np.where(k + 1 == p, stop, (k + 1) * step + start)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    nodes, weights = mid + half * _GL_X, half * _GL_W
+    sums, f, g = np.empty(a.size), 0, 0
+    for n, r in zip(*np.unique(totals, return_counts=True)):
+        # contiguous rows in panel order: each row sums as its x alone would
+        sums[order[g:g + r]] = np.sum(integrand(nodes[f:f + n * r].reshape(r, -1),
+                                                weights[f:f + n * r].reshape(r, -1)), axis=1)
+        f, g = f + n * r, g + r
     return sums
 
 

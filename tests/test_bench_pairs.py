@@ -1,0 +1,72 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+_END_TO_END = [
+    {"name": "op_s.p50", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def _run(p50, rate, failed=0, digest="aa"):
+    return {"correct": failed == 0, "attempted": 100, "failed": failed,
+            "metrics": {"op_s.p50": {"value": p50, "unit": "s"},
+                        "ops_per_s": {"value": rate, "unit": "1/s"}},
+            "first_output_sha256": {"call": digest}}
+
+
+def test_summary_of_canned_pairs():
+    runs = {"parent": [_run(0.10, 50.0), _run(0.12, 45.0), _run(0.11, 47.0), _run(0.13, 44.0)],
+            "change": [_run(0.08, 60.0), _run(0.09, 66.0), _run(0.12, 46.0), _run(0.07, 70.0)]}
+    s = bench_pairs.summarize(runs, _END_TO_END)
+    assert s["pairs"] == 4
+    assert s["attempted_ops"] == {"parent": 400, "change": 400}
+    assert s["failed_ops"] == {"parent": 0, "change": 0}
+    assert s["correct"] == {"parent": True, "change": True}
+    assert s["first_output_sha256_equal"]
+    p50 = s["metrics"]["op_s.p50"]
+    assert p50["parent"] == [0.10, 0.12, 0.11, 0.13]
+    assert p50["parent_median"] == pytest.approx(0.115)
+    assert p50["change_median"] == pytest.approx(0.085)
+    # inclusive quartiles: linear interpolation between order statistics
+    assert p50["parent_quartiles"] == pytest.approx([0.1075, 0.115, 0.1225])
+    assert p50["parent_iqr"] == pytest.approx(0.015)
+    assert p50["change_worse_by"] == pytest.approx(-0.03 / 0.115)  # lower is better
+    assert p50["change_wins"] == 3  # the third pair is lost: 0.12 > 0.11
+    assert p50["median_gap"] == pytest.approx(0.03)
+    assert p50["gap_exceeds_parent_iqr"]
+    rate = s["metrics"]["ops_per_s"]
+    assert rate["parent_median"] == pytest.approx(46.0)
+    assert rate["change_median"] == pytest.approx(63.0)
+    assert rate["change_worse_by"] == pytest.approx(-17.0 / 46.0)  # higher is better
+    assert rate["change_wins"] == 3  # 46 < 47 in the third pair
+    assert rate["bound"] == 0.25
+
+
+def test_summary_flags_a_loss_failures_and_changed_outputs():
+    runs = {"parent": [_run(0.10, 50.0), _run(0.10, 52.0)],
+            "change": [_run(0.12, 40.0, failed=2), _run(0.11, 41.0, digest="bb")]}
+    s = bench_pairs.summarize(runs, _END_TO_END)
+    assert s["failed_ops"] == {"parent": 0, "change": 2}
+    assert s["correct"] == {"parent": True, "change": False}
+    assert not s["first_output_sha256_equal"]
+    p50 = s["metrics"]["op_s.p50"]
+    assert p50["change_wins"] == 0
+    assert p50["change_worse_by"] == pytest.approx(0.15)
+    assert p50["parent_iqr"] == 0.0 and p50["gap_exceeds_parent_iqr"]
+
+
+def test_single_pair_and_mismatched_sides():
+    s = bench_pairs.summarize({"parent": [_run(0.1, 5.0)], "change": [_run(0.1, 5.0)]},
+                              _END_TO_END)
+    assert s["metrics"]["op_s.p50"]["parent_quartiles"] == [0.1, 0.1, 0.1]
+    assert s["metrics"]["op_s.p50"]["change_wins"] == 0  # a tie is not a win
+    assert not s["metrics"]["op_s.p50"]["gap_exceeds_parent_iqr"]
+    with pytest.raises(ValueError):
+        bench_pairs.summarize({"parent": [_run(0.1, 5.0)], "change": []}, _END_TO_END)

@@ -343,6 +343,9 @@ _VARIANTS = ("component", "boundary", "boundary-modulus",
      "majorant_power_tabulated.json", 0),
     (["majorant-check", "--omega", "power:1"], "majorant_linear.json", 1),
     (["majorant-check", "--omega", "power:0.25+power:0.75"], "majorant_power_sum.json", 0),
+    # the quadrature call whose rows split at the most knots, rejected
+    (["majorant-check", "--omega", "tabulated:0,0;0.001,0.03;0.01,0.1;0.1,0.3;1,1;2,1.4"],
+     "majorant_tabulated_rejected.json", 1),
     (["norm", "--name", "random_0", "--estimator", "schwarz-pointwise", "--points", "256"],
      "norm_schwarz_pointwise.json", 0),
     (["verify", "--slice", "i=1,1,1", "--slice", "k=0.3,-1,2", "--pairs", "256",
@@ -364,6 +367,7 @@ _VARIANTS = ("component", "boundary", "boundary-modulus",
      "verify_small.csv", 0),
 ], ids=["verify_small", "star_product", "star_inverse", "eval", "norm_schwarz_series",
         "majorant_power", "majorant_power_tabulated", "majorant_linear", "majorant_power_sum",
+        "majorant_tabulated_rejected",
         "norm_schwarz_pointwise", "verify_off_axis", "verify_default", "verify_16x",
         *(f"norm_{kind.replace('-', '_')}" for kind in _VARIANTS),
         "norm_slice", "norm_global", "norm_component_omega", "norm_slice_off_axis",

@@ -12,11 +12,16 @@ from slicereg.majorant import (
     TabulatedMajorant,
     _quadrature_certificate,
     _ratio_max,
+    _singular_integrals,
     check_regular,
     combine,
     power_regularity_constant,
     squared,
 )
+from slicereg.cli import parse_majorant
+
+_SIX_KNOT_TABLE = TabulatedMajorant([0.0, 0.001, 0.01, 0.1, 1.0, 2.0],
+                                    [0.0, 0.03, 0.1, 0.3, 1.0, 1.4])
 
 
 def test_power_majorant_basics():
@@ -34,6 +39,34 @@ def test_power_majorant_basics():
         PowerMajorant(0.0)
     with pytest.raises(ValueError):
         PowerMajorant(1.5)  # omega(t)/t would increase
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("t", [
+    -1e-11, 2.0 + 1e-11, -np.inf, np.inf, [0.5, 3.0], [_NAN, 3.0], [3.0, _NAN],
+    [-1.0, _NAN, 0.5], [[0.1, 0.2], [0.3, -0.2]],
+])
+def test_majorant_call_rejects_a_number_outside_the_domain(t):
+    # a NaN next to an out-of-range number does not hide it
+    for w in (PowerMajorant(0.5), _SIX_KNOT_TABLE):
+        with pytest.raises(DomainError):
+            w(t)
+
+
+@pytest.mark.parametrize("t", [
+    0.0, -0.0, -1e-12, 2.0 + 1e-12, 1.5, _NAN, [_NAN], [-0.0, 0.0, -1e-13, _NAN, 2.0],
+    np.geomspace(1e-9, 2.0, 37), [[0.1, -0.0], [2.0, 1e-300]],
+])
+def test_majorant_call_keeps_the_bits_of_clipped_evaluation(t):
+    # the slack band and -0.0 map as np.clip(t, 0, 2) maps them; NaN passes
+    for w in (PowerMajorant(1.0), PowerMajorant(0.3), _SIX_KNOT_TABLE,
+              ScaledMajorant(2.0, PowerMajorant(1.0)) + PowerMajorant(0.5)):
+        expected = w._eval(np.clip(np.asarray(t, dtype=float), 0.0, 2.0))
+        got = w(t)
+        assert np.shape(got) == np.shape(t)
+        assert np.asarray(got).tobytes() == expected.tobytes()
 
 
 def test_power_majorants_are_equal_by_value():
@@ -298,15 +331,55 @@ def _reference_integrals(omega, x, panels):
 @pytest.mark.parametrize("omega", [
     PowerMajorant(0.5),
     PowerMajorant(0.25) + PowerMajorant(0.75),
-    TabulatedMajorant([0.0, 0.001, 0.01, 0.1, 1.0, 2.0], [0.0, 0.03, 0.1, 0.3, 1.0, 1.4]),
-], ids=["power", "sum", "tabulated"])
-@pytest.mark.parametrize("panels", [64, 128])
+    _SIX_KNOT_TABLE,
+    # 511 knots: a row meets hundreds of them, so few rows share a panel count
+    squared(parse_majorant("power:0.3+tabulated:0,0;0.5,0.2;2,0.5")),
+], ids=["power", "sum", "tabulated", "squared_table"])
+@pytest.mark.parametrize("panels", [4, 7, 64, 128])
 def test_batched_ratio_max_equals_per_x_reference(omega, panels):
+    knots = omega.knots()
     xs = np.geomspace(1e-6, 1.9, 10)
+    _assert_ratio_max_equals_reference(omega, xs, panels)
+    # an x on a knot ends a sub-interval there and leaves a zero-length one
+    _assert_ratio_max_equals_reference(omega, np.union1d(xs, knots[::knots.size // 8 + 1]),
+                                      panels)
+
+
+def _assert_ratio_max_equals_reference(omega, xs, panels):
     best, best_x = -np.inf, None
-    for x in xs:
+    batched = np.column_stack(_singular_integrals(omega, xs, panels))
+    for x, row in zip(xs, batched):
         i1, i2 = _reference_integrals(omega, float(x), panels)
+        assert row.tolist() == [i1, i2]  # both integrals, to the bit
         ratio = (i1 + x * i2) / omega(float(x))
         if ratio > best:
             best, best_x = ratio, float(x)
     assert _ratio_max(omega, xs, panels) == (best, best_x)
+
+
+def test_gauss_sums_calls_the_integrand_once_per_panel_count(monkeypatch):
+    # rows are grouped by their total panel count, not by how the knots
+    # split it: the 6-knot table has about 49 layouts per call
+    calls = []
+    real = slicereg.majorant._gauss_sums
+
+    def spy(integrand, a, b, breaks, max_width):
+        row_lengths = []
+
+        def counted(u, w):
+            row_lengths.append(u.shape[1])
+            return integrand(u, w)
+
+        out = real(counted, a, b, breaks, max_width)
+        edges = np.column_stack([a, np.clip(breaks, a[:, None], b[:, None]), b])
+        lengths = np.diff(edges, axis=1)
+        totals = np.where(lengths > 0.0, np.ceil(lengths / max_width[:, None]), 0.0).sum(axis=1)
+        assert len(set(row_lengths)) == len(row_lengths)  # one call per panel count
+        calls.append((len(row_lengths), np.unique(totals).size))
+        return out
+
+    monkeypatch.setattr(slicereg.majorant, "_gauss_sums", spy)
+    cert = _quadrature_certificate(_SIX_KNOT_TABLE, 64)
+    assert not cert.is_regular and len(calls) == 12
+    assert all(n <= counts for n, counts in calls)
+    assert sum(n for n, _ in calls) < 100

@@ -4,9 +4,9 @@
         --workload cli-mix --seed 1 --pairs 10 --label flat_quadrature
 
 Each pair runs ``benchmarks/run.py --workload W --seed S --seconds T
---trace 0`` once in each checkout, one after the other; the side that runs
-first alternates from pair to pair, so slow drift of the host falls on both
-sides alike.  The end-to-end metrics of every run, their per-side medians
+--trace 0``, T being BENCHMARK.json's ``run_seconds``, once in each
+checkout, one after the other; the side that runs first alternates from
+pair to pair, so slow drift of the host falls on both sides alike.  The end-to-end metrics of every run, their per-side medians
 and quartiles, the pairs the change wins, both environments and the first
 output SHA-256 of each call go into ``BENCH_<label>.json`` in the change
 checkout, under the key ``<workload>-seed<S>``; other keys already in that
@@ -104,7 +104,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -112,23 +111,24 @@ def main(argv=None) -> int:
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     order = []
     for i in range(args.pairs):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             order.append(f"{time.strftime('%H:%M:%S')} {side} #{i + 1}")
             print(order[-1], flush=True)
-            runs[side].append(run_once(checkouts[side], args.workload, args.seed, args.seconds))
+            runs[side].append(run_once(checkouts[side], args.workload, args.seed, seconds))
 
     out = checkouts["change"] / f"BENCH_{args.label}.json"
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     doc.setdefault("description", (
-        f"benchmarks/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, "
+        f"benchmarks/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
         "run alternately in a checkout of the parent and one of the change by "
         "scripts/bench_pairs.py, the side that runs first alternating from pair to pair."))
     summary = summarize(runs, spec["end_to_end"])
     summary.update(
-        workload=args.workload, seed=args.seed, seconds=args.seconds, order=order,
+        workload=args.workload, seed=args.seed, seconds=seconds, order=order,
         environment={side: runs[side][0]["environment"] for side in SIDES},
         first_output_sha256={side: runs[side][0]["first_output_sha256"] for side in SIDES})
     doc.setdefault("workloads", {})[f"{args.workload}-seed{args.seed}"] = summary

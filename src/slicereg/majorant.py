@@ -45,7 +45,7 @@ class Majorant:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        # one scan, NaN failing both tests; maximum(0.0, arr) keeps clip's -0.0
+        # one scan, NaN failing both tests
         if ((arr < -_DOMAIN_SLACK) | (arr > DOMAIN_MAX + _DOMAIN_SLACK)).any():
             raise DomainError(
                 f"majorant argument outside [0, {DOMAIN_MAX}]: "
@@ -178,8 +178,8 @@ def _gauss_sums(integrand, a: np.ndarray, b: np.ndarray, breaks: np.ndarray,
     interval and capped at max_width[k] so piecewise-smooth integrands stay
     panel-smooth.
 
-    All panels are built as one flat array; rows sharing a total panel count
-    are summed as one array, with one integrand call.
+    All panels are built as one flat array and the integrand is called once
+    over it; rows sharing a total panel count are summed as one array.
     """
     edges = np.column_stack([a, np.clip(breaks, a[:, None], b[:, None]), b])
     lengths = np.diff(edges, axis=1)
@@ -194,12 +194,11 @@ def _gauss_sums(integrand, a: np.ndarray, b: np.ndarray, breaks: np.ndarray,
     step, start, stop, p = (np.repeat(v, p)[:, None] for v in ((stop - start) / p, start, stop, p))
     lo, hi = k * step + start, np.where(k + 1 == p, stop, (k + 1) * step + start)
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    nodes, weights = mid + half * _GL_X, half * _GL_W
+    vals = integrand(mid + half * _GL_X, half * _GL_W)
     sums, f, g = np.empty(a.size), 0, 0
     for n, r in zip(*np.unique(totals, return_counts=True)):
         # contiguous rows in panel order: each row sums as its x alone would
-        sums[order[g:g + r]] = np.sum(integrand(nodes[f:f + n * r].reshape(r, -1),
-                                                weights[f:f + n * r].reshape(r, -1)), axis=1)
+        sums[order[g:g + r]] = np.sum(vals[f:f + n * r].reshape(r, -1), axis=1)
         f, g = f + n * r, g + r
     return sums
 

@@ -60,13 +60,15 @@ def test_majorant_call_rejects_a_number_outside_the_domain(t):
     np.geomspace(1e-9, 2.0, 37), [[0.1, -0.0], [2.0, 1e-300]],
 ])
 def test_majorant_call_keeps_the_bits_of_clipped_evaluation(t):
-    # the slack band and -0.0 map as np.clip(t, 0, 2) maps them; NaN passes
+    # the slack band maps as np.clip(t, 0, 2) maps it and NaN passes; adding
+    # 0.0 leaves every other bit but makes the sign of a zero, which numpy's
+    # minimum/maximum/clip loops do not fix, compare equal
     for w in (PowerMajorant(1.0), PowerMajorant(0.3), _SIX_KNOT_TABLE,
               ScaledMajorant(2.0, PowerMajorant(1.0)) + PowerMajorant(0.5)):
         expected = w._eval(np.clip(np.asarray(t, dtype=float), 0.0, 2.0))
         got = w(t)
         assert np.shape(got) == np.shape(t)
-        assert np.asarray(got).tobytes() == expected.tobytes()
+        assert (np.asarray(got) + 0.0).tobytes() == (expected + 0.0).tobytes()
 
 
 def test_power_majorants_are_equal_by_value():
@@ -340,9 +342,10 @@ def test_batched_ratio_max_equals_per_x_reference(omega, panels):
     knots = omega.knots()
     xs = np.geomspace(1e-6, 1.9, 10)
     _assert_ratio_max_equals_reference(omega, xs, panels)
-    # an x on a knot ends a sub-interval there and leaves a zero-length one
-    _assert_ratio_max_equals_reference(omega, np.union1d(xs, knots[::knots.size // 8 + 1]),
-                                      panels)
+    if knots.size:
+        # an x on a knot ends a sub-interval there and leaves a zero-length one
+        _assert_ratio_max_equals_reference(omega, np.union1d(xs, knots[::knots.size // 8 + 1]),
+                                          panels)
 
 
 def _assert_ratio_max_equals_reference(omega, xs, panels):
@@ -357,29 +360,21 @@ def _assert_ratio_max_equals_reference(omega, xs, panels):
     assert _ratio_max(omega, xs, panels) == (best, best_x)
 
 
-def test_gauss_sums_calls_the_integrand_once_per_panel_count(monkeypatch):
-    # rows are grouped by their total panel count, not by how the knots
-    # split it: the 6-knot table has about 49 layouts per call
+def test_gauss_sums_calls_the_integrand_once(monkeypatch):
+    # one call over every panel of every row, however the knots split the
+    # rows: the 6-knot table has about 49 panel layouts per call
     calls = []
     real = slicereg.majorant._gauss_sums
 
     def spy(integrand, a, b, breaks, max_width):
-        row_lengths = []
+        calls.append(0)
 
         def counted(u, w):
-            row_lengths.append(u.shape[1])
+            calls[-1] += 1
             return integrand(u, w)
 
-        out = real(counted, a, b, breaks, max_width)
-        edges = np.column_stack([a, np.clip(breaks, a[:, None], b[:, None]), b])
-        lengths = np.diff(edges, axis=1)
-        totals = np.where(lengths > 0.0, np.ceil(lengths / max_width[:, None]), 0.0).sum(axis=1)
-        assert len(set(row_lengths)) == len(row_lengths)  # one call per panel count
-        calls.append((len(row_lengths), np.unique(totals).size))
-        return out
+        return real(counted, a, b, breaks, max_width)
 
     monkeypatch.setattr(slicereg.majorant, "_gauss_sums", spy)
     cert = _quadrature_certificate(_SIX_KNOT_TABLE, 64)
-    assert not cert.is_regular and len(calls) == 12
-    assert all(n <= counts for n, counts in calls)
-    assert sum(n for n, _ in calls) < 100
+    assert not cert.is_regular and calls == [1] * 12

@@ -56,7 +56,8 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     pair i on that side ({"metrics": {name: {"value": ...}}, "attempted",
     "failed", "correct", ...}); end_to_end is BENCHMARK.json's list of
     {"name", "better", "bound"}.  change_worse_by is the relative change of
-    the change's median, positive when it is worse; a pair is won when the
+    the change's median, positive when it is worse, and within_bound holds
+    when it is at most the metric's bound; a pair is won when the
     change's value is strictly better than the parent's in the same pair;
     gap_exceeds_parent_iqr holds when the medians differ by more than the
     parent's interquartile range."""
@@ -71,15 +72,16 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
         parent_med, change_med = quart["parent"][1], quart["change"][1]
         wins = sum(sign * (c - p) < 0.0 for p, c in zip(values["parent"], values["change"]))
         parent_iqr = quart["parent"][2] - quart["parent"][0]
+        worse_by = sign * (change_med - parent_med) / abs(parent_med) if parent_med else 0.0
         metrics[name] = {
             **values,
             "parent_median": parent_med,
             "change_median": change_med,
             "parent_quartiles": quart["parent"],
             "change_quartiles": quart["change"],
-            "change_worse_by": (sign * (change_med - parent_med) / abs(parent_med)
-                                if parent_med else 0.0),
+            "change_worse_by": worse_by,
             "bound": spec["bound"],
+            "within_bound": worse_by <= spec["bound"],
             "change_wins": wins,
             "parent_iqr": parent_iqr,
             "median_gap": abs(change_med - parent_med),
@@ -135,7 +137,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for name, m in summary["metrics"].items():
         print(f"{name:<12} parent {m['parent_median']:.6g}  change {m['change_median']:.6g}  "
-              f"worse by {m['change_worse_by']:+.1%}  wins {m['change_wins']}/{args.pairs}  "
+              f"worse by {m['change_worse_by']:+.1%} (bound {m['bound']:.0%}: "
+              f"{'within' if m['within_bound'] else 'BEYOND'})  wins {m['change_wins']}/{args.pairs}  "
               f"gap > parent IQR: {m['gap_exceeds_parent_iqr']}")
     return 0
 

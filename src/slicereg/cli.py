@@ -509,7 +509,6 @@ def _cmd_norm(args) -> int:
         rep = schwarz_pick_criterion(f, omega, i, plan,
                                      interpretation=kind.split("-", 1)[1])
         doc = {"function": args.name, "estimator": kind, **dataclasses.asdict(rep)}
-        del doc["interpretation"]  # named by the estimator already
         _write_text(to_json(doc), args.out)
         return 0
     # the second weight is the first unless --omega2 is given

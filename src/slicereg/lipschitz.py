@@ -430,11 +430,11 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
     n1 = circle_part + defect_sup(s.C, omega, xs, nodes)
 
-    r2 = radial_grid(1.0 - plan.min_separation, n_rad)
-    zeta = np.exp(1j * _golden_angles(32, offset=9))
-    inner = moduli(r2[:, None] * zeta[None, :])
-    outer = moduli(zeta)[:, None, :]
-    n2 = circle_part + np.max(np.abs(outer - inner) / omega(1.0 - r2)[:, None], axis=(1, 2))
+    cap = 1.0 - plan.min_separation
+    inner = moduli(ray_grid(cap, n_rad, 32, 9).reshape(n_rad, 32))
+    outer = moduli(np.exp(1j * _golden_angles(32, offset=9)))[:, None, :]
+    w2 = omega(1.0 - radial_grid(cap, n_rad))[:, None]
+    n2 = circle_part + np.max(np.abs(outer - inner) / w2, axis=(1, 2))
 
     z1, z2 = disc_pair_coords(plan, 1.0)
     n3 = np.max(np.abs(moduli(z1) - moduli(z2)) / omega(np.abs(z1 - z2)), axis=1)
@@ -467,7 +467,6 @@ class GrowthCheck:
     local_sup: np.ndarray
     lhs_quadratic: np.ndarray
     rhs_quadratic: np.ndarray
-    samples: np.ndarray
 
     @property
     def sandwich_slack(self):
@@ -515,8 +514,7 @@ def bounded_growth_check(f: SliceSeries, x: np.ndarray, i: ImaginaryUnit,
     lhs_plus = gap * d2 + 2.0 * f2
     lhs_quad = 0.25 * gap * gap * (d1 * d1 + d2 * d2) + f1 * f1 + f2 * f2
     rhs_quad = (r - 1.0) * (d1 * f1 + d2 * f2) + m1 * m1 + m2 * m2
-    return GrowthCheck(lhs_plus, lhs_minus, local_sup, lhs_quad, rhs_quad,
-                       np.full(len(q), plan.n_points))
+    return GrowthCheck(lhs_plus, lhs_minus, local_sup, lhs_quad, rhs_quad)
 
 
 @dataclass(frozen=True)
@@ -529,7 +527,6 @@ class SchwarzPickReport:
     contract_ok: bool
     n_used: int
     n_skipped: int
-    interpretation: str
 
 
 INTERPRETATIONS = ("series", "pointwise")
@@ -542,31 +539,9 @@ def _squared_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _conjugated(c: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """c^-1 q c row by row, with c^-1 as Quaternion.inverse computes it;
-    zero rows of c give inf or nan."""
+    """c^-1 q c row by row, with c^-1 as Quaternion.inverse computes it."""
     inverse = conj_array(c) / _squared_norms(c)[..., None]
     return hmul_array(hmul_array(inverse, q), c)
-
-
-def _displaced_points(aux: SliceSeries | None, x: np.ndarray, fx: np.ndarray,
-                      fpx: np.ndarray, interpretation: str
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugated evaluation points x~ of the two-point criterion, row by
-    row, and the mask of rows where the derivative, the value, or the
-    auxiliary function vanishes (x~ is undefined there)."""
-    value_sq = _squared_norms(fx)
-    singular = (np.sqrt(_squared_norms(fpx)) <= 1e-6) | (np.sqrt(value_sq) <= 1e-9)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = _conjugated(fpx, x)
-        if interpretation == "series":
-            gp = evaluate_batch(aux, p)
-            # symmetrized auxiliary = its square here
-            singular |= np.float_power(np.sqrt(_squared_norms(gp)), 2.0) <= 1e-9
-            moved = _conjugated(gp, p)
-        else:
-            singular |= np.abs(1.0 - np.float_power(np.sqrt(value_sq), 2.0)) <= 1e-9
-            moved = p  # real scalar conjugation is the identity
-        return _conjugated(conj_array(fx), moved), singular
 
 
 def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
@@ -581,7 +556,11 @@ def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     reading the auxiliary is 1 - f^s (real coefficients); under the
     pointwise reading it is the scalar 1 - ||f(x)||^2. Both make T the
     identity wherever defined (real values commute with every quaternion),
-    so they differ only in which points get skipped as singular.
+    so x~ is one point for both readings, and they differ only in which
+    points get skipped as singular. The modulus of a real-coefficient
+    series is the same at every point of a sphere, so 1 - f^s vanishes at
+    f'(x)^-1 x f'(x) exactly where it vanishes at the slice coordinate z
+    of x.
 
     Points with ||f'(x)|| <= 1e-6, ||f(x)|| <= 1e-9, or a vanishing
     auxiliary are skipped and counted. The contract holds when the
@@ -595,14 +574,21 @@ def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     fpvals = s.derivative().values(xs)
     M = float(np.max(norm_array(fvals)))
 
-    aux = SliceSeries([1.0]) - symmetrization(f) if interpretation == "series" else None
-    x_t, singular = _displaced_points(aux, slice_points_array(i, xs), fvals, fpvals,
-                                      interpretation)
+    value_sq = _squared_norms(fvals)
+    singular = (np.sqrt(_squared_norms(fpvals)) <= 1e-6) | (np.sqrt(value_sq) <= 1e-9)
+    if interpretation == "series":
+        aux = (SliceSeries([1.0]) - symmetrization(f)).array[:, 0]
+        singular |= np.float_power(np.abs(eval_complex(aux, xs)), 2.0) <= 1e-9
+    else:
+        singular |= np.abs(1.0 - np.float_power(np.sqrt(value_sq), 2.0)) <= 1e-9
     keep = ~singular
+    fx = fvals[keep]
+    x_t = _conjugated(conj_array(fx),
+                      _conjugated(fpvals[keep], slice_points_array(i, xs[keep])))
     r = np.hypot(xs.real, xs.imag)[keep]
     gap = 1.0 - r
     w = omega(gap)
-    defect = -hmul_array(conj_array(fvals[keep]), evaluate_batch(f, x_t[keep]))
+    defect = -hmul_array(conj_array(fx), evaluate_batch(f, x_t))
     defect[:, 0] += M * M  # M^2 - conj(f(x)) f(x~)
     hyp = float(np.max(np.sqrt(_squared_norms(defect)) / ((1.0 + r) * w), initial=0.0))
     der = float(np.max(M * np.sqrt(_squared_norms(fpvals[keep])) * gap / w, initial=0.0))
@@ -616,5 +602,4 @@ def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
         contract_ok=bool(ok),
         n_used=used,
         n_skipped=skipped,
-        interpretation=interpretation,
     )

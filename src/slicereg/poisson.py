@@ -140,22 +140,23 @@ def poisson_modulus_sq(c: np.ndarray, zs) -> np.ndarray:
     return 2.0 * eval_complex(gamma, zs).real - gamma[0].real
 
 
-def defect_sup(comps, omega: Majorant, xs, nodes: int, power: int = 1) -> np.ndarray:
-    """sup over the disc points xs of (P[|c|^power](x) - |c(x)|^power) /
-    omega(1 - |x|)^power for each row c of comps, a stack of ascending
-    complex coefficient rows such as SplitSeries.C, as a (k,) array, from
-    one trapezoid Poisson call with the components stacked."""
+def defect_sup(comps, omega: Majorant, xs, nodes: int) -> np.ndarray:
+    """sup over the disc points xs of (P[|c|](x) - |c(x)|) / omega(1 - |x|)
+    for each row c of comps, a stack of ascending complex coefficient rows
+    such as SplitSeries.C, as a (k,) array, from one trapezoid Poisson call
+    with the components stacked."""
     def moduli(z):
-        return np.stack([np.abs(eval_complex(c, z)) ** power for c in comps])
+        return np.stack([np.abs(eval_complex(c, z)) for c in comps])
 
     p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes)
     defect = p_vals - moduli(xs)
-    return np.max(defect / omega(1.0 - np.abs(xs)) ** power, axis=-1)
+    return np.max(defect / omega(1.0 - np.abs(xs)), axis=-1)
 
 
 def sq_defect_sup(comps, omega: Majorant, xs) -> np.ndarray:
-    """defect_sup at power 2 with the exact Poisson integral
-    poisson_modulus_sq in place of the quadrature, so no node count."""
+    """sup over the disc points xs of (P[|c|^2](x) - |c(x)|^2) /
+    omega(1 - |x|)^2 for each row c of comps, with the exact Poisson
+    integral poisson_modulus_sq, so no node count."""
     defect = np.stack([poisson_modulus_sq(c, xs) - np.abs(eval_complex(c, xs)) ** 2
                        for c in comps])
     return np.max(defect / omega(1.0 - np.abs(xs)) ** 2, axis=-1)

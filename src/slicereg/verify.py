@@ -534,37 +534,33 @@ def verify_poisson_characterization(config: RunConfig) -> VerificationReport:
                               members=config.corpus, check=check)
 
 
-def cone_admissible_mask(qs: np.ndarray, i: ImaginaryUnit, sign: float,
-                         t_grid: np.ndarray) -> np.ndarray:
+def cone_admissible_mask(qs: np.ndarray, i: ImaginaryUnit, sign: float) -> np.ndarray:
     """Boolean mask of rows q=[x0,x1,x2,x3] satisfying
-    <q, e^{it}> <= q0 cos t + sign*|vec q| sin t on the whole grid
-    (Euclidean inner product on R^4, relative tolerance 1e-12)."""
+    <q, e^{it}> <= q0 cos t + sign*|vec q| sin t at every angle t
+    (Euclidean inner product on R^4, relative tolerance 1e-12).
+
+    <q, e^{it}> - q0 cos t = <vec q, i> sin t, so the condition reads
+    (<vec q, i> - sign*|vec q|) sin t <= 0 for all t, which holds exactly
+    when <vec q, i> = sign*|vec q|: vec q on the ray of sign*i."""
     qs = np.asarray(qs, dtype=float)
     vec = qs[:, 1:]
-    vnorm = np.linalg.norm(vec, axis=1)
-    along = vec @ np.array([i.v1, i.v2, i.v3])
-    # <q, e^{it}> - q0 cos t = <vec q, i> sin t; condition reduces to
-    # (along - sign*|vec|) sin t <= 0 for all grid angles
-    gap = (along - sign * vnorm)[:, None] * np.sin(t_grid)[None, :]
-    scale = 1.0 + np.linalg.norm(qs, axis=1)
-    return np.all(gap <= 1e-12 * scale[:, None], axis=1)
+    gap = vec @ np.array([i.v1, i.v2, i.v3]) - sign * np.linalg.norm(vec, axis=1)
+    return np.abs(gap) <= 1e-12 * (1.0 + np.linalg.norm(qs, axis=1))
 
 
 def verify_cone_corollary(config: RunConfig) -> VerificationReport:
     """For points admissible under the cone condition, the Poisson mean of
     ||f|| exceeds twice the value at the matched slice point by at most
-    2*C_def*omega(1-|q|). Admissibility on a full angle grid forces the
+    2*C_def*omega(1-|q|). Admissibility at every angle forces the
     imaginary part parallel to i, so the sample mixes on-slice points
     (admissible) with random ball points (rejected and counted). The
     crossed sign pairing is evaluated and reported without a pass
     condition."""
     omega, i, plan, nodes = config.omega, config.i, config.plan, config.nodes
     tol = 1e-9
-    t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     zs = disc_points(plan, cap=resolved_cap(plan.max_radius, nodes))[:24]
     on_slice = slice_points_array(i, zs)
-    off_slice = np.asarray(
-        np.random.default_rng([plan.seed, 41]).normal(size=(24, 4)))
+    off_slice = plan.child_rng(41).normal(size=(24, 4))
     off_slice *= 0.8 / np.linalg.norm(off_slice, axis=1, keepdims=True)
     qs = np.concatenate([on_slice, off_slice])
     # admissibility depends on the sample only, so every member shares it;
@@ -572,7 +568,7 @@ def verify_cone_corollary(config: RunConfig) -> VerificationReport:
     branches, counts = [], {}
     seen = np.zeros(len(qs), dtype=bool)
     for sign, label in ((1.0, "plus"), (-1.0, "minus")):
-        mask = cone_admissible_mask(qs, i, sign, t_grid)
+        mask = cone_admissible_mask(qs, i, sign)
         counts[f"admissible_{label}"] = np.sum(mask)
         seen |= mask
         sel = qs[mask]

@@ -47,6 +47,7 @@ def test_summary_of_canned_pairs():
     assert rate["change_worse_by"] == pytest.approx(-17.0 / 46.0)  # higher is better
     assert rate["change_wins"] == 3  # 46 < 47 in the third pair
     assert rate["bound"] == 0.25
+    assert p50["within_bound"] and rate["within_bound"]  # better is always within
 
 
 def test_summary_flags_a_loss_failures_and_changed_outputs():
@@ -59,7 +60,25 @@ def test_summary_flags_a_loss_failures_and_changed_outputs():
     p50 = s["metrics"]["op_s.p50"]
     assert p50["change_wins"] == 0
     assert p50["change_worse_by"] == pytest.approx(0.15)
+    assert p50["within_bound"]  # 15% worse, under the 25% bound
     assert p50["parent_iqr"] == 0.0 and p50["gap_exceeds_parent_iqr"]
+    rate = s["metrics"]["ops_per_s"]
+    assert rate["change_worse_by"] == pytest.approx(10.5 / 51.0)
+    assert rate["within_bound"]
+
+
+def test_within_bound_at_and_beyond_the_bound():
+    # binary fractions, so 25% worse is exactly the bound
+    at = bench_pairs.summarize({"parent": [_run(0.5, 4.0)], "change": [_run(0.625, 3.0)]},
+                               _END_TO_END)["metrics"]
+    assert at["op_s.p50"]["change_worse_by"] == 0.25
+    assert at["op_s.p50"]["within_bound"]
+    assert at["ops_per_s"]["change_worse_by"] == 0.25
+    assert at["ops_per_s"]["within_bound"]
+    beyond = bench_pairs.summarize({"parent": [_run(0.5, 4.0)], "change": [_run(0.65, 2.8)]},
+                                   _END_TO_END)["metrics"]
+    assert not beyond["op_s.p50"]["within_bound"]  # 30% slower
+    assert not beyond["ops_per_s"]["within_bound"]  # 30% fewer ops per second
 
 
 def test_single_pair_and_mismatched_sides():

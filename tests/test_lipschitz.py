@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicereg.lipschitz import (
+    INTERPRETATIONS,
     DegeneratePlan,
     GrowthCheck,
     NormEstimate,
     SamplePlan,
-    _displaced_points,
+    _conjugated,
     _golden_angles,
+    _squared_norms,
     ball_pair_coords,
     boundary_norm,
     bounded_growth_check,
@@ -37,6 +39,7 @@ from slicereg.quaternion import (
     UNIT_E1,
     ImaginaryUnit,
     Quaternion,
+    conj_array,
     from_array,
     hamilton_mul,
     norm,
@@ -46,6 +49,7 @@ from slicereg.quaternion import (
 )
 from slicereg.series import (
     SliceSeries,
+    cullen_derivative,
     eval_complex,
     evaluate,
     evaluate_batch,
@@ -325,8 +329,6 @@ def test_derivative_ratio_oracles():
 
 def test_parallelogram_identity_at_samples():
     f = SliceSeries([0.2 * E1, ONE, 0.4 * E2, 0.1 * Quaternion(1, 1, 1, 1)])
-    from slicereg.series import cullen_derivative
-
     Fp, Gp = split(cullen_derivative(f), I).C
     xs = disc_points(PLAN)
     a, b = np.abs(eval_complex(Fp, xs)), np.abs(eval_complex(Gp, xs))
@@ -371,7 +373,7 @@ def test_bounded_growth_batch_equals_one_point_calls(unit):
     batch = bounded_growth_check(f, slice_points_array(unit, zs), unit, PLAN)
     single = [bounded_growth_check(f, slice_points_array(unit, [z]), unit, PLAN) for z in zs]
     for field in ("lhs_plus", "lhs_minus", "local_sup", "lhs_quadratic", "rhs_quadratic",
-                  "samples", "sandwich_slack", "quadratic_slack"):
+                  "sandwich_slack", "quadratic_slack"):
         assert np.array_equal(getattr(batch, field),
                               np.concatenate([getattr(c, field) for c in single]))
 
@@ -380,7 +382,6 @@ def test_bounded_growth_batch_equals_one_point_calls(unit):
 
 def test_schwarz_pick_identity_function():
     rep = schwarz_pick_criterion(IDENT, W_HALF, I, PLAN)
-    assert rep.interpretation == "series"
     assert rep.contract_ok
     assert rep.n_used > 400
     assert rep.derivative_constant <= rep.hypothesis_constant * 1.25 + 1e-12
@@ -397,34 +398,76 @@ def test_schwarz_pick_constant_reports_empty():
     assert rep.hypothesis_constant == 0.0
 
 
-def test_displaced_point_interpretations_agree_at_real_x():
-    # real coefficients + real x keep every factor in R, where the two
-    # readings of conjugate(f(x)) * f(x) coincide
-    from slicereg.series import cullen_derivative
+def _aux_coefficients(f):
+    """The real coefficients of the series reading's auxiliary 1 - f^s."""
+    return (SliceSeries([1.0]) - symmetrization(f)).array[:, 0]
 
+
+def _series_conjugation(f, p):
+    """The series reading's former step: p conjugated by (1 - f^s)(p), and
+    the quaternion mask of rows where (1 - f^s)(p) vanishes."""
+    gp = evaluate_batch(SliceSeries.from_real(_aux_coefficients(f)), p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (_conjugated(gp, p),
+                np.float_power(np.sqrt(_squared_norms(gp)), 2.0) <= 1e-9)
+
+
+def test_displaced_point_interpretations_agree_at_real_x():
+    # real coefficients + real x keep every factor in R, where conjugating
+    # by 1 - f^s moves nothing; |f| < 1 on the disc leaves both readings
+    # the same skip mask, so their reports agree to the bit
     f = SliceSeries.from_real([0.1, 0.5, 0.0, 0.2])
-    fp = cullen_derivative(f)
-    s = symmetrization(f)
-    coeffs = [-c.x0 for c in s.coefficients]
-    coeffs[0] = 1.0 + coeffs[0]
-    aux = SliceSeries.from_real(coeffs)
     x = slice_points_array(I, np.array([0.3, -0.45, 0.6]))
-    fx, fpx = evaluate_batch(f, x), evaluate_batch(fp, x)
-    a, singular_a = _displaced_points(aux, x, fx, fpx, "series")
-    b, singular_b = _displaced_points(None, x, fx, fpx, "pointwise")
-    assert not singular_a.any() and not singular_b.any()
-    assert np.max(norm_array(a - b)) < 1e-12
+    p = _conjugated(evaluate_batch(cullen_derivative(f), x), x)
+    moved, singular = _series_conjugation(f, p)
+    assert not singular.any()
+    assert np.max(norm_array(moved - p)) < 1e-12
+    series, pointwise = (schwarz_pick_criterion(f, W_HALF, I, PLAN, reading)
+                         for reading in INTERPRETATIONS)
+    assert series == pointwise
+    assert series.n_skipped == 0
 
 
 def test_singular_point_masked_at_critical_point():
-    # f = q^2 has f'(0) = 0: the displaced point is undefined there, and
-    # only there
-    x = slice_points_array(I, np.array([0.0, 0.5]))
-    fx, fpx = evaluate_batch(SQUARE, x), evaluate_batch(SliceSeries([0.0, 2.0]), x)
-    for aux, reading in ((SliceSeries([1.0, 0.0, 0.0, 0.0, -1.0]), "series"),
-                         (None, "pointwise")):
-        _, singular = _displaced_points(aux, x, fx, fpx, reading)
-        assert singular.tolist() == [True, False]
+    # f = q^2 has f'(0) = 0: the displaced point is undefined at the
+    # origin, and only there, under both readings
+    plan = SamplePlan(n_points=64)
+    xs = disc_points(plan)
+    at_origin = int(np.sum(xs == 0.0))
+    assert at_origin > 0
+    for reading in INTERPRETATIONS:
+        rep = schwarz_pick_criterion(SQUARE, W_HALF, I, plan, reading)
+        assert (rep.n_skipped, rep.n_used) == (at_origin, xs.size - at_origin)
+
+
+@pytest.mark.parametrize("n_points", [512, 2048])
+@pytest.mark.parametrize("unit", [UNIT_E1, ImaginaryUnit.from_vector(1.0, 1.0, 1.0)],
+                         ids=["e1", "i111"])
+def test_series_conjugation_is_the_identity(n_points, unit):
+    # 1 - f^s has real coefficients: its value at p commutes with p, and
+    # its modulus at p = f'(x)^-1 x f'(x) is its modulus at the slice
+    # coordinate z of x, so the series reading needs neither the
+    # conjugation nor a quaternion evaluation at p
+    xs = disc_points(SamplePlan(n_points=n_points))
+    x = slice_points_array(unit, xs)
+    for m in default_corpus():
+        s = split(m.series, unit)
+        fx, fpx = s.values(xs), s.derivative().values(xs)
+        defined = ((np.sqrt(_squared_norms(fpx)) > 1e-6)
+                   & (np.sqrt(_squared_norms(fx)) > 1e-9))
+        p = _conjugated(fpx[defined], x[defined])
+        moved, old_mask = _series_conjugation(m.series, p)
+        new_mask = np.float_power(
+            np.abs(eval_complex(_aux_coefficients(m.series), xs[defined])), 2.0) <= 1e-9
+        assert np.array_equal(old_mask, new_mask), m.name
+        kept = ~new_mask
+        conj_fx = conj_array(fx[defined][kept])
+        old = _conjugated(conj_fx, moved[kept])
+        new = _conjugated(conj_fx, p[kept])
+        # up to 7.4e-15 where |1 - f^s| is near 0.02 and the rounding of its
+        # quaternion Horner value tilts it off the slice of p (square,
+        # cubic_basis)
+        assert np.all(norm_array(old - new) <= 1e-14 * norm_array(new)), m.name
 
 
 def _schwarz_reference(f, omega, i, plan, interpretation):
@@ -434,7 +477,7 @@ def _schwarz_reference(f, omega, i, plan, interpretation):
     s = split(f, i)
     fvals, fpvals = s.values(xs), s.derivative().values(xs)
     M = float(np.max(norm_array(fvals)))
-    aux = SliceSeries([1.0]) - symmetrization(f)
+    aux = _aux_coefficients(f)
 
     def conjugated(c, q):
         return hamilton_mul(hamilton_mul(c.inverse(), q), c)
@@ -446,16 +489,17 @@ def _schwarz_reference(f, omega, i, plan, interpretation):
         if norm(fpx) <= 1e-6 or norm(fx) <= 1e-9:
             skipped += 1
             continue
-        p = conjugated(fpx, slice_point(i, complex(z)))
         if interpretation == "series":
-            gp = evaluate(aux, p)
-            if norm(gp) ** 2 <= 1e-9:
+            gz = 0j
+            for a in aux[::-1]:
+                gz = gz * complex(z) + a
+            if abs(gz) ** 2 <= 1e-9:
                 skipped += 1
                 continue
-            p = conjugated(gp, p)
         elif abs(1.0 - norm(fx) ** 2) <= 1e-9:
             skipped += 1
             continue
+        p = conjugated(fpx, slice_point(i, complex(z)))
         fxt = evaluate(f, conjugated(fx.conjugate(), p))
         gap = 1.0 - abs(z)
         w = omega(gap)

@@ -219,7 +219,7 @@ def test_sq_defect_sup_is_exact():
     for m in default_corpus():
         comps = split(m.series, UNIT_E1).C
         exact = sq_defect_sup(comps, omega, xs)
-        trap = defect_sup(comps, omega, xs, 2048, power=2)
+        trap = np.array(_defect_sup_loop(comps, omega, xs, 2048, 2))
         assert exact.shape == (2,)
         if m.series.degree == 0:
             # the quadrature floor is gone: the defect of a constant is 0
@@ -240,8 +240,7 @@ def _defect_sup_loop(comps, omega, xs, nodes, power):
     return sups
 
 
-@pytest.mark.parametrize("power", [1, 2])
-def test_defect_sup_equals_per_component_loop(power):
+def test_defect_sup_equals_per_component_loop():
     omega = PowerMajorant(0.5)
     nodes = 1024
     xs = ray_grid(resolved_cap(1.0, nodes), 24, 6, 4)
@@ -249,8 +248,8 @@ def test_defect_sup_equals_per_component_loop(power):
         for m in default_corpus():
             F, G = split(m.series, i).C
             for comps in ((F, G), (F,), (G,)):
-                want = _defect_sup_loop(comps, omega, xs, nodes, power)
-                assert defect_sup(comps, omega, xs, nodes, power).tolist() == want, m.name
+                want = _defect_sup_loop(comps, omega, xs, nodes, 1)
+                assert defect_sup(comps, omega, xs, nodes).tolist() == want, m.name
 
 
 def _four_term_integral(u, q, i, nodes):

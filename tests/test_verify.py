@@ -15,7 +15,7 @@ import slicereg.verify
 from slicereg.cli import RunConfig, ValidationError, main
 from slicereg.lipschitz import SamplePlan
 from slicereg.majorant import PowerMajorant
-from slicereg.quaternion import UNIT_E1
+from slicereg.quaternion import UNIT_E1, ImaginaryUnit, slice_points_array
 from slicereg.series import SliceSeries
 from slicereg.verify import (
     ALL_SUITES,
@@ -157,15 +157,47 @@ def test_member_exception_fails_only_its_record(corpus, monkeypatch):
 
 
 def test_cone_mask_oracle():
-    t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     qs = np.array([
         [0.3, 0.4, 0.0, 0.0],   # upper half of the e1 slice
         [0.3, -0.4, 0.0, 0.0],  # lower half
         [0.3, 0.0, 0.0, 0.0],   # real axis: admissible for both signs
         [0.3, 0.2, 0.2, 0.0],   # off the slice: never admissible
     ])
-    assert list(cone_admissible_mask(qs, UNIT_E1, +1.0, t)) == [True, False, True, False]
-    assert list(cone_admissible_mask(qs, UNIT_E1, -1.0, t)) == [False, True, True, False]
+    assert list(cone_admissible_mask(qs, UNIT_E1, +1.0)) == [True, False, True, False]
+    assert list(cone_admissible_mask(qs, UNIT_E1, -1.0)) == [False, True, True, False]
+
+
+def _cone_grid_mask(qs, i, sign):
+    """The cone condition tested angle by angle on a 64-point grid, as
+    (<vec q, i> - sign*|vec q|) sin t <= 1e-12 (1 + |q|)."""
+    t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    vec = qs[:, 1:]
+    along = vec @ np.array([i.v1, i.v2, i.v3])
+    gap = (along - sign * np.linalg.norm(vec, axis=1))[:, None] * np.sin(t)[None, :]
+    scale = 1.0 + np.linalg.norm(qs, axis=1)
+    return np.all(gap <= 1e-12 * scale[:, None], axis=1)
+
+
+@pytest.mark.parametrize("unit", [UNIT_E1, ImaginaryUnit.from_vector(1.0, 1.0, 1.0)],
+                         ids=["e1", "i111"])
+def test_cone_mask_equals_angle_grid(unit):
+    # the grid holds t = pi/2 and 3pi/2, where sin is exactly +-1, and
+    # |g sin t| <= |g| at every other angle: the grid test is |g| <= tol
+    rng = np.random.default_rng(5)
+    zs = 0.9 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    on_slice = slice_points_array(unit, zs)
+    # perpendicular offsets from 1e-13 to 1e-4 straddle the tolerance
+    perp = np.cross(rng.normal(size=(200, 3)), unit.components())
+    perp /= np.linalg.norm(perp, axis=1, keepdims=True)
+    near = on_slice.copy()
+    near[:, 1:] += np.geomspace(1e-13, 1e-4, 200)[:, None] * perp
+    ball = rng.normal(size=(200, 4))
+    ball *= 0.9 * rng.uniform(size=(200, 1)) / np.linalg.norm(ball, axis=1, keepdims=True)
+    for qs in (on_slice, near, ball):
+        for sign in (1.0, -1.0):
+            assert np.array_equal(cone_admissible_mask(qs, unit, sign),
+                                  _cone_grid_mask(qs, unit, sign))
+    assert 0 < np.sum(cone_admissible_mask(near, unit, 1.0)) < np.sum(zs.imag > 0)
 
 
 # --- the batch runner -----------------------------------------------------------

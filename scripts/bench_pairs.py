@@ -6,8 +6,9 @@
 Each pair runs ``benchmarks/run.py --workload W --seed S --seconds T
 --trace 0``, T being BENCHMARK.json's ``run_seconds``, once in each
 checkout, one after the other; the side that runs first alternates from
-pair to pair, so slow drift of the host falls on both sides alike.  The end-to-end metrics of every run, their per-side medians
-and quartiles, the pairs the change wins, both environments and the first
+pair to pair, so slow drift of the host falls on both sides alike.  The
+end-to-end metrics of every run, their per-side medians, quartiles and
+minima, the pairs the change wins, both environments and the first
 output SHA-256 of each call go into ``BENCH_<label>.json`` in the change
 checkout, under the key ``<workload>-seed<S>``; other keys already in that
 file are kept, so a workload or a held-out seed can be added by a later
@@ -55,8 +56,11 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     """Per-metric comparison of paired runs.  runs[side][i] is the result of
     pair i on that side ({"metrics": {name: {"value": ...}}, "attempted",
     "failed", "correct", ...}); end_to_end is BENCHMARK.json's list of
-    {"name", "better", "bound"}.  change_worse_by is the relative change of
-    the change's median, positive when it is worse, and within_bound holds
+    {"name", "better", "bound"}.  Each side's minimum is recorded beside its
+    median and quartiles: a metric that host noise only ever raises, such as
+    a set-up time, spreads less at its minimum.  change_worse_by is the
+    relative change of the change's median, positive when it is worse, and
+    within_bound holds
     when it is at most the metric's bound; a pair is won when the
     change's value is strictly better than the parent's in the same pair;
     gap_exceeds_parent_iqr holds when the medians differ by more than the
@@ -79,6 +83,8 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
             "change_median": change_med,
             "parent_quartiles": quart["parent"],
             "change_quartiles": quart["change"],
+            "parent_min": min(values["parent"]),
+            "change_min": min(values["change"]),
             "change_worse_by": worse_by,
             "bound": spec["bound"],
             "within_bound": worse_by <= spec["bound"],
@@ -136,7 +142,8 @@ def main(argv=None) -> int:
     doc.setdefault("workloads", {})[f"{args.workload}-seed{args.seed}"] = summary
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for name, m in summary["metrics"].items():
-        print(f"{name:<12} parent {m['parent_median']:.6g}  change {m['change_median']:.6g}  "
+        print(f"{name:<12} parent {m['parent_median']:.6g} (min {m['parent_min']:.6g})  "
+              f"change {m['change_median']:.6g} (min {m['change_min']:.6g})  "
               f"worse by {m['change_worse_by']:+.1%} (bound {m['bound']:.0%}: "
               f"{'within' if m['within_bound'] else 'BEYOND'})  wins {m['change_wins']}/{args.pairs}  "
               f"gap > parent IQR: {m['gap_exceeds_parent_iqr']}")

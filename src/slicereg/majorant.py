@@ -1,20 +1,15 @@
 """Moduli of continuity on [0, 2] and their regularity certification.
 
-A majorant omega is admissible for the norm estimators when omega(0) = 0,
-omega is increasing and omega(t)/t is non-increasing. It is *regular* when
-additionally
+A majorant omega is admissible when omega(0) = 0, omega increases and
+omega(t)/t does not. It is *regular* (the Bari-Stechkin condition) when for
+a finite C and every x in (0, 2]
 
-    int_0^x omega(t)/t dt  +  x * int_x^2 omega(t)/t^2 dt  <=  C * omega(x)
+    N(x) = int_0^x omega(t)/t dt  +  x * int_x^2 omega(t)/t^2 dt  <=  C * omega(x).
 
-for a finite C independent of x in (0, 2]. check_regular certifies a power
-t^alpha with 0 < alpha < 1, plain or under any chain of positive scales,
-by its closed-form constant C = 1/alpha + 1/(1 - alpha). Every other weight
-is certified empirically: both integrals are evaluated with the
-substitution t = e^u (which removes the endpoint singularity) by composite
-Gauss-Legendre panels, and the sup of the ratio must stabilize under grid
-refinement.
-That sup is a lower bound for C: the grid stops at x = 1e-8 and I1 is cut
-50 log-units below x.
+Every weight built here is a positive sum of powers c t^alpha and
+piecewise-linear tables, so both integrals have closed forms: check_regular
+decides the screens exactly and brackets C = sup N/omega within RTOL, and a
+power t^alpha has C = 1/alpha + 1/(1 - alpha), its x -> 0 limit.
 
 Powers, sums and scalings are frozen dataclasses, so equal weights are
 equal values with equal hashes and can key a store; c * t^alpha has the
@@ -24,20 +19,24 @@ arrays and compares by identity.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 DOMAIN_MAX = 2.0  # diameter of the unit ball; distances never exceed it
 _DOMAIN_SLACK = 1e-12
+RTOL = 1e-6  # a certified C_upper is at most C_lower * (1 + RTOL)
+# the screens forgive 8 ulps of the magnitudes summed into each value
+_SCREEN_TOL = 8.0 * np.finfo(float).eps
+_DEPTH = 2e4  # the tail grid reaches e^-20000 times the first knot
+_DIVERGENT_X = 1e-8  # where the ratio of a divergent weight is reported
 
 
 class DomainError(ValueError):
     """Majorant evaluated outside [0, 2]."""
-
-
-class QuadratureFailure(RuntimeError):
-    """The certification quadrature did not converge under refinement."""
 
 
 class Majorant:
@@ -65,10 +64,6 @@ class Majorant:
     def __rmul__(self, c: float) -> "Majorant":
         return ScaledMajorant(float(c), self)
 
-    def knots(self) -> np.ndarray:
-        """Interior break points (used to align quadrature panels)."""
-        return np.empty(0)
-
 
 @dataclass(frozen=True)
 class PowerMajorant(Majorant):
@@ -93,9 +88,6 @@ class SumMajorant(Majorant):
     def _eval(self, t):
         return self.first._eval(t) + self.second._eval(t)
 
-    def knots(self):
-        return np.union1d(self.first.knots(), self.second.knots())
-
 
 @dataclass(frozen=True)
 class ScaledMajorant(Majorant):
@@ -110,9 +102,6 @@ class ScaledMajorant(Majorant):
 
     def _eval(self, t):
         return self.c * self.base._eval(t)
-
-    def knots(self):
-        return self.base.knots()
 
 
 class TabulatedMajorant(Majorant):
@@ -141,209 +130,213 @@ class TabulatedMajorant(Majorant):
         # beyond the last knot, continue with the final value (flat)
         return np.interp(t, self.grid, self.values)
 
-    def knots(self):
-        return self.grid[1:-1]
-
     def __repr__(self):
         return f"TabulatedMajorant(<{self.grid.size} knots>)"
 
 
 @dataclass(frozen=True)
 class RegularityCertificate:
-    """Verdict of check_regular. empirical_C is the certified constant and
-    history[-1] equals it. A quadrature certificate's history holds the
-    ratio sup of each grid refinement, worst_x the x attaining the last
-    one and grid_size the last grid's length. A closed-form certificate
-    (a plain or positively scaled power) has history (C,), worst_x 0.0,
-    the x -> 0 limit where the sup is approached but never attained, and
-    grid_size 0, as it samples no grid."""
+    """Verdict of check_regular. If regular, C_lower <= sup R <= C_upper =
+    empirical_C <= C_lower (1 + RTOL), unless R rises below e^-20000 times the
+    first knot (a smallest exponent within about 1e-3 of 1), and R reaches
+    C_lower at worst_x (0.0: the x -> 0 limit). If divergent, empirical_C =
+    C_lower = R(1e-8) = R(worst_x), C_upper = inf. A failed screen leaves NaN
+    constants and worst_x at the first piece end where it fails."""
 
     is_regular: bool
     empirical_C: float
+    C_lower: float
+    C_upper: float
     worst_x: float
-    grid_size: int
     monotone: bool
     ratio_monotone: bool
-    history: tuple[float, ...]
 
 
-# 8-point Gauss-Legendre rule on [-1, 1], shared by every panel
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+class _Pieces:
+    """omega = sum c t^alpha + A[j] + B[j] t on (knots[j], knots[j + 1]], the
+    powers merged by exponent and sorted, the knots 0, each table knot in
+    (0, 2) and 2; A[0] = 0 as tables start at the origin. A_mag and B_mag
+    sum the magnitudes rounded into A and B; I1_left[j] and I2_right[j] are
+    the tables' parts of I1 at knots[j] and of I2 at knots[j + 1]."""
+
+    def __init__(self, omega: Majorant):
+        powers: dict[float, float] = {}
+        tables, stack = [], [(1.0, omega)]
+        while stack:  # omega as a positive sum; a zero scale drops its term
+            c, w = stack.pop()
+            if isinstance(w, SumMajorant):
+                stack += [(c, w.second), (c, w.first)]
+            elif isinstance(w, ScaledMajorant) and w.c > 0.0:
+                stack.append((c * w.c, w.base))
+            elif isinstance(w, PowerMajorant):
+                powers[w.alpha] = powers.get(w.alpha, 0.0) + c
+            elif isinstance(w, TabulatedMajorant):
+                tables.append((c, w))
+            elif not isinstance(w, ScaledMajorant):
+                raise TypeError(f"no closed form for {type(w).__name__}")
+        self.alpha = np.array([a for a in sorted(powers) if powers[a] > 0.0])
+        self.c = np.array([powers[a] for a in self.alpha])
+        self.knots = np.unique(np.concatenate(
+            [[0.0, DOMAIN_MAX], *(t.grid[(t.grid > 0.0) & (t.grid < DOMAIN_MAX)]
+                                  for _, t in tables)]))
+        lo, hi = self.knots[:-1], self.knots[1:]
+        self.A, self.B, self.A_mag, self.B_mag = np.zeros((4, lo.size))
+        for s, t in tables:
+            k = np.searchsorted(t.grid, 0.5 * (lo + hi)) - 1  # no midpoint is a knot
+            b = np.append(np.diff(t.values) / np.diff(t.grid), 0.0)[k]  # flat past the end
+            self.A += s * (t.values[k] - b * t.grid[k])
+            self.B += s * b
+            self.A_mag += s * (t.values[k] + np.abs(b) * t.grid[k])
+            self.B_mag += s * np.abs(b)
+        log_ratio = np.log(hi[1:] / lo[1:])
+        p1 = np.concatenate([self.B[:1] * hi[:1],
+                             self.A[1:] * log_ratio + self.B[1:] * (hi[1:] - lo[1:])])
+        p2 = np.concatenate([[0.0], self.A[1:] * (1.0 / lo[1:] - 1.0 / hi[1:])
+                             + self.B[1:] * log_ratio])
+        self.I1_left = np.cumsum(p1) - p1
+        self.I2_right = np.cumsum(p2[::-1])[::-1] - p2
+        self.log_knots = np.concatenate([[-np.inf], np.log(hi)])
+        self.m = self.alpha[0] if self.alpha.size else 1.0
+
+    def scaled(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """I1(x) = int_0^x omega/t, x I2(x) = x int_x^2 omega/t^2 and omega(x)
+        at x = e^s in (0, 2], each divided by x^m, m the smallest exponent
+        (1 without powers): finite also for x far below the smallest double."""
+        a, c = self.alpha[:, None], self.c[:, None]
+        log_2x = np.log(DOMAIN_MAX) - s
+        # x int_x^2 t^(alpha-2) = x^alpha ln(2/x) (1 - e^-z)/z, z = (1-alpha) ln(2/x),
+        # and (1 - e^-z)/z = 1 at z = 0: no cancellation as alpha -> 1
+        z = (1.0 - a) * log_2x
+        rel = np.where(z > 0.0, -np.expm1(-z) / np.where(z > 0.0, z, 1.0), 1.0)
+        power = c * np.exp((a - self.m) * s)
+        # the tables' parts over x; on the first piece A = 0 and x is never formed
+        j = np.clip(np.searchsorted(self.log_knots, s) - 1, 0, self.A.size - 1)
+        later = j > 0
+        A, B, lo = self.A[j], self.B[j], self.knots[j]
+        inv_x = np.exp(-np.where(later, s, 0.0))
+        log_lo = np.where(later, self.log_knots[j], s)
+        u1 = np.where(later, (self.I1_left[j] + A * (s - log_lo) + B * (np.exp(s) - lo)) * inv_x,
+                      B)
+        u2 = self.I2_right[j] + A * (inv_x - 1.0 / self.knots[j + 1]) + B * (
+            self.log_knots[j + 1] - s)
+        linear = np.exp((1.0 - self.m) * s)
+        return ((power / a).sum(0) + linear * u1, (power * log_2x * rel).sum(0) + linear * u2,
+                power.sum(0) + linear * (A * inv_x + B))
+
+    def screens(self) -> tuple[bool, bool, float]:
+        """Whether omega increases, whether omega/t does not, and the first
+        piece end where one fails (NaN if none). On a piece omega' = sum c
+        alpha t^(alpha-1) + B falls and omega - t omega' = sum c (1 - alpha)
+        t^alpha + A rises, so each is held >= 0 at its worst end."""
+        lo, hi = self.knots[:-1], self.knots[1:]
+        a, c = self.alpha[:, None], self.c[:, None]
+        slope = (c * a * hi ** (a - 1.0)).sum(0)
+        defect = (c * (1.0 - a) * lo ** a).sum(0)
+        up, flat = (np.isfinite(v) & (v >= -_SCREEN_TOL * mag) for v, mag in (
+            (slope + self.B, slope + self.B_mag), (defect + self.A, defect + self.A_mag)))
+        bad = np.concatenate([hi[~up], lo[~flat]])
+        return bool(up.all()), bool(flat.all()), float(bad.min()) if bad.size else math.nan
+
+    def tail_bound(self, log_x: np.ndarray) -> np.ndarray:
+        """Upper bounds of R on (0, x], x = e^log_x <= knots[1], by the
+        expansion about the smallest exponent a_m < 1: there omega = Q + L t,
+        Q the powers alpha < 1, and N - K_m omega = sum c (K - K_m) t^alpha +
+        L t (lam + ln(k1/t)), K = 1/alpha + 1/(1 - alpha), lam = 1 - K_m + D/L
+        (D t if L = 0). Over omega, a power's term is at most its share of the
+        powers up to its exponent, rising with t, as t/Q does; t^(1-a_m) (lam
+        + ln(k1/t)) peaks at k1 e^(lam - 1/(1-a_m)), and t^a_m/Q <= 1/c_m."""
+        regular = self.alpha < 1.0
+        a, c = self.alpha[regular], self.c[regular]
+        K = 1.0 / a + 1.0 / (1.0 - a)
+        k1, L = self.knots[1], self.c[~regular].sum() + self.B[0]
+        D = (self.I2_right[0] + self.c[~regular].sum() * np.log(DOMAIN_MAX / k1)
+             - (c * DOMAIN_MAX ** (a - 1.0) / (1.0 - a)).sum())
+        log_k1 = self.log_knots[1]
+        share = (c / c[0])[:, None] * np.exp(np.outer(a - a[0], log_x))
+        bound = K[0] + (np.maximum(K - K[0], 0.0)[:, None] * share
+                        / np.cumsum(share, axis=0)).sum(0)
+        beta = 1.0 - a[0]
+        if L > 0.0:
+            lam = 1.0 - K[0] + D / L
+            log_t = np.minimum(log_x, log_k1 + lam - 1.0 / beta)
+            return bound + L / c[0] * np.exp(beta * log_t) * (lam + log_k1 - log_t)
+        return bound + max(D, 0.0) / c[0] * np.exp(beta * log_x) / share.sum(0)
 
 
-def _gauss_sums(integrand, a: np.ndarray, b: np.ndarray, breaks: np.ndarray,
-                max_width: np.ndarray) -> np.ndarray:
-    """Composite Gauss-Legendre sums of integrand(nodes, weights) over
-    [a[k], b[k]] for every k at once, panels split at the breaks inside the
-    interval and capped at max_width[k] so piecewise-smooth integrands stay
-    panel-smooth.
+def _bracket(p: _Pieces) -> tuple[float, float, float]:
+    """(C_lower, C_upper, x attaining C_lower or 0.0, also below the smallest
+    double) for a screened weight with a power alpha < 1. C_lower starts at
+    the x -> 0 limit K_m and takes R at every cell end. tail_bound covers
+    (0, x0], x0 the largest x of a log grid down to e^-_DEPTH below the first
+    knot where it is within RTOL/2 of max(K_m, R(x0)), else the grid's end;
+    [x0, 2] is cut into cells of at most an e-fold inside pieces. On a cell
+    [a, b], N (N' = I2, N'' = -omega/x^2) and omega are concave, so R <=
+    min(tangents of N at a, b) / chord of omega, largest at a, b or where the
+    tangents cross, taken in y = x/a with values over a^m. Cells above
+    C_lower (1 + RTOL) are halved in log x; the gap falls as width squared."""
+    lower, worst = power_regularity_constant(float(p.m)), 0.0
 
-    All panels are built as one flat array and the integrand is called once
-    over it; rows sharing a total panel count are summed as one array.
-    """
-    edges = np.column_stack([a, np.clip(breaks, a[:, None], b[:, None]), b])
-    lengths = np.diff(edges, axis=1)
-    pieces = np.where(lengths > 0.0, np.ceil(lengths / max_width[:, None]), 0.0).astype(int)
-    totals = pieces.sum(axis=1)
-    order = np.argsort(totals, kind="stable")  # each count's panels form one block
-    row, sub = np.nonzero(pieces[order])
-    start, stop, p = edges[order[row], sub], edges[order[row], sub + 1], pieces[order[row], sub]
-    # panel k of p runs from k * step + start to (k + 1) * step + start, the
-    # last one to exactly stop: the same bits as numpy's linspace
-    k = (np.arange(p.sum()) - np.repeat(np.cumsum(p) - p, p))[:, None]
-    step, start, stop, p = (np.repeat(v, p)[:, None] for v in ((stop - start) / p, start, stop, p))
-    lo, hi = k * step + start, np.where(k + 1 == p, stop, (k + 1) * step + start)
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    vals = integrand(mid + half * _GL_X, half * _GL_W)
-    sums, f, g = np.empty(a.size), 0, 0
-    for n, r in zip(*np.unique(totals, return_counts=True)):
-        # contiguous rows in panel order: each row sums as its x alone would
-        sums[order[g:g + r]] = np.sum(vals[f:f + n * r].reshape(r, -1), axis=1)
-        f, g = f + n * r, g + r
-    return sums
+    def sample(s):
+        nonlocal lower, worst
+        i1, xi2, w = p.scaled(s)
+        v = np.stack([s, i1 + xi2, xi2, w])
+        k = int(np.argmax(r := v[1] / v[3]))
+        if r[k] > lower:
+            lower, worst = float(r[k]), math.exp(s[k])
+        return v
 
-
-def _singular_integrals(omega: Majorant, x: np.ndarray, panels: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """I1 = int_0^x omega/t dt and I2 = int_x^2 omega/t^2 dt via t = e^u,
-    for every x at once."""
-    log_knots = np.log(np.maximum(omega.knots(), 1e-300))
-    # I1 stops 50 log-units below x: for omega ~ t^alpha near 0 the dropped
-    # tail is a share e^(-50 alpha) of I1 (0.61 at alpha = 0.01), so the
-    # ratio, and with it the quadrature C, is a lower bound
-    u_lo, u_hi = np.log(x) - 50.0, np.log(x)
-    i1 = _gauss_sums(lambda u, w: w * omega._eval(np.exp(u)),
-                     u_lo, u_hi, log_knots, (u_hi - u_lo) / panels)
-    v_hi = np.full_like(x, np.log(DOMAIN_MAX))
-    inner = v_hi > u_hi  # x = 2 leaves nothing to integrate
-    i2 = np.zeros_like(x)
-    i2[inner] = _gauss_sums(lambda v, w: w * omega._eval(np.exp(v)) * np.exp(-v),
-                            u_hi[inner], v_hi[inner], log_knots,
-                            np.maximum((v_hi[inner] - u_hi[inner]) / panels, 1e-6))
-    return i1, i2
-
-
-def _ratio_max(omega: Majorant, xs: np.ndarray, panels: int) -> tuple[float, float]:
-    """Largest ratio over xs and the first x attaining it; (inf, x) at the
-    first x where omega vanishes. NaN ratios are ignored."""
-    wx = omega(xs)
-    if np.any(wx <= 0.0):
-        return np.inf, float(xs[np.argmax(wx <= 0.0)])
-    i1, i2 = _singular_integrals(omega, xs, panels)
-    ratio = (i1 + xs * i2) / wx
-    ratio[np.isnan(ratio)] = -np.inf
-    k = int(np.argmax(ratio))
-    return ratio[k], float(xs[k])
+    depth = np.concatenate([np.geomspace(_DEPTH, 64.0, 128)[:-1], np.arange(64.0, -1.0, -1.0)])
+    log_x = p.log_knots[1] - depth
+    i1, xi2, w = p.scaled(log_x)
+    tail = p.tail_bound(log_x)
+    ok = np.flatnonzero(tail <= np.maximum(lower, (i1 + xi2) / w) * (1.0 + 0.5 * RTOL))
+    i0 = ok[-1] if ok.size else 0
+    s0, upper = log_x[i0], float(tail[i0])
+    cuts = [np.linspace(max(lo, s0), hi, 2 + int(hi - max(lo, s0)))
+            for lo, hi in zip(p.log_knots[:-1], p.log_knots[1:]) if hi > s0]
+    if not cuts:  # the tail bound covers (0, 2]
+        return lower, max(upper, lower), worst
+    va = sample(np.concatenate([cut[:-1] for cut in cuts]))
+    vb = sample(np.concatenate([cut[1:] for cut in cuts]))
+    for _ in range(40):  # a cell halved 40 times is still 1e-12 e-folds wide
+        (_, na, ia, wa), (_, nb, ib, wb), r = va, vb, np.exp(vb[0] - va[0])
+        nb, ib, wb = nb * r ** p.m, ib * r ** (p.m - 1.0), wb * r ** p.m  # in y, over a^m
+        cross = np.clip((nb - na + ia - ib * r) / (ia - ib), 1.0, r)
+        chord = wa + (wb - wa) * ((cross - 1.0) / (r - 1.0))
+        bound = np.maximum(np.maximum(na / wa, nb / wb), (na + ia * (cross - 1.0)) / chord)
+        live = ~(bound <= lower * (1.0 + RTOL))  # a NaN bound stays live
+        upper = max(upper, float(bound[~live].max(initial=-math.inf)))
+        if not live.any():
+            break
+        va, vb = va[:, live], vb[:, live]
+        vm = sample(0.5 * (va[0] + vb[0]))
+        va, vb = np.concatenate([va, vm], axis=1), np.concatenate([vm, vb], axis=1)
+    else:
+        upper = max(upper, float(np.nan_to_num(bound[live], nan=math.inf).max()))
+    return lower, max(upper, lower), worst
 
 
-def _monotonicity(omega: Majorant, x_min: float) -> tuple[bool, bool]:
-    ts = np.unique(np.concatenate([
-        np.geomspace(x_min, DOMAIN_MAX, 512),
-        np.linspace(x_min, DOMAIN_MAX, 257),
-        omega.knots(),
-    ]))
-    ts = ts[(ts > 0) & (ts <= DOMAIN_MAX)]
-    vals = omega(ts)
-    scale = max(float(vals.max()), 1e-300)
-    increasing = bool(np.all(np.diff(vals) >= -1e-10 * scale))
-    quotients = vals / ts
-    ratio_dec = bool(np.all(np.diff(quotients) <= 1e-10 * quotients[:-1] + 1e-300))
-    return increasing, ratio_dec
-
-
-def check_regular(omega: Majorant, quad_nodes: int = 64) -> RegularityCertificate:
-    """Certify the integral regularity condition.
-
-    A power t^alpha with 0 < alpha < 1, plain or under any chain of positive
-    scales, is certified by power_regularity_constant(alpha): the ratio is
-    scale-invariant, both monotonicity screens hold for t^alpha, and no
-    quadrature runs. Every other weight goes through the Gauss-Legendre
-    quadrature of _quadrature_certificate, whose C is a lower bound.
-
-    Parameters
-    ----------
-    omega : Majorant
-    quad_nodes : quadrature panels per integral (Gauss-Legendre, 8 points
-        per panel, panels split at any tabulated knots); at least 4 for
-        every weight, though a closed-form certificate uses none.
-    """
-    if quad_nodes < 4:  # fewer panels make the doubling check vacuous
-        raise ValueError(f"need at least 4 quadrature panels, got {quad_nodes}")
+def check_regular(omega: Majorant) -> RegularityCertificate:
+    """Certify the integral regularity condition. A power t^alpha, 0 < alpha
+    < 1, under any positive scales gets power_regularity_constant(alpha): R
+    is scale-free and rises to it as x -> 0. Other weights are split into
+    _Pieces, rejected by a failed screen or for lacking a power alpha < 1
+    (then omega ~ t near 0 and R grows like ln(1/x)), else bracketed."""
     _, base = _scale_chain(omega)
     if isinstance(base, PowerMajorant) and base.alpha < 1.0:
         c = power_regularity_constant(base.alpha)
-        return RegularityCertificate(
-            is_regular=bool(np.isfinite(c)),
-            empirical_C=c,
-            worst_x=0.0,
-            grid_size=0,
-            monotone=True,
-            ratio_monotone=True,
-            history=(c,),
-        )
-    return _quadrature_certificate(omega, quad_nodes)
-
-
-def _quadrature_certificate(omega: Majorant, quad_nodes: int) -> RegularityCertificate:
-    """Certify the regularity condition empirically on a 40-point log grid
-    on [1e-4, 2). Refinement extends the grid two times, each round pushing
-    x_min down by 100x and doubling the density.
-
-    The certificate reports the largest observed ratio, where it occurred,
-    and whether the maxima stabilized (successive ratio < 1.05 over two
-    refinements). Monotonicity failures reject immediately. The ratio is
-    sampled no lower than x = 1e-8 and I1 is truncated, so for a weight
-    whose sup is its x -> 0 limit, such as t^alpha, the reported C falls
-    short of the true constant.
-    """
-    grid = np.geomspace(1e-4, DOMAIN_MAX * (1.0 - 1e-9), 40)
-    x_min = float(grid[0])
-    increasing, ratio_dec = _monotonicity(omega, min(x_min, 1e-6))
+        return RegularityCertificate(bool(np.isfinite(c)), c, c, c, 0.0, True, True)
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflowing scale fails a screen
+        p = _Pieces(base)
+        increasing, ratio_dec, bad_x = p.screens()
     if not (increasing and ratio_dec):
-        # already rejected; the integral sup is left uncomputed
-        return RegularityCertificate(
-            is_regular=False,
-            empirical_C=float("nan"),
-            worst_x=x_min,
-            grid_size=int(grid.size),
-            monotone=increasing,
-            ratio_monotone=ratio_dec,
-            history=(),
-        )
-
-    history: list[float] = []
-    for refinement in range(3):
-        # convergence control: the same sup with doubled panel count
-        m, wx = _ratio_max(omega, grid, quad_nodes)
-        if np.isfinite(m):
-            m2, _ = _ratio_max(omega, grid, 2 * quad_nodes)
-            denom = max(abs(m), 1e-300)
-            if abs(m2 - m) / denom > 1e-6:
-                raise QuadratureFailure(
-                    f"ratio sup moved by {abs(m2 - m) / denom!r} under panel doubling"
-                )
-            m = m2
-        history.append(float(m))
-        worst_x = wx
-        if refinement < 2:
-            x_min = x_min * 1e-2
-            grid = np.geomspace(x_min, float(grid.max()), grid.size * 2)
-
-    stable = all(
-        np.isfinite(history[k + 1])
-        and history[k + 1] <= history[k] * 1.05 + 1e-12
-        for k in range(len(history) - 1)
-    )
-    monotone_ok = increasing and ratio_dec
-    return RegularityCertificate(
-        is_regular=bool(monotone_ok and stable and np.isfinite(history[-1])),
-        empirical_C=float(history[-1]),
-        worst_x=float(worst_x),
-        grid_size=int(grid.size),
-        monotone=increasing,
-        ratio_monotone=ratio_dec,
-        history=tuple(history),
-    )
+        return RegularityCertificate(False, *[math.nan] * 3, bad_x, increasing, ratio_dec)
+    if p.m == 1.0:
+        i1, xi2, w = p.scaled(np.log([_DIVERGENT_X]))
+        r = float((i1[0] + xi2[0]) / w[0]) if w[0] > 0.0 else math.inf
+        return RegularityCertificate(False, r, r, math.inf, _DIVERGENT_X, True, True)
+    lower, upper, worst = _bracket(p)
+    return RegularityCertificate(bool(np.isfinite(upper)), upper, lower, upper, worst, True, True)
 
 
 def power_regularity_constant(alpha: float) -> float:
@@ -381,8 +374,9 @@ def _scale_chain(omega: Majorant) -> tuple[list[float], Majorant]:
 
 
 def squared(omega: Majorant) -> Majorant:
-    """omega^2 as a majorant value: exact for a power with alpha <= 1/2
-    under positive scales (alpha doubles, each scale is squared), a dense
+    """omega^2 as a majorant value: exact for a power with alpha <= 1/2 under
+    positive scales (alpha doubles, each scale is squared) and for a positive
+    sum of such powers (the sum of c_i c_j t^(alpha_i + alpha_j)), a dense
     tabulation otherwise. The result may fail regularity; callers certify."""
     factors, base = _scale_chain(omega)
     if isinstance(base, PowerMajorant) and base.alpha <= 0.5:
@@ -390,6 +384,11 @@ def squared(omega: Majorant) -> Majorant:
         for c in reversed(factors):
             out = c ** 2 * out
         return out
+    p = _Pieces(omega)
+    if p.alpha.size and p.alpha[-1] <= 0.5 and not (p.A.any() or p.B.any()):  # no table
+        a, c = p.alpha.tolist(), p.c.tolist()
+        return reduce(operator.add, ((1.0 if i == j else 2.0) * c[i] * c[j] * PowerMajorant(
+            a[i] + a[j]) for i in range(len(a)) for j in range(i, len(a))))
     grid = np.concatenate([[0.0], np.geomspace(1e-8, DOMAIN_MAX, 512)])
     vals = np.concatenate([[0.0], np.asarray(omega(grid[1:]), dtype=float) ** 2])
     return TabulatedMajorant(grid, vals)

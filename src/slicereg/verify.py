@@ -265,15 +265,16 @@ def verify_algebraic_closure(config: RunConfig) -> VerificationReport:
 
         combo = m.series * a + partner.series
         lhs = split_modulus(diffs(combo))
-        rhs = (norm(a) * cf + cg) * w1
         floor = tol * (1.0 + float(np.max(lhs)))
-        viol = float(np.max(lhs - rhs * (1.0 + tol)))
+        # a bound that overflows on any pair holds nothing there
+        with np.errstate(over="ignore"):
+            bound = (norm(a) * cf + cg) * w1 * (1.0 + tol)
+        viol = float(np.max(lhs - bound)) if np.isfinite(bound).all() else math.inf
         rec.check("linear_closure_violation", viol, viol <= floor)
 
         c1, c2, _ = component_estimates(m.series, omega1, omega2, i, plan)
         c3 = max(c1.value, c2.value)
         for k, (d, mud) in enumerate(zip(diffs(m.series * a), (mu1d, mu2d)), 1):
-            # a bound that overflows on any pair holds nothing there
             with np.errstate(over="ignore"):
                 bound = c3 * mud * (1.0 + tol)
             v = float(np.max(np.abs(d) - bound)) if np.isfinite(bound).all() else math.inf

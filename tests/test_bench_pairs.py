@@ -37,6 +37,8 @@ def test_summary_of_canned_pairs():
     # inclusive quartiles: linear interpolation between order statistics
     assert p50["parent_quartiles"] == pytest.approx([0.1075, 0.115, 0.1225])
     assert p50["parent_iqr"] == pytest.approx(0.015)
+    # each side's smallest run, whichever way the metric improves
+    assert (p50["parent_min"], p50["change_min"]) == (0.10, 0.07)
     assert p50["change_worse_by"] == pytest.approx(-0.03 / 0.115)  # lower is better
     assert p50["change_wins"] == 3  # the third pair is lost: 0.12 > 0.11
     assert p50["median_gap"] == pytest.approx(0.03)
@@ -46,6 +48,7 @@ def test_summary_of_canned_pairs():
     assert rate["change_median"] == pytest.approx(63.0)
     assert rate["change_worse_by"] == pytest.approx(-17.0 / 46.0)  # higher is better
     assert rate["change_wins"] == 3  # 46 < 47 in the third pair
+    assert (rate["parent_min"], rate["change_min"]) == (44.0, 46.0)
     assert rate["bound"] == 0.25
     assert p50["within_bound"] and rate["within_bound"]  # better is always within
 
@@ -85,6 +88,7 @@ def test_single_pair_and_mismatched_sides():
     s = bench_pairs.summarize({"parent": [_run(0.1, 5.0)], "change": [_run(0.1, 5.0)]},
                               _END_TO_END)
     assert s["metrics"]["op_s.p50"]["parent_quartiles"] == [0.1, 0.1, 0.1]
+    assert s["metrics"]["op_s.p50"]["parent_min"] == s["metrics"]["op_s.p50"]["change_min"] == 0.1
     assert s["metrics"]["op_s.p50"]["change_wins"] == 0  # a tie is not a win
     assert not s["metrics"]["op_s.p50"]["gap_exceeds_parent_iqr"]
     with pytest.raises(ValueError):

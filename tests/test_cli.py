@@ -229,7 +229,7 @@ def test_main_majorant_check_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("spec, constant", [
-    ("power:0.9", 1.0 / 0.9 + 10.0),  # the quadrature's history grew past 1.05
+    ("power:0.9", 1.0 / 0.9 + 10.0),  # a sampled certificate read it as diverging
     ("scaled:1e308:power:0.5", 4.0),  # omega(t)/t overflowed the ratio screen
     ("power:0.5:1e308", 4.0),
 ])
@@ -238,8 +238,18 @@ def test_majorant_check_certifies_powers_by_closed_form(spec, constant, tmp_path
     assert main(["majorant-check", "--omega", spec, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["is_regular"] and doc["empirical_C"] == pytest.approx(constant, rel=1e-15)
-    assert doc["history"] == [doc["empirical_C"]]
+    assert doc["C_lower"] == doc["C_upper"] == doc["empirical_C"]
     assert main(["majorant-check", "--omega", spec, "--nodes", "3"]) == 2
+
+
+@pytest.mark.parametrize("panels", [-3, 0, 2, 3])
+def test_majorant_check_needs_four_nodes(panels, capsys):
+    # the closed-form certificate reads no --nodes, but fewer than 4 are
+    # still refused, as when they counted quadrature panels
+    spec = "power:0.5+tabulated:0,0;0.5,0.2;2,0.5"
+    assert main(["majorant-check", "--omega", spec, "--nodes", str(panels)]) == 2
+    assert "--nodes" in capsys.readouterr().err
+    assert main(["majorant-check", "--omega", spec, "--nodes", "4", "--out", os.devnull]) == 0
 
 
 def test_majorant_check_rejects_an_overflowing_power_constant(tmp_path):
@@ -512,7 +522,6 @@ _BEYOND_ADDRESSES = str(4 * 10 ** 18)  # its byte count overflows: no MemoryErro
 
 
 @pytest.mark.parametrize("argv", [
-    ["majorant-check", "--omega", "power:0.5+tabulated:0,0;0.5,0.2;2,0.5", "--nodes", _TOO_BIG],
     ["star", "--inverse", "exp_taylor", "--order", _TOO_BIG],
     ["norm", "--name", "identity", "--estimator", "global", "--pairs", _TOO_BIG],
     ["norm", "--name", "identity", "--estimator", "schwarz-series", "--points", _TOO_BIG],
@@ -521,7 +530,7 @@ _BEYOND_ADDRESSES = str(4 * 10 ** 18)  # its byte count overflows: no MemoryErro
     ["norm", "--name", "identity", "--estimator", "global", "--pairs", _BEYOND_ADDRESSES],
     ["norm", "--name", "identity", "--estimator", "schwarz-series", "--points", _BEYOND_ADDRESSES],
     ["verify", "--nodes", str(10 ** 20)],
-], ids=["majorant_nodes", "star_order", "global_pairs", "schwarz_points",
+], ids=["star_order", "global_pairs", "schwarz_points",
         "majorant_nodes_overflow", "star_order_overflow", "global_pairs_overflow",
         "schwarz_points_overflow", "verify_nodes_overflow"])
 def test_oversized_sizes_exit_two(argv, capsys):

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -71,6 +72,26 @@ def test_inclusion_chain(corpus):
 def test_algebraic_closure():
     rep = _one_suite("algebraic_closure")
     assert rep.passed
+
+
+def test_linear_closure_fails_where_only_its_bound_overflows(tmp_path):
+    # under omega = t the partner q -> 3e306 q^64 has a constant about 64
+    # times its largest increment, so (|a| c_f + c_g) w1 overflows on the
+    # widest pairs while every increment, and the small member's combine
+    # bounds, stay finite: its linear check fails, and nothing warns
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"small": [[0, 0, 0, 0], [1e-3, 0, 0, 0]],
+                                "steep": [[0, 0, 0, 0]] * 64 + [[3e306, 0, 0, 0]]}))
+    config = RunConfig(corpus_path=str(path), suites=("algebraic_closure",),
+                       omega_spec="power:1", omega2_spec="power:1",
+                       n_pairs=256, n_points=64, nodes=512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (rep,) = run_suite(config)
+    small = rep.records[0]
+    assert small.name == "small" and small.failures == ["linear_closure_violation"]
+    assert small.checks["linear_closure_violation"] == math.inf
+    assert all(math.isfinite(small.checks[f"combine_component{k}_violation"]) for k in (1, 2))
 
 
 def test_intrinsic_invariance():
@@ -382,8 +403,9 @@ def test_a_run_keeps_no_poisson_kernel(monkeypatch):
 
 
 def test_each_weight_is_certified_once_per_run(monkeypatch, tmp_path):
-    # the default run certifies omega_small, its square and omega, each by
-    # the closed form, and the report stays the golden one
+    # the default run certifies omega_small, its square and omega, each a
+    # power, with no decomposition and no cell refinement, and the report
+    # stays the golden one
     certified = []
     real = slicereg.verify.check_regular
 
@@ -392,9 +414,10 @@ def test_each_weight_is_certified_once_per_run(monkeypatch, tmp_path):
         return real(omega, *args, **kwargs)
 
     def refused(*args):
-        raise AssertionError("quadrature ran in the default run")
+        raise AssertionError("a weight was decomposed or bracketed in the default run")
     monkeypatch.setattr(slicereg.verify, "check_regular", counted)
-    monkeypatch.setattr(slicereg.majorant, "_quadrature_certificate", refused)
+    monkeypatch.setattr(slicereg.majorant, "_Pieces", refused)
+    monkeypatch.setattr(slicereg.majorant, "_bracket", refused)
     out = tmp_path / "verify_default.json"
     assert main(["verify", "--out", str(out)]) == 0
     assert certified == [PowerMajorant(0.25), PowerMajorant(0.5), PowerMajorant(0.5)]

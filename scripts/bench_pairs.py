@@ -64,7 +64,9 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     when it is at most the metric's bound; a pair is won when the
     change's value is strictly better than the parent's in the same pair;
     gap_exceeds_parent_iqr holds when the medians differ by more than the
-    parent's interquartile range."""
+    parent's interquartile range; claim_met, the rule for claiming a gain,
+    holds when the change wins at least nine tenths of the pairs and its
+    median is better than the parent's by more than that range."""
     pairs = len(runs["parent"])
     if pairs == 0 or len(runs["change"]) != pairs:
         raise ValueError("need the same positive number of runs on both sides")
@@ -92,6 +94,7 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
             "parent_iqr": parent_iqr,
             "median_gap": abs(change_med - parent_med),
             "gap_exceeds_parent_iqr": abs(change_med - parent_med) > parent_iqr,
+            "claim_met": 10 * wins >= 9 * pairs and sign * (parent_med - change_med) > parent_iqr,
         }
     return {
         "pairs": pairs,
@@ -146,7 +149,7 @@ def main(argv=None) -> int:
               f"change {m['change_median']:.6g} (min {m['change_min']:.6g})  "
               f"worse by {m['change_worse_by']:+.1%} (bound {m['bound']:.0%}: "
               f"{'within' if m['within_bound'] else 'BEYOND'})  wins {m['change_wins']}/{args.pairs}  "
-              f"gap > parent IQR: {m['gap_exceeds_parent_iqr']}")
+              f"gap > parent IQR: {m['gap_exceeds_parent_iqr']}  claim met: {m['claim_met']}")
     return 0
 
 

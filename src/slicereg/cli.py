@@ -263,6 +263,15 @@ def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
 
 # ---------------------------------------------------------------- run config
 
+def _usable_weight(omega: Majorant, min_separation: float) -> bool:
+    """True when omega is a positive normal float at min_separation and
+    finite at 2: the estimators divide by it and the bounds scale with it.
+    An overflow to inf is what this detects, so numpy's warning is off."""
+    with np.errstate(over="ignore"):
+        low, high = omega([min_separation, 2.0]).tolist()
+    return sys.float_info.min <= low < math.inf and math.isfinite(high)
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Serializable description of a run, validated when built: the one
@@ -334,8 +343,7 @@ class RunConfig:
         for name in ("plan", "omega", "omega2", "omega_small"):
             getattr(self, name)  # parsed now, so a bad value is refused here
         for name in ("omega", "omega2", "omega_small"):
-            low, high = getattr(self, name)([self.min_separation, 2.0]).tolist()
-            require(sys.float_info.min <= low < math.inf and math.isfinite(high),
+            require(_usable_weight(getattr(self, name), self.min_separation),
                     f"{name}_spec", "a weight that is normal at min_separation and finite at 2")
 
     @cached_property
@@ -479,6 +487,11 @@ def _cmd_majorant_check(args) -> int:
     omega = parse_majorant(args.omega)
     if not 4 <= args.nodes <= MAX_SIZE:
         raise ValidationError(f"--nodes must lie in [4, 2**48], got {args.nodes}")
+    # the rule of RunConfig, at the default min_separation
+    eps = SamplePlan.min_separation
+    if not _usable_weight(omega, eps):
+        raise ValidationError(f"--omega must be a weight that is normal at {eps:g} "
+                              f"and finite at 2, got {args.omega!r}")
     cert = check_regular(omega)
     _write_text(to_json({"spec": args.omega, **dataclasses.asdict(cert)}), args.out)
     return 0 if cert.is_regular else 1

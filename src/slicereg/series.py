@@ -121,28 +121,51 @@ def evaluate(f: SliceSeries, q: Quaternion) -> Quaternion:
     return acc
 
 
+# points per block of evaluate_batch: its work rows stay in cache
+_BLOCK = 8192
+
+# hmul_array(p, a), component i, is the sum over k = 0, 1, 2, 3, in that
+# order, of _SIGNS[k, i] * p[k] * a[i ^ k]. With the four rows of a held as
+# (2, 2, n), the rows in the order i ^ k are views: a, a[:, ::-1],
+# a[::-1] and a[::-1, ::-1]
+_SIGNS = np.array([[1, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]], dtype=float)
+
+
 def evaluate_batch(f: SliceSeries, points: np.ndarray) -> np.ndarray:
     """Vectorized Horner over an array of points shaped (..., 4).
 
-    Points and accumulator are held as four contiguous component arrays;
-    each step is hmul_array(points, acc) written out component by
-    component in its operation order, so the bits are those of the scalar
-    hamilton_mul Horner loop in evaluate.
+    The points are read as four component rows, block by block of _BLOCK
+    points, into signed copies sign * p[k]; the accumulator is four rows
+    updated in place, and the result comes back as the (..., 4) view of
+    its component rows. Negation is exact and rounding symmetric, so
+    (sign * p[k]) * a[l] summed in k order is hmul_array(points, acc)
+    bit for bit, and the bits are those of the scalar hamilton_mul Horner
+    loop in evaluate.
     """
-    p0, p1, p2, p3 = np.moveaxis(np.asarray(points, dtype=float), -1, 0).copy()
-    c = f.array
-    a0, a1, a2, a3 = (np.full(p0.shape, x) for x in c[-1])
-    for n in range(f.degree - 1, -1, -1):
-        b0 = p0 * a0 - p1 * a1 - p2 * a2 - p3 * a3
-        b1 = p0 * a1 + p1 * a0 + p2 * a3 - p3 * a2
-        b2 = p0 * a2 - p1 * a3 + p2 * a0 + p3 * a1
-        b3 = p0 * a3 + p1 * a2 - p2 * a1 + p3 * a0
-        b0 += c[n, 0]
-        b1 += c[n, 1]
-        b2 += c[n, 2]
-        b3 += c[n, 3]
-        a0, a1, a2, a3 = b0, b1, b2, b3
-    return np.stack([a0, a1, a2, a3], axis=-1)
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1:] != (4,):
+        raise ValueError(f"points must be shaped (..., 4), got {pts.shape}")
+    rows = np.moveaxis(pts, -1, 0).reshape(4, -1)
+    m = rows.shape[1]
+    out = np.empty((4, m))
+    c = f.array.reshape(-1, 2, 2, 1)
+    width = min(m, _BLOCK)
+    signed, work = np.empty((4, 4, width)), np.empty((3, 4, width))
+    for start in range(0, m, _BLOCK):
+        p = rows[:, start:start + _BLOCK]
+        n = p.shape[1]
+        sp = np.multiply(_SIGNS[:, :, None], p[:, None, :], out=signed[:, :, :n])
+        sp = sp.reshape(4, 2, 2, n)
+        a, b, t = (w.reshape(2, 2, n) for w in work[:, :, :n])
+        a[...] = c[-1]
+        for deg in range(f.degree - 1, -1, -1):
+            np.multiply(sp[0], a, out=b)
+            for s_k, a_k in zip(sp[1:], (a[:, ::-1], a[::-1], a[::-1, ::-1])):
+                b += np.multiply(s_k, a_k, out=t)
+            b += c[deg]
+            a, b = b, a
+        out[:, start:start + n] = a.reshape(4, n)
+    return np.moveaxis(out.reshape((4, *pts.shape[:-1])), 0, -1)
 
 
 def cullen_derivative(f: SliceSeries) -> SliceSeries:

@@ -93,3 +93,21 @@ def test_single_pair_and_mismatched_sides():
     assert not s["metrics"]["op_s.p50"]["gap_exceeds_parent_iqr"]
     with pytest.raises(ValueError):
         bench_pairs.summarize({"parent": [_run(0.1, 5.0)], "change": []}, _END_TO_END)
+
+
+@pytest.mark.parametrize("wins, gap, met", [(8, 10.0, False), (9, 10.0, True), (10, 0.5, False)])
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr(wins, gap, met):
+    # parent ops_per_s 48..52 (IQR 2), change ahead by gap in the first wins
+    # pairs and behind by 1 in the rest; p50 mirrors it
+    parent = [48.0, 49.0, 50.0, 51.0, 52.0] * 2
+    change = [v + gap if i < wins else v - 1.0 for i, v in enumerate(parent)]
+    runs = {"parent": [_run(1.0 / v, v) for v in parent],
+            "change": [_run(1.0 / v, v) for v in change]}
+    s = bench_pairs.summarize(runs, _END_TO_END)["metrics"]
+    for name in ("ops_per_s", "op_s.p50"):
+        assert s[name]["change_wins"] == wins
+        assert s[name]["claim_met"] is met
+    # a change that loses by the same margins never meets the claim
+    worse = bench_pairs.summarize({"parent": runs["change"], "change": runs["parent"]},
+                                  _END_TO_END)["metrics"]
+    assert not worse["ops_per_s"]["claim_met"] and not worse["op_s.p50"]["claim_met"]

@@ -252,6 +252,22 @@ def test_majorant_check_needs_four_nodes(panels, capsys):
     assert main(["majorant-check", "--omega", spec, "--nodes", "4", "--out", os.devnull]) == 0
 
 
+def test_majorant_check_refuses_a_weight_that_overflows_as_every_run_does(tmp_path, capsys):
+    # the scales overflow: inf at min_separation and at 2, so RunConfig's rule
+    # refuses it; majorant-check read it as a non-monotone weight (exit 1)
+    spec = "power:0.5+scaled:1e308:scaled:1e10:power:1"
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["majorant-check", "--omega", spec, "--out", str(out)]) == 2
+        assert main(["verify", "--omega", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (f"error: --omega must be a weight that is normal at 0.0001 "
+                      f"and finite at 2, got {spec!r}")
+    assert err[1].startswith("error: config omega_spec must be a weight that is normal")
+    assert not out.exists()
+
+
 def test_majorant_check_rejects_an_overflowing_power_constant(tmp_path):
     out = tmp_path / "m.json"
     assert main(["majorant-check", "--omega", "power:1e-320", "--out", str(out)]) == 1

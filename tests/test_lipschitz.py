@@ -13,7 +13,9 @@ from slicereg.lipschitz import (
     SamplePlan,
     _conjugated,
     _golden_angles,
+    _quarters,
     _squared_norms,
+    _vdc,
     ball_pair_coords,
     boundary_norm,
     bounded_growth_check,
@@ -156,6 +158,77 @@ def test_store_leaves_plan_identity_to_its_fields():
     assert disc_points(used) is disc_points(used, used.max_radius)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert used != SamplePlan(n_pairs=1024)
+
+
+def ball_pairs_by_rows(plan):
+    # the row-major builder of the ball pair stream, kept as the reference
+    eps = plan.min_separation
+    rho = plan.max_radius
+    n_diam, n_unif, n_diag, n_rad = _quarters(plan.n_pairs)
+
+    def unit_rows(v):
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    d = unit_rows(plan.child_rng(21).normal(size=(n_diam, 4)))
+    q1_a = rho * d
+    q2_a = -(rho * (1.0 - _vdc(n_diam)))[:, None] * d
+
+    g = plan.child_rng(22).normal(size=(n_unif, 8))
+    u = plan.child_rng(25).uniform(size=(n_unif, 2))
+    q1_b = rho * u[:, :1] ** 0.25 * unit_rows(g[:, :4])
+    q2_b = rho * u[:, 1:] ** 0.25 * unit_rows(g[:, 4:])
+
+    g = plan.child_rng(23).normal(size=(n_diag, 8))
+    u = plan.child_rng(26).uniform(size=(n_diag, 1))
+    base = rho * u ** 0.25 * unit_rows(g[:, :4])
+    step_dir = unit_rows(g[:, 4:])
+    delta = np.exp(np.log(eps) * (1.0 - _vdc(n_diag)))[:, None]
+    q2_c = base + delta * step_dir
+    flip = np.linalg.norm(q2_c, axis=1) > rho
+    q2_c[flip] = base[flip] - (delta * step_dir)[flip]
+    q1_c = base
+
+    d = unit_rows(plan.child_rng(24).normal(size=(n_rad, 4)))
+    q1_d = rho * d
+    q2_d = ((rho - eps) * _vdc(n_rad))[:, None] * d
+
+    q1 = np.concatenate([q1_a, q1_b, q1_c, q1_d])
+    q2 = np.concatenate([q2_a, q2_b, q2_c, q2_d])
+    sep = np.linalg.norm(q1 - q2, axis=1)
+    keep = (
+        (np.linalg.norm(q1, axis=1) <= rho)
+        & (np.linalg.norm(q2, axis=1) <= rho)
+        & (sep >= eps)
+    )
+    return q1[keep], q2[keep]
+
+
+@pytest.mark.parametrize("plan", [
+    SamplePlan(n_pairs=512), SamplePlan(n_pairs=4096), SamplePlan(n_pairs=65536),
+    SamplePlan(n_pairs=4096, min_separation=0.05, max_radius=0.9, seed=3),
+], ids=["512", "4096", "65536", "eps_rho"])
+def test_ball_stream_keeps_the_row_major_bits(plan):
+    q1, q2 = ball_pair_coords(plan)
+    want1, want2 = ball_pairs_by_rows(plan)
+    # the pair distances as global_norm takes them from the stream
+    sep = norm_array(q1 - q2)
+    for got, want in zip((q1, q2, sep), (want1, want2, np.linalg.norm(want1 - want2, axis=1))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # transposed views of C-contiguous component rows
+    assert q1.T.flags.c_contiguous and q2.T.flags.c_contiguous
+
+
+def test_global_norm_keeps_the_row_major_path():
+    plan = SamplePlan(n_pairs=65536)
+    q1, q2 = ball_pairs_by_rows(plan)
+    w = W_HALF(np.linalg.norm(q1 - q2, axis=1))
+    for m in default_corpus():
+        ratios = norm_array(evaluate_batch(m.series, q1) - evaluate_batch(m.series, q2)) / w
+        k = int(np.argmax(ratios))
+        est = global_norm(m.series, W_HALF, plan)
+        assert est.value == float(ratios[k]), m.name
+        assert est.argmax_pair == (from_array(q1[k]), from_array(q2[k])), m.name
+        assert est.samples_used == ratios.size, m.name
 
 
 # --- norm estimators against closed forms --------------------------------------

@@ -130,14 +130,21 @@ def test_eval_complex_keeps_polyval_bits():
 
 def test_evaluate_batch_keeps_hmul_array_bits():
     rng = np.random.default_rng(11)
-    pts = rng.uniform(-0.5, 0.5, (257, 4))
-    shapes = (pts, pts[0], pts[:240].reshape(12, 20, 4), pts[::3])
+    block = slicereg.series._BLOCK
+    pts = rng.uniform(-0.5, 0.5, (2 * block + 3, 4))
+    # block edges, and component-major points read as the transposed view
+    # of their (4, n) rows
+    shapes = (pts[:257], pts[0], pts[:240].reshape(12, 20, 4), pts[:257:3],
+              *(pts[:n] for n in (block - 1, block, block + 1, 2 * block + 3)),
+              pts.T.copy().T, pts[:block + 1].T.copy().T)
     for f in (*(m.series for m in default_corpus()), MIX, SliceSeries([Quaternion(1, -2, 0.5, 0)])):
         for p in shapes:
             assert same_bits(evaluate_batch(f, p), horner_by_hmul_array(f, p))
-        rows = evaluate_batch(f, pts)
+        rows = evaluate_batch(f, pts[:257])
         for q, row in zip(pts[:64], rows):
             assert same_bits(row, evaluate(f, Quaternion(*q)).components())
+    with pytest.raises(ValueError):
+        evaluate_batch(MIX, pts[:8].reshape(16, 2))  # 32 numbers, but not 4 per point
 
 
 def test_horner_kernels_leave_polyval_and_hmul_array(monkeypatch):

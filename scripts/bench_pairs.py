@@ -8,7 +8,8 @@ Each pair runs ``benchmarks/run.py --workload W --seed S --seconds T
 checkout, one after the other; the side that runs first alternates from
 pair to pair, so slow drift of the host falls on both sides alike.  The
 end-to-end metrics of every run, their per-side medians, quartiles and
-minima, the pairs the change wins, both environments and the first
+minima, the pairs the change wins, whether the parent's own runs spread
+beyond each metric's bound, both environments and the first
 output SHA-256 of each call go into ``BENCH_<label>.json`` in the change
 checkout, under the key ``<workload>-seed<S>``; other keys already in that
 file are kept, so a workload or a held-out seed can be added by a later
@@ -66,7 +67,11 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     gap_exceeds_parent_iqr holds when the medians differ by more than the
     parent's interquartile range; claim_met, the rule for claiming a gain,
     holds when the change wins at least nine tenths of the pairs and its
-    median is better than the parent's by more than that range."""
+    median is better than the parent's by more than that range.
+    parent_spread is max/min - 1 over the parent's runs, and
+    parent_spreads_beyond_bound holds when it exceeds the metric's bound:
+    the unchanged side alone then moves by more than the bound, so a move
+    of that metric beyond its bound is host noise as much as the change."""
     pairs = len(runs["parent"])
     if pairs == 0 or len(runs["change"]) != pairs:
         raise ValueError("need the same positive number of runs on both sides")
@@ -79,17 +84,21 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
         wins = sum(sign * (c - p) < 0.0 for p, c in zip(values["parent"], values["change"]))
         parent_iqr = quart["parent"][2] - quart["parent"][0]
         worse_by = sign * (change_med - parent_med) / abs(parent_med) if parent_med else 0.0
+        lo, hi = min(values["parent"]), max(values["parent"])
+        spread = hi / lo - 1.0 if lo > 0.0 else 0.0
         metrics[name] = {
             **values,
             "parent_median": parent_med,
             "change_median": change_med,
             "parent_quartiles": quart["parent"],
             "change_quartiles": quart["change"],
-            "parent_min": min(values["parent"]),
+            "parent_min": lo,
             "change_min": min(values["change"]),
             "change_worse_by": worse_by,
             "bound": spec["bound"],
             "within_bound": worse_by <= spec["bound"],
+            "parent_spread": spread,
+            "parent_spreads_beyond_bound": spread > spec["bound"],
             "change_wins": wins,
             "parent_iqr": parent_iqr,
             "median_gap": abs(change_med - parent_med),
@@ -148,7 +157,9 @@ def main(argv=None) -> int:
         print(f"{name:<12} parent {m['parent_median']:.6g} (min {m['parent_min']:.6g})  "
               f"change {m['change_median']:.6g} (min {m['change_min']:.6g})  "
               f"worse by {m['change_worse_by']:+.1%} (bound {m['bound']:.0%}: "
-              f"{'within' if m['within_bound'] else 'BEYOND'})  wins {m['change_wins']}/{args.pairs}  "
+              f"{'within' if m['within_bound'] else 'BEYOND'})  parent spread "
+              f"{m['parent_spread']:.1%}{' BEYOND bound' if m['parent_spreads_beyond_bound'] else ''}  "
+              f"wins {m['change_wins']}/{args.pairs}  "
               f"gap > parent IQR: {m['gap_exceeds_parent_iqr']}  claim met: {m['claim_met']}")
     return 0
 

@@ -13,7 +13,7 @@ read-only. The store lives and dies with the plan, so a run that holds one
 plan builds each stream once, and nothing is kept between runs. The slice
 estimators also store a series' own values there: the moduli of its split
 increments over the slice pair stream, once per series and unit, and the
-weight of each pair distance, once per weight. A series' values stay until
+weight of each slice or circle pair distance, once per weight. A series' values stay until
 plan.drop(f); a run drops each member's after the member's last suite, so
 at most one member's values are alive. Poisson means need no stored
 array: the spectral trapezoid builds nothing of size points x nodes.
@@ -120,14 +120,20 @@ class NormEstimate:
 
 
 def _vdc(n: int, offset: int = 0) -> np.ndarray:
-    """Van der Corput radical-inverse sequence (base 2), prefix-stable."""
-    idx = np.arange(offset, offset + n, dtype=np.int64)
+    """Van der Corput radical-inverse sequence (base 2), prefix-stable.
+
+    One pass per byte of the largest index: byte k of the index, bit
+    reversed, is worth rev / 256^(k+1). Every term and partial sum is an
+    exact dyadic, so the bits are those of the sum taken bit by bit."""
+    idx = np.arange(offset, offset + n, dtype="<i8")
     out = np.zeros(n)
-    scale = 0.5
-    while idx.any():
-        out += scale * (idx & 1)
-        idx >>= 1
-        scale *= 0.5
+    byte_col = np.arange(256, dtype=np.uint8)[:, None]
+    rev = np.packbits(np.unpackbits(byte_col, axis=1), axis=1, bitorder="little")[:, 0]
+    digits = idx.view(np.uint8).reshape(n, 8)
+    scale = 1.0
+    for k in range((max(offset + n - 1, 0).bit_length() + 7) // 8):
+        scale /= 256.0
+        out += (scale * rev)[digits[:, k]]
     return out
 
 
@@ -268,6 +274,16 @@ def _circle_pairs(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
     return t1[keep], t2[keep]
 
 
+def circle_pair_weights(plan: SamplePlan, *omegas: Majorant) -> tuple[np.ndarray, ...]:
+    """The circle pair stream as points e1, e2 = e^{it1}, e^{it2}, built
+    once per plan, then omega(|e1 - e2|) for each weight, built once per
+    plan and weight."""
+    e1, e2 = plan.memo("circle_points",
+                       lambda: tuple(np.exp(1j * t) for t in circle_pair_angles(plan)))
+    return (e1, e2, *(plan.memo(("circle_weight", w), lambda w=w: w(np.abs(e1 - e2)))
+                      for w in omegas))
+
+
 def disc_points(plan: SamplePlan, cap: float | None = None) -> np.ndarray:
     """Point stream in the closed disc of radius cap (max_radius when None):
     the origin, an equidistributed bulk, a geometric edge layer, and the cap
@@ -393,12 +409,10 @@ def boundary_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
                   plan: SamplePlan) -> tuple[NormEstimate, NormEstimate]:
     """Difference-quotient sups over pairs of the slice circle, from one
     evaluation: (function, modulus) compare f itself and ||f||."""
-    t1, t2 = circle_pair_angles(plan)
     _require_positive(omega, plan.min_separation)
-    z1, z2 = np.exp(1j * t1), np.exp(1j * t2)
+    z1, z2, w = circle_pair_weights(plan, omega)
     s = split(f, i)
     v1, v2 = s.at(z1), s.at(z2)
-    w = omega(np.abs(z1 - z2))
     return (_pair_estimate(split_modulus(v1 - v2) / w, z1, z2, i),
             _pair_estimate(np.abs(split_modulus(v1) - split_modulus(v2)) / w, z1, z2, i))
 
@@ -424,9 +438,8 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     def moduli(z):
         return np.abs(s.at(z))
 
-    t1, t2 = circle_pair_angles(plan)
-    e1, e2 = np.exp(1j * t1), np.exp(1j * t2)
-    circle_part = np.max(np.abs(moduli(e1) - moduli(e2)) / omega(np.abs(e1 - e2)), axis=1)
+    e1, e2, w = circle_pair_weights(plan, omega)
+    circle_part = np.max(np.abs(moduli(e1) - moduli(e2)) / w, axis=1)
 
     n_rad = max(16, plan.n_points // 16)
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)

@@ -121,7 +121,7 @@ def evaluate(f: SliceSeries, q: Quaternion) -> Quaternion:
     return acc
 
 
-# points per block of evaluate_batch: its work rows stay in cache
+# points per block of evaluate_batch and eval_complex: their work rows stay in cache
 _BLOCK = 8192
 
 # hmul_array(p, a), component i, is the sum over k = 0, 1, 2, 3, in that
@@ -283,8 +283,13 @@ class SplitSeries:
         return SplitSeries(npoly.polyder(self.C, axis=1), self.i, self.j)
 
     def at(self, z) -> np.ndarray:
-        """Component values (F(z), G(z)) stacked along a new first axis."""
-        return np.stack([eval_complex(c, z) for c in self.C])
+        """Component values (F(z), G(z)) stacked along a new first axis,
+        each row written in place by its own eval_complex call."""
+        z = np.asarray(z, dtype=complex)
+        out = np.empty((len(self.C), *z.shape), dtype=complex)
+        for k, c in enumerate(self.C):
+            eval_complex(c, z, out=out[k, ...])
+        return out
 
     def modulus(self, z) -> np.ndarray:
         """||f|| at complex coordinates z."""
@@ -309,24 +314,46 @@ def split(f: SliceSeries, i: ImaginaryUnit) -> SplitSeries:
     return SplitSeries(coords.view(complex).T.copy(), i, j)
 
 
-def eval_complex(coeffs: np.ndarray, z) -> np.ndarray:
+def eval_complex(coeffs: np.ndarray, z, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate an ascending complex coefficient array at complex points
     by Horner, with the bits of numpy.polynomial.polynomial.polyval at
     finite z (polyval starts from c[-1] + z*0, so a -0.0 part of the
-    leading coefficient may come out as +0.0 there and stays -0.0 here)."""
+    leading coefficient may come out as +0.0 there and stays -0.0 here).
+
+    The Horner runs over _BLOCK points at a time in two preallocated work
+    rows, which stay in cache; the last degree step writes into out (a
+    C-contiguous complex array shaped like z, new when None), which is
+    returned."""
     c = np.asarray(coeffs, dtype=complex)
     z = np.asarray(z, dtype=complex)
+    if out is None:
+        out = np.empty(z.shape, dtype=complex)
+    elif out.shape != z.shape or not out.flags.c_contiguous:
+        # a strided out would be flattened into a copy, and the values lost
+        raise ValueError(f"out must be C-contiguous and shaped {z.shape}")
+    if len(c) == 1:
+        out[...] = c[0]
+        return out
+    zf, res = z.reshape(-1), out.reshape(-1)
+    work = np.empty((2, min(zf.size, _BLOCK)), dtype=complex)
     # numpy's SIMD complex multiply uses FMA, so its bits depend on operand
     # order (z * acc and acc * z differ in the last bit for 11 of 40 random
     # values) and on the loop: acc *= z on a one-element array takes another
     # loop than on a batch (10 of 80 components differ). So acc * z out of
-    # place, as polyval computes it; only the add, the same either way round,
-    # in place.
-    acc = np.full(z.shape, c[-1])
-    for a in c[-2::-1]:
-        acc = acc * z
-        acc += a
-    return acc
+    # place into the other work row, as polyval computes it; only the add,
+    # the same either way round, in place. Out of place, the bits of each
+    # point do not depend on the length of the block.
+    for start in range(0, zf.size, _BLOCK):
+        zb = zf[start:start + _BLOCK]
+        acc, nxt = work[:, :zb.size]
+        acc[...] = c[-1]
+        for a in c[-2:0:-1]:
+            np.multiply(acc, zb, out=nxt)
+            nxt += a
+            acc, nxt = nxt, acc
+        last = np.multiply(acc, zb, out=res[start:start + zb.size])
+        last += c[0]
+    return out
 
 
 def split_modulus(values: np.ndarray) -> np.ndarray:

@@ -19,10 +19,11 @@ m), which fills a fresh record for one member. run_suite calls every
 selected suite function, then runs one member step per member: every
 suite's check on that member, after which the member's values leave the
 plan's store, so at most one member's values are alive and each is built
-once for all suites. The suite functions build the per-run slice-pair
-weights (slice_pair_weights) before any member's values: built in the first
-member's step, they fragmented glibc's heap (+6 MB peak RSS at 16x; 2-CPU
-Xeon, Python 3.11, numpy 2.4).
+once for all suites. The suite functions build the per-run pair weights
+(slice_pair_weights, and circle_pair_weights where a check reads the
+circle) before any member's values: built in the first member's step, they
+fragmented glibc's heap (+6 MB peak RSS at 16x; 2-CPU Xeon, Python 3.11,
+numpy 2.4).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .lipschitz import (
     ball_pair_coords,
     boundary_norm,
     bounded_growth_check,
+    circle_pair_weights,
     component_estimates,
     derivative_ratio,
     disc_points,
@@ -398,6 +400,7 @@ def verify_norm_equivalences(config: RunConfig) -> VerificationReport:
     omega, i, plan = config.omega_small, config.i, config.plan
     nodes, window = config.nodes, config.window
     slice_pair_weights(plan, omega)
+    circle_pair_weights(plan, omega)
     rejected = [c for c in (check_regular(omega), check_regular(squared(omega)))
                 if not c.is_regular]
     xs = _defect_grid(plan, nodes)
@@ -512,6 +515,7 @@ def verify_poisson_characterization(config: RunConfig) -> VerificationReport:
     omega, i, plan = config.omega, config.i, config.plan
     nodes, window = config.nodes, config.window
     slice_pair_weights(plan, omega)
+    circle_pair_weights(plan, omega)
 
     def check(rec, m):
         b_mod = boundary_norm(m.series, omega, i, plan)[1]

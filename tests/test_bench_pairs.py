@@ -111,3 +111,21 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr(wi
     worse = bench_pairs.summarize({"parent": runs["change"], "change": runs["parent"]},
                                   _END_TO_END)["metrics"]
     assert not worse["ops_per_s"]["claim_met"] and not worse["op_s.p50"]["claim_met"]
+
+
+def test_parent_spread_beyond_the_bound_is_recorded():
+    # the parent's own runs differ by max/min - 1; set-up times on an
+    # unchanged side have spread by more than their bound
+    runs = {"parent": [_run(0.40, 4.0), _run(0.52, 3.5), _run(0.44, 3.9)],
+            "change": [_run(0.41, 4.0), _run(0.42, 4.0), _run(0.43, 4.0)]}
+    s = bench_pairs.summarize(runs, _END_TO_END)["metrics"]
+    assert s["op_s.p50"]["parent_spread"] == pytest.approx(0.3)
+    assert s["op_s.p50"]["parent_spreads_beyond_bound"]
+    # ops_per_s spreads 4.0 / 3.5 - 1 = 14%, inside its 25% bound
+    assert s["ops_per_s"]["parent_spread"] == pytest.approx(1.0 / 7.0)
+    assert not s["ops_per_s"]["parent_spreads_beyond_bound"]
+    # at exactly the bound (binary fractions) the spread is not beyond it
+    at = bench_pairs.summarize({"parent": [_run(0.5, 4.0), _run(0.625, 5.0)],
+                                "change": [_run(0.5, 4.0), _run(0.5, 4.0)]}, _END_TO_END)
+    assert at["metrics"]["op_s.p50"]["parent_spread"] == 0.25
+    assert not at["metrics"]["op_s.p50"]["parent_spreads_beyond_bound"]

@@ -20,6 +20,7 @@ from slicereg.lipschitz import (
     boundary_norm,
     bounded_growth_check,
     circle_pair_angles,
+    circle_pair_weights,
     component_estimates,
     derivative_ratio,
     disc_pair_coords,
@@ -32,6 +33,7 @@ from slicereg.lipschitz import (
     slice_norm,
     slice_pair_coords,
 )
+import slicereg.lipschitz
 from slicereg.majorant import PowerMajorant
 from slicereg.poisson import poisson_integral_slice, resolved_cap
 from slicereg.quaternion import (
@@ -90,6 +92,26 @@ def test_child_rng_deterministic():
     assert not np.array_equal(a, c)
 
 
+def vdc_by_bits(n, offset=0):
+    # the bit-by-bit radical inverse _vdc replaced, kept as the reference
+    idx = np.arange(offset, offset + n, dtype=np.int64)
+    out = np.zeros(n)
+    scale = 0.5
+    while idx.any():
+        out += scale * (idx & 1)
+        idx >>= 1
+        scale *= 0.5
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000, 16384, 65536])
+def test_vdc_keeps_the_bits_of_the_bit_by_bit_sum(n):
+    for offset in (0, 1, 3, 7, 255, 256, 2 ** 16 - 1, 2 ** 24 + 5, 2 ** 40):
+        got, want = _vdc(n, offset), vdc_by_bits(n, offset)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), offset
+
+
 def _pair_set(coords, digits=12):
     z1, z2 = coords
     if z1.ndim == 1:
@@ -133,6 +155,7 @@ _STREAMS = {
     "disc_pair_coords": lambda plan: disc_pair_coords(plan, 1.0),
     "ball_pair_coords": ball_pair_coords,
     "circle_pair_angles": circle_pair_angles,
+    "circle_pair_weights": lambda plan: circle_pair_weights(plan, W_HALF, W_LIN),
     "disc_points": lambda plan: (disc_points(plan, cap=0.5),),
 }
 
@@ -383,6 +406,28 @@ def test_seminorms_N_equals_one_component_reference():
             for k, fk in enumerate(split(m.series, i).C):
                 want = _seminorms_one_component(fk, W_HALF, plan, nodes)
                 assert tuple(n[k] for n in stacked) == want, (m.name, k)
+
+
+def circle_weights_per_call(plan, *omegas):
+    # the circle points and weights as boundary_norm and seminorms_N built
+    # them on every call, kept as the reference
+    t1, t2 = circle_pair_angles(plan)
+    e1, e2 = np.exp(1j * t1), np.exp(1j * t2)
+    return (e1, e2, *(w(np.abs(e1 - e2)) for w in omegas))
+
+
+def _circle_functionals(m, plan):
+    bounds = boundary_norm(m.series, W_HALF, I, plan)
+    return ([(b.value, b.argmax_pair, b.samples_used) for b in bounds],
+            [n.tobytes() for n in seminorms_N(m.series, W_HALF, I, plan, 512)])
+
+
+def test_circle_functionals_equal_a_per_call_recomputation(monkeypatch):
+    plan = SamplePlan(n_pairs=512, n_points=64)
+    stored = [_circle_functionals(m, plan) for m in _CORPUS]
+    monkeypatch.setattr(slicereg.lipschitz, "circle_pair_weights", circle_weights_per_call)
+    fresh = [_circle_functionals(m, plan) for m in _CORPUS]
+    assert stored == fresh
 
 
 # --- derivative functionals -----------------------------------------------------

@@ -128,6 +128,56 @@ def test_eval_complex_keeps_polyval_bits():
         assert same_bits(eval_complex(constant, z), npoly.polyval(z, constant))
 
 
+def test_blocked_eval_complex_keeps_polyval_bits():
+    # block edges, a growth-circle grid (100, n_points), a 0-d point and a
+    # degree-0 row; polyval evaluates each input as one array
+    rng = np.random.default_rng(23)
+    block = slicereg.series._BLOCK
+    n = 2 * block + 3
+    zs = np.sqrt(rng.uniform(0.0, 0.98, n)) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    circle = 0.5 * zs[:100, None] + 0.4 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 512))
+    inputs = (*(zs[:k] for k in (block - 1, block, block + 1, n)), circle,
+              np.asarray(zs[5]), zs[:0])
+    rows = [c for m in default_corpus() for c in split(m.series, UNIT_E1).C]
+    for c in (*rows, rng.normal(size=13) + 1j * rng.normal(size=13), np.array([0.75 - 0.25j])):
+        for z in inputs:
+            assert same_bits(eval_complex(c, z), npoly.polyval(z, c))
+
+
+def test_eval_complex_writes_into_a_view_and_nowhere_else():
+    rng = np.random.default_rng(29)
+    block = slicereg.series._BLOCK
+    zs = np.sqrt(rng.uniform(0.0, 0.98, block + 9)) * np.exp(1j * rng.uniform(-3.0, 3.0, block + 9))
+    c = rng.normal(size=9) + 1j * rng.normal(size=9)
+    for view in (lambda big: big[1, 3:3 + block + 1],  # crossing a block edge
+                 lambda big: big[2, 7, ...]):  # 0-d
+        big = np.full((3, block + 9), 7.0 - 7.0j)
+        out = view(big)
+        want = npoly.polyval(zs[:out.size].reshape(out.shape), c)
+        mask = np.ones(big.shape, dtype=bool)
+        view(mask)[...] = False
+        assert eval_complex(c, zs[:out.size].reshape(out.shape), out=out) is out
+        assert same_bits(view(big), want)
+        assert np.all(big[mask] == 7.0 - 7.0j)
+    with pytest.raises(ValueError):
+        eval_complex(c, zs[:4], out=np.empty(5, dtype=complex))
+    with pytest.raises(ValueError):  # strided: flattening it would copy
+        eval_complex(c, zs[:4], out=np.empty(8, dtype=complex)[::2])
+
+
+def test_split_at_equals_the_stack_of_its_rows():
+    rng = np.random.default_rng(31)
+    block = slicereg.series._BLOCK
+    zs = np.sqrt(rng.uniform(0.0, 0.98, block + 1)) * np.exp(1j * rng.uniform(-3.0, 3.0, block + 1))
+    for m in default_corpus():
+        for s in (split(m.series, UNIT_E1), split(m.series, UNIT_E1).derivative()):
+            for z in (zs, zs[:240].reshape(12, 20), zs[::3], complex(zs[0]), np.asarray(zs[1])):
+                got = s.at(z)
+                want = np.stack([eval_complex(c, z) for c in s.C])
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape, m.name
+                assert same_bits(got, want), m.name
+
+
 def test_evaluate_batch_keeps_hmul_array_bits():
     rng = np.random.default_rng(11)
     block = slicereg.series._BLOCK

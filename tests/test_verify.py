@@ -266,6 +266,31 @@ def test_each_run_builds_its_arrays_once(monkeypatch):
     assert plans[0] == plans[1] and plans[0] is not plans[1]
 
 
+def test_a_run_builds_the_circle_points_once_before_any_member(monkeypatch):
+    # boundary_norm and seminorms_N read the circle points and weights from
+    # the plan; the Poisson and norm-equivalence set-ups build them before
+    # the first member's values, as the slice pair weights
+    config = RunConfig(n_pairs=256, n_points=64, nodes=512)
+    calls, keys = [], []
+    real_angles, real_memo = slicereg.lipschitz.circle_pair_angles, SamplePlan.memo
+
+    def angles(plan):
+        calls.append(plan)
+        return real_angles(plan)
+
+    def memo(plan, key, build):
+        keys.append(key)
+        return real_memo(plan, key, build)
+    monkeypatch.setattr(slicereg.lipschitz, "circle_pair_angles", angles)
+    monkeypatch.setattr(SamplePlan, "memo", memo)
+    assert all(r.passed for r in run_suite(config))
+    assert len(calls) == 1 and calls[0] is config.plan
+    first_member = min(n for n, k in enumerate(keys) if k[0] == "slice_increments")
+    weights = {k[1] for k in keys[:first_member] if k[0] == "circle_weight"}
+    assert "circle_points" in keys[:first_member]
+    assert weights == {config.omega, config.omega_small}
+
+
 def test_each_member_builds_its_increments_once_per_unit(monkeypatch):
     # the slice estimators of every suite read one stored entry per member
     # and unit: i for every member, k for the members slice_independence

@@ -10,13 +10,16 @@ identical results bit for bit.
 Each plan carries its own store: a stream or a shared constant is built
 once per plan and argument values and read from the store afterwards,
 read-only. The store lives and dies with the plan, so a run that holds one
-plan builds each stream once, and nothing is kept between runs. The slice
-estimators also store a series' own values there: the moduli of its split
-increments over the slice pair stream, once per series and unit, and the
-weight of each slice or circle pair distance, once per weight. A series' values stay until
-plan.drop(f); a run drops each member's after the member's last suite, so
-at most one member's values are alive. Poisson means need no stored
-array: the spectral trapezoid builds nothing of size points x nodes.
+plan builds each stream once, and nothing is kept between runs. The weight
+of each slice or circle pair distance is stored once per weight. The slice
+and circle estimators also store a series' own values there, once per
+series and unit, each from one evaluation at either end of the pairs: over
+the slice pair stream and over the circle pair stream, one _pair_moduli
+block of the moduli |dF|, |dG| of its split increments, their hypot, and
+|F|, |G| at both ends. A series' values stay until plan.drop(f); a run
+drops each member's after the member's last suite, so at most one member's
+values are alive. Poisson means need no stored array: the spectral
+trapezoid builds nothing of size points x nodes.
 
 Points of a slice plane are handled in their complex coordinate; values of
 a series along the plane come from the two coefficient rows of split(f, i),
@@ -43,6 +46,7 @@ from .quaternion import (
     slice_points_array,
 )
 from .series import (
+    _BLOCK,
     SliceSeries,
     cullen_derivative,
     eval_complex,
@@ -332,16 +336,22 @@ def _pair_estimate(ratios: np.ndarray, z1: np.ndarray, z2: np.ndarray,
     )
 
 
-def _slice_increments(f: SliceSeries, i: ImaginaryUnit, z1: np.ndarray,
-                      z2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|dF|, |dG| and their hypot (the split_modulus of the increment) of
-    the split components of f over the pairs z1, z2, as the rows of one
-    array: one block per member and unit."""
+def _pair_moduli(f: SliceSeries, i: ImaginaryUnit, z1: np.ndarray,
+                 z2: np.ndarray) -> np.ndarray:
+    """One (7, N) block of the split components F, G of f over the pairs
+    z1, z2, from one evaluation at each end: rows |dF|, |dG| of the
+    increments, their hypot (the split_modulus of the increment), then
+    |F|, |G| at z1 and |F|, |G| at z2, each a (2, N) row pair as
+    split_modulus reads it."""
     s = split(f, i)
-    out = np.empty((3, z1.size))
-    np.abs(s.at(z1) - s.at(z2), out=out[:2])
+    out = np.empty((7, z1.size))
+    v1, v2 = s.at(z1), s.at(z2)
+    np.abs(v1, out=out[3:5])
+    np.abs(v2, out=out[5:])
+    v1 -= v2
+    np.abs(v1, out=out[:2])
     np.hypot(out[0], out[1], out=out[2])
-    return tuple(out)
+    return out
 
 
 def slice_pair_weights(plan: SamplePlan, *omegas: Majorant) -> tuple[np.ndarray, ...]:
@@ -352,24 +362,35 @@ def slice_pair_weights(plan: SamplePlan, *omegas: Majorant) -> tuple[np.ndarray,
                       for w in omegas))
 
 
-def _slice_samples(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan,
-                   *omegas: Majorant) -> tuple[np.ndarray, ...]:
-    """z1, z2, then f's increments |dF|, |dG|, hypot(|dF|, |dG|) over those
-    pairs, then the weights of slice_pair_weights. The increments are built
-    once per series and unit and kept until plan.drop(f)."""
+def slice_samples(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan,
+                  *omegas: Majorant) -> tuple[np.ndarray, ...]:
+    """z1, z2, then f's _pair_moduli block over those pairs, then the
+    weights of slice_pair_weights. The block is built once per series and
+    unit and kept until plan.drop(f)."""
     z1, z2, *ws = slice_pair_weights(plan, *omegas)
     for omega in omegas:
         _require_positive(omega, plan.min_separation)
-    incs = plan.memo(("slice_increments", f, i), lambda: _slice_increments(f, i, z1, z2))
-    return (z1, z2, *incs, *ws)
+    mods = plan.memo(("slice_moduli", f, i), lambda: _pair_moduli(f, i, z1, z2))
+    return (z1, z2, mods, *ws)
+
+
+def _circle_samples(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan,
+                    omega: Majorant) -> tuple[np.ndarray, ...]:
+    """e1, e2, then f's _pair_moduli block over those pairs, then the
+    weight of circle_pair_weights. The block is built once per series and
+    unit and kept until plan.drop(f)."""
+    _require_positive(omega, plan.min_separation)
+    e1, e2, w = circle_pair_weights(plan, omega)
+    mods = plan.memo(("circle_moduli", f, i), lambda: _pair_moduli(f, i, e1, e2))
+    return e1, e2, mods, w
 
 
 def slice_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
                plan: SamplePlan) -> NormEstimate:
     """Sampled sup of ||f(x) - f(y)|| / omega(||x - y||) over pairs of the
     slice disc."""
-    z1, z2, _, _, num, w = _slice_samples(f, i, plan, omega)
-    return _pair_estimate(num / w, z1, z2, i)
+    z1, z2, mods, w = slice_samples(f, i, plan, omega)
+    return _pair_estimate(mods[2] / w, z1, z2, i)
 
 
 def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
@@ -380,9 +401,9 @@ def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
 
         joint = sup sqrt( (|dF|/omega1)^2 + (|dG|/omega2)^2 ).
     """
-    z1, z2, dF, dG, _, w1, w2 = _slice_samples(f, i, plan, omega1, omega2)
-    r1 = dF / w1
-    r2 = dG / w2
+    z1, z2, mods, w1, w2 = slice_samples(f, i, plan, omega1, omega2)
+    r1 = mods[0] / w1
+    r2 = mods[1] / w2
     joint = np.hypot(r1, r2)
     return tuple(_pair_estimate(r, z1, z2, i) for r in (r1, r2, joint))
 
@@ -407,14 +428,12 @@ def global_norm(f: SliceSeries, omega: Majorant, plan: SamplePlan) -> NormEstima
 
 def boundary_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
                   plan: SamplePlan) -> tuple[NormEstimate, NormEstimate]:
-    """Difference-quotient sups over pairs of the slice circle, from one
-    evaluation: (function, modulus) compare f itself and ||f||."""
-    _require_positive(omega, plan.min_separation)
-    z1, z2, w = circle_pair_weights(plan, omega)
-    s = split(f, i)
-    v1, v2 = s.at(z1), s.at(z2)
-    return (_pair_estimate(split_modulus(v1 - v2) / w, z1, z2, i),
-            _pair_estimate(np.abs(split_modulus(v1) - split_modulus(v2)) / w, z1, z2, i))
+    """Difference-quotient sups over pairs of the slice circle, from f's
+    stored circle moduli: (function, modulus) compare f itself and ||f||."""
+    z1, z2, mods, w = _circle_samples(f, i, plan, omega)
+    return (_pair_estimate(mods[2] / w, z1, z2, i),
+            _pair_estimate(np.abs(split_modulus(mods[3:5]) - split_modulus(mods[5:])) / w,
+                           z1, z2, i))
 
 
 def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
@@ -432,14 +451,13 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     coordinates identify with the classical one; P is the classical disc
     Poisson integral of the boundary modulus.
     """
-    _require_positive(omega, plan.min_separation)
+    _, _, mods, w = _circle_samples(f, i, plan, omega)
     s = split(f, i)
 
     def moduli(z):
         return np.abs(s.at(z))
 
-    e1, e2, w = circle_pair_weights(plan, omega)
-    circle_part = np.max(np.abs(moduli(e1) - moduli(e2)) / w, axis=1)
+    circle_part = np.max(np.abs(mods[3:5] - mods[5:]) / w, axis=1)
 
     n_rad = max(16, plan.n_points // 16)
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
@@ -495,31 +513,48 @@ class GrowthCheck:
 def bounded_growth_check(f: SliceSeries, x: np.ndarray, i: ImaginaryUnit,
                          plan: SamplePlan) -> GrowthCheck:
     """Evaluate the bounded-growth inequalities of f at each row of an
-    (n, 4) array of slice points.
+    (n, 4) array of slice points; a point off the slice plane of i, outside
+    the open disc, or with a non-finite component raises ValueError.
 
     The local sup runs over the disc around x of radius 1 - |x| inside the
     slice plane; by subharmonicity of the component moduli it is sampled on
-    the bounding circle only.
+    the bounding circle only, whole circles at a time in blocks of about
+    _BLOCK circle points, so the work rows stay in cache.
     """
     q = np.asarray(x, dtype=float)
     y = q[:, 1] * i.v1 + q[:, 2] * i.v2 + q[:, 3] * i.v3
     off = np.linalg.norm(q[:, 1:] - y[:, None] * np.array(i.components()), axis=1)
-    if np.any(off > 1e-9):
+    # written so that NaN fails the comparisons
+    if not np.all(off <= 1e-9):
         raise ValueError("x must lie on the slice plane of i")
     z = np.empty(len(q), dtype=complex)
     z.real, z.imag = q[:, 0], y
     # hypot, as Python's abs(complex); numpy's complex abs may differ in the last bit
     r = np.hypot(z.real, z.imag)
-    if np.any(r >= 1.0):
+    if not np.all(r < 1.0):
         raise ValueError("x must lie in the open disc")
     s = split(f, i)
 
     gap = 1.0 - r
-    circle = z[:, None] + gap[:, None] * np.exp(1j * _golden_angles(plan.n_points))
-    # one component at a time keeps a single (n, n_points) complex array alive
-    a1, a2 = (np.abs(eval_complex(c, circle)) for c in s.C)
-    m1, m2 = a1.max(axis=1), a2.max(axis=1)
-    local_sup = np.max(np.hypot(a1, a2), axis=1)
+    e = np.exp(1j * _golden_angles(plan.n_points))
+    # row maxima over whole circles are exact, so blocking keeps every bit
+    rows = max(1, _BLOCK // plan.n_points)
+    circle = np.empty((min(len(z), rows), plan.n_points), dtype=complex)
+    evals, moduli = np.empty_like(circle), np.empty((2, *circle.shape))
+    m1, m2, local_sup = np.empty((3, len(z)))
+    for start in range(0, len(z), rows):
+        b = slice(start, start + rows)
+        c = circle[:len(z[b])]
+        # gap * e, the operand order of the full-array expression (see the
+        # FMA bit traps at eval_complex)
+        np.multiply(gap[b, None], e, out=c)
+        c += z[b, None]
+        a1, a2 = moduli[:, :len(c)]
+        for row, a in zip(s.C, (a1, a2)):
+            np.abs(eval_complex(row, c, out=evals[:len(c)]), out=a)
+        a1.max(axis=1, out=m1[b])
+        a2.max(axis=1, out=m2[b])
+        np.hypot(a1, a2, out=a1).max(axis=1, out=local_sup[b])
 
     values, slopes = s.at(z), s.derivative().at(z)
     f1, f2 = np.hypot(values.real, values.imag)

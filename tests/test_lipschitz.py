@@ -13,6 +13,7 @@ from slicereg.lipschitz import (
     SamplePlan,
     _conjugated,
     _golden_angles,
+    _pair_estimate,
     _quarters,
     _squared_norms,
     _vdc,
@@ -52,6 +53,7 @@ from slicereg.quaternion import (
     slice_points_array,
 )
 from slicereg.series import (
+    _BLOCK,
     SliceSeries,
     cullen_derivative,
     eval_complex,
@@ -59,6 +61,7 @@ from slicereg.series import (
     evaluate_batch,
     on_circle,
     split,
+    split_modulus,
     symmetrization,
 )
 from slicereg.verify import default_corpus
@@ -416,18 +419,33 @@ def circle_weights_per_call(plan, *omegas):
     return (e1, e2, *(w(np.abs(e1 - e2)) for w in omegas))
 
 
-def _circle_functionals(m, plan):
-    bounds = boundary_norm(m.series, W_HALF, I, plan)
+def boundary_norm_by_values(f, omega, i, plan):
+    # boundary_norm as it was written, from the split values on every call,
+    # kept as the reference
+    z1, z2, w = circle_weights_per_call(plan, omega)
+    s = split(f, i)
+    v1, v2 = s.at(z1), s.at(z2)
+    return (_pair_estimate(split_modulus(v1 - v2) / w, z1, z2, i),
+            _pair_estimate(np.abs(split_modulus(v1) - split_modulus(v2)) / w, z1, z2, i))
+
+
+def _circle_functionals(m, plan, boundary=boundary_norm):
+    bounds = boundary(m.series, W_HALF, I, plan)
     return ([(b.value, b.argmax_pair, b.samples_used) for b in bounds],
             [n.tobytes() for n in seminorms_N(m.series, W_HALF, I, plan, 512)])
 
 
 def test_circle_functionals_equal_a_per_call_recomputation(monkeypatch):
+    # both functionals read one stored circle block per member from one
+    # plan; a fresh plan per call stores nothing between calls, and the
+    # reference boundary_norm evaluates the split values itself
     plan = SamplePlan(n_pairs=512, n_points=64)
     stored = [_circle_functionals(m, plan) for m in _CORPUS]
     monkeypatch.setattr(slicereg.lipschitz, "circle_pair_weights", circle_weights_per_call)
-    fresh = [_circle_functionals(m, plan) for m in _CORPUS]
-    assert stored == fresh
+    fresh = [_circle_functionals(m, SamplePlan(n_pairs=512, n_points=64)) for m in _CORPUS]
+    by_values = [_circle_functionals(m, SamplePlan(n_pairs=512, n_points=64),
+                                     boundary_norm_by_values) for m in _CORPUS]
+    assert stored == fresh == by_values
 
 
 # --- derivative functionals -----------------------------------------------------
@@ -494,6 +512,59 @@ def test_bounded_growth_batch_equals_one_point_calls(unit):
                   "sandwich_slack", "quadratic_slack"):
         assert np.array_equal(getattr(batch, field),
                               np.concatenate([getattr(c, field) for c in single]))
+
+
+def bounded_growth_full_array(f, x, i, plan):
+    # bounded_growth_check as it was written, with the whole (n, n_points)
+    # circle at once, kept as the reference of the blocked local sup
+    q = np.asarray(x, dtype=float)
+    y = q[:, 1] * i.v1 + q[:, 2] * i.v2 + q[:, 3] * i.v3
+    z = q[:, 0] + 1j * y
+    r = np.hypot(z.real, z.imag)
+    s = split(f, i)
+
+    gap = 1.0 - r
+    circle = z[:, None] + gap[:, None] * np.exp(1j * _golden_angles(plan.n_points))
+    a1, a2 = (np.abs(eval_complex(c, circle)) for c in s.C)
+    m1, m2 = a1.max(axis=1), a2.max(axis=1)
+    local_sup = np.max(np.hypot(a1, a2), axis=1)
+
+    values, slopes = s.at(z), s.derivative().at(z)
+    f1, f2 = np.hypot(values.real, values.imag)
+    d1, d2 = np.hypot(slopes.real, slopes.imag)
+    return GrowthCheck(gap * d2 + 2.0 * f2, gap * d1 + 2.0 * f1, local_sup,
+                       0.25 * gap * gap * (d1 * d1 + d2 * d2) + f1 * f1 + f2 * f2,
+                       (r - 1.0) * (d1 * f1 + d2 * f2) + m1 * m1 + m2 * m2)
+
+
+@pytest.mark.parametrize("n_points, n_rows", [
+    (64, 100),  # one partial block of all 100 rows
+    (2500, 100),  # 3 rows per block, which do not divide 100
+    (_BLOCK + 5, 3),  # one row per block, each row longer than a block
+], ids=["one_block", "ragged_blocks", "row_per_block"])
+@pytest.mark.parametrize("unit", [UNIT_E1, ImaginaryUnit.from_vector(0.3, -1.0, 2.0)],
+                         ids=["e1", "non_axis"])
+def test_blocked_growth_sup_keeps_the_full_array_bits(n_points, n_rows, unit):
+    plan = SamplePlan(n_points=n_points)
+    zs = disc_points(SamplePlan(n_points=512), cap=0.99)[:n_rows]
+    x = slice_points_array(unit, zs)
+    for m in _CORPUS:
+        got = bounded_growth_check(m.series, x, unit, plan)
+        want = bounded_growth_full_array(m.series, x, unit, plan)
+        for field in ("lhs_plus", "lhs_minus", "local_sup", "lhs_quadratic",
+                      "rhs_quadratic"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), \
+                (m.name, field)
+
+
+@pytest.mark.parametrize("point, message", [
+    ((math.nan, 0.2, 0.0, 0.0), "open disc"),  # on the plane of e1, nowhere in its disc
+    ((0.1, 0.2, math.nan, 0.0), "slice plane"),  # off the plane
+    ((0.1, math.nan, 0.0, 0.0), None),  # NaN along e1 fails either guard
+], ids=["real_part", "off_plane", "along_unit"])
+def test_bounded_growth_refuses_a_nan_component(point, message):
+    with pytest.raises(ValueError, match=message):
+        bounded_growth_check(IDENT, np.array([point]), I, PLAN)
 
 
 # --- Schwarz-Pick functional ------------------------------------------------------

@@ -17,7 +17,7 @@ from slicereg.cli import RunConfig, ValidationError, main
 from slicereg.lipschitz import SamplePlan
 from slicereg.majorant import PowerMajorant
 from slicereg.quaternion import UNIT_E1, ImaginaryUnit, slice_points_array
-from slicereg.series import SliceSeries
+from slicereg.series import SliceSeries, SplitSeries, split
 from slicereg.verify import (
     ALL_SUITES,
     FunctionRecord,
@@ -285,30 +285,61 @@ def test_a_run_builds_the_circle_points_once_before_any_member(monkeypatch):
     monkeypatch.setattr(SamplePlan, "memo", memo)
     assert all(r.passed for r in run_suite(config))
     assert len(calls) == 1 and calls[0] is config.plan
-    first_member = min(n for n, k in enumerate(keys) if k[0] == "slice_increments")
+    first_member = min(n for n, k in enumerate(keys) if k[0] == "slice_moduli")
     weights = {k[1] for k in keys[:first_member] if k[0] == "circle_weight"}
     assert "circle_points" in keys[:first_member]
     assert weights == {config.omega, config.omega_small}
 
 
 def test_each_member_builds_its_increments_once_per_unit(monkeypatch):
-    # the slice estimators of every suite read one stored entry per member
+    # the slice estimators of every suite read one stored block per member
     # and unit: i for every member, k for the members slice_independence
-    # reads (intrinsic_invariance reads k too, in the same member step)
+    # reads (intrinsic_invariance reads k too, in the same member step); the
+    # circle functionals read one stored circle block per member, for i
     config = RunConfig(n_pairs=256, n_points=64, nodes=512)
     names = {m.series.array.tobytes(): m.name for m in config.corpus}
+    slice_z1 = slicereg.lipschitz.slice_pair_coords(config.plan)[0]
     builds = Counter()
-    real = slicereg.lipschitz._slice_increments
+    real = slicereg.lipschitz._pair_moduli
 
-    def counted(f, i, *args):
-        builds[names[f.array.tobytes()], i] += 1
-        # at most one member's values are alive: any stored increments are f's
+    def counted(f, i, z1, z2):
+        stream = "slice" if z1 is slice_z1 else "circle"
+        builds[names[f.array.tobytes()], i, stream] += 1
+        # at most one member's values are alive: any stored moduli are f's
         store = config.plan.__dict__["_store"]
-        assert all(key[1] is f for key in store if key[0] == "slice_increments")
-        return real(f, i, *args)
-    monkeypatch.setattr(slicereg.lipschitz, "_slice_increments", counted)
+        assert all(key[1] is f for key in store
+                   if key[0] in ("slice_moduli", "circle_moduli"))
+        return real(f, i, z1, z2)
+    monkeypatch.setattr(slicereg.lipschitz, "_pair_moduli", counted)
     assert all(r.passed for r in run_suite(config))
-    assert builds == {(m.name, unit): 1 for m in config.corpus for unit in (config.i, config.k)}
+    assert builds == {**{(m.name, unit, "slice"): 1
+                         for m in config.corpus for unit in (config.i, config.k)},
+                      **{(m.name, config.i, "circle"): 1 for m in config.corpus}}
+
+
+def test_each_member_is_evaluated_once_on_the_slice_and_circle_pairs(monkeypatch):
+    # modulus_membership reads the stored slice moduli, boundary_norm and
+    # seminorms_N the stored circle moduli: a member's values at the slice
+    # pair points for unit i and at the circle points e1, e2 are computed
+    # once per run. algebraic_closure is left out: it evaluates its partner,
+    # another member, on the slice pairs itself
+    suites = tuple(name for name in ALL_SUITES if name != "algebraic_closure")
+    config = RunConfig(n_pairs=256, n_points=64, nodes=512, suites=suites)
+    plan = config.plan
+    points = dict(zip(("z1", "z2", "e1", "e2"), (*slicereg.lipschitz.slice_pair_coords(plan),
+                                                 *slicereg.lipschitz.circle_pair_weights(plan))))
+    names = {split(m.series, config.i).C.tobytes(): m.name for m in config.corpus}
+    calls = Counter()
+    real = SplitSeries.at
+
+    def at(self, z):
+        label = next((label for label, p in points.items() if p is z), None)
+        if label and self.i is config.i:
+            calls[names.get(self.C.tobytes()), label] += 1
+        return real(self, z)
+    monkeypatch.setattr(SplitSeries, "at", at)
+    assert all(r.passed for r in run_suite(config))
+    assert calls == {(m.name, label): 1 for m in config.corpus for label in points}
 
 
 def test_setups_build_what_every_member_shares(monkeypatch):

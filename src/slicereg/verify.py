@@ -24,9 +24,9 @@ once for all suites. The suite functions build the per-run pair weights
 circle) before any member's values: built in the first member's step, they
 fragmented glibc's heap (+6 MB peak RSS at 16x; 2-CPU Xeon, Python 3.11,
 numpy 2.4). A member's stored values are its slice moduli for each unit
-and its circle moduli, (7, N) blocks of about 3.7 MB each at 16x; with
-them alive, the 16x peak RSS (about 77 MB) is reached in a member step of
-norm_equivalences.
+and its circle moduli, (7, N) blocks of 3.2 MB (slice) and 3.7 MB (circle)
+at 16x; with them alive, the 16x peak RSS (about 77 MB in a fresh process)
+is reached in a member step of norm_equivalences.
 """
 
 from __future__ import annotations

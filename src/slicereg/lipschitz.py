@@ -10,14 +10,16 @@ identical results bit for bit.
 Each plan carries its own store: a stream or a shared constant is built
 once per plan and argument values and read from the store afterwards,
 read-only. The store lives and dies with the plan, so a run that holds one
-plan builds each stream once, and nothing is kept between runs. The weight
-of each slice or circle pair distance is stored once per weight. The slice
-and circle estimators also store a series' own values there, once per
-series and unit, each from one evaluation at either end of the pairs: over
-the slice pair stream and over the circle pair stream, one _pair_moduli
-block of the moduli |dF|, |dG| of its split increments, their hypot, and
-|F|, |G| at both ends. A series' values stay until plan.drop(f); a run
-drops each member's after the member's last suite, so at most one member's
+plan builds each stream once, and nothing is kept between runs. The
+complex pair streams are named: "slice" (the slice disc), "circle" (the
+unit circle, stored as points) and "disc" (the closed unit disc).
+pair_weights(plan, stream, *omegas) reads a stream's pairs and, stored once
+per weight, omega of their distances. pair_samples(f, i, plan, stream,
+*omegas) adds a series' own values, stored once per stream, series and
+unit from one evaluation at either end of the pairs: one _pair_moduli block
+of the moduli |dF|, |dG| of its split increments, their hypot, and |F|,
+|G| at both ends. A series' values stay until plan.drop(f); a run drops
+each member's after the member's last suite, so at most one member's
 values are alive. Poisson means need no stored array: the spectral
 trapezoid builds nothing of size points x nodes.
 
@@ -252,12 +254,8 @@ def _ball_pairs(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
 
 
 def circle_pair_angles(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
-    """Angle pairs on the unit circle with chords >= min_separation, built
-    once per plan."""
-    return plan.memo("circle_pairs", lambda: _circle_pairs(plan))
-
-
-def _circle_pairs(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
+    """Angle pairs on the unit circle with chords >= min_separation. Not
+    stored: the circle pair stream keeps only the points they give."""
     eps = plan.min_separation
     half = plan.n_pairs // 2
     t = plan.child_rng(31).uniform(0.0, 2.0 * np.pi, size=(half, 2))
@@ -278,13 +276,25 @@ def _circle_pairs(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
     return t1[keep], t2[keep]
 
 
-def circle_pair_weights(plan: SamplePlan, *omegas: Majorant) -> tuple[np.ndarray, ...]:
-    """The circle pair stream as points e1, e2 = e^{it1}, e^{it2}, built
-    once per plan, then omega(|e1 - e2|) for each weight, built once per
-    plan and weight."""
-    e1, e2 = plan.memo("circle_points",
-                       lambda: tuple(np.exp(1j * t) for t in circle_pair_angles(plan)))
-    return (e1, e2, *(plan.memo(("circle_weight", w), lambda w=w: w(np.abs(e1 - e2)))
+# the complex pair streams by name, each built once per plan; the entries
+# reach disc_pair_coords and circle_pair_angles through the module globals,
+# so a wrapper set on this module sees every build
+_PAIR_STREAMS = {
+    "slice": lambda plan: slice_pair_coords(plan),
+    "circle": lambda plan: plan.memo(
+        "circle_points", lambda: tuple(np.exp(1j * t) for t in circle_pair_angles(plan))),
+    "disc": lambda plan: disc_pair_coords(plan, 1.0),
+}
+
+
+def pair_weights(plan: SamplePlan, stream: str, *omegas: Majorant) -> tuple[np.ndarray, ...]:
+    """The pairs z1, z2 of a named stream: "slice" (the slice disc of
+    radius max_radius), "circle" (the points e^{it1}, e^{it2} of
+    circle_pair_angles) or "disc" (the closed unit disc); then
+    omega(|z1 - z2|) for each weight, built once per plan, stream and
+    weight."""
+    z1, z2 = _PAIR_STREAMS[stream](plan)
+    return (z1, z2, *(plan.memo((stream, "weight", w), lambda w=w: w(np.abs(z1 - z2)))
                       for w in omegas))
 
 
@@ -354,42 +364,23 @@ def _pair_moduli(f: SliceSeries, i: ImaginaryUnit, z1: np.ndarray,
     return out
 
 
-def slice_pair_weights(plan: SamplePlan, *omegas: Majorant) -> tuple[np.ndarray, ...]:
-    """The slice pair stream z1, z2, then omega(|z1 - z2|) for each weight,
-    built once per plan and weight."""
-    z1, z2 = slice_pair_coords(plan)
-    return (z1, z2, *(plan.memo(("slice_weight", w), lambda w=w: w(np.abs(z1 - z2)))
-                      for w in omegas))
-
-
-def slice_samples(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan,
-                  *omegas: Majorant) -> tuple[np.ndarray, ...]:
-    """z1, z2, then f's _pair_moduli block over those pairs, then the
-    weights of slice_pair_weights. The block is built once per series and
-    unit and kept until plan.drop(f)."""
-    z1, z2, *ws = slice_pair_weights(plan, *omegas)
+def pair_samples(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan, stream: str,
+                 *omegas: Majorant) -> tuple[np.ndarray, ...]:
+    """z1, z2, then f's _pair_moduli block over the named stream's pairs,
+    then the weights of pair_weights. The block is built once per stream,
+    series and unit and kept until plan.drop(f)."""
     for omega in omegas:
         _require_positive(omega, plan.min_separation)
-    mods = plan.memo(("slice_moduli", f, i), lambda: _pair_moduli(f, i, z1, z2))
+    z1, z2, *ws = pair_weights(plan, stream, *omegas)
+    mods = plan.memo((stream, "moduli", f, i), lambda: _pair_moduli(f, i, z1, z2))
     return (z1, z2, mods, *ws)
-
-
-def _circle_samples(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan,
-                    omega: Majorant) -> tuple[np.ndarray, ...]:
-    """e1, e2, then f's _pair_moduli block over those pairs, then the
-    weight of circle_pair_weights. The block is built once per series and
-    unit and kept until plan.drop(f)."""
-    _require_positive(omega, plan.min_separation)
-    e1, e2, w = circle_pair_weights(plan, omega)
-    mods = plan.memo(("circle_moduli", f, i), lambda: _pair_moduli(f, i, e1, e2))
-    return e1, e2, mods, w
 
 
 def slice_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
                plan: SamplePlan) -> NormEstimate:
     """Sampled sup of ||f(x) - f(y)|| / omega(||x - y||) over pairs of the
     slice disc."""
-    z1, z2, mods, w = slice_samples(f, i, plan, omega)
+    z1, z2, mods, w = pair_samples(f, i, plan, "slice", omega)
     return _pair_estimate(mods[2] / w, z1, z2, i)
 
 
@@ -401,7 +392,7 @@ def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
 
         joint = sup sqrt( (|dF|/omega1)^2 + (|dG|/omega2)^2 ).
     """
-    z1, z2, mods, w1, w2 = slice_samples(f, i, plan, omega1, omega2)
+    z1, z2, mods, w1, w2 = pair_samples(f, i, plan, "slice", omega1, omega2)
     r1 = mods[0] / w1
     r2 = mods[1] / w2
     joint = np.hypot(r1, r2)
@@ -430,7 +421,7 @@ def boundary_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
                   plan: SamplePlan) -> tuple[NormEstimate, NormEstimate]:
     """Difference-quotient sups over pairs of the slice circle, from f's
     stored circle moduli: (function, modulus) compare f itself and ||f||."""
-    z1, z2, mods, w = _circle_samples(f, i, plan, omega)
+    z1, z2, mods, w = pair_samples(f, i, plan, "circle", omega)
     return (_pair_estimate(mods[2] / w, z1, z2, i),
             _pair_estimate(np.abs(split_modulus(mods[3:5]) - split_modulus(mods[5:])) / w,
                            z1, z2, i))
@@ -451,7 +442,7 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     coordinates identify with the classical one; P is the classical disc
     Poisson integral of the boundary modulus.
     """
-    _, _, mods, w = _circle_samples(f, i, plan, omega)
+    _, _, mods, w = pair_samples(f, i, plan, "circle", omega)
     s = split(f, i)
 
     def moduli(z):
@@ -469,7 +460,11 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     w2 = omega(1.0 - radial_grid(cap, n_rad))[:, None]
     n2 = circle_part + np.max(np.abs(outer - inner) / w2, axis=(1, 2))
 
-    z1, z2 = disc_pair_coords(plan, 1.0)
+    # N3's moduli and weight are not stored: a third (7, N) block would be
+    # alive here; a stored unit-disc weight raised the 16x peak RSS when
+    # built here, and built first in this function it doubled the minor
+    # page faults of a default verify, +5% op time (2-CPU Xeon, numpy 2.4.6)
+    z1, z2 = pair_weights(plan, "disc")
     n3 = np.max(np.abs(moduli(z1) - moduli(z2)) / omega(np.abs(z1 - z2)), axis=1)
 
     return n1, n2, n3
@@ -522,8 +517,12 @@ def bounded_growth_check(f: SliceSeries, x: np.ndarray, i: ImaginaryUnit,
     _BLOCK circle points, so the work rows stay in cache.
     """
     q = np.asarray(x, dtype=float)
-    y = q[:, 1] * i.v1 + q[:, 2] * i.v2 + q[:, 3] * i.v3
-    off = np.linalg.norm(q[:, 1:] - y[:, None] * np.array(i.components()), axis=1)
+    # an infinite or huge component gives NaN or inf here (inf * 0, inf -
+    # inf, an overflowed distance), which the guards below refuse; silenced,
+    # so the caller sees one ValueError and no warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = q[:, 1] * i.v1 + q[:, 2] * i.v2 + q[:, 3] * i.v3
+        off = np.linalg.norm(q[:, 1:] - y[:, None] * np.array(i.components()), axis=1)
     # written so that NaN fails the comparisons
     if not np.all(off <= 1e-9):
         raise ValueError("x must lie on the slice plane of i")

@@ -28,8 +28,6 @@ from .quaternion import (
     quat_array,
 )
 
-PointwiseFunction = Callable[[Quaternion], Quaternion]
-
 BASE_FLOOR = 1e-9  # pointwise formulas are skipped under this norm
 
 
@@ -45,10 +43,6 @@ class AsymmetryDetected(ArithmeticError):
 
 class NotInvertibleAtOrigin(ValueError):
     """*-inverse requested for a series whose symmetrization vanishes at 0."""
-
-
-class StepOutOfDomain(ValueError):
-    """Finite-difference stencil left the open unit ball."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,27 +374,3 @@ def is_intrinsic(f: SliceSeries) -> bool:
     """True when every coefficient is real to 1e-12 (then f(conj q) =
     conj f(q) and f maps each slice plane to itself)."""
     return float(norm_array(f.array[:, 1:]).max()) <= 1e-12
-
-
-def slice_cr_residual(f: PointwiseFunction, z: Quaternion, i: ImaginaryUnit,
-                      h: float) -> float:
-    """Centered-difference residual of 0.5*(d/dx + i d/dy) f on the plane of i.
-
-    Near zero (O(h^2)) exactly when the restriction of f to the plane is
-    holomorphic there. The four stencil points must stay inside the unit ball.
-    """
-    if h <= 0.0:
-        raise ValueError("step must be positive")
-    iq = i.as_quaternion()
-    stencil = [
-        z + Quaternion(h),
-        z - Quaternion(h),
-        z + h * iq,
-        z - h * iq,
-    ]
-    for p in stencil:
-        if norm(p) >= 1.0:
-            raise StepOutOfDomain(f"stencil point {p!r} leaves the unit ball")
-    dx = (f(stencil[0]) - f(stencil[1])) / (2.0 * h)
-    dy = (f(stencil[2]) - f(stencil[3])) / (2.0 * h)
-    return norm((dx + hamilton_mul(iq, dy)) * 0.5)

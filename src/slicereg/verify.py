@@ -19,14 +19,13 @@ m), which fills a fresh record for one member. run_suite calls every
 selected suite function, then runs one member step per member: every
 suite's check on that member, after which the member's values leave the
 plan's store, so at most one member's values are alive and each is built
-once for all suites. The suite functions build the per-run pair weights
-(slice_pair_weights, and circle_pair_weights where a check reads the
-circle) before any member's values: built in the first member's step, they
-fragmented glibc's heap (+6 MB peak RSS at 16x; 2-CPU Xeon, Python 3.11,
-numpy 2.4). A member's stored values are its slice moduli for each unit
-and its circle moduli, (7, N) blocks of 3.2 MB (slice) and 3.7 MB (circle)
-at 16x; with them alive, the 16x peak RSS (about 77 MB in a fresh process)
-is reached in a member step of norm_equivalences.
+once for all suites. The checks read the complex pair streams and their
+weights through pair_weights and pair_samples, which build each once per
+run on first use; only algebraic_closure reads weights in its suite
+function. A member's stored values are its slice moduli for each unit and
+its circle moduli, (7, N) blocks of 3.2 MB (slice) and 3.7 MB (circle) at
+16x; with them alive, the 16x peak RSS (about 77 MB in a fresh process) is
+reached in a member step of norm_equivalences.
 """
 
 from __future__ import annotations
@@ -43,16 +42,15 @@ from .lipschitz import (
     ball_pair_coords,
     boundary_norm,
     bounded_growth_check,
-    circle_pair_weights,
     component_estimates,
     derivative_ratio,
     disc_points,
     global_norm,
+    pair_samples,
+    pair_weights,
     ray_grid,
     seminorms_N,
-    slice_samples,
     slice_norm,
-    slice_pair_weights,
 )
 from .majorant import (
     Majorant,
@@ -223,7 +221,6 @@ def verify_inclusion_chain(config: RunConfig) -> VerificationReport:
     omega1, omega2, plan, i = config.omega, config.omega2, config.plan, config.i
     tol = 1e-9
     osum = omega1 + omega2
-    slice_pair_weights(plan, omega1, omega2, osum)
 
     def check(rec, m):
         c1, c2, _ = component_estimates(m.series, omega1, omega2, i, plan)
@@ -257,7 +254,7 @@ def verify_algebraic_closure(config: RunConfig) -> VerificationReport:
     tol = 1e-9
     a1n, a2n = map(abs, split(SliceSeries([a]), i).C[:, 0])
     mu1, mu2 = combine(a1n, a2n, omega1, omega2)
-    z1, z2, w1, _, mu1d, mu2d = slice_pair_weights(plan, omega1, omega2, mu1, mu2)
+    z1, z2, w1, mu1d, mu2d = pair_weights(plan, "slice", omega1, mu1, mu2)
     partners = iter(corpus[1:] + corpus[:1])
 
     def diffs(series):
@@ -300,7 +297,6 @@ def verify_intrinsic_invariance(config: RunConfig) -> VerificationReport:
     other = PowerMajorant(0.75)
     corpus = tuple(m for m in config.corpus if m.intrinsic)
     notes = [] if corpus else ["error: no intrinsic member in the corpus"]
-    slice_pair_weights(plan, omega, other)
 
     def check(rec, m):
         n_i = slice_norm(m.series, omega, i, plan)
@@ -324,7 +320,6 @@ def verify_slice_independence(config: RunConfig) -> VerificationReport:
     exactly under the paired pair stream."""
     omega, i, k, plan = config.omega, config.i, config.k, config.plan
     bound = 2.2
-    slice_pair_weights(plan, omega)
 
     def check(rec, m):
         n_i = slice_norm(m.series, omega, i, plan).value
@@ -349,11 +344,10 @@ def verify_modulus_membership(config: RunConfig) -> VerificationReport:
     norms are controlled by the slice norm."""
     omega, i, plan = config.omega, config.i, config.plan
     tol = 1e-12
-    slice_pair_weights(plan, omega)
 
     def check(rec, m):
         # the member's stored moduli: |dF|, |dG|, then |F|, |G| at each end
-        _, _, mods, w = slice_samples(m.series, i, plan, omega)
+        _, _, mods, w = pair_samples(m.series, i, plan, "slice", omega)
         at_z1, at_z2 = mods[3:5], mods[5:]
         full = split_modulus(mods[:2])
         floor = tol * (1.0 + float(np.max(full)))
@@ -404,8 +398,6 @@ def verify_norm_equivalences(config: RunConfig) -> VerificationReport:
     """
     omega, i, plan = config.omega_small, config.i, config.plan
     nodes, window = config.nodes, config.window
-    slice_pair_weights(plan, omega)
-    circle_pair_weights(plan, omega)
     rejected = [c for c in (check_regular(omega), check_regular(squared(omega)))
                 if not c.is_regular]
     xs = _defect_grid(plan, nodes)
@@ -460,7 +452,6 @@ def verify_derivative_characterizations(config: RunConfig) -> VerificationReport
     omega, plan, i = config.omega, config.plan, config.i
     tol = 1e-8
     cert = check_regular(omega)
-    slice_pair_weights(plan, omega)
     mixed_window = 6.0 * cert.empirical_C
     qs = ball_pair_coords(plan)[0]
     gaps = 1.0 - np.linalg.norm(qs, axis=1)
@@ -519,8 +510,6 @@ def verify_poisson_characterization(config: RunConfig) -> VerificationReport:
     window."""
     omega, i, plan = config.omega, config.i, config.plan
     nodes, window = config.nodes, config.window
-    slice_pair_weights(plan, omega)
-    circle_pair_weights(plan, omega)
 
     def check(rec, m):
         b_mod = boundary_norm(m.series, omega, i, plan)[1]

@@ -21,12 +21,12 @@ from slicereg.lipschitz import (
     boundary_norm,
     bounded_growth_check,
     circle_pair_angles,
-    circle_pair_weights,
     component_estimates,
     derivative_ratio,
     disc_pair_coords,
     disc_points,
     global_norm,
+    pair_weights,
     radial_grid,
     ray_grid,
     schwarz_pick_criterion,
@@ -157,8 +157,9 @@ def test_disc_points_cover_origin_and_cap():
 _STREAMS = {
     "disc_pair_coords": lambda plan: disc_pair_coords(plan, 1.0),
     "ball_pair_coords": ball_pair_coords,
-    "circle_pair_angles": circle_pair_angles,
-    "circle_pair_weights": lambda plan: circle_pair_weights(plan, W_HALF, W_LIN),
+    "circle_points": lambda plan: pair_weights(plan, "circle"),
+    "circle_weights": lambda plan: pair_weights(plan, "circle", W_HALF, W_LIN),
+    "disc_weights": lambda plan: pair_weights(plan, "disc", W_HALF, W_LIN),
     "disc_points": lambda plan: (disc_points(plan, cap=0.5),),
 }
 
@@ -175,6 +176,18 @@ def test_stored_stream_is_read_only_and_equals_a_fresh_build(stream):
     for a, b in zip(arrays, fresh):
         assert a is not b
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_the_circle_stream_stores_its_points_and_no_angles():
+    # the angles are read once, to build the points, and never stored
+    plan = SamplePlan(n_pairs=512)
+    e1, e2 = pair_weights(plan, "circle")
+    t1, t2 = circle_pair_angles(plan)
+    assert e1.tobytes() == np.exp(1j * t1).tobytes()
+    assert e2.tobytes() == np.exp(1j * t2).tobytes()
+    store = plan.__dict__["_store"]
+    assert list(store) == ["circle_points"]
+    assert store["circle_points"][0] is e1 and store["circle_points"][1] is e2
 
 
 def test_store_leaves_plan_identity_to_its_fields():
@@ -441,7 +454,13 @@ def test_circle_functionals_equal_a_per_call_recomputation(monkeypatch):
     # reference boundary_norm evaluates the split values itself
     plan = SamplePlan(n_pairs=512, n_points=64)
     stored = [_circle_functionals(m, plan) for m in _CORPUS]
-    monkeypatch.setattr(slicereg.lipschitz, "circle_pair_weights", circle_weights_per_call)
+    real = slicereg.lipschitz.pair_weights
+
+    def pair_weights_per_call(plan, stream, *omegas):
+        if stream == "circle":
+            return circle_weights_per_call(plan, *omegas)
+        return real(plan, stream, *omegas)
+    monkeypatch.setattr(slicereg.lipschitz, "pair_weights", pair_weights_per_call)
     fresh = [_circle_functionals(m, SamplePlan(n_pairs=512, n_points=64)) for m in _CORPUS]
     by_values = [_circle_functionals(m, SamplePlan(n_pairs=512, n_points=64),
                                      boundary_norm_by_values) for m in _CORPUS]
@@ -561,10 +580,26 @@ def test_blocked_growth_sup_keeps_the_full_array_bits(n_points, n_rows, unit):
     ((math.nan, 0.2, 0.0, 0.0), "open disc"),  # on the plane of e1, nowhere in its disc
     ((0.1, 0.2, math.nan, 0.0), "slice plane"),  # off the plane
     ((0.1, math.nan, 0.0, 0.0), None),  # NaN along e1 fails either guard
-], ids=["real_part", "off_plane", "along_unit"])
+    ((math.inf, 0.2, 0.0, 0.0), "open disc"),  # on the plane, outside every disc
+    ((0.1, 0.2, 0.0, -math.inf), "slice plane"),  # inf * 0 in the projection
+    ((0.1, math.inf, 0.0, 0.0), "slice plane"),  # inf - inf in the distance
+    ((0.1, 0.2, 1e300, 0.0), "slice plane"),  # the distance overflows to inf
+], ids=["real_part", "off_plane", "along_unit", "inf_real_part", "inf_off_plane",
+        "inf_along_unit", "huge_off_plane"])
 def test_bounded_growth_refuses_a_nan_component(point, message):
     with pytest.raises(ValueError, match=message):
         bounded_growth_check(IDENT, np.array([point]), I, PLAN)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bounded_growth_refuses_a_non_finite_component_off_axis(value):
+    unit = ImaginaryUnit.from_vector(0.3, -1.0, 2.0)
+    base = slice_points_array(unit, np.array([0.1 + 0.2j]))[0]
+    for k in range(4):
+        point = base.copy()
+        point[k] = value
+        with pytest.raises(ValueError):
+            bounded_growth_check(IDENT, point[None], unit, PLAN)
 
 
 # --- Schwarz-Pick functional ------------------------------------------------------

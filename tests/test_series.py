@@ -12,7 +12,6 @@ from slicereg.quaternion import (
     E2,
     ONE,
     UNIT_E1,
-    UNIT_E2,
     ImaginaryUnit,
     Quaternion,
     hamilton_mul,
@@ -26,7 +25,6 @@ from slicereg.series import (
     AsymmetryDetected,
     NotInvertibleAtOrigin,
     SliceSeries,
-    StepOutOfDomain,
     ZeroBase,
     cullen_derivative,
     eval_complex,
@@ -36,7 +34,6 @@ from slicereg.series import (
     regular_conjugate,
     representation_extend,
     slice_basis,
-    slice_cr_residual,
     split,
     star_inverse,
     star_inverse_derivative,
@@ -415,26 +412,6 @@ def test_representation_formula_extends_off_slice():
         got = representation_extend(fplus, fminus, i, unit)
         worst = max(worst, norm(got - evaluate(f, q)))
     assert worst < 1e-12
-
-
-def test_slice_cr_residual_vanishes_for_series():
-    f = SliceSeries([0.1 * E1, ONE, 0.5 * E2])
-    i = UNIT_E2
-
-    def fn(q):
-        return evaluate(f, q)
-
-    z = slice_point(i, 0.2 + 0.3j)
-    assert slice_cr_residual(fn, z, i, 1e-5) < 1e-9
-    # the anti-holomorphic reflection fails the same test
-    def anti(q):
-        return evaluate(f, q.conjugate())
-
-    assert slice_cr_residual(anti, z, i, 1e-5) > 1e-2
-    with pytest.raises(StepOutOfDomain):
-        slice_cr_residual(fn, slice_point(i, 0.999), i, 1e-2)
-    with pytest.raises(ValueError):
-        slice_cr_residual(fn, z, i, 0.0)
 
 
 def test_truncated_and_degree():

@@ -33,6 +33,13 @@ def corpus():
     return default_corpus()
 
 
+def _store_keys(keys, kind, stream=None):
+    """The keys (stream, kind, ...) among keys, of one stream or of any:
+    kind "weight" for the pair weights, "moduli" for a member's blocks."""
+    return [k for k in keys if isinstance(k, tuple) and k[1:2] == (kind,)
+            and stream in (None, k[0])]
+
+
 def _one_suite(name, **fields):
     (report,) = run_suite(RunConfig(suites=(name,), **fields))
     return report
@@ -266,29 +273,42 @@ def test_each_run_builds_its_arrays_once(monkeypatch):
     assert plans[0] == plans[1] and plans[0] is not plans[1]
 
 
-def test_a_run_builds_the_circle_points_once_before_any_member(monkeypatch):
+def test_a_run_builds_the_circle_points_once(monkeypatch):
     # boundary_norm and seminorms_N read the circle points and weights from
-    # the plan; the Poisson and norm-equivalence set-ups build them before
-    # the first member's values, as the slice pair weights
+    # the plan: the angles are drawn once per run, for the stored points
     config = RunConfig(n_pairs=256, n_points=64, nodes=512)
-    calls, keys = [], []
-    real_angles, real_memo = slicereg.lipschitz.circle_pair_angles, SamplePlan.memo
+    calls = []
+    real_angles = slicereg.lipschitz.circle_pair_angles
 
     def angles(plan):
         calls.append(plan)
         return real_angles(plan)
-
-    def memo(plan, key, build):
-        keys.append(key)
-        return real_memo(plan, key, build)
     monkeypatch.setattr(slicereg.lipschitz, "circle_pair_angles", angles)
-    monkeypatch.setattr(SamplePlan, "memo", memo)
     assert all(r.passed for r in run_suite(config))
     assert len(calls) == 1 and calls[0] is config.plan
-    first_member = min(n for n, k in enumerate(keys) if k[0] == "slice_moduli")
-    weights = {k[1] for k in keys[:first_member] if k[0] == "circle_weight"}
-    assert "circle_points" in keys[:first_member]
+    weights = {k[2] for k in _store_keys(config.plan.__dict__["_store"], "weight", "circle")}
     assert weights == {config.omega, config.omega_small}
+
+
+def test_each_pair_weight_is_built_once_per_run(monkeypatch):
+    # every check reads its weights through pair_weights, which stores each
+    # (stream, "weight", omega) on first use; N3 reads the unit-disc pairs
+    # there too, but takes its weight per member, unstored
+    config = RunConfig(n_pairs=256, n_points=64, nodes=512)
+    built = []
+    real_memo = SamplePlan.memo
+
+    def memo(plan, key, build):
+        def counted():
+            built.append(key)
+            return build()
+        return real_memo(plan, key, counted)
+    monkeypatch.setattr(SamplePlan, "memo", memo)
+    assert all(r.passed for r in run_suite(config))
+    weights = Counter(_store_keys(built, "weight"))
+    assert set(weights.values()) == {1}
+    assert {k[0] for k in weights} == {"slice", "circle"}
+    assert ("circle", "weight", config.omega_small) in weights
 
 
 def test_each_member_builds_its_increments_once_per_unit(monkeypatch):
@@ -307,8 +327,7 @@ def test_each_member_builds_its_increments_once_per_unit(monkeypatch):
         builds[names[f.array.tobytes()], i, stream] += 1
         # at most one member's values are alive: any stored moduli are f's
         store = config.plan.__dict__["_store"]
-        assert all(key[1] is f for key in store
-                   if key[0] in ("slice_moduli", "circle_moduli"))
+        assert all(key[2] is f for key in _store_keys(store, "moduli"))
         return real(f, i, z1, z2)
     monkeypatch.setattr(slicereg.lipschitz, "_pair_moduli", counted)
     assert all(r.passed for r in run_suite(config))
@@ -327,7 +346,7 @@ def test_each_member_is_evaluated_once_on_the_slice_and_circle_pairs(monkeypatch
     config = RunConfig(n_pairs=256, n_points=64, nodes=512, suites=suites)
     plan = config.plan
     points = dict(zip(("z1", "z2", "e1", "e2"), (*slicereg.lipschitz.slice_pair_coords(plan),
-                                                 *slicereg.lipschitz.circle_pair_weights(plan))))
+                                                 *slicereg.lipschitz.pair_weights(plan, "circle"))))
     names = {split(m.series, config.i).C.tobytes(): m.name for m in config.corpus}
     calls = Counter()
     real = SplitSeries.at
@@ -488,8 +507,7 @@ def test_equal_weights_share_one_stored_array():
     assert config.omega == config.omega2 and config.omega is not config.omega2
     (report,) = run_suite(config)
     assert report.passed
-    weights = [key[1] for key in config.plan.__dict__["_store"]
-               if isinstance(key, tuple) and key[0] == "slice_weight"]
+    weights = [key[2] for key in _store_keys(config.plan.__dict__["_store"], "weight")]
     assert weights == [config.omega, config.omega + config.omega2]
 
 

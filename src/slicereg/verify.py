@@ -1,12 +1,15 @@
 """Property suites: each norm-space proposition becomes an executable check.
 
-A suite runs over a corpus of truncated series, computes the empirical
-constants the statement involves, and passes or fails against the explicit
-constants where the statement provides them (the 6*C3 bound, the 2x slice
-sandwich) or against a two-sided ratio window (default K=20) where it only
-asserts equivalence with unspecified constants. Estimated sups are lower
-bounds, so every pass criterion is arranged to be conservative under
-refinement of the sampling plan.
+A suite runs over a corpus of truncated series and computes the empirical
+constants the statement involves. Each check states its relation once, as
+lo <= value <= hi, with the explicit constants where the statement provides
+them (the 6*C3 bound, the 2x slice sandwich) or a two-sided ratio window
+(default K=20) where it only asserts equivalence with unspecified
+constants. A check fails unless its value meets its relation and is
+finite, so one with no bound is finite-only; measure records a value that
+cannot fail. The bounds stay on the record and are not written to the
+report. Estimated sups are lower bounds, so every pass criterion is
+arranged to be conservative under refinement of the sampling plan.
 
 All sampling is driven by the shared SamplePlan, so reports are
 deterministic for a fixed seed.
@@ -122,11 +125,15 @@ def default_corpus(seed: int = 2024) -> tuple[CorpusMember, ...]:
 
 @dataclass
 class FunctionRecord:
+    """One member's values in one suite, and each check's (lo, hi) in
+    bounds, which stay on the record: the report does not write them."""
+
     name: str
     checks: dict[str, float] = field(default_factory=dict)
     witnesses: dict[str, list] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -136,11 +143,12 @@ class FunctionRecord:
         """Record a value that cannot fail."""
         self.checks[label] = float(value)
 
-    def check(self, label: str, value: float, ok: bool):
-        """Record a value that fails unless ok; a value that is not finite
-        fails too, since no bound holds it."""
-        self.measure(label, value)
-        if not (ok and math.isfinite(value)):
+    def check(self, label: str, value: float, *, lo: float = -math.inf, hi: float = math.inf):
+        """Record a value that fails unless lo <= value <= hi and it is
+        finite, so a check with no bound is finite-only."""
+        self.checks[label] = v = float(value)
+        self.bounds[label] = (lo, hi)
+        if not (lo <= v <= hi and math.isfinite(v)):
             self.failures.append(label)
 
     def witness(self, label: str, est: NormEstimate):
@@ -151,7 +159,7 @@ class FunctionRecord:
 class VerificationReport:
     """One suite's report. Its suite function adds the members it checks
     and check(rec, m); member steps append the records. to_dict reads
-    neither."""
+    neither, nor the records' bounds."""
 
     suite: str
     records: list[FunctionRecord]
@@ -172,7 +180,8 @@ class VerificationReport:
             "passed": self.passed,
             "tolerances": dict(self.tolerances),
             "notes": list(self.notes),
-            "records": [{"name": r.name, "passed": r.passed, **asdict(r)}
+            "records": [{"name": r.name, "passed": r.passed,
+                         **{k: v for k, v in asdict(r).items() if k != "bounds"}}
                         for r in self.records],
         }
 
@@ -231,10 +240,8 @@ def verify_inclusion_chain(config: RunConfig) -> VerificationReport:
         rec.measure("component_c1", c1.value)
         rec.measure("component_c2", c2.value)
         rec.measure("global", g.value)
-        ratio = _ratio_or_zero(g.value, 6.0 * c3)
-        rec.check("global_over_6c3", ratio, ratio <= 1.0 + tol)
-        rec.check("slice_sum_norm", s_sum.value,
-                  s_sum.value <= g_aug * (1.0 + tol) + tol)
+        rec.check("global_over_6c3", _ratio_or_zero(g.value, 6.0 * c3), hi=1.0 + tol)
+        rec.check("slice_sum_norm", s_sum.value, hi=g_aug * (1.0 + tol) + tol)
         rec.witness("global", g)
 
     return VerificationReport("inclusion_chain", [], {"ratio_max": 1.0 + tol},
@@ -273,7 +280,7 @@ def verify_algebraic_closure(config: RunConfig) -> VerificationReport:
         with np.errstate(over="ignore"):
             bound = (norm(a) * cf + cg) * w1 * (1.0 + tol)
         viol = float(np.max(lhs - bound)) if np.isfinite(bound).all() else math.inf
-        rec.check("linear_closure_violation", viol, viol <= floor)
+        rec.check("linear_closure_violation", viol, hi=floor)
 
         c1, c2, _ = component_estimates(m.series, omega1, omega2, i, plan)
         c3 = max(c1.value, c2.value)
@@ -281,7 +288,7 @@ def verify_algebraic_closure(config: RunConfig) -> VerificationReport:
             with np.errstate(over="ignore"):
                 bound = c3 * mud * (1.0 + tol)
             v = float(np.max(np.abs(d) - bound)) if np.isfinite(bound).all() else math.inf
-            rec.check(f"combine_component{k}_violation", v, v <= floor)
+            rec.check(f"combine_component{k}_violation", v, hi=floor)
 
     return VerificationReport("algebraic_closure", [], {"relative": tol},
                               [f"a = [{a.x0}, {a.x1}, {a.x2}, {a.x3}]"], corpus, check)
@@ -303,12 +310,10 @@ def verify_intrinsic_invariance(config: RunConfig) -> VerificationReport:
         n_k = slice_norm(m.series, omega, k, plan)
         scale = max(1.0, n_i.value)
         rec.measure("norm_i", n_i.value)
-        rec.check("slice_gap", abs(n_i.value - n_k.value),
-                  abs(n_i.value - n_k.value) <= tol * scale)
+        rec.check("slice_gap", abs(n_i.value - n_k.value), hi=tol * scale)
         c1, c2, joint = component_estimates(m.series, omega, other, i, plan)
-        rec.check("second_component", c2.value, c2.value <= tol)
-        rec.check("component_vs_slice", abs(joint.value - n_i.value),
-                  abs(joint.value - n_i.value) <= 1e-12 * scale)
+        rec.check("second_component", c2.value, hi=tol)
+        rec.check("component_vs_slice", abs(joint.value - n_i.value), hi=1e-12 * scale)
 
     return VerificationReport("intrinsic_invariance", [], {"paired_sampling": tol},
                               notes, corpus, check)
@@ -324,14 +329,10 @@ def verify_slice_independence(config: RunConfig) -> VerificationReport:
     def check(rec, m):
         n_i = slice_norm(m.series, omega, i, plan).value
         n_k = slice_norm(m.series, omega, k, plan).value
-        if n_i == 0.0 and n_k == 0.0:
-            ratio = 1.0
-        else:
-            ratio = _ratio_or_zero(n_i, n_k)
-        rec.check("ratio", ratio, 1.0 / bound <= ratio <= bound)
+        ratio = 1.0 if n_i == 0.0 and n_k == 0.0 else _ratio_or_zero(n_i, n_k)
+        rec.check("ratio", ratio, lo=1.0 / bound, hi=bound)
         if m.intrinsic:
-            rec.check("intrinsic_gap", abs(ratio - 1.0),
-                      abs(ratio - 1.0) <= 1e-10)
+            rec.check("intrinsic_gap", abs(ratio - 1.0), hi=1e-10)
 
     return VerificationReport("slice_independence", [], {"ratio_window": bound},
                               members=config.corpus, check=check)
@@ -353,17 +354,15 @@ def verify_modulus_membership(config: RunConfig) -> VerificationReport:
         floor = tol * (1.0 + float(np.max(full)))
 
         mod = np.abs(split_modulus(at_z1) - split_modulus(at_z2))
-        v_mod = float(np.max(mod - full))
-        rec.check("reverse_triangle_violation", v_mod, v_mod <= floor)
+        rec.check("reverse_triangle_violation", np.max(mod - full), hi=floor)
 
         s_minus, s_plus = 2.0 * np.abs(at_z1 - at_z2)
         v_sw = float(np.max(np.maximum(s_minus, s_plus) - 2.0 * full))
-        rec.check("sandwich_vs_double_violation", v_sw, v_sw <= 2.0 * floor)
+        rec.check("sandwich_vs_double_violation", v_sw, hi=2.0 * floor)
 
         mod_norm = float(np.max(mod / w))
         f_norm = float(np.max(full / w))
-        rec.check("modulus_norm", mod_norm,
-                  mod_norm <= f_norm * (1.0 + tol) + floor)
+        rec.check("modulus_norm", mod_norm, hi=f_norm * (1.0 + tol) + floor)
         rec.measure("function_norm", f_norm)
 
     return VerificationReport("modulus_membership", [], {"pointwise": tol},
@@ -390,7 +389,8 @@ def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
 def verify_norm_equivalences(config: RunConfig) -> VerificationReport:
     """The squared slice norm, the three component-summed boundary
     functionals, and the squared-modulus Poisson-defect functional are
-    pairwise comparable within the window; all-zero members pass vacuously.
+    pairwise comparable within the window; all-zero members pass
+    vacuously if the five are finite.
 
     Needs omega and omega^2 both regular; the default config uses the 1/4
     power so its square is the 1/2 power. A weight that check_regular
@@ -404,7 +404,8 @@ def verify_norm_equivalences(config: RunConfig) -> VerificationReport:
 
     def check(rec, m):
         if rejected:
-            rec.check("omega_not_regular", rejected[0].empirical_C, False)
+            # a bound no value meets: an uncertified weight fails every member
+            rec.check("omega_not_regular", rejected[0].empirical_C, hi=-math.inf)
             return
         lam2 = slice_norm(m.series, omega, i, plan).value ** 2
         # Python floats: numpy's float64 ** 2 is x*x, not libm pow
@@ -414,16 +415,17 @@ def verify_norm_equivalences(config: RunConfig) -> VerificationReport:
         funcs = {"slice_sq": lam2, "n1_sum": sums[0], "n2_sum": sums[1],
                  "n3_sum": sums[2], "poisson_sq_defect": pdef}
         scale = max(funcs.values())
-        if max(lam2, sums[1], sums[2]) <= 1e-12:
-            for label, v in funcs.items():
-                rec.measure(label, v)
+        vacuous = max(lam2, sums[1], sums[2]) <= 1e-12
+        # strictly above the threshold, unless vacuous: then only finite
+        lo = -math.inf if vacuous else math.nextafter(1e-12 * max(1.0, scale), math.inf)
+        for label, v in funcs.items():
+            rec.check(label, v, lo=lo)
+        if vacuous:
             rec.notes.append("constant member: vacuous pass")
-        else:
-            lo = min(funcs.values())
-            for label, v in funcs.items():
-                rec.check(label, v, v > 1e-12 * max(1.0, scale))
-            ratio = scale / lo if lo > 0 else math.inf
-            rec.check("max_over_min", ratio, ratio <= window)
+            return
+        least = min(funcs.values())
+        ratio = scale / least if least > 0 else math.inf
+        rec.check("max_over_min", ratio, hi=window)
 
     return VerificationReport("norm_equivalences", [], {"window": window},
                               members=config.corpus, check=check)
@@ -472,31 +474,29 @@ def verify_derivative_characterizations(config: RunConfig) -> VerificationReport
         ests = derivative_ratio(m.series, omega, i, plan)
         inners = derivative_ratio(m.series, omega, i, plan, cap=0.9)
         for mode, est, inner in zip(("full", "plus", "minus"), ests, inners):
-            rec.check(f"ratio_{mode}", est.value, math.isfinite(est.value))
+            rec.check(f"ratio_{mode}", est.value)
             growth = _ratio_or_zero(est.value, inner.value) if inner.value else 1.0
             rec.measure(f"radial_stability_{mode}", growth)
 
         g_ratio, p_ratio = _ball_derivative_ratios(cullen_derivative(m.series), qs,
                                                    gaps, wq, i)
         s_aug = max(ests[0].value, p_ratio)
-        rec.check("global_derivative_ratio", g_ratio,
-                  g_ratio <= 2.0 * s_aug * (1.0 + 1e-12) + tol)
+        rec.check("global_derivative_ratio", g_ratio, hi=2.0 * s_aug * (1.0 + 1e-12) + tol)
 
         chk = bounded_growth_check(m.series, growth_points, i, plan)
         scale = 1.0 + chk.local_sup
-        worst2 = float(np.min(chk.sandwich_slack / scale))
+        rec.check("growth_sandwich_slack", np.min(chk.sandwich_slack / scale), lo=-tol)
         # libm pow, as Python's float ** 2; scale * scale may differ in the last bit
-        worst5 = float(np.min(chk.quadratic_slack / np.float_power(scale, 2.0)))
-        rec.check("growth_sandwich_slack", worst2, worst2 >= -tol)
-        rec.check("growth_quadratic_slack", worst5, worst5 >= -tol)
+        worst5 = np.min(chk.quadratic_slack / np.float_power(scale, 2.0))
+        rec.check("growth_quadratic_slack", worst5, lo=-tol)
 
         if cert.is_regular:
             _, _, joint = component_estimates(m.series, omega, omega, i, plan)
             mixed = _ratio_or_zero(ests[0].value, math.sqrt(2.0) * joint.value)
-            rec.check("mixed_bound_constant", mixed,
-                      mixed <= mixed_window * (1.0 + 1e-9))
+            rec.check("mixed_bound_constant", mixed, hi=mixed_window * (1.0 + 1e-9))
         else:
-            rec.check("omega_not_regular", cert.empirical_C, False)
+            # a bound no value meets: an uncertified weight fails every member
+            rec.check("omega_not_regular", cert.empirical_C, hi=-math.inf)
 
     return VerificationReport("derivative_characterizations", [],
                               {"slack": tol, "mixed_window": mixed_window}, notes,
@@ -513,12 +513,11 @@ def verify_poisson_characterization(config: RunConfig) -> VerificationReport:
 
     def check(rec, m):
         b_mod = boundary_norm(m.series, omega, i, plan)[1]
-        rec.check("boundary_modulus_norm", b_mod.value,
-                  math.isfinite(b_mod.value))
+        rec.check("boundary_modulus_norm", b_mod.value)
         c_def = _component_defect_sup(m.series, omega, i, plan, nodes)
         c_lip = slice_norm(m.series, omega, i, plan).value
-        rec.check("defect_sup", c_def, math.isfinite(c_def))
-        rec.check("slice_norm", c_lip, math.isfinite(c_lip))
+        rec.check("defect_sup", c_def)
+        rec.check("slice_norm", c_lip)
         # c_lip is quadrature-free and vanishes exactly iff f is
         # constant, in which case the true defect is zero too and the
         # measured one is Poisson-quadrature noise: skip the ratio.
@@ -526,8 +525,7 @@ def verify_poisson_characterization(config: RunConfig) -> VerificationReport:
             rec.notes.append("constant member: vacuous pass")
         else:
             ratio = _ratio_or_zero(c_def, c_lip)
-            rec.check("defect_over_lip", ratio,
-                      1.0 / window <= ratio <= window)
+            rec.check("defect_over_lip", ratio, lo=1.0 / window, hi=window)
 
     return VerificationReport("poisson_characterization", [], {"window": window},
                               members=config.corpus, check=check)
@@ -589,9 +587,8 @@ def verify_cone_corollary(config: RunConfig) -> VerificationReport:
                 maxima.append(np.max((p_mean - 2.0 * s.modulus(z)) - bound))
         for label, count in counts.items():
             rec.measure(label, count)
-        rec.check("defect_constant", c_def, True)
-        worst_aligned = float(np.max(aligned))
-        rec.check("aligned_excess", worst_aligned, worst_aligned <= 0.0)
+        rec.check("defect_constant", c_def)
+        rec.check("aligned_excess", np.max(aligned), hi=0.0)
         rec.measure("crossed_excess", np.max(crossed))
 
     return VerificationReport("cone_corollary", [], {"absolute": tol},

@@ -1,8 +1,9 @@
 """Which defects the property suites catch.
 
 Each defect scales one estimator's result (by 2, 1/2, 25 or inf) at the
-name slicereg.verify reads, or breaks the split layer, and then runs every
-suite at a small plan. A caught defect must fail exactly its named suites.
+name slicereg.verify reads, shrinks one sample stream of slicereg.lipschitz
+into half its radius, or breaks the split layer, and then runs every suite
+at a small plan. A caught defect must fail exactly its named suites.
 A survivor passes every suite; it is listed with the reason no check sees
 it, and moves to CAUGHT when a check that kills it lands. A window is
 never widened, nor the corpus or a seed changed, to kill one.
@@ -13,6 +14,7 @@ import math
 
 import pytest
 
+import slicereg.lipschitz
 import slicereg.verify
 from slicereg.cli import RunConfig
 from slicereg.lipschitz import NormEstimate
@@ -29,10 +31,10 @@ def _scaled(result, factor):
     return result * factor
 
 
-def _scale(name, factor):
+def _scale(name, factor, module=slicereg.verify):
     def apply(monkeypatch):
-        real = getattr(slicereg.verify, name)
-        monkeypatch.setattr(slicereg.verify, name,
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *args, **kwargs: _scaled(real(*args, **kwargs), factor))
     return apply
 
@@ -47,6 +49,13 @@ def _break_split(defect):
 def _zero_g(values):
     values[1] = 0.0
     return values
+
+
+def _scale_f(factor):
+    def defect(values):
+        values[0] *= factor
+        return values
+    return defect
 
 
 CAUGHT = {
@@ -75,6 +84,10 @@ CAUGHT = {
     # excess reads -inf, so only the constant's own check can fail
     "_component_defect_sup_inf": (_scale("_component_defect_sup", math.inf),
                                   {"cone_corollary", "poisson_characterization"}),
+    # slice pairs inside radius rho/2: three members leave the K = 20 window
+    "slice_pairs_half": (_scale("slice_pair_coords", 0.5, slicereg.lipschitz),
+                         {"norm_equivalences"}),
+    "split_F_rel_1e-6": (_break_split(_scale_f(1.0 + 1e-6)), {"derivative_characterizations"}),
 }
 
 ONE_SIDED_DERIVATIVE = ("derivative_characterizations checks upper sides only: the ratios "
@@ -102,6 +115,15 @@ SURVIVORS = {
     "poisson_integral_slice_half": (_scale("poisson_integral_slice", 0.5),
                                     "one-sided: the cone bounds the Poisson mean from "
                                     "above only"),
+    "ball_pairs_half": (_scale("_ball_pairs", 0.5, slicereg.lipschitz),
+                        "coverage: no check bounds the global norm from below, by a "
+                        "closed form or a certified sup, so pairs inside radius rho/2 pass"),
+    "disc_points_half": (_scale("_disc_points", 0.5, slicereg.lipschitz),
+                         "coverage: no check bounds the derivative ratio from below, by a "
+                         "closed form or a certified sup, so points inside half the cap pass"),
+    "split_F_rel_1e-10": (_break_split(_scale_f(1.0 + 1e-10)),
+                          "the cross-path checks allow fixed decimals of 1e-8 to 1e-12, "
+                          "not a rounding bound, which leaves room for a 1e-10 error in F"),
 }
 
 
@@ -126,3 +148,19 @@ def test_surviving_defect_passes_every_suite(name, monkeypatch):
     apply, reason = SURVIVORS[name]
     apply(monkeypatch)
     assert _failing_suites() == set(), f"{name} is caught now; was: {reason}"
+
+
+@pytest.mark.parametrize("mutant", [None, "component_estimates_inf"])
+def test_each_failure_is_a_check_that_breaks_its_bound(mutant, monkeypatch):
+    # every verdict is derived from the recorded relation lo <= value <= hi
+    if mutant is not None:
+        CAUGHT[mutant][0](monkeypatch)
+    broken_total = 0
+    for report in slicereg.verify.run_suite(RunConfig(**SMALL)):
+        for rec in report.records:
+            broken = [label for label, (lo, hi) in rec.bounds.items()
+                      if not (lo <= rec.checks[label] <= hi
+                              and math.isfinite(rec.checks[label]))]
+            assert [f for f in rec.failures if not f.startswith("exception:")] == broken
+            broken_total += len(broken)
+    assert (broken_total > 0) == (mutant is not None)

@@ -111,8 +111,7 @@ def test_slice_independence():
     rep = _one_suite("slice_independence")
     assert rep.passed
     for rec in rep.records:
-        if "norm_ratio" in rec.checks and rec.checks["norm_ratio"] > 0:
-            assert 1.0 / 2.2 <= rec.checks["norm_ratio"] <= 2.2
+        assert 1.0 / 2.2 <= rec.checks["ratio"] <= 2.2
 
 
 def test_modulus_membership():
@@ -143,8 +142,8 @@ def test_derivative_characterizations():
     rep = _one_suite("derivative_characterizations")
     assert rep.passed
     for rec in rep.records:
-        if "growth_sandwich_min_slack" in rec.checks:
-            assert rec.checks["growth_sandwich_min_slack"] >= -1e-8
+        assert rec.checks["growth_sandwich_slack"] >= -1e-8
+        assert rec.checks["growth_quadratic_slack"] >= -1e-8
 
 
 def test_poisson_characterization():
@@ -530,21 +529,107 @@ def test_every_suite_is_one_function_of_the_config():
 
 def test_check_fails_a_non_finite_value():
     rec = FunctionRecord("demo")
-    rec.check("inf", math.inf, True)
-    rec.check("nan", math.nan, True)
-    rec.check("finite", 1.0, True)
+    rec.check("inf", math.inf)
+    rec.check("nan", math.nan)
+    rec.check("finite", 1.0)
     assert rec.failures == ["inf", "nan"]
+
+
+BELOW_ONE, ABOVE_TWO = math.nextafter(1.0, -math.inf), math.nextafter(2.0, math.inf)
+
+
+@pytest.mark.parametrize("value, bound, passes", [
+    # both ends are inclusive, and nothing past them passes
+    (1.0, dict(lo=1.0, hi=2.0), True),
+    (2.0, dict(lo=1.0, hi=2.0), True),
+    (BELOW_ONE, dict(lo=1.0, hi=2.0), False),
+    (ABOVE_TWO, dict(lo=1.0, hi=2.0), False),
+    # a value that is not finite fails under any bound
+    (math.nan, dict(lo=1.0, hi=2.0), False),
+    (math.inf, dict(lo=1.0, hi=math.inf), False),
+    (-math.inf, dict(lo=-math.inf, hi=0.0), False),
+    (math.nan, dict(lo=-math.inf, hi=math.inf), False),
+    # a NaN bound holds nothing
+    (1.0, dict(lo=math.nan), False),
+    (1.0, dict(hi=math.nan), False),
+    # an infinite bound passes a finite value; -inf above passes none
+    (1e308, dict(lo=0.0, hi=math.inf), True),
+    (-1e308, dict(lo=-math.inf, hi=0.0), True),
+    (-1e308, dict(hi=-math.inf), False),
+    # no bound: finite only
+    (-1e308, {}, True),
+    (math.inf, {}, False),
+    (-math.inf, {}, False),
+    (math.nan, {}, False),
+])
+def test_check_holds_its_value_to_lo_le_value_le_hi(value, bound, passes):
+    rec = FunctionRecord("demo")
+    rec.check("x", value, **bound)
+    assert rec.passed is passes
+    assert rec.failures == ([] if passes else ["x"])
+    assert rec.bounds == {"x": (bound.get("lo", -math.inf), bound.get("hi", math.inf))}
+
+
+def test_measure_never_fails_and_a_positional_bound_is_refused():
+    rec = FunctionRecord("demo")
+    for value in (math.nan, math.inf, -math.inf, 1.0):
+        rec.measure("m", value)
+    assert rec.passed and rec.bounds == {}
+    with pytest.raises(TypeError):
+        rec.check("x", 1.0, True)
+    assert rec.checks == {"m": 1.0} and rec.passed
 
 
 def test_report_and_record_plumbing():
     rec = FunctionRecord("demo")
-    rec.check("fine", 1.0, True)
+    rec.check("fine", 1.0, lo=0.0, hi=1.0)
     rec.measure("count", 3)
     assert rec.passed and rec.checks["count"] == 3.0
-    rec.check("bad", 2.0, False)
+    rec.check("bad", 2.0, hi=1.0)
     assert not rec.passed and rec.failures == ["bad"]
+    assert rec.bounds == {"fine": (0.0, 1.0), "bad": (-math.inf, 1.0)}
     rep = VerificationReport(suite="s", records=[rec], tolerances={"t": 1.0})
     assert not rep.passed
     d = rep.to_dict()
     assert d["suite"] == "s"
     assert d["records"][0]["checks"]["bad"] == 2.0
+    # the bounds stay on the record; the report's keys are unchanged
+    assert list(d["records"][0]) == ["name", "passed", "checks", "witnesses", "failures",
+                                     "notes"]
+
+
+def test_each_reported_tolerance_is_the_bound_applied():
+    suites = ("inclusion_chain", "slice_independence", "norm_equivalences",
+              "poisson_characterization")
+    reports = {r.suite: r for r in run_suite(RunConfig(suites=suites, n_pairs=64,
+                                                       n_points=16, nodes=64))}
+
+    def bound(suite, label):
+        found = {rec.bounds[label] for rec in reports[suite].records if label in rec.bounds}
+        assert len(found) == 1, (suite, label, found)
+        return found.pop()
+
+    ratio_max = reports["inclusion_chain"].tolerances["ratio_max"]
+    assert bound("inclusion_chain", "global_over_6c3") == (-math.inf, ratio_max)
+    lo, hi = bound("slice_independence", "ratio")
+    assert (1.0 / lo, hi) == (reports["slice_independence"].tolerances["ratio_window"],) * 2
+    window = reports["norm_equivalences"].tolerances["window"]
+    assert bound("norm_equivalences", "max_over_min") == (-math.inf, window)
+    assert reports["poisson_characterization"].tolerances["window"] == window
+    assert bound("poisson_characterization", "defect_over_lip") == (1.0 / window, window)
+
+
+def test_a_constant_member_fails_norm_equivalences_on_non_finite_functionals(
+        tmp_path, monkeypatch):
+    # the vacuous branch skips the positivity and window checks, not finiteness:
+    # a NaN that is not the vacuity test's first argument must still fail
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"c": [[0.75, 0, 0, 0]]}))
+    monkeypatch.setattr(slicereg.verify, "seminorms_N",
+                        lambda *args, **kwargs: (np.full(2, np.nan),) * 3)
+    (rep,) = run_suite(RunConfig(corpus_path=str(path), suites=("norm_equivalences",),
+                                 n_pairs=64, n_points=16, nodes=64))
+    (rec,) = rep.records
+    assert "constant member: vacuous pass" in rec.notes
+    assert rec.failures == ["n1_sum", "n2_sum", "n3_sum"]
+    assert not rep.passed

@@ -17,11 +17,20 @@ pair_weights(plan, stream, *omegas) reads a stream's pairs and, stored once
 per weight, omega of their distances. pair_samples(f, i, plan, stream,
 *omegas) adds a series' own values, stored once per stream, series and
 unit from one evaluation at either end of the pairs: one _pair_moduli block
-of the moduli |dF|, |dG| of its split increments, their hypot, and |F|,
-|G| at both ends. A series' values stay until plan.drop(f); a run drops
-each member's after the member's last suite, so at most one member's
-values are alive. Poisson means need no stored array: the spectral
-trapezoid builds nothing of size points x nodes.
+of the rows its readers read, in the order: the increment modulus
+hypot(|dF|, |dG|), |F| and |G| at both ends, then |dF| and |dG|. A verify
+run stores all seven rows for the slice pairs at unit i, the increment
+modulus alone at a second unit (slice_norm reads nothing else), and five
+rows for the circle pairs, where nothing reads |dF|, |dG|. A series'
+values stay until plan.drop(f); a run drops each member's after the
+member's last suite, so at most one member's values are alive. Poisson
+means need no stored array: the spectral trapezoid builds nothing of size
+points x nodes.
+
+Over the pair streams, the blocks are written, and the sups and maxima
+taken, _BLOCK pairs at a time (blocked_max, blocked_argmax), so no
+transient of an estimator grows with the number of pairs, and every bit,
+argmax included, is that of the full-array expression.
 
 Points of a slice plane are handled in their complex coordinate; values of
 a series along the plane come from the two coefficient rows of split(f, i),
@@ -109,6 +118,10 @@ class SamplePlan:
             store[key] = value
         return store[key]
 
+    def forget(self, key):
+        """Remove the value stored under key, if any."""
+        self.__dict__.get("_store", {}).pop(key, None)
+
     def drop(self, obj):
         """Remove every stored value whose key holds obj (by identity)."""
         store = self.__dict__.get("_store", {})
@@ -166,31 +179,30 @@ def disc_pair_coords(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarr
 def _disc_pairs(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarray]:
     eps = plan.min_separation
     n_diam, n_unif, n_diag, n_rad = _quarters(plan.n_pairs)
+    # each stratum is written into its block of columns of the two pair
+    # rows, so no stratum outlives its own step
+    z1, z2 = np.empty((2, plan.n_pairs), dtype=complex)
+    b, c = n_diam + n_unif, n_diam + n_unif + n_diag
 
-    th = _golden_angles(n_diam)
-    r2 = cap * (1.0 - _vdc(n_diam))
-    z1_a = cap * np.exp(1j * th)
-    z2_a = -r2 * np.exp(1j * th)
+    e = np.exp(1j * _golden_angles(n_diam))
+    np.multiply(cap, e, out=z1[:n_diam])
+    np.multiply(-(cap * (1.0 - _vdc(n_diam))), e, out=z2[:n_diam])
 
     u = plan.child_rng(11).uniform(size=(n_unif, 4))
-    z1_b = cap * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-    z2_b = cap * np.sqrt(u[:, 2]) * np.exp(2j * np.pi * u[:, 3])
+    np.multiply(cap * np.sqrt(u[:, 0]), np.exp(2j * np.pi * u[:, 1]), out=z1[n_diam:b])
+    np.multiply(cap * np.sqrt(u[:, 2]), np.exp(2j * np.pi * u[:, 3]), out=z2[n_diam:b])
 
     u = plan.child_rng(12).uniform(size=(n_diag, 3))
-    z1_c = cap * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    base = np.multiply(cap * np.sqrt(u[:, 0]), np.exp(2j * np.pi * u[:, 1]), out=z1[b:c])
     delta = np.exp(np.log(eps) * (1.0 - _vdc(n_diag)))  # log-spaced [eps, 1)
     step = delta * np.exp(2j * np.pi * u[:, 2])
-    z2_c = z1_c + step
-    flip = np.abs(z2_c) > cap
-    z2_c[flip] = z1_c[flip] - step[flip]
+    z2_c = np.add(base, step, out=z2[b:c])
+    np.subtract(base, step, out=z2_c, where=np.abs(z2_c) > cap)
 
-    th = _golden_angles(n_rad, offset=7)
-    r_in = (cap - eps) * _vdc(n_rad)
-    z1_d = cap * np.exp(1j * th)
-    z2_d = r_in * np.exp(1j * th)
+    e = np.exp(1j * _golden_angles(n_rad, offset=7))
+    np.multiply(cap, e, out=z1[c:])
+    np.multiply((cap - eps) * _vdc(n_rad), e, out=z2[c:])
 
-    z1 = np.concatenate([z1_a, z1_b, z1_c, z1_d])
-    z2 = np.concatenate([z2_a, z2_b, z2_c, z2_d])
     keep = (np.abs(z1) <= cap) & (np.abs(z2) <= cap) & (np.abs(z1 - z2) >= eps)
     z1, z2 = z1[keep], z2[keep]
     if z1.size == 0:
@@ -336,52 +348,97 @@ def _require_positive(omega: Majorant, at: float):
         raise ValueError("majorant must be positive away from zero")
 
 
-def _pair_estimate(ratios: np.ndarray, z1: np.ndarray, z2: np.ndarray,
+def _blocks(n: int):
+    """slice(start, start + _BLOCK) over range(n); one, empty, when n is 0."""
+    return (slice(start, start + _BLOCK) for start in range(0, max(n, 1), _BLOCK))
+
+
+def blocked_max(values, n: int) -> np.ndarray:
+    """np.max(v, axis=-1) of the array v whose last axis is the
+    concatenation of values(b) over the blocks b of _blocks(n), without
+    building v: a maximum is exact, so the bits are those of the full
+    array, and a NaN propagates, as it does in np.max."""
+    return np.max([np.max(values(b), axis=-1) for b in _blocks(n)], axis=0)
+
+
+def blocked_argmax(values, n: int) -> tuple[int, float]:
+    """(k, v[k]) for k = np.argmax(v) of the concatenation v of values(b)
+    over the blocks b of _blocks(n), without building v: as in np.argmax,
+    the first maximum wins and the first NaN wins over any number."""
+    k = v = None
+    for b in _blocks(n):
+        r = values(b)
+        j = int(np.argmax(r))
+        # strictly greater, so an earlier equal maximum stays
+        if v is None or r[j] > v or (math.isnan(r[j]) and not math.isnan(v)):
+            k, v = b.start + j, r[j]
+    return k, float(v)
+
+
+def _pair_estimate(ratios, n: int, z1: np.ndarray, z2: np.ndarray,
                    i: ImaginaryUnit) -> NormEstimate:
-    k = int(np.argmax(ratios))
+    """The sampled sup of the n pair ratios, ratios(b) giving the pairs
+    b's, taken block by block (blocked_argmax)."""
+    k, value = blocked_argmax(ratios, n)
     return NormEstimate(
-        value=float(ratios[k]),
+        value=value,
         argmax_pair=(slice_point(i, complex(z1[k])), slice_point(i, complex(z2[k]))),
-        samples_used=int(ratios.size),
+        samples_used=n,
     )
 
 
 def _pair_moduli(f: SliceSeries, i: ImaginaryUnit, z1: np.ndarray,
-                 z2: np.ndarray) -> np.ndarray:
-    """One (7, N) block of the split components F, G of f over the pairs
-    z1, z2, from one evaluation at each end: rows |dF|, |dG| of the
-    increments, their hypot (the split_modulus of the increment), then
-    |F|, |G| at z1 and |F|, |G| at z2, each a (2, N) row pair as
-    split_modulus reads it."""
+                 z2: np.ndarray, rows: int) -> np.ndarray:
+    """The first rows (1, 5 or 7) of f's moduli block over the pairs z1,
+    z2, from one evaluation of the split components F, G at each end, in
+    the order: the increment modulus hypot(|dF|, |dG|) (split_modulus of
+    the increment), |F| and |G| at z1, |F| and |G| at z2, then |dF| and
+    |dG|, so each end's pair of rows reads as split_modulus reads it.
+    Evaluated and written _BLOCK pairs at a time: no transient is longer
+    than a block."""
     s = split(f, i)
-    out = np.empty((7, z1.size))
-    v1, v2 = s.at(z1), s.at(z2)
-    np.abs(v1, out=out[3:5])
-    np.abs(v2, out=out[5:])
-    v1 -= v2
-    np.abs(v1, out=out[:2])
-    np.hypot(out[0], out[1], out=out[2])
+    out = np.empty((rows, z1.size))
+    inc = np.empty((2, min(z1.size, _BLOCK)))
+    for b in _blocks(z1.size):
+        v1, v2 = s.at(z1[b]), s.at(z2[b])
+        if rows > 1:
+            np.abs(v1, out=out[1:3, b])
+            np.abs(v2, out=out[3:5, b])
+        v1 -= v2
+        d = out[5:, b] if rows > 5 else inc[:, :v1.shape[1]]
+        np.abs(v1, out=d)
+        np.hypot(d[0], d[1], out=out[0, b])
     return out
 
 
 def pair_samples(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan, stream: str,
-                 *omegas: Majorant) -> tuple[np.ndarray, ...]:
-    """z1, z2, then f's _pair_moduli block over the named stream's pairs,
-    then the weights of pair_weights. The block is built once per stream,
-    series and unit and kept until plan.drop(f)."""
+                 *omegas: Majorant, rows: int = 7) -> tuple[np.ndarray, ...]:
+    """z1, z2, then the first rows of f's _pair_moduli block over the named
+    stream's pairs, then the weights of pair_weights. The block is built
+    once per stream, series and unit, with the rows its first reader asks
+    for, and kept until plan.drop(f); a reader that asks for more rows
+    than are stored builds it again with them. A full verify run reads
+    the slice block for unit i first through component_estimates, so it
+    evaluates each member once per stream and unit."""
     for omega in omegas:
         _require_positive(omega, plan.min_separation)
     z1, z2, *ws = pair_weights(plan, stream, *omegas)
-    mods = plan.memo((stream, "moduli", f, i), lambda: _pair_moduli(f, i, z1, z2))
-    return (z1, z2, mods, *ws)
+    key = (stream, "moduli", f, i)
+
+    def build():
+        return _pair_moduli(f, i, z1, z2, rows)
+
+    if len(plan.memo(key, build)) < rows:
+        plan.forget(key)
+    return (z1, z2, plan.memo(key, build), *ws)
 
 
 def slice_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
                plan: SamplePlan) -> NormEstimate:
     """Sampled sup of ||f(x) - f(y)|| / omega(||x - y||) over pairs of the
-    slice disc."""
-    z1, z2, mods, w = pair_samples(f, i, plan, "slice", omega)
-    return _pair_estimate(mods[2] / w, z1, z2, i)
+    slice disc, from the increment modulus alone."""
+    z1, z2, mods, w = pair_samples(f, i, plan, "slice", omega, rows=1)
+    return _pair_estimate(lambda b: mods[0, b] / w[b], z1.size, z1, z2, i)
 
 
 def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
@@ -393,27 +450,35 @@ def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
         joint = sup sqrt( (|dF|/omega1)^2 + (|dG|/omega2)^2 ).
     """
     z1, z2, mods, w1, w2 = pair_samples(f, i, plan, "slice", omega1, omega2)
-    r1 = mods[0] / w1
-    r2 = mods[1] / w2
-    joint = np.hypot(r1, r2)
-    return tuple(_pair_estimate(r, z1, z2, i) for r in (r1, r2, joint))
+
+    def r1(b):
+        return mods[5, b] / w1[b]
+
+    def r2(b):
+        return mods[6, b] / w2[b]
+
+    return tuple(_pair_estimate(r, z1.size, z1, z2, i)
+                 for r in (r1, r2, lambda b: np.hypot(r1(b), r2(b))))
 
 
 def global_norm(f: SliceSeries, omega: Majorant, plan: SamplePlan) -> NormEstimate:
     """Sampled sup of the difference quotient over pairs of the full ball."""
     q1, q2 = ball_pair_coords(plan)
     _require_positive(omega, plan.min_separation)
-    diff = evaluate_batch(f, q1)
-    diff -= evaluate_batch(f, q2)
-    # the distances are recomputed, not stored beside the stream: storing
-    # them raised the peak RSS of the 65536-pair verify by about 0.8 MB
-    # (2-CPU Xeon, numpy 2.4.6)
-    ratios = norm_array(diff) / omega(norm_array(q1 - q2))
-    k = int(np.argmax(ratios))
+
+    def ratios(b):
+        diff = evaluate_batch(f, q1[b])
+        diff -= evaluate_batch(f, q2[b])
+        # the distances are recomputed, not stored beside the stream: storing
+        # them raised the peak RSS of the 65536-pair verify by about 0.8 MB
+        # (2-CPU Xeon, numpy 2.4.6)
+        return norm_array(diff) / omega(norm_array(q1[b] - q2[b]))
+
+    k, value = blocked_argmax(ratios, len(q1))
     return NormEstimate(
-        value=float(ratios[k]),
+        value=value,
         argmax_pair=(from_array(q1[k]), from_array(q2[k])),
-        samples_used=int(ratios.size),
+        samples_used=len(q1),
     )
 
 
@@ -421,10 +486,13 @@ def boundary_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
                   plan: SamplePlan) -> tuple[NormEstimate, NormEstimate]:
     """Difference-quotient sups over pairs of the slice circle, from f's
     stored circle moduli: (function, modulus) compare f itself and ||f||."""
-    z1, z2, mods, w = pair_samples(f, i, plan, "circle", omega)
-    return (_pair_estimate(mods[2] / w, z1, z2, i),
-            _pair_estimate(np.abs(split_modulus(mods[3:5]) - split_modulus(mods[5:])) / w,
-                           z1, z2, i))
+    z1, z2, mods, w = pair_samples(f, i, plan, "circle", omega, rows=5)
+
+    def modulus(b):
+        return np.abs(split_modulus(mods[1:3, b]) - split_modulus(mods[3:5, b])) / w[b]
+
+    return (_pair_estimate(lambda b: mods[0, b] / w[b], z1.size, z1, z2, i),
+            _pair_estimate(modulus, z1.size, z1, z2, i))
 
 
 def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
@@ -442,17 +510,21 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     coordinates identify with the classical one; P is the classical disc
     Poisson integral of the boundary modulus.
     """
-    _, _, mods, w = pair_samples(f, i, plan, "circle", omega)
+    # refused before the Poisson sup, which runs ahead of pair_samples
+    _require_positive(omega, plan.min_separation)
     s = split(f, i)
 
     def moduli(z):
         return np.abs(s.at(z))
 
-    circle_part = np.max(np.abs(mods[3:5] - mods[5:]) / w, axis=1)
-
+    # N1's Poisson sup first: its transients die before the circle block is built
     n_rad = max(16, plan.n_points // 16)
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
-    n1 = circle_part + defect_sup(s.C, omega, xs, nodes)
+    defect = defect_sup(s.C, omega, xs, nodes)
+
+    e1, _, mods, w = pair_samples(f, i, plan, "circle", omega, rows=5)
+    circle_part = blocked_max(lambda b: np.abs(mods[1:3, b] - mods[3:5, b]) / w[b], e1.size)
+    n1 = circle_part + defect
 
     cap = 1.0 - plan.min_separation
     inner = moduli(ray_grid(cap, n_rad, 32, 9).reshape(n_rad, 32))
@@ -460,12 +532,16 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     w2 = omega(1.0 - radial_grid(cap, n_rad))[:, None]
     n2 = circle_part + np.max(np.abs(outer - inner) / w2, axis=(1, 2))
 
-    # N3's moduli and weight are not stored: a third (7, N) block would be
-    # alive here; a stored unit-disc weight raised the 16x peak RSS when
-    # built here, and built first in this function it doubled the minor
-    # page faults of a default verify, +5% op time (2-CPU Xeon, numpy 2.4.6)
+    # N3's moduli and weight are not stored but taken block by block: a
+    # stored unit-disc weight raised the 16x peak RSS when built here, and
+    # built first in this function it doubled the minor page faults of a
+    # default verify, +5% op time (2-CPU Xeon, numpy 2.4.6)
     z1, z2 = pair_weights(plan, "disc")
-    n3 = np.max(np.abs(moduli(z1) - moduli(z2)) / omega(np.abs(z1 - z2)), axis=1)
+
+    def n3_ratios(b):
+        return np.abs(moduli(z1[b]) - moduli(z2[b])) / omega(np.abs(z1[b] - z2[b]))
+
+    n3 = blocked_max(n3_ratios, z1.size)
 
     return n1, n2, n3
 
@@ -480,8 +556,9 @@ def derivative_ratio(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     comps = split(cullen_derivative(f), i).at(xs)
     gap = 1.0 - np.abs(xs)
     w = omega(gap)
-    return tuple(_pair_estimate(vals * gap / w, xs, xs, i) for vals in
-                 (split_modulus(comps), 2.0 * np.abs(comps[1]), 2.0 * np.abs(comps[0])))
+    return tuple(_pair_estimate(lambda b, v=vals: v[b] * gap[b] / w[b], xs.size, xs, xs, i)
+                 for vals in (split_modulus(comps), 2.0 * np.abs(comps[1]),
+                              2.0 * np.abs(comps[0])))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ closed form (Trefethen & Weideman, SIAM Review 56, 2014): with u^ =
 fft(u)/N and A(z) = sum_(m<N) u^_m z^m it is 2 Re(A(z)/(1 - z^N)) - u^_0.
 poisson_integral_slice evaluates A by baby-step/giant-step (Paterson &
 Stockmeyer, SIAM J. Comput. 2, 1973) from about 2 sqrt(N) powers of each
-point, so no (points, nodes) array is built. P[|c|^2] of a polynomial c
+point, the baby and the giant powers alive one after the other, so no
+(points, nodes) array is built. P[|c|^2] of a polynomial c
 is exact from the autocorrelation of its coefficients (poisson_modulus_sq).
 """
 
@@ -112,7 +113,12 @@ def poisson_integral_slice(u, zs, nodes: int = 4096) -> np.ndarray:
     """P[u] at complex points zs of the slice's own disc (|z| < 1, 1 - |z|
     >= 10/nodes), batched; stacked data u -> (k, nodes) give (k, *zs.shape).
     The baby step is one product of the (points, s) baby powers with the
-    (k, s, g) coefficient blocks, the giant step sums against (z^s)^a."""
+    (k, s, g) coefficient blocks, the giant step sums against (z^s)^a. The
+    baby powers are freed before the giant powers are built, and the
+    blocks are scaled in place, so at most one (points, s) power array and
+    one (k, points, g) block array are alive. The product is not split
+    into row chunks: OpenBLAS zgemm may round a row differently when the
+    row count changes."""
     zs = np.asarray(zs, dtype=complex)
     _check_interior(np.abs(zs), nodes)
     vals = np.asarray(u(_angles(nodes)), dtype=float)
@@ -123,10 +129,13 @@ def poisson_integral_slice(u, zs, nodes: int = 4096) -> np.ndarray:
     coef[:, :nodes] = np.fft.fft(rows) / nodes
     z = zs.ravel()[:, None]
     baby = z ** np.arange(s)
-    giant = (z ** s) ** np.arange(g + 1)
     blocks = baby @ coef.reshape(-1, g, s).transpose(0, 2, 1)  # (k, points, g)
-    a = np.sum(blocks * giant[:, :g], axis=-1)
-    z_n = giant[:, nodes // s] * baby[:, nodes % s]
+    z_rem = baby[:, nodes % s].copy()
+    del baby
+    giant = (z ** s) ** np.arange(g + 1)
+    blocks *= giant[:, :g]
+    a = np.sum(blocks, axis=-1)
+    z_n = giant[:, nodes // s] * z_rem
     means = 2.0 * (a / (1.0 - z_n)).real - coef[:, :1].real
     return means.reshape(vals.shape[:-1] + zs.shape)
 

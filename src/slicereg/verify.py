@@ -26,9 +26,15 @@ once for all suites. The checks read the complex pair streams and their
 weights through pair_weights and pair_samples, which build each once per
 run on first use; only algebraic_closure reads weights in its suite
 function. A member's stored values are its slice moduli for each unit and
-its circle moduli, (7, N) blocks of 3.2 MB (slice) and 3.7 MB (circle) at
-16x; with them alive, the 16x peak RSS (about 77 MB in a fresh process) is
-reached in a member step of norm_equivalences.
+its circle moduli: at 16x, 3.2 MB for the seven slice rows at unit i, 0.46
+MB for the increment modulus alone at unit k, and 2.6 MB for the five
+circle rows. The member steps build and free nothing longer than _BLOCK
+pairs or points beside them (the stream builds of a run's first steps
+aside): the sups over the pair streams, the ball derivative ratios and
+modulus_membership's maxima are taken block by block. Of the 16x peak
+RSS (about 64 MiB in a fresh process) the last large rise, 8.7 MiB, comes
+in the first norm_equivalences step, which builds the circle and unit-disc
+pair streams; later rises are under 0.5 MiB.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .lipschitz import (
     NormEstimate,
     SamplePlan,
     ball_pair_coords,
+    blocked_max,
     boundary_norm,
     bounded_growth_check,
     component_estimates,
@@ -347,21 +354,23 @@ def verify_modulus_membership(config: RunConfig) -> VerificationReport:
     tol = 1e-12
 
     def check(rec, m):
-        # the member's stored moduli: |dF|, |dG|, then |F|, |G| at each end
-        _, _, mods, w = pair_samples(m.series, i, plan, "slice", omega)
-        at_z1, at_z2 = mods[3:5], mods[5:]
-        full = split_modulus(mods[:2])
-        floor = tol * (1.0 + float(np.max(full)))
+        # the member's stored moduli, |F|, |G| at each end and the increment
+        # moduli |dF|, |dG|, all through split_modulus, which these checks
+        # test; the maxima are taken block by block
+        z1, _, mods, w = pair_samples(m.series, i, plan, "slice", omega)
 
-        mod = np.abs(split_modulus(at_z1) - split_modulus(at_z2))
-        rec.check("reverse_triangle_violation", np.max(mod - full), hi=floor)
+        def excesses(b):
+            at_z1, at_z2 = mods[1:3, b], mods[3:5, b]
+            full = split_modulus(mods[5:, b])
+            mod = np.abs(split_modulus(at_z1) - split_modulus(at_z2))
+            s_minus, s_plus = 2.0 * np.abs(at_z1 - at_z2)
+            return np.stack([full, mod - full, np.maximum(s_minus, s_plus) - 2.0 * full,
+                             mod / w[b], full / w[b]])
 
-        s_minus, s_plus = 2.0 * np.abs(at_z1 - at_z2)
-        v_sw = float(np.max(np.maximum(s_minus, s_plus) - 2.0 * full))
+        f_max, v_rt, v_sw, mod_norm, f_norm = blocked_max(excesses, z1.size).tolist()
+        floor = tol * (1.0 + f_max)
+        rec.check("reverse_triangle_violation", v_rt, hi=floor)
         rec.check("sandwich_vs_double_violation", v_sw, hi=2.0 * floor)
-
-        mod_norm = float(np.max(mod / w))
-        f_norm = float(np.max(full / w))
         rec.check("modulus_norm", mod_norm, hi=f_norm * (1.0 + tol) + floor)
         rec.measure("function_norm", f_norm)
 
@@ -434,13 +443,19 @@ def verify_norm_equivalences(config: RunConfig) -> VerificationReport:
 def _ball_derivative_ratios(fp: SliceSeries, qs: np.ndarray, gaps: np.ndarray,
                             wq: np.ndarray, i: ImaginaryUnit) -> tuple[float, float]:
     """sup ||fp(q)|| gaps / wq over the ball samples q, and the same sup of
-    the larger modulus at the two slice points q projects to. Its arrays
-    die on return, before the member's growth check runs."""
-    g_ratio = float(np.max(np.linalg.norm(evaluate_batch(fp, qs), axis=1) * gaps / wq))
+    the larger modulus at the two slice points q projects to, taken _BLOCK
+    samples at a time, so no array of the samples' length is built."""
     sp = split(fp, i)
-    proj = qs[:, 0] + 1j * np.linalg.norm(qs[:, 1:], axis=1)
-    pvals = np.maximum(sp.modulus(proj), sp.modulus(proj.conj()))
-    return g_ratio, float(np.max(pvals * gaps / wq))
+
+    def ratios(b):
+        q = qs[b]
+        full = np.linalg.norm(evaluate_batch(fp, q), axis=1) * gaps[b] / wq[b]
+        proj = q[:, 0] + 1j * np.linalg.norm(q[:, 1:], axis=1)
+        pvals = np.maximum(sp.modulus(proj), sp.modulus(proj.conj()))
+        return np.stack([full, pvals * gaps[b] / wq[b]])
+
+    g_ratio, p_ratio = blocked_max(ratios, len(qs)).tolist()
+    return g_ratio, p_ratio
 
 
 def verify_derivative_characterizations(config: RunConfig) -> VerificationReport:

@@ -13,7 +13,6 @@ from slicereg.lipschitz import (
     SamplePlan,
     _conjugated,
     _golden_angles,
-    _pair_estimate,
     _quarters,
     _squared_norms,
     _vdc,
@@ -413,15 +412,18 @@ def _seminorms_one_component(fk, omega, plan, nodes):
 
 
 def test_seminorms_N_equals_one_component_reference():
-    # stacking F and G changes no bit of either component's functionals
-    plan = SamplePlan(n_pairs=256, n_points=64)
+    # stacking F and G changes no bit of either component's functionals,
+    # nor does taking the circle and N3 maxima block by block: the second
+    # plan has two full blocks of pairs and a ragged third
     nodes = 512
-    for i in (UNIT_E1, ImaginaryUnit.from_vector(1.0, 1.0, 1.0)):
-        for m in _CORPUS:
-            stacked = seminorms_N(m.series, W_HALF, i, plan, nodes)
-            for k, fk in enumerate(split(m.series, i).C):
-                want = _seminorms_one_component(fk, W_HALF, plan, nodes)
-                assert tuple(n[k] for n in stacked) == want, (m.name, k)
+    for plan in (SamplePlan(n_pairs=256, n_points=64),
+                 SamplePlan(n_pairs=2 * _BLOCK + 700, n_points=64)):
+        for i in (UNIT_E1, ImaginaryUnit.from_vector(1.0, 1.0, 1.0)):
+            for m in _CORPUS:
+                stacked = seminorms_N(m.series, W_HALF, i, plan, nodes)
+                for k, fk in enumerate(split(m.series, i).C):
+                    want = _seminorms_one_component(fk, W_HALF, plan, nodes)
+                    assert tuple(n[k] for n in stacked) == want, (plan.n_pairs, m.name, k)
 
 
 def circle_weights_per_call(plan, *omegas):
@@ -432,14 +434,25 @@ def circle_weights_per_call(plan, *omegas):
     return (e1, e2, *(w(np.abs(e1 - e2)) for w in omegas))
 
 
+def full_array_estimate(ratios, z1, z2, i):
+    # the sampled sup as it was taken, by np.argmax over all pairs at once,
+    # kept as the reference for the blocked sups
+    k = int(np.argmax(ratios))
+    return NormEstimate(
+        value=float(ratios[k]),
+        argmax_pair=(slice_point(i, complex(z1[k])), slice_point(i, complex(z2[k]))),
+        samples_used=int(ratios.size),
+    )
+
+
 def boundary_norm_by_values(f, omega, i, plan):
     # boundary_norm as it was written, from the split values on every call,
     # kept as the reference
     z1, z2, w = circle_weights_per_call(plan, omega)
     s = split(f, i)
     v1, v2 = s.at(z1), s.at(z2)
-    return (_pair_estimate(split_modulus(v1 - v2) / w, z1, z2, i),
-            _pair_estimate(np.abs(split_modulus(v1) - split_modulus(v2)) / w, z1, z2, i))
+    return (full_array_estimate(split_modulus(v1 - v2) / w, z1, z2, i),
+            full_array_estimate(np.abs(split_modulus(v1) - split_modulus(v2)) / w, z1, z2, i))
 
 
 def _circle_functionals(m, plan, boundary=boundary_norm):
@@ -451,20 +464,27 @@ def _circle_functionals(m, plan, boundary=boundary_norm):
 def test_circle_functionals_equal_a_per_call_recomputation(monkeypatch):
     # both functionals read one stored circle block per member from one
     # plan; a fresh plan per call stores nothing between calls, and the
-    # reference boundary_norm evaluates the split values itself
-    plan = SamplePlan(n_pairs=512, n_points=64)
-    stored = [_circle_functionals(m, plan) for m in _CORPUS]
+    # reference boundary_norm evaluates the split values itself and takes
+    # its sups over all pairs at once. 2 * _BLOCK + 700 pairs: the stored
+    # block is written, and the sups taken, in two full blocks and a
+    # ragged third
     real = slicereg.lipschitz.pair_weights
 
     def pair_weights_per_call(plan, stream, *omegas):
         if stream == "circle":
             return circle_weights_per_call(plan, *omegas)
         return real(plan, stream, *omegas)
-    monkeypatch.setattr(slicereg.lipschitz, "pair_weights", pair_weights_per_call)
-    fresh = [_circle_functionals(m, SamplePlan(n_pairs=512, n_points=64)) for m in _CORPUS]
-    by_values = [_circle_functionals(m, SamplePlan(n_pairs=512, n_points=64),
-                                     boundary_norm_by_values) for m in _CORPUS]
-    assert stored == fresh == by_values
+
+    for n_pairs in (512, 2 * _BLOCK + 700):
+        plan = SamplePlan(n_pairs=n_pairs, n_points=64)
+        stored = [_circle_functionals(m, plan) for m in _CORPUS]
+        with monkeypatch.context() as patch:
+            patch.setattr(slicereg.lipschitz, "pair_weights", pair_weights_per_call)
+            fresh = [_circle_functionals(m, SamplePlan(n_pairs=n_pairs, n_points=64))
+                     for m in _CORPUS]
+            by_values = [_circle_functionals(m, SamplePlan(n_pairs=n_pairs, n_points=64),
+                                             boundary_norm_by_values) for m in _CORPUS]
+        assert stored == fresh == by_values, n_pairs
 
 
 # --- derivative functionals -----------------------------------------------------

@@ -17,7 +17,7 @@ from slicereg.cli import RunConfig, ValidationError, main
 from slicereg.lipschitz import SamplePlan
 from slicereg.majorant import PowerMajorant
 from slicereg.quaternion import UNIT_E1, ImaginaryUnit, slice_points_array
-from slicereg.series import SliceSeries, SplitSeries, split
+from slicereg.series import _BLOCK, SliceSeries, SplitSeries, split
 from slicereg.verify import (
     ALL_SUITES,
     FunctionRecord,
@@ -321,13 +321,13 @@ def test_each_member_builds_its_increments_once_per_unit(monkeypatch):
     builds = Counter()
     real = slicereg.lipschitz._pair_moduli
 
-    def counted(f, i, z1, z2):
+    def counted(f, i, z1, z2, rows):
         stream = "slice" if z1 is slice_z1 else "circle"
         builds[names[f.array.tobytes()], i, stream] += 1
         # at most one member's values are alive: any stored moduli are f's
         store = config.plan.__dict__["_store"]
         assert all(key[2] is f for key in _store_keys(store, "moduli"))
-        return real(f, i, z1, z2)
+        return real(f, i, z1, z2, rows)
     monkeypatch.setattr(slicereg.lipschitz, "_pair_moduli", counted)
     assert all(r.passed for r in run_suite(config))
     assert builds == {**{(m.name, unit, "slice"): 1
@@ -337,27 +337,36 @@ def test_each_member_builds_its_increments_once_per_unit(monkeypatch):
 
 def test_each_member_is_evaluated_once_on_the_slice_and_circle_pairs(monkeypatch):
     # modulus_membership reads the stored slice moduli, boundary_norm and
-    # seminorms_N the stored circle moduli: a member's values at the slice
-    # pair points for unit i and at the circle points e1, e2 are computed
-    # once per run. algebraic_closure is left out: it evaluates its partner,
+    # seminorms_N the stored circle moduli: each member is evaluated at
+    # every slice pair point for unit i and at every circle point e1, e2
+    # exactly once per run, whether the stream is passed whole or in
+    # slices. algebraic_closure is left out: it evaluates its partner,
     # another member, on the slice pairs itself
     suites = tuple(name for name in ALL_SUITES if name != "algebraic_closure")
-    config = RunConfig(n_pairs=256, n_points=64, nodes=512, suites=suites)
+    # more pairs than a block, so the block loops take a ragged last slice
+    config = RunConfig(n_pairs=_BLOCK + _BLOCK // 2, n_points=64, nodes=512, suites=suites)
     plan = config.plan
     points = dict(zip(("z1", "z2", "e1", "e2"), (*slicereg.lipschitz.slice_pair_coords(plan),
                                                  *slicereg.lipschitz.pair_weights(plan, "circle"))))
+    assert all(p.size > _BLOCK for p in points.values())
     names = {split(m.series, config.i).C.tobytes(): m.name for m in config.corpus}
-    calls = Counter()
+    counts = {(m.name, label): np.zeros(p.size, dtype=int)
+              for m in config.corpus for label, p in points.items()}
     real = SplitSeries.at
 
     def at(self, z):
-        label = next((label for label, p in points.items() if p is z), None)
-        if label and self.i is config.i:
-            calls[names.get(self.C.tobytes()), label] += 1
+        z = np.asarray(z)
+        for label, p in points.items():
+            if self.i is config.i and (z is p or z.base is p):
+                start = (z.__array_interface__["data"][0]
+                         - p.__array_interface__["data"][0]) // p.itemsize
+                assert z.ndim == 1 and z.strides == p.strides
+                counts[names.get(self.C.tobytes()), label][start:start + z.size] += 1
         return real(self, z)
     monkeypatch.setattr(SplitSeries, "at", at)
     assert all(r.passed for r in run_suite(config))
-    assert calls == {(m.name, label): 1 for m in config.corpus for label in points}
+    assert {key: c.tolist() for key, c in counts.items()} == {
+        key: [1] * c.size for key, c in counts.items()}
 
 
 def test_setups_build_what_every_member_shares(monkeypatch):
@@ -474,6 +483,34 @@ def test_a_run_keeps_no_poisson_kernel(monkeypatch):
     stored = [a for v in config.plan.__dict__["_store"].values()
               for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
     assert stored and all(a.size < config.nodes for a in stored)
+
+
+def _member_step_transient(n_pairs):
+    """Traced allocation peak of one norm_equivalences member step above
+    what the step leaves stored, after a first member's step has built the
+    streams and weights every member shares."""
+    config = RunConfig(n_pairs=n_pairs, n_points=64, nodes=512)
+    report = slicereg.verify.verify_norm_equivalences(config)
+    first, member = config.corpus[2], config.corpus[-1]
+    report.check(FunctionRecord(first.name), first)
+    config.plan.drop(first.series)
+    rec = FunctionRecord(member.name)
+    tracemalloc.start()
+    try:
+        report.check(rec, member)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.passed
+    return peak - left
+
+
+def test_a_member_step_has_no_transient_that_grows_with_the_pairs():
+    # the member's stored blocks grow with the pairs; what the step builds
+    # and frees on the way is bounded by _BLOCK pairs or points. At 16
+    # blocks a transient of even one float per pair would add 786 KB
+    small, large = (_member_step_transient(k * _BLOCK) for k in (4, 16))
+    assert large <= small + 64 * 1024, (small, large)
 
 
 def test_each_weight_is_certified_once_per_run(monkeypatch, tmp_path):

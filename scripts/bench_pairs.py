@@ -9,7 +9,8 @@ checkout, one after the other; the side that runs first alternates from
 pair to pair, so slow drift of the host falls on both sides alike.  The
 end-to-end metrics of every run, their per-side medians, quartiles and
 minima, the pairs the change wins, whether the parent's own runs spread
-beyond each metric's bound, both environments and the first
+beyond each metric's bound, each run's median op time per call with each
+side's median of them, both environments and the first
 output SHA-256 of each call go into ``BENCH_<label>.json`` in the change
 checkout, under the key ``<workload>-seed<S>``; other keys already in that
 file are kept, so a workload or a held-out seed can be added by a later
@@ -31,7 +32,8 @@ SIDES = ("parent", "change")
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One trace-0 benchmark run: its closing JSON line, plus the
-    environment and first output digests from the run's detail file."""
+    environment, the median op time per call and the first output digests
+    from the run's detail file."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -42,6 +44,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     detail = json.loads((checkout / "benchmarks" / "out" /
                          f"{workload}-seed{seed}-trace0.json").read_text(encoding="utf-8"))
     result["environment"] = detail["environment"]
+    result["op_s_p50_by_call"] = detail["op_s_p50_by_call"]
     result["first_output_sha256"] = detail["first_output_sha256"]
     return result
 
@@ -71,7 +74,11 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     parent_spread is max/min - 1 over the parent's runs, and
     parent_spreads_beyond_bound holds when it exceeds the metric's bound:
     the unchanged side alone then moves by more than the bound, so a move
-    of that metric beyond its bound is host noise as much as the change."""
+    of that metric beyond its bound is host noise as much as the change.
+    op_s_p50_by_call holds, per call, each run's median op time
+    (runs[side][i]["op_s_p50_by_call"]) and each side's median of them: a
+    move of op_s.p50 that every call shares, calls the change does not
+    touch included, is the host's."""
     pairs = len(runs["parent"])
     if pairs == 0 or len(runs["change"]) != pairs:
         raise ValueError("need the same positive number of runs on both sides")
@@ -114,7 +121,17 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
             r["first_output_sha256"] == runs["parent"][0]["first_output_sha256"]
             for side in SIDES for r in runs[side]),
         "metrics": metrics,
+        "op_s_p50_by_call": _per_call(runs),
     }
+
+
+def _per_call(runs: dict[str, list[dict]]) -> dict:
+    calls = {}
+    for label in runs["parent"][0]["op_s_p50_by_call"]:
+        values = {side: [r["op_s_p50_by_call"][label] for r in runs[side]] for side in SIDES}
+        calls[label] = {**values, **{f"{side}_median": statistics.median(values[side])
+                                     for side in SIDES}}
+    return calls
 
 
 def main(argv=None) -> int:
@@ -161,6 +178,11 @@ def main(argv=None) -> int:
               f"{m['parent_spread']:.1%}{' BEYOND bound' if m['parent_spreads_beyond_bound'] else ''}  "
               f"wins {m['change_wins']}/{args.pairs}  "
               f"gap > parent IQR: {m['gap_exceeds_parent_iqr']}  claim met: {m['claim_met']}")
+    ratios = [c["change_median"] / c["parent_median"]
+              for c in summary["op_s_p50_by_call"].values() if c["parent_median"] > 0.0]
+    if ratios:
+        print(f"op time per call, change / parent median: {min(ratios):.3f} to {max(ratios):.3f}"
+              f" over {len(ratios)} calls")
     return 0
 
 

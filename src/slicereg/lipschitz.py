@@ -27,10 +27,16 @@ member's last suite, so at most one member's values are alive. Poisson
 means need no stored array: the spectral trapezoid builds nothing of size
 points x nodes.
 
-Over the pair streams, the blocks are written, and the sups and maxima
-taken, _BLOCK pairs at a time (blocked_max, blocked_argmax), so no
-transient of an estimator grows with the number of pairs, and every bit,
-argmax included, is that of the full-array expression.
+Each pair stream is built in one buffer of its final dtype: its strata
+are drawn and written _BLOCK pairs at a time, the admitted pairs are moved
+forward in place and the buffer is shrunk to them (_admit), so a build
+holds nothing beside the stream it keeps but the columns it rejects, until
+the shrink, and a block. The circle angles are the real parts of the
+buffer that the circle points are then written over. Over the pair
+streams, the blocks are written, and the sups and maxima taken, _BLOCK
+pairs at a time (blocked_max, blocked_argmax), so no transient of an
+estimator grows with the number of pairs, and every bit, argmax included,
+is that of the full-array expression.
 
 Points of a slice plane are handled in their complex coordinate; values of
 a series along the plane come from the two coefficient rows of split(f, i),
@@ -166,6 +172,52 @@ def _quarters(n: int) -> tuple[int, int, int, int]:
     return (n + 3) // 4, (n + 2) // 4, (n + 1) // 4, n // 4
 
 
+def _write_strata(writers, sizes):
+    """Fill a pair buffer stratum by stratum, a block at a time: the
+    strata take sizes[0], sizes[1], ... columns in order, and writers[s](j,
+    cols) writes a block of stratum s, j the range of its indices in the
+    stratum and cols the slice of its buffer columns. Each call's
+    transients die with it, so none outlives its block. A writer takes
+    the terms j of a prefix-stable sequence as _vdc(len(j), j.start) or
+    _golden_angles(len(j), offset + j.start): each term is exact in its
+    index, so the bits are those of the whole sequence."""
+    start = 0
+    for write, n in zip(writers, sizes):
+        for lo in range(0, n, _BLOCK):
+            j = range(lo, min(lo + _BLOCK, n))
+            write(j, slice(start + j.start, start + j.stop))
+        start += n
+
+
+def _admit(buf: np.ndarray, admitted, what: str) -> int:
+    """Keep the admitted pairs of a pair buffer, in place. buf is
+    C-contiguous with the pairs on its last axis; admitted(buf[..., b]) is
+    the boolean mask of the pairs of a block b. The admitted columns move
+    forward a block at a time, in order, so that the flat buffer starts
+    with buf's rows cut to the k admitted columns; the caller, the buffer's
+    only holder, then shrinks it in place with buf.resize(shape[:-1] + (k,)),
+    which refuses while any view of it is alive. Returns k; raises
+    DegeneratePlan when no pair is admitted.
+
+    A block is read whole before any of it is written, and no column moves
+    past where it was read, so nothing unread is overwritten. Beside the
+    buffer this holds one byte per pair and a block."""
+    n = buf.shape[-1]
+    keep = np.empty(n, dtype=bool)
+    for b in _blocks(n):
+        keep[b] = admitted(buf[..., b])
+    k = int(np.count_nonzero(keep))
+    if k == 0:
+        raise DegeneratePlan(f"no admissible {what} pairs")
+    flat, end = buf.reshape(-1), 0
+    for row in buf.reshape(-1, n):
+        for b in _blocks(n):
+            kept = row[b][keep[b]]
+            flat[end:end + kept.size] = kept
+            end += kept.size
+    return k
+
+
 def disc_pair_coords(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarray]:
     """Pair stream inside the closed disc of the given radius, built once
     per plan and cap.
@@ -178,36 +230,49 @@ def disc_pair_coords(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarr
 
 def _disc_pairs(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarray]:
     eps = plan.min_separation
-    n_diam, n_unif, n_diag, n_rad = _quarters(plan.n_pairs)
-    # each stratum is written into its block of columns of the two pair
-    # rows, so no stratum outlives its own step
-    z1, z2 = np.empty((2, plan.n_pairs), dtype=complex)
-    b, c = n_diam + n_unif, n_diam + n_unif + n_diag
+    z = np.empty((2, plan.n_pairs), dtype=complex)
+    _write_disc_strata(plan, cap, z)
 
-    e = np.exp(1j * _golden_angles(n_diam))
-    np.multiply(cap, e, out=z1[:n_diam])
-    np.multiply(-(cap * (1.0 - _vdc(n_diam))), e, out=z2[:n_diam])
+    def admitted(p):
+        return (np.abs(p[0]) <= cap) & (np.abs(p[1]) <= cap) & (np.abs(p[0] - p[1]) >= eps)
 
-    u = plan.child_rng(11).uniform(size=(n_unif, 4))
-    np.multiply(cap * np.sqrt(u[:, 0]), np.exp(2j * np.pi * u[:, 1]), out=z1[n_diam:b])
-    np.multiply(cap * np.sqrt(u[:, 2]), np.exp(2j * np.pi * u[:, 3]), out=z2[n_diam:b])
+    k = _admit(z, admitted, "slice")
+    z.resize((2, k))
+    return z[0], z[1]
 
-    u = plan.child_rng(12).uniform(size=(n_diag, 3))
-    base = np.multiply(cap * np.sqrt(u[:, 0]), np.exp(2j * np.pi * u[:, 1]), out=z1[b:c])
-    delta = np.exp(np.log(eps) * (1.0 - _vdc(n_diag)))  # log-spaced [eps, 1)
-    step = delta * np.exp(2j * np.pi * u[:, 2])
-    z2_c = np.add(base, step, out=z2[b:c])
-    np.subtract(base, step, out=z2_c, where=np.abs(z2_c) > cap)
 
-    e = np.exp(1j * _golden_angles(n_rad, offset=7))
-    np.multiply(cap, e, out=z1[c:])
-    np.multiply((cap - eps) * _vdc(n_rad), e, out=z2[c:])
+def _write_disc_strata(plan: SamplePlan, cap: float, z: np.ndarray):
+    """Write the disc pair strata into the columns of the rows z1, z2 of z.
+    Each child generator draws its stratum in order, a block at a time,
+    which gives the numbers of one whole draw: every stratum stays
+    prefix-stable, and no draw is longer than a block."""
+    eps = plan.min_separation
+    z1, z2 = z
 
-    keep = (np.abs(z1) <= cap) & (np.abs(z2) <= cap) & (np.abs(z1 - z2) >= eps)
-    z1, z2 = z1[keep], z2[keep]
-    if z1.size == 0:
-        raise DegeneratePlan("no admissible slice pairs")
-    return z1, z2
+    def diam(j, cols):
+        e = np.exp(1j * _golden_angles(len(j), j.start))
+        np.multiply(cap, e, out=z1[cols])
+        np.multiply(-(cap * (1.0 - _vdc(len(j), j.start))), e, out=z2[cols])
+
+    def unif(j, cols, rng=plan.child_rng(11)):
+        u = rng.uniform(size=(len(j), 4))
+        np.multiply(cap * np.sqrt(u[:, 0]), np.exp(2j * np.pi * u[:, 1]), out=z1[cols])
+        np.multiply(cap * np.sqrt(u[:, 2]), np.exp(2j * np.pi * u[:, 3]), out=z2[cols])
+
+    def diag(j, cols, rng=plan.child_rng(12)):
+        u = rng.uniform(size=(len(j), 3))
+        base = np.multiply(cap * np.sqrt(u[:, 0]), np.exp(2j * np.pi * u[:, 1]), out=z1[cols])
+        delta = np.exp(np.log(eps) * (1.0 - _vdc(len(j), j.start)))  # log-spaced [eps, 1)
+        step = delta * np.exp(2j * np.pi * u[:, 2])
+        z2_c = np.add(base, step, out=z2[cols])
+        np.subtract(base, step, out=z2_c, where=np.abs(z2_c) > cap)
+
+    def rad(j, cols):
+        e = np.exp(1j * _golden_angles(len(j), 7 + j.start))
+        np.multiply(cap, e, out=z1[cols])
+        np.multiply((cap - eps) * _vdc(len(j), j.start), e, out=z2[cols])
+
+    _write_strata((diam, unif, diag, rad), _quarters(plan.n_pairs))
 
 
 def slice_pair_coords(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
@@ -216,76 +281,107 @@ def slice_pair_coords(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
 
 def ball_pair_coords(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
     """Pair stream in the four-dimensional ball, strata as in the disc,
-    built once per plan: (q1, q2), each (N, 4) and the transposed view of
-    C-contiguous (4, N) component rows."""
+    built once per plan: (q1, q2), each (N, 4), the transposed views of the
+    C-contiguous (4, N) component rows of one (2, 4, N) buffer."""
     return plan.memo("ball_pairs", lambda: _ball_pairs(plan))
 
 
 def _ball_pairs(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
     eps = plan.min_separation
     rho = plan.max_radius
-    n_diam, n_unif, n_diag, n_rad = _quarters(plan.n_pairs)
-    # component-major: pair p is column p of the (4, n_pairs) rows q1, q2,
-    # each stratum a block of columns; norm_array of the transposed rows
-    # sums the squares in component order, as np.linalg.norm of the pairs
-    q1, q2 = np.empty((2, 4, plan.n_pairs))
-    b, c = n_diam + n_unif, n_diam + n_unif + n_diag
+    # component-major: pair p is column p of the (4, n_pairs) rows q1, q2;
+    # norm_array of the transposed rows sums the squares in component
+    # order, as np.linalg.norm of the pairs
+    q = np.empty((2, 4, plan.n_pairs))
+    _write_ball_strata(plan, q)
 
-    # one array draw per child generator keeps every stratum prefix-stable
+    def admitted(p):
+        q1, q2 = p[0].T, p[1].T
+        return (norm_array(q1) <= rho) & (norm_array(q2) <= rho) & (norm_array(q1 - q2) >= eps)
+
+    k = _admit(q, admitted, "ball")
+    q.resize((2, 4, k))
+    return q[0].T, q[1].T
+
+
+def _write_ball_strata(plan: SamplePlan, q: np.ndarray):
+    """Write the ball pair strata into the columns of the (4, n_pairs)
+    rows q1, q2 of q, drawn and written as the disc strata are."""
+    eps = plan.min_separation
+    rho = plan.max_radius
+    q1, q2 = q
+
     def unit_rows(v):
         """(n, 4) draws as (4, n) rows, each column scaled to unit norm."""
         return v.T / norm_array(v)
 
-    d = unit_rows(plan.child_rng(21).normal(size=(n_diam, 4)))
-    np.multiply(rho, d, out=q1[:, :n_diam])
-    np.multiply(-(rho * (1.0 - _vdc(n_diam))), d, out=q2[:, :n_diam])
+    def diam(j, cols, rng=plan.child_rng(21)):
+        d = unit_rows(rng.normal(size=(len(j), 4)))
+        np.multiply(rho, d, out=q1[:, cols])
+        np.multiply(-(rho * (1.0 - _vdc(len(j), j.start))), d, out=q2[:, cols])
 
-    g = plan.child_rng(22).normal(size=(n_unif, 8))
-    u = plan.child_rng(25).uniform(size=(n_unif, 2))
-    np.multiply(rho * u[:, 0] ** 0.25, unit_rows(g[:, :4]), out=q1[:, n_diam:b])
-    np.multiply(rho * u[:, 1] ** 0.25, unit_rows(g[:, 4:]), out=q2[:, n_diam:b])
+    def unif(j, cols, rng=plan.child_rng(22), rng_u=plan.child_rng(25)):
+        g, u = rng.normal(size=(len(j), 8)), rng_u.uniform(size=(len(j), 2))
+        np.multiply(rho * u[:, 0] ** 0.25, unit_rows(g[:, :4]), out=q1[:, cols])
+        np.multiply(rho * u[:, 1] ** 0.25, unit_rows(g[:, 4:]), out=q2[:, cols])
 
-    g = plan.child_rng(23).normal(size=(n_diag, 8))
-    u = plan.child_rng(26).uniform(size=n_diag)
-    base = q1[:, b:c]
-    np.multiply(rho * u ** 0.25, unit_rows(g[:, :4]), out=base)
-    step = np.exp(np.log(eps) * (1.0 - _vdc(n_diag))) * unit_rows(g[:, 4:])
-    q2_c = np.add(base, step, out=q2[:, b:c])
-    np.subtract(base, step, out=q2_c, where=norm_array(q2_c.T) > rho)
+    def diag(j, cols, rng=plan.child_rng(23), rng_u=plan.child_rng(26)):
+        g, u = rng.normal(size=(len(j), 8)), rng_u.uniform(size=len(j))
+        base = np.multiply(rho * u ** 0.25, unit_rows(g[:, :4]), out=q1[:, cols])
+        step = np.exp(np.log(eps) * (1.0 - _vdc(len(j), j.start))) * unit_rows(g[:, 4:])
+        q2_c = np.add(base, step, out=q2[:, cols])
+        np.subtract(base, step, out=q2_c, where=norm_array(q2_c.T) > rho)
 
-    d = unit_rows(plan.child_rng(24).normal(size=(n_rad, 4)))
-    np.multiply(rho, d, out=q1[:, c:])
-    np.multiply((rho - eps) * _vdc(n_rad), d, out=q2[:, c:])
+    def rad(j, cols, rng=plan.child_rng(24)):
+        d = unit_rows(rng.normal(size=(len(j), 4)))
+        np.multiply(rho, d, out=q1[:, cols])
+        np.multiply((rho - eps) * _vdc(len(j), j.start), d, out=q2[:, cols])
 
-    keep = ((norm_array(q1.T) <= rho) & (norm_array(q2.T) <= rho)
-            & (norm_array((q1 - q2).T) >= eps))
-    if not keep.any():
-        raise DegeneratePlan("no admissible ball pairs")
-    # compress keeps the kept rows C-contiguous, as q1[:, keep] would not
-    return np.compress(keep, q1, axis=1).T, np.compress(keep, q2, axis=1).T
+    _write_strata((diam, unif, diag, rad), _quarters(plan.n_pairs))
 
 
 def circle_pair_angles(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
-    """Angle pairs on the unit circle with chords >= min_separation. Not
-    stored: the circle pair stream keeps only the points they give."""
+    """Angle pairs on the unit circle with chords >= min_separation, as the
+    real parts of the two rows of one (2, k) complex buffer, imaginary
+    parts zero, which the circle pair stream overwrites with the points
+    they give. Not stored: the stream keeps only the points."""
     eps = plan.min_separation
+    t = np.zeros((2, plan.n_pairs), dtype=complex)
+    _write_circle_angles(plan, t.real)
+    k = _admit(t, lambda p: 2.0 * np.abs(np.sin(0.5 * (p[0].real - p[1].real))) >= eps,
+               "circle")
+    t.resize((2, k))
+    return t[0].real, t[1].real
+
+
+def _write_circle_angles(plan: SamplePlan, t: np.ndarray):
+    """Write the circle angle strata into the rows t1, t2 of t, as the disc
+    strata are written: uniform pairs, then golden-angle starts with
+    angular gaps log-spaced from about min_separation up to pi."""
+    eps = plan.min_separation
+    t1, t2 = t
+
+    def uniform(j, cols, rng=plan.child_rng(31)):
+        t[:, cols] = rng.uniform(0.0, 2.0 * np.pi, size=(len(j), 2)).T
+
+    def gaps(j, cols):
+        t1[cols] = _golden_angles(len(j), 3 + j.start)
+        gap = np.pi * np.exp(np.log(eps / np.pi) * (1.0 - _vdc(len(j), j.start)))
+        np.add(t1[cols], gap, out=t2[cols])
+
     half = plan.n_pairs // 2
-    t = plan.child_rng(31).uniform(0.0, 2.0 * np.pi, size=(half, 2))
-    t1_a, t2_a = t[:, 0], t[:, 1]
+    _write_strata((uniform, gaps), (half, plan.n_pairs - half))
 
-    rest = plan.n_pairs - half
-    t1_b = _golden_angles(rest, offset=3)
-    # angular gaps log-spaced from ~eps up to pi
-    gap = np.pi * np.exp(np.log(eps / np.pi) * (1.0 - _vdc(rest)))
-    t2_b = t1_b + gap
 
-    t1 = np.concatenate([t1_a, t1_b])
-    t2 = np.concatenate([t2_a, t2_b])
-    chord = 2.0 * np.abs(np.sin(0.5 * (t1 - t2)))
-    keep = chord >= eps
-    if not keep.any():
-        raise DegeneratePlan("no admissible circle pairs")
-    return t1[keep], t2[keep]
+def _circle_points(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
+    """The points e^{it1}, e^{it2} of circle_pair_angles, written over the
+    angles, a block at a time, in the complex buffer that holds them."""
+    t = circle_pair_angles(plan)
+    e = t[0].base
+    for b in _blocks(e.shape[1]):
+        for angles, points in zip(t, e):
+            np.exp(1j * angles[b], out=points[b])
+    return e[0], e[1]
 
 
 # the complex pair streams by name, each built once per plan; the entries
@@ -293,8 +389,7 @@ def circle_pair_angles(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
 # so a wrapper set on this module sees every build
 _PAIR_STREAMS = {
     "slice": lambda plan: slice_pair_coords(plan),
-    "circle": lambda plan: plan.memo(
-        "circle_points", lambda: tuple(np.exp(1j * t) for t in circle_pair_angles(plan))),
+    "circle": lambda plan: plan.memo("circle_points", lambda: _circle_points(plan)),
     "disc": lambda plan: disc_pair_coords(plan, 1.0),
 }
 

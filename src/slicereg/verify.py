@@ -29,12 +29,14 @@ function. A member's stored values are its slice moduli for each unit and
 its circle moduli: at 16x, 3.2 MB for the seven slice rows at unit i, 0.46
 MB for the increment modulus alone at unit k, and 2.6 MB for the five
 circle rows. The member steps build and free nothing longer than _BLOCK
-pairs or points beside them (the stream builds of a run's first steps
-aside): the sups over the pair streams, the ball derivative ratios and
-modulus_membership's maxima are taken block by block. Of the 16x peak
-RSS (about 64 MiB in a fresh process) the last large rise, 8.7 MiB, comes
-in the first norm_equivalences step, which builds the circle and unit-disc
-pair streams; later rises are under 0.5 MiB.
+pairs or points beside them: the sups over the pair streams, the ball
+derivative ratios, modulus_membership's maxima and algebraic_closure's
+violations are taken block by block, and a stream build holds only its
+one buffer and a block. Of the 16x peak RSS (about 62 MiB in a fresh
+process, one BLAS thread) the last large rise, 8 MiB, comes in the first
+norm_equivalences step, which builds the circle and unit-disc pair
+streams and stores the first member's circle moduli; the second member's
+step adds 1.3 MiB, and later rises are under 0.5 MiB.
 """
 
 from __future__ import annotations
@@ -270,32 +272,39 @@ def verify_algebraic_closure(config: RunConfig) -> VerificationReport:
     mu1, mu2 = combine(a1n, a2n, omega1, omega2)
     z1, z2, w1, mu1d, mu2d = pair_weights(plan, "slice", omega1, mu1, mu2)
     partners = iter(corpus[1:] + corpus[:1])
+    names = ("linear_closure_violation", "combine_component1_violation",
+             "combine_component2_violation")
 
-    def diffs(series):
-        s = split(series, i)
-        return s.at(z1) - s.at(z2)
+    def diffs(s, b):
+        return s.at(z1[b]) - s.at(z2[b])
 
     def check(rec, m):
         partner = next(partners)
         cf = slice_norm(m.series, omega1, i, plan).value
-        cg = float(np.max(split_modulus(diffs(partner.series)) / w1))
-
-        combo = m.series * a + partner.series
-        lhs = split_modulus(diffs(combo))
-        floor = tol * (1.0 + float(np.max(lhs)))
-        # a bound that overflows on any pair holds nothing there
-        with np.errstate(over="ignore"):
-            bound = (norm(a) * cf + cg) * w1 * (1.0 + tol)
-        viol = float(np.max(lhs - bound)) if np.isfinite(bound).all() else math.inf
-        rec.check("linear_closure_violation", viol, hi=floor)
-
         c1, c2, _ = component_estimates(m.series, omega1, omega2, i, plan)
         c3 = max(c1.value, c2.value)
-        for k, (d, mud) in enumerate(zip(diffs(m.series * a), (mu1d, mu2d)), 1):
+        fa = m.series * a
+        g, fa, combo = (split(s, i) for s in (partner.series, fa, fa + partner.series))
+        cg = float(blocked_max(lambda b: split_modulus(diffs(g, b)) / w1[b], z1.size))
+
+        def rows(b):
+            """Over the pairs b: lhs, each violation's side minus its bound,
+            then 1 where that bound is not finite."""
+            lhs = split_modulus(diffs(combo, b))
             with np.errstate(over="ignore"):
-                bound = c3 * mud * (1.0 + tol)
-            v = float(np.max(np.abs(d) - bound)) if np.isfinite(bound).all() else math.inf
-            rec.check(f"combine_component{k}_violation", v, hi=floor)
+                bounds = np.stack(((norm(a) * cf + cg) * w1[b], c3 * mu1d[b],
+                                   c3 * mu2d[b])) * (1.0 + tol)
+            # inf - inf where a bound overflowed: that violation is read as inf
+            with np.errstate(invalid="ignore"):
+                excess = np.stack((lhs, *np.abs(diffs(fa, b)))) - bounds
+            return np.vstack((lhs, excess, ~np.isfinite(bounds)))
+
+        # one pass, block by block: the floor needs the max of lhs over all pairs
+        top = blocked_max(rows, z1.size)
+        floor = tol * (1.0 + float(top[0]))
+        # a bound that overflows on any pair holds nothing there
+        for name, excess, overflow in zip(names, top[1:4], top[4:]):
+            rec.check(name, math.inf if overflow else float(excess), hi=floor)
 
     return VerificationReport("algebraic_closure", [], {"relative": tol},
                               [f"a = [{a.x0}, {a.x1}, {a.x2}, {a.x3}]"], corpus, check)

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -14,10 +16,11 @@ _END_TO_END = [
 ]
 
 
-def _run(p50, rate, failed=0, digest="aa"):
+def _run(p50, rate, failed=0, digest="aa", by_call=None):
     return {"correct": failed == 0, "attempted": 100, "failed": failed,
             "metrics": {"op_s.p50": {"value": p50, "unit": "s"},
                         "ops_per_s": {"value": rate, "unit": "1/s"}},
+            "op_s_p50_by_call": by_call or {"call": p50},
             "first_output_sha256": {"call": digest}}
 
 
@@ -129,3 +132,38 @@ def test_parent_spread_beyond_the_bound_is_recorded():
                                 "change": [_run(0.5, 4.0), _run(0.5, 4.0)]}, _END_TO_END)
     assert at["metrics"]["op_s.p50"]["parent_spread"] == 0.25
     assert not at["metrics"]["op_s.p50"]["parent_spreads_beyond_bound"]
+
+
+def test_each_calls_median_op_time_is_kept_per_run_and_side():
+    # a change that slows every call alike, one it leaves alone included,
+    # reads as host drift in the per-call table
+    runs = {"parent": [_run(0.1, 5.0, by_call={"norm": 0.010, "eval": 0.002}),
+                       _run(0.1, 5.0, by_call={"norm": 0.012, "eval": 0.004}),
+                       _run(0.1, 5.0, by_call={"norm": 0.011, "eval": 0.003})],
+            "change": [_run(0.1, 5.0, by_call={"norm": 0.015, "eval": 0.006}),
+                       _run(0.1, 5.0, by_call={"norm": 0.013, "eval": 0.005}),
+                       _run(0.1, 5.0, by_call={"norm": 0.014, "eval": 0.004})]}
+    calls = bench_pairs.summarize(runs, _END_TO_END)["op_s_p50_by_call"]
+    assert list(calls) == ["norm", "eval"]
+    assert calls["norm"]["parent"] == [0.010, 0.012, 0.011]
+    assert calls["norm"]["change"] == [0.015, 0.013, 0.014]
+    assert (calls["norm"]["parent_median"], calls["norm"]["change_median"]) == (0.011, 0.014)
+    assert (calls["eval"]["parent_median"], calls["eval"]["change_median"]) == (0.003, 0.005)
+
+
+def test_run_once_reads_the_per_call_times_from_the_detail_file(tmp_path, monkeypatch):
+    detail = {"environment": {"python": "3"}, "first_output_sha256": {"norm": "aa"},
+              "op_s_p50_by_call": {"norm": 0.011}}
+    out = tmp_path / "benchmarks" / "out"
+    out.mkdir(parents=True)
+    (out / "cli-mix-seed7-trace0.json").write_text(json.dumps(detail))
+    line = json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {}})
+
+    def run(argv, **kwargs):
+        assert kwargs["cwd"] == tmp_path and argv[1:3] == ["benchmarks/run.py", "--workload"]
+        return subprocess.CompletedProcess(argv, 0, stdout="noise\n" + line + "\n", stderr="")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    result = bench_pairs.run_once(tmp_path, "cli-mix", 7, 1.0)
+    assert result["op_s_p50_by_call"] == {"norm": 0.011}
+    assert result["environment"] == {"python": "3"}
+    assert result["first_output_sha256"] == {"norm": "aa"}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,160 @@ def test_global_norm_keeps_the_row_major_path():
         assert est.value == float(ratios[k]), m.name
         assert est.argmax_pair == (from_array(q1[k]), from_array(q2[k])), m.name
         assert est.samples_used == ratios.size, m.name
+
+
+def disc_pairs_by_columns(plan, cap):
+    # the copying builder of the disc pair streams, kept as the reference:
+    # the strata written into the columns of two full rows, then the
+    # admitted pairs taken by a boolean index into new arrays
+    eps = plan.min_separation
+    n_diam, n_unif, n_diag, n_rad = _quarters(plan.n_pairs)
+    z1, z2 = np.empty((2, plan.n_pairs), dtype=complex)
+    b, c = n_diam + n_unif, n_diam + n_unif + n_diag
+
+    e = np.exp(1j * _golden_angles(n_diam))
+    np.multiply(cap, e, out=z1[:n_diam])
+    np.multiply(-(cap * (1.0 - _vdc(n_diam))), e, out=z2[:n_diam])
+
+    u = plan.child_rng(11).uniform(size=(n_unif, 4))
+    np.multiply(cap * np.sqrt(u[:, 0]), np.exp(2j * np.pi * u[:, 1]), out=z1[n_diam:b])
+    np.multiply(cap * np.sqrt(u[:, 2]), np.exp(2j * np.pi * u[:, 3]), out=z2[n_diam:b])
+
+    u = plan.child_rng(12).uniform(size=(n_diag, 3))
+    base = np.multiply(cap * np.sqrt(u[:, 0]), np.exp(2j * np.pi * u[:, 1]), out=z1[b:c])
+    delta = np.exp(np.log(eps) * (1.0 - _vdc(n_diag)))
+    step = delta * np.exp(2j * np.pi * u[:, 2])
+    z2_c = np.add(base, step, out=z2[b:c])
+    np.subtract(base, step, out=z2_c, where=np.abs(z2_c) > cap)
+
+    e = np.exp(1j * _golden_angles(n_rad, offset=7))
+    np.multiply(cap, e, out=z1[c:])
+    np.multiply((cap - eps) * _vdc(n_rad), e, out=z2[c:])
+
+    keep = (np.abs(z1) <= cap) & (np.abs(z2) <= cap) & (np.abs(z1 - z2) >= eps)
+    return z1[keep], z2[keep]
+
+
+def circle_angles_by_concatenation(plan):
+    # the copying builder of the circle angles, kept as the reference
+    eps = plan.min_separation
+    half = plan.n_pairs // 2
+    t = plan.child_rng(31).uniform(0.0, 2.0 * np.pi, size=(half, 2))
+    rest = plan.n_pairs - half
+    t1_b = _golden_angles(rest, offset=3)
+    gap = np.pi * np.exp(np.log(eps / np.pi) * (1.0 - _vdc(rest)))
+    t1 = np.concatenate([t[:, 0], t1_b])
+    t2 = np.concatenate([t[:, 1], t1_b + gap])
+    keep = 2.0 * np.abs(np.sin(0.5 * (t1 - t2))) >= eps
+    return t1[keep], t2[keep]
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+_STREAM_PLANS = {
+    **{str(n): SamplePlan(n_pairs=n, seed=n)
+       for n in (4, 1000, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 700, 65536)},
+    "rho_0.5": SamplePlan(n_pairs=2 * _BLOCK + 700, max_radius=0.5, min_separation=0.05, seed=2),
+    # thousands of pairs fall short of the separation, in every stratum, so
+    # admitted columns move back across block boundaries
+    "eps_0.9": SamplePlan(n_pairs=2 * _BLOCK + 700, min_separation=0.9, seed=9),
+}
+
+
+@pytest.mark.parametrize("plan", _STREAM_PLANS.values(), ids=_STREAM_PLANS)
+def test_pair_streams_keep_the_bits_of_the_copying_builders(plan):
+    # each stream is built in one buffer and shrunk in place; its pairs,
+    # their order and their layout are those of the builders that copied
+    q1, q2 = ball_pair_coords(plan)
+    for got, want in zip((q1, q2), ball_pairs_by_rows(plan)):
+        _same_bits(got, want)
+        assert got.T.flags.c_contiguous and not got.flags.writeable
+    for cap in (plan.max_radius, 1.0, 0.5):
+        for got, want in zip(disc_pair_coords(plan, cap), disc_pairs_by_columns(plan, cap)):
+            _same_bits(got, want)
+            assert got.ndim == 1 and got.flags.c_contiguous and not got.flags.writeable
+    angles = circle_angles_by_concatenation(plan)
+    for got, want in zip(circle_pair_angles(plan), angles):
+        _same_bits(got, want)
+    for got, t in zip(pair_weights(plan, "circle"), angles):
+        _same_bits(got, np.exp(1j * t))
+        assert got.ndim == 1 and got.flags.c_contiguous and not got.flags.writeable
+    if plan.min_separation == 0.9:
+        dropped = [plan.n_pairs - len(z[0]) for z in
+                   ((q1,), slice_pair_coords(plan), pair_weights(plan, "circle"))]
+        assert min(dropped) > 1000, dropped
+
+
+def test_a_plan_that_admits_nothing_is_degenerate(monkeypatch):
+    # no pair of the disc of radius 0.5 is 1.5 apart
+    with pytest.raises(DegeneratePlan, match="no admissible slice pairs"):
+        disc_pair_coords(SamplePlan(n_pairs=2 * _BLOCK + 700, min_separation=1.5), 0.5)
+    # every pair at one point: none is min_separation apart
+    def zero(plan, buf):
+        buf.fill(0.0)
+    monkeypatch.setattr(slicereg.lipschitz, "_write_ball_strata", zero)
+    monkeypatch.setattr(slicereg.lipschitz, "_write_circle_angles", zero)
+    with pytest.raises(DegeneratePlan, match="no admissible ball pairs"):
+        ball_pair_coords(SamplePlan(n_pairs=_BLOCK + 1))
+    with pytest.raises(DegeneratePlan, match="no admissible circle pairs"):
+        circle_pair_angles(SamplePlan(n_pairs=_BLOCK + 1))
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), _BLOCK - 1, _BLOCK + 1])
+def test_circle_points_keep_the_bits_of_one_exp_call(monkeypatch, n):
+    # the points are written over the angles a block at a time; a block
+    # of any length gives the bits of one np.exp over all of them (numpy's
+    # SIMD loops treat a short tail apart, see the FMA bit traps at
+    # eval_complex)
+    buf = np.zeros((2, n), dtype=complex)
+    buf.real = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, size=(2, n))
+    angles = buf.real.copy()
+    monkeypatch.setattr(slicereg.lipschitz, "circle_pair_angles",
+                        lambda plan: (buf[0].real, buf[1].real))
+    for got, t in zip(pair_weights(SamplePlan(), "circle"), angles):
+        _same_bits(got, np.exp(1j * t))
+
+
+# What each build may hold beside the stream it stores, as a formula: the
+# slack of the rejected columns, alive until the buffer is shrunk, one byte
+# per pair for the admission mask, and a block's transients. A stratum is
+# drawn a block at a time, so its draws are among the latter, counted in
+# float64 per pair of a block from the widest step of each build:
+#   ball: the diagonal block's draw (8 normals and a uniform), its step rows
+#     (4) and the squares and sums of a norm_array beside them (5): 18;
+#   disc: the diagonal block's draw (3), a complex exp and its complex
+#     argument (4), and the radii beside them (2): 9;
+#   circle: a block's van der Corput terms with their indices (3) and the
+#     angle gaps (1): 4.
+# Each count gets a third more as room.
+_BUILDS = {
+    "ball": (ball_pair_coords, 24),
+    "slice disc": (lambda plan: disc_pair_coords(plan, plan.max_radius), 12),
+    "unit disc": (lambda plan: disc_pair_coords(plan, 1.0), 12),
+    "circle": (lambda plan: pair_weights(plan, "circle"), 6),
+}
+
+
+@pytest.mark.parametrize("blocks", [4, 16])
+@pytest.mark.parametrize("build, floats", _BUILDS.values(), ids=_BUILDS)
+def test_a_stream_build_holds_one_buffer_and_a_block_beside_what_it_stores(build, floats, blocks):
+    # the copying builders held a second full-length copy and full-length
+    # temporaries: the ball build 7.6 MB beside a 3.6 MB stream at 65536 pairs
+    n = blocks * _BLOCK
+    build(SamplePlan(n_pairs=64))
+    plan = SamplePlan(n_pairs=n)
+    tracemalloc.start()
+    try:
+        stream = build(plan)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column = sum(a.itemsize * (a.size // len(a)) for a in stream[:2])
+    budget = (n - len(stream[0])) * column + n + floats * 8 * _BLOCK
+    assert peak - left <= budget, (peak - left, budget)
 
 
 # --- norm estimators against closed forms --------------------------------------

@@ -24,8 +24,12 @@ modulus alone at a second unit (slice_norm reads nothing else), and five
 rows for the circle pairs, where nothing reads |dF|, |dG|. A series'
 values stay until plan.drop(f); a run drops each member's after the
 member's last suite, so at most one member's values are alive. Poisson
-means need no stored array: the spectral trapezoid builds nothing of size
-points x nodes.
+means need no array of size points x nodes: circle_spectrum stores, with
+a series' values, its boundary moduli (|F|, |G|) at the `nodes` angles
+(2 x nodes floats) and the spectra of those and of ||f|| (3 rows of about
+nodes complex numbers), each from one evaluation or one FFT call, which
+N1 and the suites' defect sup and cone means read; N1 takes the powers of
+its ray grid, which grows with n_points, per call.
 
 Each pair stream is built in one buffer of its final dtype: its strata
 are drawn and written _BLOCK pairs at a time, the admitted pairs are moved
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorant import Majorant
-from .poisson import defect_sup, resolved_cap
+from .poisson import BoundarySpectrum, _angles, boundary_spectrum, defect_sup, resolved_cap
 from .quaternion import (
     ImaginaryUnit,
     Quaternion,
@@ -71,6 +75,7 @@ from .series import (
     split,
     split_modulus,
     symmetrization,
+    zero_leg_hypot,
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -195,9 +200,12 @@ def _admit(buf: np.ndarray, admitted, what: str) -> int:
     the boolean mask of the pairs of a block b. The admitted columns move
     forward a block at a time, in order, so that the flat buffer starts
     with buf's rows cut to the k admitted columns; the caller, the buffer's
-    only holder, then shrinks it in place with buf.resize(shape[:-1] + (k,)),
-    which refuses while any view of it is alive. Returns k; raises
-    DegeneratePlan when no pair is admitted.
+    only holder, then shrinks it in place with buf.resize(shape[:-1] + (k,),
+    refcheck=False). No view of the buffer outlives the writers and this
+    function, so none is left to dangle when the shrink moves the data;
+    the reference count check is not used, as a profile or trace hook
+    (cProfile, coverage, pdb) holds references of its own and makes it
+    refuse. Returns k; raises DegeneratePlan when no pair is admitted.
 
     A block is read whole before any of it is written, and no column moves
     past where it was read, so nothing unread is overwritten. Beside the
@@ -237,7 +245,7 @@ def _disc_pairs(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarray]:
         return (np.abs(p[0]) <= cap) & (np.abs(p[1]) <= cap) & (np.abs(p[0] - p[1]) >= eps)
 
     k = _admit(z, admitted, "slice")
-    z.resize((2, k))
+    z.resize((2, k), refcheck=False)
     return z[0], z[1]
 
 
@@ -300,7 +308,7 @@ def _ball_pairs(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
         return (norm_array(q1) <= rho) & (norm_array(q2) <= rho) & (norm_array(q1 - q2) >= eps)
 
     k = _admit(q, admitted, "ball")
-    q.resize((2, 4, k))
+    q.resize((2, 4, k), refcheck=False)
     return q[0].T, q[1].T
 
 
@@ -350,7 +358,7 @@ def circle_pair_angles(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
     _write_circle_angles(plan, t.real)
     k = _admit(t, lambda p: 2.0 * np.abs(np.sin(0.5 * (p[0].real - p[1].real))) >= eps,
                "circle")
-    t.resize((2, k))
+    t.resize((2, k), refcheck=False)
     return t[0].real, t[1].real
 
 
@@ -502,7 +510,7 @@ def _pair_moduli(f: SliceSeries, i: ImaginaryUnit, z1: np.ndarray,
         v1 -= v2
         d = out[5:, b] if rows > 5 else inc[:, :v1.shape[1]]
         np.abs(v1, out=d)
-        np.hypot(d[0], d[1], out=out[0, b])
+        zero_leg_hypot(d[0], d[1], out=out[0, b])
     return out
 
 
@@ -526,6 +534,22 @@ def pair_samples(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan, stream: str
     if len(plan.memo(key, build)) < rows:
         plan.forget(key)
     return (z1, z2, plan.memo(key, build), *ws)
+
+
+def circle_spectrum(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan, nodes: int,
+                    modulus: bool = False) -> BoundarySpectrum:
+    """The BoundarySpectrum of f's component moduli (|F|, |G|) on the
+    circle of the plane of i at the `nodes` angles, or with modulus of
+    ||f|| = hypot(|F|, |G|) there. The moduli come from one evaluation of
+    F and G, each spectrum from one FFT call; moduli and spectra are built
+    once per series, unit and node count and kept until plan.drop(f)."""
+    key = ("boundary", f, i, nodes)
+
+    def build():
+        a = plan.memo(key, lambda: np.abs(split(f, i).at(np.exp(1j * _angles(nodes)))))
+        return boundary_spectrum(zero_leg_hypot(a[0], a[1]) if modulus else a, nodes)
+
+    return plan.memo(key + (modulus,), build)
 
 
 def slice_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
@@ -553,7 +577,7 @@ def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
         return mods[6, b] / w2[b]
 
     return tuple(_pair_estimate(r, z1.size, z1, z2, i)
-                 for r in (r1, r2, lambda b: np.hypot(r1(b), r2(b))))
+                 for r in (r1, r2, lambda b: zero_leg_hypot(r1(b), r2(b))))
 
 
 def global_norm(f: SliceSeries, omega: Majorant, plan: SamplePlan) -> NormEstimate:
@@ -612,10 +636,11 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     def moduli(z):
         return np.abs(s.at(z))
 
-    # N1's Poisson sup first: its transients die before the circle block is built
+    # N1's Poisson sup first: its transients die before the circle block is
+    # built. The grid grows with n_points, so its powers are taken per call
     n_rad = max(16, plan.n_points // 16)
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
-    defect = defect_sup(s.C, omega, xs, nodes)
+    defect = defect_sup(s.C, omega, xs, nodes, circle_spectrum(f, i, plan, nodes))
 
     e1, _, mods, w = pair_samples(f, i, plan, "circle", omega, rows=5)
     circle_part = blocked_max(lambda b: np.abs(mods[1:3, b] - mods[3:5, b]) / w[b], e1.size)
@@ -725,7 +750,7 @@ def bounded_growth_check(f: SliceSeries, x: np.ndarray, i: ImaginaryUnit,
             np.abs(eval_complex(row, c, out=evals[:len(c)]), out=a)
         a1.max(axis=1, out=m1[b])
         a2.max(axis=1, out=m2[b])
-        np.hypot(a1, a2, out=a1).max(axis=1, out=local_sup[b])
+        zero_leg_hypot(a1, a2, out=a1).max(axis=1, out=local_sup[b])
 
     values, slopes = s.at(z), s.derivative().at(z)
     f1, f2 = np.hypot(values.real, values.imag)

@@ -19,14 +19,25 @@ closed form (Trefethen & Weideman, SIAM Review 56, 2014): with u^ =
 fft(u)/N and A(z) = sum_(m<N) u^_m z^m it is 2 Re(A(z)/(1 - z^N)) - u^_0.
 poisson_integral_slice evaluates A by baby-step/giant-step (Paterson &
 Stockmeyer, SIAM J. Comput. 2, 1973) from about 2 sqrt(N) powers of each
-point, the baby and the giant powers alive one after the other, so no
-(points, nodes) array is built. P[|c|^2] of a polynomial c
+point, so no (points, nodes) array is built. P[|c|^2] of a polynomial c
 is exact from the autocorrelation of its coefficients (poisson_modulus_sq).
+
+Memory. Points given bare have their baby and giant powers alive one after
+the other, for that call only. Data that many means read is passed as its
+BoundarySpectrum (one FFT call over its rows), and points that many means
+share as their SlicePowers, which keep both power arrays. A verify run
+keeps each member's spectra of (|F|, |G|) and of ||f|| until the member is
+dropped (lipschitz.circle_spectrum; 0.13 MB with the moduli they are taken
+from, at 2048 nodes), and its suites hold the powers of the 144-point
+defect grid (0.21 MB) and of the cone's 26 points (0.04 MB) for the run.
+N1's ray grid grows with the points (2048 at 4096 points) and keeps
+per-call powers.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +52,7 @@ from .quaternion import (
     slice_coordinate,
     slice_points_array,
 )
-from .series import SliceSeries, eval_complex, on_circle, split
+from .series import SliceSeries, eval_complex, on_circle, split, zero_leg_hypot
 
 MIN_NODES = 16
 
@@ -55,7 +66,7 @@ class BoundaryTooClose(ValueError):
 _PROFILES = {
     "plus": lambda a: 2.0 * a[1],
     "minus": lambda a: 2.0 * a[0],
-    "modulus": lambda a: np.hypot(a[0], a[1]),
+    "modulus": lambda a: zero_leg_hypot(a[0], a[1]),
     "modulus_squared_1": lambda a: a[0] ** 2,
     "modulus_squared_2": lambda a: a[1] ** 2,
 }
@@ -109,35 +120,109 @@ def poisson_integral(u, q: Quaternion, i: ImaginaryUnit, nodes: int = 4096) -> f
     return float(np.mean(u(t) * ((1.0 - r ** 2) / (np.abs(z - np.exp(1j * t)) ** 2 + off2))))
 
 
+def _steps(nodes: int) -> tuple[int, int]:
+    """The baby step s = ceil(sqrt(nodes)) and the giant step count g =
+    ceil(nodes / s); the coefficients are zero-padded to g*s."""
+    s = math.isqrt(nodes - 1) + 1
+    return s, -(-nodes // s)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundarySpectrum:
+    """Boundary data sampled at the `nodes` angles, in the form the
+    spectral mean reads: coef holds fft(row) / nodes of each of its rows,
+    zero-padded to g*s columns, and shape is the data's leading shape."""
+
+    coef: np.ndarray
+    shape: tuple
+    nodes: int
+
+
+def boundary_spectrum(vals, nodes: int) -> BoundarySpectrum:
+    """The BoundarySpectrum of data (..., nodes) at the `nodes` angles,
+    from one FFT call over its rows."""
+    vals = np.asarray(vals, dtype=float)
+    rows = vals.reshape(-1, nodes)
+    s, g = _steps(nodes)
+    coef = np.zeros((len(rows), g * s), dtype=complex)
+    coef[:, :nodes] = np.fft.fft(rows) / nodes
+    coef.setflags(write=False)
+    return BoundarySpectrum(coef, vals.shape[:-1], nodes)
+
+
+@dataclass(frozen=True, eq=False)
+class SlicePowers:
+    """Disc points zs with the powers the spectral mean takes of them at
+    `nodes` nodes: baby (points, s) = z^b, giant (points, g + 1) =
+    (z^s)^a, and z_rem = z^(nodes % s)."""
+
+    zs: np.ndarray
+    baby: np.ndarray
+    giant: np.ndarray
+    z_rem: np.ndarray
+    nodes: int
+
+    # np.size reads it: a mean at stored powers counts its points as one
+    # at the bare points does
+    @property
+    def size(self) -> int:
+        return self.zs.size
+
+
+def slice_powers(zs, nodes: int) -> SlicePowers:
+    """The SlicePowers of complex points zs of the slice's disc (|z| < 1,
+    1 - |z| >= 10/nodes), for a point set that many means share; its
+    baby and giant powers are alive together."""
+    zs = np.asarray(zs, dtype=complex)
+    _check_interior(np.abs(zs), nodes)
+    s, g = _steps(nodes)
+    z = zs.ravel()[:, None]
+    baby = z ** np.arange(s)
+    powers = SlicePowers(zs, baby, (z ** s) ** np.arange(g + 1),
+                         baby[:, nodes % s].copy(), nodes)
+    for a in (powers.baby, powers.giant, powers.z_rem):
+        a.setflags(write=False)
+    return powers
+
+
 def poisson_integral_slice(u, zs, nodes: int = 4096) -> np.ndarray:
     """P[u] at complex points zs of the slice's own disc (|z| < 1, 1 - |z|
     >= 10/nodes), batched; stacked data u -> (k, nodes) give (k, *zs.shape).
+    u is a callable from the angles to the data or the data's
+    BoundarySpectrum; zs are the points or their SlicePowers, built once
+    for points that many means share.
+
     The baby step is one product of the (points, s) baby powers with the
-    (k, s, g) coefficient blocks, the giant step sums against (z^s)^a. The
-    baby powers are freed before the giant powers are built, and the
-    blocks are scaled in place, so at most one (points, s) power array and
-    one (k, points, g) block array are alive. The product is not split
-    into row chunks: OpenBLAS zgemm may round a row differently when the
-    row count changes."""
-    zs = np.asarray(zs, dtype=complex)
-    _check_interior(np.abs(zs), nodes)
-    vals = np.asarray(u(_angles(nodes)), dtype=float)
-    rows = vals.reshape(-1, nodes)
-    s = math.isqrt(nodes - 1) + 1  # ceil(sqrt(nodes))
-    g = -(-nodes // s)  # the coefficients are zero-padded to g*s
-    coef = np.zeros((len(rows), g * s), dtype=complex)
-    coef[:, :nodes] = np.fft.fft(rows) / nodes
-    z = zs.ravel()[:, None]
-    baby = z ** np.arange(s)
-    blocks = baby @ coef.reshape(-1, g, s).transpose(0, 2, 1)  # (k, points, g)
-    z_rem = baby[:, nodes % s].copy()
-    del baby
-    giant = (z ** s) ** np.arange(g + 1)
+    (k, s, g) coefficient blocks, the giant step sums against (z^s)^a. For
+    points given bare, the baby powers are freed before the giant powers
+    are built, and the blocks are scaled in place, so at most one (points,
+    s) power array and one (k, points, g) block array are alive. The
+    product is not split into row chunks: OpenBLAS zgemm may round a row
+    differently when the row count changes."""
+    spec = u if isinstance(u, BoundarySpectrum) else boundary_spectrum(u(_angles(nodes)), nodes)
+    powers = zs if isinstance(zs, SlicePowers) else None
+    if nodes != spec.nodes or (powers is not None and nodes != powers.nodes):
+        raise ValueError(f"boundary data or powers taken for another node count than {nodes}")
+    s, g = _steps(nodes)
+    coef = spec.coef
+    cut = coef.reshape(-1, g, s).transpose(0, 2, 1)  # (k, s, g)
+    if powers is not None:
+        zs, giant, z_rem = powers.zs, powers.giant, powers.z_rem
+        blocks = powers.baby @ cut  # (k, points, g)
+    else:
+        zs = np.asarray(zs, dtype=complex)
+        _check_interior(np.abs(zs), nodes)
+        z = zs.ravel()[:, None]
+        baby = z ** np.arange(s)
+        blocks = baby @ cut
+        z_rem = baby[:, nodes % s].copy()
+        del baby
+        giant = (z ** s) ** np.arange(g + 1)
     blocks *= giant[:, :g]
     a = np.sum(blocks, axis=-1)
     z_n = giant[:, nodes // s] * z_rem
     means = 2.0 * (a / (1.0 - z_n)).real - coef[:, :1].real
-    return means.reshape(vals.shape[:-1] + zs.shape)
+    return means.reshape(spec.shape + zs.shape)
 
 
 def poisson_modulus_sq(c: np.ndarray, zs) -> np.ndarray:
@@ -149,15 +234,21 @@ def poisson_modulus_sq(c: np.ndarray, zs) -> np.ndarray:
     return 2.0 * eval_complex(gamma, zs).real - gamma[0].real
 
 
-def defect_sup(comps, omega: Majorant, xs, nodes: int) -> np.ndarray:
+def defect_sup(comps, omega: Majorant, xs, nodes: int,
+               spectrum: BoundarySpectrum | None = None) -> np.ndarray:
     """sup over the disc points xs of (P[|c|](x) - |c(x)|) / omega(1 - |x|)
     for each row c of comps, a stack of ascending complex coefficient rows
     such as SplitSeries.C, as a (k,) array, from one trapezoid Poisson call
-    with the components stacked."""
+    with the components stacked. xs are the points or their SlicePowers;
+    spectrum is the BoundarySpectrum of the rows' moduli at the `nodes`
+    angles, taken here when None."""
     def moduli(z):
         return np.stack([np.abs(eval_complex(c, z)) for c in comps])
 
-    p_vals = poisson_integral_slice(on_circle(moduli), xs, nodes)
+    p_vals = poisson_integral_slice(on_circle(moduli) if spectrum is None else spectrum,
+                                    xs, nodes)
+    if isinstance(xs, SlicePowers):
+        xs = xs.zs
     defect = p_vals - moduli(xs)
     return np.max(defect / omega(1.0 - np.abs(xs)), axis=-1)
 

@@ -313,6 +313,10 @@ def eval_complex(coeffs: np.ndarray, z, out: np.ndarray | None = None) -> np.nda
     by Horner, with the bits of numpy.polynomial.polynomial.polyval at
     finite z (polyval starts from c[-1] + z*0, so a -0.0 part of the
     leading coefficient may come out as +0.0 there and stays -0.0 here).
+    A row of one coefficient is filled with it, and a row whose
+    coefficients are all zero with +0.0, without a Horner pass: every
+    Horner step of such a row gives a zero, so at finite z the fill may
+    differ from polyval only in the sign of a zero.
 
     The Horner runs over _BLOCK points at a time in two preallocated work
     rows, which stay in cache; the last degree step writes into out (a
@@ -327,8 +331,16 @@ def eval_complex(coeffs: np.ndarray, z, out: np.ndarray | None = None) -> np.nda
         raise ValueError(f"out must be C-contiguous and shaped {z.shape}")
     if len(c) == 1:
         out[...] = c[0]
-        return out
-    zf, res = z.reshape(-1), out.reshape(-1)
+    elif not c.any():
+        out[...] = 0.0
+    else:
+        _horner(c, z.reshape(-1), out.reshape(-1))
+    return out
+
+
+def _horner(c: np.ndarray, zf: np.ndarray, res: np.ndarray):
+    """Write the Horner values of the coefficients c (two or more) at the
+    flat points zf into res, _BLOCK points at a time."""
     work = np.empty((2, min(zf.size, _BLOCK)), dtype=complex)
     # numpy's SIMD complex multiply uses FMA, so its bits depend on operand
     # order (z * acc and acc * z differ in the last bit for 11 of 40 random
@@ -347,13 +359,28 @@ def eval_complex(coeffs: np.ndarray, z, out: np.ndarray | None = None) -> np.nda
             acc, nxt = nxt, acc
         last = np.multiply(acc, zb, out=res[start:start + zb.size])
         last += c[0]
-    return out
+
+
+def zero_leg_hypot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.hypot of the moduli of two legs, real or complex and of one
+    shape, into out when given. When a leg is all zero (+0.0 or -0.0) the
+    result is the other leg's np.abs, without the hypot: hypot(x, +-0) is
+    |x| bit for bit, subnormal, huge and infinite x included, and a NaN
+    stays NaN. A leg holding a NaN is not all zero."""
+    if not b.any():
+        return np.abs(a, out=out)
+    if not a.any():
+        return np.abs(b, out=out)
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        a, b = np.abs(a), np.abs(b)
+    return np.hypot(a, b, out=out)
 
 
 def split_modulus(values: np.ndarray) -> np.ndarray:
     """hypot(|F|, |G|) of stacked component values (F, G): the quaternion
-    norm of F + G*j, and of an increment when given differences."""
-    return np.hypot(np.abs(values[0]), np.abs(values[1]))
+    norm of F + G*j, and of an increment when given differences; |F| alone
+    when G is all zero, as for a real-coefficient series."""
+    return zero_leg_hypot(values[0], values[1])
 
 
 def on_circle(g: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:

@@ -25,24 +25,32 @@ plan's store, so at most one member's values are alive and each is built
 once for all suites. The checks read the complex pair streams and their
 weights through pair_weights and pair_samples, which build each once per
 run on first use; only algebraic_closure reads weights in its suite
-function. A member's stored values are its slice moduli for each unit and
-its circle moduli: at 16x, 3.2 MB for the seven slice rows at unit i, 0.46
-MB for the increment modulus alone at unit k, and 2.6 MB for the five
-circle rows. The member steps build and free nothing longer than _BLOCK
-pairs or points beside them: the sups over the pair streams, the ball
-derivative ratios, modulus_membership's maxima and algebraic_closure's
-violations are taken block by block, and a stream build holds only its
-one buffer and a block. Of the 16x peak RSS (about 62 MiB in a fresh
+function. A member's stored values are its slice moduli for each unit, its
+circle moduli, and its boundary moduli at the nodes angles with their two
+spectra (circle_spectrum), which N1, the defect sup and both cone branches
+read: at 16x, 3.2 MB for the seven slice rows at unit i, 0.46 MB for the
+increment modulus alone at unit k, 2.6 MB for the five circle rows, and
+0.13 MB for the boundary data at 2048 nodes. Beside the plan's store, the
+Poisson and cone suites hold, for the run, the powers of the 144-point
+defect grid (0.21 MB at 2048 nodes; in a full run only
+poisson_characterization builds them, as the cone then reads every
+member's stored defect sup) and of the cone's points (0.04 MB). The member
+steps build and free nothing longer than _BLOCK pairs or points beside
+them: the sups over the pair streams, the ball derivative ratios,
+modulus_membership's maxima and algebraic_closure's violations are taken
+block by block, and a stream build holds only its one buffer and a block. Of the 16x peak RSS (about 62 MiB in a fresh
 process, one BLAS thread) the last large rise, 8 MiB, comes in the first
 norm_equivalences step, which builds the circle and unit-disc pair
 streams and stores the first member's circle moduli; the second member's
-step adds 1.3 MiB, and later rises are under 0.5 MiB.
+step adds 1.3 MiB, and later rises are under 0.8 MiB (the first
+poisson_characterization step, which builds the defect grid's powers).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -54,6 +62,7 @@ from .lipschitz import (
     blocked_max,
     boundary_norm,
     bounded_growth_check,
+    circle_spectrum,
     component_estimates,
     derivative_ratio,
     disc_points,
@@ -71,7 +80,13 @@ from .majorant import (
     combine,
     squared,
 )
-from .poisson import defect_sup, poisson_integral_slice, resolved_cap, sq_defect_sup
+from .poisson import (
+    defect_sup,
+    poisson_integral_slice,
+    resolved_cap,
+    slice_powers,
+    sq_defect_sup,
+)
 from .quaternion import (
     E1,
     E2,
@@ -87,7 +102,6 @@ from .series import (
     cullen_derivative,
     evaluate_batch,
     is_intrinsic,
-    on_circle,
     split,
     split_modulus,
 )
@@ -189,8 +203,9 @@ class VerificationReport:
             "passed": self.passed,
             "tolerances": dict(self.tolerances),
             "notes": list(self.notes),
-            "records": [{"name": r.name, "passed": r.passed,
-                         **{k: v for k, v in asdict(r).items() if k != "bounds"}}
+            "records": [{"name": r.name, "passed": r.passed, "checks": dict(r.checks),
+                         "witnesses": {k: [list(p) for p in v] for k, v in r.witnesses.items()},
+                         "failures": list(r.failures), "notes": list(r.notes)}
                         for r in self.records],
         }
 
@@ -392,13 +407,21 @@ def _defect_grid(plan: SamplePlan, nodes: int) -> np.ndarray:
     return ray_grid(resolved_cap(plan.max_radius, nodes), 24, 6, 4)
 
 
+def _defect_powers(plan: SamplePlan, nodes: int):
+    """A callable that builds the SlicePowers of the defect grid on its
+    first call and returns them after: a suite holds one for its run."""
+    return functools.cache(lambda: slice_powers(_defect_grid(plan, nodes), nodes))
+
+
 def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
-                          plan: SamplePlan, nodes: int) -> float:
+                          plan: SamplePlan, nodes: int, grid) -> float:
     """sup over the defect grid and both split components of (P[|f_k|](x)
-    - |f_k(x)|) / omega(1-|x|), P by the trapezoid rule, computed once per
-    plan and arguments: the Poisson and cone suites share it."""
+    - |f_k(x)|) / omega(1-|x|), P by the trapezoid rule from f's stored
+    circle_spectrum, computed once per plan and arguments: the Poisson and
+    cone suites share it. grid, from _defect_powers, gives the grid's
+    SlicePowers."""
     def build():
-        sups = defect_sup(split(f, i).C, omega, _defect_grid(plan, nodes), nodes)
+        sups = defect_sup(split(f, i).C, omega, grid(), nodes, circle_spectrum(f, i, plan, nodes))
         return max(0.0, float(np.max(sups)))
 
     return plan.memo(("defect_sup", f, omega, i, nodes), build)
@@ -534,11 +557,12 @@ def verify_poisson_characterization(config: RunConfig) -> VerificationReport:
     window."""
     omega, i, plan = config.omega, config.i, config.plan
     nodes, window = config.nodes, config.window
+    grid = _defect_powers(plan, nodes)
 
     def check(rec, m):
         b_mod = boundary_norm(m.series, omega, i, plan)[1]
         rec.check("boundary_modulus_norm", b_mod.value)
-        c_def = _component_defect_sup(m.series, omega, i, plan, nodes)
+        c_def = _component_defect_sup(m.series, omega, i, plan, nodes, grid)
         c_lip = slice_norm(m.series, omega, i, plan).value
         rec.check("defect_sup", c_def)
         rec.check("slice_norm", c_lip)
@@ -596,16 +620,22 @@ def verify_cone_corollary(config: RunConfig) -> VerificationReport:
         # admissible points lie on the slice; the matched complex
         # coordinate carries the branch sign
         zq = sel[:, 0] + sign * 1j * np.linalg.norm(sel[:, 1:], axis=1)
-        branches.append((zq, omega(1.0 - np.abs(zq))))
+        # the branch's powers, built on its first Poisson mean, serve every member
+        powers = functools.cache(lambda zq=zq: slice_powers(zq, nodes))
+        branches.append((zq, omega(1.0 - np.abs(zq)), powers))
     counts["rejected"] = np.sum(~seen)
+    # in a full run poisson_characterization has stored every member's
+    # defect sup first, and this grid is never built
+    grid = _defect_powers(plan, nodes)
 
     def check(rec, m):
         s = split(m.series, i)
-        c_def = _component_defect_sup(m.series, omega, i, plan, nodes)
+        c_def = _component_defect_sup(m.series, omega, i, plan, nodes, grid)
+        spectrum = circle_spectrum(m.series, i, plan, nodes, modulus=True)
         # np.max keeps a NaN excess, where Python's max would drop it
         aligned, crossed = [0.0], [0.0]
-        for zq, gapw in branches:
-            p_mean = poisson_integral_slice(on_circle(s.modulus), zq, nodes)
+        for zq, gapw, powers in branches:
+            p_mean = poisson_integral_slice(spectrum, powers(), nodes)
             bound = 2.0 * c_def * gapw + tol * (1.0 + 2.0 * c_def)
             for maxima, z in ((aligned, zq), (crossed, zq.conj())):
                 maxima.append(np.max((p_mean - 2.0 * s.modulus(z)) - bound))

@@ -433,6 +433,27 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("hook", ["profile", "trace"])
+@pytest.mark.parametrize("argv, name", [
+    (["norm", "--name", "random_0", "--estimator", "global"], "norm_global.json"),
+    (["norm", "--name", "random_0", "--estimator", "component"], "norm_component.json"),
+    (["verify", "--pairs", "256", "--points", "64", "--nodes", "512"], "verify_small.json"),
+], ids=["norm_global", "norm_component", "verify_small"])
+def test_golden_bytes_under_a_profile_or_trace_hook(hook, argv, name, tmp_path):
+    # cProfile, coverage and pdb set such hooks; the stream builds once
+    # failed under them, and a verify run then reported exceptions
+    out = tmp_path / name
+    previous = sys.gettrace(), sys.getprofile()
+    (sys.setprofile if hook == "profile" else sys.settrace)(lambda *args: None)
+    try:
+        code = main([*argv, "--out", str(out)])
+    finally:
+        sys.settrace(previous[0])
+        sys.setprofile(previous[1])
+    assert code == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
 def test_verify_fails_on_uncertified_weight(tmp_path):
     # check_regular rejects this weight; the mixed bound needs its constant
     out = tmp_path / "rep.json"

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from slicereg.lipschitz import (
     boundary_norm,
     bounded_growth_check,
     circle_pair_angles,
+    circle_spectrum,
     component_estimates,
     derivative_ratio,
     disc_pair_coords,
@@ -176,6 +178,37 @@ def test_stored_stream_is_read_only_and_equals_a_fresh_build(stream):
     for a, b in zip(arrays, fresh):
         assert a is not b
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _local_tracer(frame, event, arg):
+    return _local_tracer
+
+
+# hooks that hold references of their own to the frames they see
+HOOKS = {
+    "profile": lambda: sys.setprofile(lambda *args: None),
+    "trace": lambda: sys.settrace(lambda *args: None),
+    "trace_lines": lambda: sys.settrace(_local_tracer),
+}
+
+
+@pytest.mark.parametrize("hook", HOOKS.values(), ids=HOOKS)
+def test_stream_builds_keep_their_bits_under_a_profile_or_trace_hook(hook):
+    # a build shrinks its buffer in place; a hook's references to it must
+    # not stop the shrink (they made ndarray.resize's refcheck refuse)
+    builds = {**_STREAMS, "slice_pair_coords": slice_pair_coords,
+              "circle_pair_angles": circle_pair_angles}
+    want = {name: [a.tobytes() for a in build(SamplePlan(n_pairs=3000, n_points=64))]
+            for name, build in builds.items()}
+    plan = SamplePlan(n_pairs=3000, n_points=64)
+    previous = sys.gettrace(), sys.getprofile()
+    hook()
+    try:
+        got = {name: [a.tobytes() for a in build(plan)] for name, build in builds.items()}
+    finally:
+        sys.settrace(previous[0])
+        sys.setprofile(previous[1])
+    assert got == want
 
 
 def test_the_circle_stream_stores_its_points_and_no_angles():
@@ -614,6 +647,33 @@ def _circle_functionals(m, plan, boundary=boundary_norm):
     bounds = boundary(m.series, W_HALF, I, plan)
     return ([(b.value, b.argmax_pair, b.samples_used) for b in bounds],
             [n.tobytes() for n in seminorms_N(m.series, W_HALF, I, plan, 512)])
+
+
+def test_circle_spectrum_is_built_once_per_member_and_dropped_with_it(monkeypatch):
+    ffts, real_fft = [], np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        ffts.append(np.shape(a))
+        return real_fft(a, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", counted)
+    plan = SamplePlan(n_pairs=256, n_points=64)
+    f = default_corpus()[-1].series
+    parts = circle_spectrum(f, I, plan, 512)
+    whole = circle_spectrum(f, I, plan, 512, modulus=True)
+    assert circle_spectrum(f, I, plan, 512) is parts
+    assert circle_spectrum(f, I, plan, 512, modulus=True) is whole
+    assert ffts == [(2, 512), (1, 512)]
+    assert parts.shape == (2,) and whole.shape == ()
+    e = np.exp(1j * 2.0 * np.pi * np.arange(512) / 512)
+    moduli = np.abs(split(f, I).at(e))
+    assert parts.coef[:, :512].tobytes() == (real_fft(moduli) / 512).tobytes()
+    modulus = np.hypot(moduli[0], moduli[1])[None]
+    assert whole.coef[:, :512].tobytes() == (real_fft(modulus) / 512).tobytes()
+    # N1 reads the stored spectrum: no FFT of its own
+    seminorms_N(f, W_HALF, I, plan, 512)
+    assert len(ffts) == 2
+    plan.drop(f)
+    assert not [k for k in plan.__dict__["_store"] if isinstance(k, tuple) and f in k]
 
 
 def test_circle_functionals_equal_a_per_call_recomputation(monkeypatch):

@@ -8,6 +8,7 @@ from slicereg.majorant import PowerMajorant
 from slicereg.poisson import (
     MODES,
     BoundaryTooClose,
+    boundary_spectrum,
     defect_sup,
     harmonic_defect,
     modulus_boundary_function,
@@ -16,6 +17,7 @@ from slicereg.poisson import (
     poisson_modulus_sq,
     resolved_cap,
     rotation_equivariance_residual,
+    slice_powers,
     sq_defect_sup,
     star_kernel_bound,
 )
@@ -250,6 +252,44 @@ def test_defect_sup_equals_per_component_loop():
             for comps in ((F, G), (F,), (G,)):
                 want = _defect_sup_loop(comps, omega, xs, nodes, 1)
                 assert defect_sup(comps, omega, xs, nodes).tolist() == want, m.name
+
+
+@pytest.mark.parametrize("nodes", [16, 17, 512, 2048])
+def test_stored_spectrum_and_powers_keep_the_bits_of_a_bare_call(nodes):
+    # a spectrum and powers built once and read by many means give the
+    # bytes of the call that builds both itself, for one row or stacked
+    cap = resolved_cap(0.995, nodes)
+    zs = ray_grid(cap, 24, 6, 4)
+    angles = 2.0 * np.pi * np.arange(nodes) / nodes
+    for points in (zs, zs[:1], zs[:23].copy(), zs.reshape(24, 6), np.array([0.0j])):
+        powers = slice_powers(points, nodes)
+        assert powers.size == points.size
+        for u in (lambda t: _positive_rows(t)[2], _positive_rows):
+            want = poisson_integral_slice(u, points, nodes)
+            spectrum = boundary_spectrum(u(angles), nodes)
+            for data, where in ((spectrum, powers), (spectrum, points), (u, powers)):
+                got = poisson_integral_slice(data, where, nodes)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        poisson_integral_slice(boundary_spectrum(_positive_rows(angles), nodes), zs, nodes + 1)
+    with pytest.raises(ValueError):
+        poisson_integral_slice(_positive_rows, slice_powers(zs, nodes), 2 * nodes)
+    with pytest.raises(BoundaryTooClose):
+        slice_powers(np.array([1.0 - 5.0 / nodes]), nodes)
+
+
+def test_defect_sup_from_a_stored_spectrum_and_powers_keeps_its_bits():
+    omega = PowerMajorant(0.5)
+    nodes = 1024
+    xs = ray_grid(resolved_cap(1.0, nodes), 24, 6, 4)
+    powers = slice_powers(xs, nodes)
+    e = np.exp(1j * 2.0 * np.pi * np.arange(nodes) / nodes)
+    for m in default_corpus():
+        s = split(m.series, ImaginaryUnit.from_vector(1.0, 1.0, 1.0))
+        spectrum = boundary_spectrum(np.abs(s.at(e)), nodes)
+        want = defect_sup(s.C, omega, xs, nodes)
+        for where, data in ((powers, spectrum), (xs, spectrum), (powers, None)):
+            assert defect_sup(s.C, omega, where, nodes, data).tobytes() == want.tobytes()
 
 
 def _four_term_integral(u, q, i, nodes):

@@ -6,6 +6,7 @@ from numpy.polynomial import polynomial as npoly
 
 import slicereg.series
 from slicereg.cli import RunConfig
+from slicereg.lipschitz import SamplePlan, disc_points, pair_weights
 
 from slicereg.quaternion import (
     E1,
@@ -39,7 +40,9 @@ from slicereg.series import (
     star_inverse_derivative,
     star_pointwise,
     star_product,
+    split_modulus,
     symmetrization,
+    zero_leg_hypot,
 )
 from slicereg.verify import default_corpus, run_suite
 
@@ -173,6 +176,48 @@ def test_split_at_equals_the_stack_of_its_rows():
                 want = np.stack([eval_complex(c, z) for c in s.C])
                 assert got.tobytes() == want.tobytes() and got.shape == want.shape, m.name
                 assert same_bits(got, want), m.name
+
+
+real_horner = slicereg.series._horner
+
+
+def _horner_spy(monkeypatch):
+    """The coefficient rows that reach the Horner loop, as a list."""
+    rows, real = [], slicereg.series._horner
+
+    def spy(c, zf, res):
+        rows.append(c.copy())
+        real(c, zf, res)
+    monkeypatch.setattr(slicereg.series, "_horner", spy)
+    return rows
+
+
+def test_eval_complex_fills_a_zero_row_without_a_horner_pass(monkeypatch):
+    rng = np.random.default_rng(37)
+    block = slicereg.series._BLOCK
+    zs = np.sqrt(rng.uniform(0.0, 0.98, block + 5)) * np.exp(1j * rng.uniform(-3.0, 3.0, block + 5))
+    signs = rng.choice([0.0, -0.0], size=(13, 2))
+    inputs = (zs, zs[:7], zs[:240].reshape(12, 20), np.asarray(zs[3]), zs[:0],
+              np.array([0.0, -0.0, 1e-300, 0.9, -0.9j]))
+    rows = _horner_spy(monkeypatch)
+    for n in range(2, 14):
+        for c in (np.zeros(n, dtype=complex), signs[:n, 0] + 1j * signs[:n, 1],
+                  -np.zeros(n, dtype=complex)):
+            for z in inputs:
+                got = eval_complex(c, z)
+                want = np.empty(np.shape(z), dtype=complex)
+                real_horner(c, np.asarray(z, dtype=complex).reshape(-1), want.reshape(-1))
+                # equal to the Horner values; only the sign of a zero may differ
+                assert np.array_equal(got, want) and got.shape == want.shape
+                assert np.array_equal(got, npoly.polyval(z, c))
+                assert not np.signbit([got.real, got.imag]).any()
+                out = np.full(np.shape(z), 5.0 + 5.0j)
+                assert eval_complex(c, z, out=out) is out and not out.any()
+    assert rows == []
+    # a single nonzero coefficient runs the Horner loop; a constant does not
+    eval_complex(np.array([0.0, 0.0, 1e-320j]), zs[:3])
+    eval_complex(np.array([-0.0 + 0.0j]), zs[:3])
+    assert len(rows) == 1
 
 
 def test_evaluate_batch_keeps_hmul_array_bits():
@@ -423,3 +468,64 @@ def test_truncated_and_degree():
     padded = f.truncated(9)
     assert padded.degree == 9
     assert np.array_equal(padded.array[:4], f.array) and not padded.array[4:].any()
+
+
+# legs to hold against a zero leg: signed zeros, subnormals, the largest
+# finite values, infinities, a NaN, and numbers in between
+_LEGS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e-200,
+                  0.3, -1.75, 1.0, 2.0 ** 52 + 1.0, 1e300, 1e308, -1e308,
+                  np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan])
+
+
+def _same_float_bits(got, want) -> bool:
+    """Equal shapes, and equal bits outside NaN, where both are NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def test_zero_leg_hypot_is_np_hypot_bit_for_bit():
+    rng = np.random.default_rng(41)
+    exps = rng.uniform(-1074.0, 1023.0, 4000)
+    wide = np.concatenate([_LEGS, np.ldexp(rng.uniform(0.5, 1.0, 4000), exps.astype(int))
+                           * rng.choice([-1.0, 1.0], 4000)])
+    for zero in (np.zeros_like(wide), -np.zeros_like(wide)):
+        for a, b in ((wide, zero), (zero, wide)):
+            want = np.hypot(a, b)
+            assert _same_float_bits(zero_leg_hypot(a, b), want)
+            out = np.empty_like(want)
+            assert zero_leg_hypot(a, b, out=out) is out and _same_float_bits(out, want)
+            # complex legs: the hypot of their moduli
+            assert _same_float_bits(zero_leg_hypot(a + 0j, b + 0j), want)
+    # a NaN leg is not all zero: the hypot runs, and NaN stays NaN
+    nan_leg = np.zeros(3)
+    nan_leg[1] = np.nan
+    for a, b in ((nan_leg, np.zeros(3)), (np.zeros(3), nan_leg), (nan_leg, np.ones(3))):
+        assert _same_float_bits(zero_leg_hypot(a, b), np.hypot(a, b))
+    # both legs nonzero: np.hypot itself, in both orders and in place
+    a, b = rng.normal(size=(2, 5000)) * np.exp(rng.uniform(-50.0, 50.0, (2, 5000)))
+    b[::7] = 0.0
+    for x, y in ((a, b), (b, a)):
+        assert _same_float_bits(zero_leg_hypot(x, y), np.hypot(x, y))
+        inplace = x.copy()
+        zero_leg_hypot(inplace, y, out=inplace)
+        assert _same_float_bits(inplace, np.hypot(x, y))
+
+
+def test_split_modulus_keeps_the_old_formula_on_every_stream():
+    plan = SamplePlan(n_pairs=2000, n_points=64)
+    streams = [z for name in ("slice", "circle", "disc") for z in pair_weights(plan, name)]
+    streams.append(disc_points(plan))
+    corpus = default_corpus()
+    assert [m.name for m in corpus if m.intrinsic] == ["const_real", "identity", "square",
+                                                       "exp_taylor"]
+    for m in corpus:
+        for unit in (UNIT_E1, ImaginaryUnit(0.6, 0.0, 0.8)):
+            s = split(m.series, unit)
+            for z in streams:
+                v = s.at(z)
+                for values in (v, v - s.at(z[::-1].copy()), np.abs(v)):
+                    want = np.hypot(np.abs(values[0]), np.abs(values[1]))
+                    assert split_modulus(values).tobytes() == want.tobytes(), m.name

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 import slicereg.lipschitz
 import slicereg.majorant
 import slicereg.poisson
+import slicereg.series
 import slicereg.verify
 from slicereg.cli import RunConfig, ValidationError, main
 from slicereg.lipschitz import SamplePlan
@@ -486,6 +488,69 @@ def test_a_run_keeps_no_poisson_kernel(monkeypatch):
     stored = [a for v in config.plan.__dict__["_store"].values()
               for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
     assert stored and all(a.size < config.nodes for a in stored)
+
+
+def test_a_default_run_skips_the_work_whose_result_is_known(monkeypatch):
+    # no Horner pass over an all-zero coefficient row; one FFT of each
+    # member's boundary moduli (|F|, |G|) and one of its modulus; the defect
+    # grid's and each cone branch's powers built once per run; N1's grid,
+    # which grows with the points, never made into stored powers
+    config = RunConfig()
+    calls = Counter()
+    zero_rows, fft_shapes, powered, bare = [], [], [], []
+
+    def spy(module, name, record):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            record(*args, **kwargs)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(slicereg.series, "_horner", lambda c, *rest: zero_rows.append(not c.any()))
+    spy(np.fft, "fft", lambda a, *rest, **kw: fft_shapes.append(np.shape(a)))
+    spy(slicereg.verify, "slice_powers", lambda zs, nodes: powered.append(np.size(zs)))
+    spy(slicereg.poisson, "poisson_integral_slice", lambda u, zs, nodes: bare.append(
+        None if isinstance(zs, slicereg.poisson.SlicePowers) else np.size(zs)))
+    reports = run_suite(config)
+    assert all(r.passed for r in reports)
+    assert zero_rows and not any(zero_rows)
+    members, nodes = len(config.corpus), config.nodes
+    assert Counter(fft_shapes) == {(2, nodes): members, (1, nodes): members}
+    assert len(fft_shapes) == 18
+    # the 144-point defect grid once, and each cone branch once
+    admissible = [rec.checks for r in reports if r.suite == "cone_corollary"
+                  for rec in r.records][0]
+    assert sorted(powered) == sorted([144, int(admissible["admissible_plus"]),
+                                      int(admissible["admissible_minus"])])
+    n1_points = 8 * max(16, config.n_points // 16)
+    assert [n for n in bare if n is not None] == [n1_points] * members
+    assert not [v for v in config.plan.__dict__["_store"].values()
+                if isinstance(v, slicereg.poisson.SlicePowers)]
+
+
+def _records_by_asdict(report):
+    """The report's records as dataclasses.asdict wrote them, bounds left out."""
+    return [{"name": r.name, "passed": r.passed,
+             **{k: v for k, v in dataclasses.asdict(r).items() if k != "bounds"}}
+            for r in report.records]
+
+
+def test_to_dict_writes_the_records_asdict_wrote():
+    config = RunConfig(n_pairs=256, n_points=64, nodes=512, window=1.5)
+    reports = run_suite(config)
+    assert not all(r.passed for r in reports)  # failures and notes are written too
+    for report in reports:
+        d = report.to_dict()
+        want = _records_by_asdict(report)
+        assert json.dumps(d["records"]) == json.dumps(want)
+        # copies: the report's records are not reachable from the dict
+        for got, rec in zip(d["records"], report.records):
+            assert list(got) == ["name", "passed", "checks", "witnesses", "failures", "notes"]
+            assert got["checks"] is not rec.checks and got["failures"] is not rec.failures
+            for label, pair in got["witnesses"].items():
+                assert pair == rec.witnesses[label] and pair is not rec.witnesses[label]
+                assert all(p is not q for p, q in zip(pair, rec.witnesses[label]))
 
 
 def _member_step_transient(n_pairs, suite="norm_equivalences"):

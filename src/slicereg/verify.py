@@ -38,12 +38,13 @@ member's stored defect sup) and of the cone's points (0.04 MB). The member
 steps build and free nothing longer than _BLOCK pairs or points beside
 them: the sups over the pair streams, the ball derivative ratios,
 modulus_membership's maxima and algebraic_closure's violations are taken
-block by block, and a stream build holds only its one buffer and a block. Of the 16x peak RSS (about 62 MiB in a fresh
-process, one BLAS thread) the last large rise, 8 MiB, comes in the first
-norm_equivalences step, which builds the circle and unit-disc pair
-streams and stores the first member's circle moduli; the second member's
-step adds 1.3 MiB, and later rises are under 0.8 MiB (the first
-poisson_characterization step, which builds the defect grid's powers).
+block by block, and a stream build holds only its one buffer and a block.
+Of the 16x peak RSS (about 62 MiB in a fresh process, one BLAS thread)
+the last large rise, 8 MiB, comes in the first norm_equivalences step,
+which builds the circle and unit-disc pair streams and stores the first
+member's circle moduli; the second member's step adds 1.3 MiB, and later
+rises are under 0.8 MiB (the first poisson_characterization step, which
+builds the defect grid's powers).
 """
 
 from __future__ import annotations

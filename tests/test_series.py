@@ -36,11 +36,11 @@ from slicereg.series import (
     representation_extend,
     slice_basis,
     split,
+    split_modulus,
     star_inverse,
     star_inverse_derivative,
     star_pointwise,
     star_product,
-    split_modulus,
     symmetrization,
     zero_leg_hypot,
 )

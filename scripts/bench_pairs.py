@@ -9,12 +9,12 @@ checkout, one after the other; the side that runs first alternates from
 pair to pair, so slow drift of the host falls on both sides alike.  The
 end-to-end metrics of every run, their per-side medians, quartiles and
 minima, the pairs the change wins, whether the parent's own runs spread
-beyond each metric's bound, each run's median op time per call with each
-side's median of them, both environments and the first
-output SHA-256 of each call go into ``BENCH_<label>.json`` in the change
-checkout, under the key ``<workload>-seed<S>``; other keys already in that
-file are kept, so a workload or a held-out seed can be added by a later
-call.
+beyond each metric's bound, whether that leaves the metric unresolved,
+each run's median op time per call with each side's median of them, both
+environments and the first output SHA-256 of each call go into
+``BENCH_<label>.json`` in the change checkout, under the key
+``<workload>-seed<S>``; other keys already in that file are kept, so a
+workload or a held-out seed can be added by a later call.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     parent_spreads_beyond_bound holds when it exceeds the metric's bound:
     the unchanged side alone then moves by more than the bound, so a move
     of that metric beyond its bound is host noise as much as the change.
+    Such a metric is unresolved, neither unchanged nor worse, unless every
+    run of the change reads better than every run of the parent.
     op_s_p50_by_call holds, per call, each run's median op time
     (runs[side][i]["op_s_p50_by_call"]) and each side's median of them: a
     move of op_s.p50 that every call shares, calls the change does not
@@ -93,6 +95,7 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
         worse_by = sign * (change_med - parent_med) / abs(parent_med) if parent_med else 0.0
         lo, hi = min(values["parent"]), max(values["parent"])
         spread = hi / lo - 1.0 if lo > 0.0 else 0.0
+        ordered = all(sign * (c - p) < 0.0 for c in values["change"] for p in values["parent"])
         metrics[name] = {
             **values,
             "parent_median": parent_med,
@@ -106,6 +109,7 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
             "within_bound": worse_by <= spec["bound"],
             "parent_spread": spread,
             "parent_spreads_beyond_bound": spread > spec["bound"],
+            "unresolved": spread > spec["bound"] and not ordered,
             "change_wins": wins,
             "parent_iqr": parent_iqr,
             "median_gap": abs(change_med - parent_med),
@@ -175,7 +179,8 @@ def main(argv=None) -> int:
               f"change {m['change_median']:.6g} (min {m['change_min']:.6g})  "
               f"worse by {m['change_worse_by']:+.1%} (bound {m['bound']:.0%}: "
               f"{'within' if m['within_bound'] else 'BEYOND'})  parent spread "
-              f"{m['parent_spread']:.1%}{' BEYOND bound' if m['parent_spreads_beyond_bound'] else ''}  "
+              f"{m['parent_spread']:.1%}{' BEYOND bound' if m['parent_spreads_beyond_bound'] else ''}"
+              f"{' UNRESOLVED' if m['unresolved'] else ''}  "
               f"wins {m['change_wins']}/{args.pairs}  "
               f"gap > parent IQR: {m['gap_exceeds_parent_iqr']}  claim met: {m['claim_met']}")
     ratios = [c["change_median"] / c["parent_median"]

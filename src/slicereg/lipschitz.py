@@ -10,26 +10,27 @@ identical results bit for bit.
 Each plan carries its own store: a stream or a shared constant is built
 once per plan and argument values and read from the store afterwards,
 read-only. The store lives and dies with the plan, so a run that holds one
-plan builds each stream once, and nothing is kept between runs. The
-complex pair streams are named: "slice" (the slice disc), "circle" (the
-unit circle, stored as points) and "disc" (the closed unit disc).
-pair_weights(plan, stream, *omegas) reads a stream's pairs and, stored once
-per weight, omega of their distances. pair_samples(f, i, plan, stream,
-*omegas) adds a series' own values, stored once per stream, series and
-unit from one evaluation at either end of the pairs: one _pair_moduli block
-of the rows its readers read, in the order: the increment modulus
+plan builds each stream once, and nothing is kept between runs. One
+lifetime rule holds inside it: a key that holds a series leaves with that
+series (plan.drop(f)), any other key lives for the plan. A run drops each
+member after the member's last suite, so at most one member's values are
+alive. The complex pair streams are named: "slice" (the slice disc),
+"circle" (the unit circle, stored as points) and "disc" (the closed unit
+disc). pair_weights(plan, stream, *omegas) reads a stream's pairs and,
+stored once per weight, omega of their distances. pair_samples(f, i, plan,
+stream, *omegas) adds a series' own values, stored once per stream, series
+and unit from one evaluation at either end of the pairs: one _pair_moduli
+block of the rows its readers read, in the order: the increment modulus
 hypot(|dF|, |dG|), |F| and |G| at both ends, then |dF| and |dG|. A verify
 run stores all seven rows for the slice pairs at unit i, the increment
 modulus alone at a second unit (slice_norm reads nothing else), and five
-rows for the circle pairs, where nothing reads |dF|, |dG|. A series'
-values stay until plan.drop(f); a run drops each member's after the
-member's last suite, so at most one member's values are alive. Poisson
-means need no array of size points x nodes: circle_spectrum stores, with
-a series' values, its boundary moduli (|F|, |G|) at the `nodes` angles
-(2 x nodes floats) and the spectra of those and of ||f|| (3 rows of about
-nodes complex numbers), each from one evaluation or one FFT call, which
-N1 and the suites' defect sup and cone means read; N1 takes the powers of
-its ray grid, which grows with n_points, per call.
+rows for the circle pairs, where nothing reads |dF|, |dG|. Poisson means
+need no array of size points x nodes: circle_spectrum stores, with a
+series' values, the spectra of its boundary moduli (|F|, |G|) and of ||f||
+at the `nodes` angles (3 rows of about nodes complex numbers) as one
+entry, from one evaluation and two FFT calls, which N1 and the suites'
+defect sup and cone means read; N1 takes the powers of its ray grid,
+which grows with n_points, per call.
 
 Each pair stream is built in one buffer of its final dtype: its strata
 are drawn and written _BLOCK pairs at a time, the admitted pairs are moved
@@ -80,6 +81,14 @@ from .series import (
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# The largest max_radius whose points stay off the sphere in floating
+# point. A point cap * e^{it} of the cap circle passes three roundings: the
+# parts of e^{it}, its product by cap, and the modulus (hypot), each within
+# an ulp, so 2^-52 relative at most, and |cap * e^{it}| computes to at most
+# cap * (1 + 2^-52)^3 < 1 - 2^-52 for cap <= 1 - 2^-50. At 1 - 2^-53 and
+# 1 - 2^-52 some points of the cap circle compute to |x| = 1.
+MAX_RADIUS = 1.0 - 2.0 ** -50
+
 
 class DegeneratePlan(ValueError):
     """The plan produced no admissible samples."""
@@ -91,7 +100,8 @@ class SamplePlan:
 
     min_separation is the smallest pair distance kept (guards float
     cancellation in difference quotients); max_radius bounds samples away
-    from the sphere.
+    from the sphere, and may not exceed MAX_RADIUS, past which a sample can
+    round onto it.
     """
 
     n_pairs: int = 4096
@@ -103,8 +113,8 @@ class SamplePlan:
     def __post_init__(self):
         if self.n_pairs < 4 or self.n_points < 4:
             raise DegeneratePlan("plan needs at least 4 pairs and 4 points")
-        if not 0.0 < self.max_radius < 1.0:
-            raise DegeneratePlan("max_radius must lie in (0, 1)")
+        if not 0.0 < self.max_radius <= MAX_RADIUS:
+            raise DegeneratePlan(f"max_radius must lie in (0, 1 - 2**-50], got {self.max_radius!r}")
         if not 0.0 < self.min_separation < 2.0 * self.max_radius:
             raise DegeneratePlan("min_separation must lie in (0, 2*max_radius)")
         if self.seed < 0:
@@ -194,18 +204,14 @@ def _write_strata(writers, sizes):
         start += n
 
 
-def _admit(buf: np.ndarray, admitted, what: str) -> int:
+def _admit(buf: np.ndarray, admitted, what: str):
     """Keep the admitted pairs of a pair buffer, in place. buf is
-    C-contiguous with the pairs on its last axis; admitted(buf[..., b]) is
-    the boolean mask of the pairs of a block b. The admitted columns move
-    forward a block at a time, in order, so that the flat buffer starts
-    with buf's rows cut to the k admitted columns; the caller, the buffer's
-    only holder, then shrinks it in place with buf.resize(shape[:-1] + (k,),
-    refcheck=False). No view of the buffer outlives the writers and this
-    function, so none is left to dangle when the shrink moves the data;
-    the reference count check is not used, as a profile or trace hook
-    (cProfile, coverage, pdb) holds references of its own and makes it
-    refuse. Returns k; raises DegeneratePlan when no pair is admitted.
+    C-contiguous, owns its data and has the pairs on its last axis;
+    admitted(buf[..., b]) is the boolean mask of the pairs of a block b.
+    The admitted columns move forward a block at a time, in order, so that
+    the flat buffer starts with buf's rows cut to the k admitted columns,
+    and buf is then shrunk in place to shape[:-1] + (k,). Raises
+    DegeneratePlan when no pair is admitted.
 
     A block is read whole before any of it is written, and no column moves
     past where it was read, so nothing unread is overwritten. Beside the
@@ -223,7 +229,12 @@ def _admit(buf: np.ndarray, admitted, what: str) -> int:
             kept = row[b][keep[b]]
             flat[end:end + kept.size] = kept
             end += kept.size
-    return k
+    # the caller, the buffer's only holder, keeps no view of it, and the
+    # views taken here are not read again, so none is left to dangle when
+    # the shrink moves the data; the reference count check is not used, as
+    # a profile or trace hook (cProfile, coverage, pdb) holds references of
+    # its own and makes it refuse
+    buf.resize(buf.shape[:-1] + (k,), refcheck=False)
 
 
 def disc_pair_coords(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -244,8 +255,7 @@ def _disc_pairs(plan: SamplePlan, cap: float) -> tuple[np.ndarray, np.ndarray]:
     def admitted(p):
         return (np.abs(p[0]) <= cap) & (np.abs(p[1]) <= cap) & (np.abs(p[0] - p[1]) >= eps)
 
-    k = _admit(z, admitted, "slice")
-    z.resize((2, k), refcheck=False)
+    _admit(z, admitted, "slice")
     return z[0], z[1]
 
 
@@ -307,8 +317,7 @@ def _ball_pairs(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
         q1, q2 = p[0].T, p[1].T
         return (norm_array(q1) <= rho) & (norm_array(q2) <= rho) & (norm_array(q1 - q2) >= eps)
 
-    k = _admit(q, admitted, "ball")
-    q.resize((2, 4, k), refcheck=False)
+    _admit(q, admitted, "ball")
     return q[0].T, q[1].T
 
 
@@ -356,9 +365,7 @@ def circle_pair_angles(plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
     eps = plan.min_separation
     t = np.zeros((2, plan.n_pairs), dtype=complex)
     _write_circle_angles(plan, t.real)
-    k = _admit(t, lambda p: 2.0 * np.abs(np.sin(0.5 * (p[0].real - p[1].real))) >= eps,
-               "circle")
-    t.resize((2, k), refcheck=False)
+    _admit(t, lambda p: 2.0 * np.abs(np.sin(0.5 * (p[0].real - p[1].real))) >= eps, "circle")
     return t[0].real, t[1].real
 
 
@@ -536,20 +543,18 @@ def pair_samples(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan, stream: str
     return (z1, z2, plan.memo(key, build), *ws)
 
 
-def circle_spectrum(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan, nodes: int,
-                    modulus: bool = False) -> BoundarySpectrum:
+def circle_spectrum(f: SliceSeries, i: ImaginaryUnit, plan: SamplePlan,
+                    nodes: int) -> tuple[BoundarySpectrum, BoundarySpectrum]:
     """The BoundarySpectrum of f's component moduli (|F|, |G|) on the
-    circle of the plane of i at the `nodes` angles, or with modulus of
-    ||f|| = hypot(|F|, |G|) there. The moduli come from one evaluation of
-    F and G, each spectrum from one FFT call; moduli and spectra are built
-    once per series, unit and node count and kept until plan.drop(f)."""
-    key = ("boundary", f, i, nodes)
-
+    circle of the plane of i at the `nodes` angles, and that of ||f|| =
+    hypot(|F|, |G|) there, from one evaluation of F and G and one FFT call
+    each; stored as one entry per series, unit and node count, kept until
+    plan.drop(f)."""
     def build():
-        a = plan.memo(key, lambda: np.abs(split(f, i).at(np.exp(1j * _angles(nodes)))))
-        return boundary_spectrum(zero_leg_hypot(a[0], a[1]) if modulus else a, nodes)
+        a = np.abs(split(f, i).at(np.exp(1j * _angles(nodes))))
+        return boundary_spectrum(a, nodes), boundary_spectrum(zero_leg_hypot(a[0], a[1]), nodes)
 
-    return plan.memo(key + (modulus,), build)
+    return plan.memo(("boundary", f, i, nodes), build)
 
 
 def slice_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
@@ -640,7 +645,7 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     # built. The grid grows with n_points, so its powers are taken per call
     n_rad = max(16, plan.n_points // 16)
     xs = ray_grid(resolved_cap(plan.max_radius, nodes), n_rad, 8, 2)
-    defect = defect_sup(s.C, omega, xs, nodes, circle_spectrum(f, i, plan, nodes))
+    defect = defect_sup(s.C, omega, xs, nodes, circle_spectrum(f, i, plan, nodes)[0])
 
     e1, _, mods, w = pair_samples(f, i, plan, "circle", omega, rows=5)
     circle_part = blocked_max(lambda b: np.abs(mods[1:3, b] - mods[3:5, b]) / w[b], e1.size)

@@ -22,16 +22,15 @@ Stockmeyer, SIAM J. Comput. 2, 1973) from about 2 sqrt(N) powers of each
 point, so no (points, nodes) array is built. P[|c|^2] of a polynomial c
 is exact from the autocorrelation of its coefficients (poisson_modulus_sq).
 
-Memory. Points given bare have their baby and giant powers alive one after
-the other, for that call only. Data that many means read is passed as its
-BoundarySpectrum (one FFT call over its rows), and points that many means
-share as their SlicePowers, which keep both power arrays. A verify run
-keeps each member's spectra of (|F|, |G|) and of ||f|| until the member is
-dropped (lipschitz.circle_spectrum; 0.13 MB with the moduli they are taken
-from, at 2048 nodes), and its suites hold the powers of the 144-point
-defect grid (0.21 MB) and of the cone's 26 points (0.04 MB) for the run.
-N1's ray grid grows with the points (2048 at 4096 points) and keeps
-per-call powers.
+Memory. The Poisson data a run reuses sit in its SamplePlan's store, under
+one lifetime rule: a key that holds a member leaves with that member
+(plan.drop), any other key lives for the run. A verify run stores, per
+member, the spectra of (|F|, |G|) and of ||f|| as one entry
+(lipschitz.circle_spectrum; 0.1 MB at 2048 nodes), and, for the run, the
+powers of the 144-point defect grid (0.21 MB). Other point sets keep their
+powers outside the store: the cone suite builds those of its 26 points
+(0.04 MB) once, in its suite function, and N1 takes those of its ray grid,
+which grows with the points (2048 at 4096 points), per call.
 """
 
 from __future__ import annotations
@@ -153,13 +152,12 @@ def boundary_spectrum(vals, nodes: int) -> BoundarySpectrum:
 @dataclass(frozen=True, eq=False)
 class SlicePowers:
     """Disc points zs with the powers the spectral mean takes of them at
-    `nodes` nodes: baby (points, s) = z^b, giant (points, g + 1) =
-    (z^s)^a, and z_rem = z^(nodes % s)."""
+    `nodes` nodes: baby (points, s) = z^b and giant (points, g + 1) =
+    (z^s)^a."""
 
     zs: np.ndarray
     baby: np.ndarray
     giant: np.ndarray
-    z_rem: np.ndarray
     nodes: int
 
     # np.size reads it: a mean at stored powers counts its points as one
@@ -171,17 +169,14 @@ class SlicePowers:
 
 def slice_powers(zs, nodes: int) -> SlicePowers:
     """The SlicePowers of complex points zs of the slice's disc (|z| < 1,
-    1 - |z| >= 10/nodes), for a point set that many means share; its
-    baby and giant powers are alive together."""
+    1 - |z| >= 10/nodes); its baby and giant powers are alive together."""
     zs = np.asarray(zs, dtype=complex)
     _check_interior(np.abs(zs), nodes)
     s, g = _steps(nodes)
     z = zs.ravel()[:, None]
-    baby = z ** np.arange(s)
-    powers = SlicePowers(zs, baby, (z ** s) ** np.arange(g + 1),
-                         baby[:, nodes % s].copy(), nodes)
-    for a in (powers.baby, powers.giant, powers.z_rem):
-        a.setflags(write=False)
+    powers = SlicePowers(zs, z ** np.arange(s), (z ** s) ** np.arange(g + 1), nodes)
+    powers.baby.setflags(write=False)
+    powers.giant.setflags(write=False)
     return powers
 
 
@@ -189,40 +184,25 @@ def poisson_integral_slice(u, zs, nodes: int = 4096) -> np.ndarray:
     """P[u] at complex points zs of the slice's own disc (|z| < 1, 1 - |z|
     >= 10/nodes), batched; stacked data u -> (k, nodes) give (k, *zs.shape).
     u is a callable from the angles to the data or the data's
-    BoundarySpectrum; zs are the points or their SlicePowers, built once
-    for points that many means share.
+    BoundarySpectrum; zs are the points or their SlicePowers, for points
+    that many means share.
 
     The baby step is one product of the (points, s) baby powers with the
-    (k, s, g) coefficient blocks, the giant step sums against (z^s)^a. For
-    points given bare, the baby powers are freed before the giant powers
-    are built, and the blocks are scaled in place, so at most one (points,
-    s) power array and one (k, points, g) block array are alive. The
-    product is not split into row chunks: OpenBLAS zgemm may round a row
-    differently when the row count changes."""
+    (k, s, g) coefficient blocks, the giant step sums against (z^s)^a; the
+    blocks are scaled in place, so one (k, points, g) block array is
+    alive. The product is not split into row chunks: OpenBLAS zgemm may
+    round a row differently when the row count changes."""
     spec = u if isinstance(u, BoundarySpectrum) else boundary_spectrum(u(_angles(nodes)), nodes)
-    powers = zs if isinstance(zs, SlicePowers) else None
-    if nodes != spec.nodes or (powers is not None and nodes != powers.nodes):
+    powers = zs if isinstance(zs, SlicePowers) else slice_powers(zs, nodes)
+    if nodes != spec.nodes or nodes != powers.nodes:
         raise ValueError(f"boundary data or powers taken for another node count than {nodes}")
     s, g = _steps(nodes)
-    coef = spec.coef
-    cut = coef.reshape(-1, g, s).transpose(0, 2, 1)  # (k, s, g)
-    if powers is not None:
-        zs, giant, z_rem = powers.zs, powers.giant, powers.z_rem
-        blocks = powers.baby @ cut  # (k, points, g)
-    else:
-        zs = np.asarray(zs, dtype=complex)
-        _check_interior(np.abs(zs), nodes)
-        z = zs.ravel()[:, None]
-        baby = z ** np.arange(s)
-        blocks = baby @ cut
-        z_rem = baby[:, nodes % s].copy()
-        del baby
-        giant = (z ** s) ** np.arange(g + 1)
-    blocks *= giant[:, :g]
+    blocks = powers.baby @ spec.coef.reshape(-1, g, s).transpose(0, 2, 1)  # (k, points, g)
+    blocks *= powers.giant[:, :g]
     a = np.sum(blocks, axis=-1)
-    z_n = giant[:, nodes // s] * z_rem
-    means = 2.0 * (a / (1.0 - z_n)).real - coef[:, :1].real
-    return means.reshape(spec.shape + zs.shape)
+    z_n = powers.giant[:, nodes // s] * powers.baby[:, nodes % s]
+    means = 2.0 * (a / (1.0 - z_n)).real - spec.coef[:, :1].real
+    return means.reshape(spec.shape + powers.zs.shape)
 
 
 def poisson_modulus_sq(c: np.ndarray, zs) -> np.ndarray:

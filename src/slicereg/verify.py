@@ -25,31 +25,35 @@ plan's store, so at most one member's values are alive and each is built
 once for all suites. The checks read the complex pair streams and their
 weights through pair_weights and pair_samples, which build each once per
 run on first use; only algebraic_closure reads weights in its suite
-function. A member's stored values are its slice moduli for each unit, its
-circle moduli, and its boundary moduli at the nodes angles with their two
-spectra (circle_spectrum), which N1, the defect sup and both cone branches
-read: at 16x, 3.2 MB for the seven slice rows at unit i, 0.46 MB for the
+function. Everything a run reuses sits in the plan's store under one
+lifetime rule: a key that holds a member leaves with that member
+(plan.drop, after its last suite), any other key lives for the run. A
+member's stored values are its slice moduli for each unit, its circle
+moduli, and the two spectra of its boundary moduli at the nodes angles
+(circle_spectrum), which N1, the defect sup and both cone branches read:
+at 16x, 3.2 MB for the seven slice rows at unit i, 0.46 MB for the
 increment modulus alone at unit k, 2.6 MB for the five circle rows, and
-0.13 MB for the boundary data at 2048 nodes. Beside the plan's store, the
-Poisson and cone suites hold, for the run, the powers of the 144-point
-defect grid (0.21 MB at 2048 nodes; in a full run only
-poisson_characterization builds them, as the cone then reads every
-member's stored defect sup) and of the cone's points (0.04 MB). The member
+0.1 MB for the spectra at 2048 nodes. The run's own entries include the
+powers of the 144-point defect grid (0.21 MB at 2048 nodes; in a full run
+only poisson_characterization builds them, as the cone then reads every
+member's stored defect sup). The cone suite builds the powers of its
+points (0.04 MB) in its suite function, for its run. The member
 steps build and free nothing longer than _BLOCK pairs or points beside
 them: the sups over the pair streams, the ball derivative ratios,
 modulus_membership's maxima and algebraic_closure's violations are taken
 block by block, and a stream build holds only its one buffer and a block.
-Of the 16x peak RSS (about 62 MiB in a fresh process, one BLAS thread)
-the last large rise, 8 MiB, comes in the first norm_equivalences step,
-which builds the circle and unit-disc pair streams and stores the first
-member's circle moduli; the second member's step adds 1.3 MiB, and later
-rises are under 0.8 MiB (the first poisson_characterization step, which
-builds the defect grid's powers).
+Of the 16x peak RSS (about 63 MiB after one op in a fresh process, one
+BLAS thread) the last large rise, 8 MiB, comes in the first
+norm_equivalences step, which builds the circle and unit-disc pair
+streams and stores the first member's circle moduli; the second member's
+step adds 2.9 MiB (with N1's ray-grid powers, whose baby and giant arrays
+are alive together, 3 MB at 2048 points), and later rises are under 0.9
+MiB (the first derivative_characterizations and poisson_characterization
+steps, the latter building the defect grid's powers).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -408,21 +412,16 @@ def _defect_grid(plan: SamplePlan, nodes: int) -> np.ndarray:
     return ray_grid(resolved_cap(plan.max_radius, nodes), 24, 6, 4)
 
 
-def _defect_powers(plan: SamplePlan, nodes: int):
-    """A callable that builds the SlicePowers of the defect grid on its
-    first call and returns them after: a suite holds one for its run."""
-    return functools.cache(lambda: slice_powers(_defect_grid(plan, nodes), nodes))
-
-
 def _component_defect_sup(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
-                          plan: SamplePlan, nodes: int, grid) -> float:
+                          plan: SamplePlan, nodes: int) -> float:
     """sup over the defect grid and both split components of (P[|f_k|](x)
     - |f_k(x)|) / omega(1-|x|), P by the trapezoid rule from f's stored
-    circle_spectrum, computed once per plan and arguments: the Poisson and
-    cone suites share it. grid, from _defect_powers, gives the grid's
-    SlicePowers."""
+    circle_spectrum at the grid's stored powers, computed once per plan
+    and arguments: the Poisson and cone suites share it."""
     def build():
-        sups = defect_sup(split(f, i).C, omega, grid(), nodes, circle_spectrum(f, i, plan, nodes))
+        grid = plan.memo(("defect_grid", nodes),
+                         lambda: slice_powers(_defect_grid(plan, nodes), nodes))
+        sups = defect_sup(split(f, i).C, omega, grid, nodes, circle_spectrum(f, i, plan, nodes)[0])
         return max(0.0, float(np.max(sups)))
 
     return plan.memo(("defect_sup", f, omega, i, nodes), build)
@@ -558,12 +557,11 @@ def verify_poisson_characterization(config: RunConfig) -> VerificationReport:
     window."""
     omega, i, plan = config.omega, config.i, config.plan
     nodes, window = config.nodes, config.window
-    grid = _defect_powers(plan, nodes)
 
     def check(rec, m):
         b_mod = boundary_norm(m.series, omega, i, plan)[1]
         rec.check("boundary_modulus_norm", b_mod.value)
-        c_def = _component_defect_sup(m.series, omega, i, plan, nodes, grid)
+        c_def = _component_defect_sup(m.series, omega, i, plan, nodes)
         c_lip = slice_norm(m.series, omega, i, plan).value
         rec.check("defect_sup", c_def)
         rec.check("slice_norm", c_lip)
@@ -621,22 +619,18 @@ def verify_cone_corollary(config: RunConfig) -> VerificationReport:
         # admissible points lie on the slice; the matched complex
         # coordinate carries the branch sign
         zq = sel[:, 0] + sign * 1j * np.linalg.norm(sel[:, 1:], axis=1)
-        # the branch's powers, built on its first Poisson mean, serve every member
-        powers = functools.cache(lambda zq=zq: slice_powers(zq, nodes))
-        branches.append((zq, omega(1.0 - np.abs(zq)), powers))
+        # built once here, the branch's powers serve every member's mean
+        branches.append((zq, omega(1.0 - np.abs(zq)), slice_powers(zq, nodes)))
     counts["rejected"] = np.sum(~seen)
-    # in a full run poisson_characterization has stored every member's
-    # defect sup first, and this grid is never built
-    grid = _defect_powers(plan, nodes)
 
     def check(rec, m):
         s = split(m.series, i)
-        c_def = _component_defect_sup(m.series, omega, i, plan, nodes, grid)
-        spectrum = circle_spectrum(m.series, i, plan, nodes, modulus=True)
+        c_def = _component_defect_sup(m.series, omega, i, plan, nodes)
+        spectrum = circle_spectrum(m.series, i, plan, nodes)[1]
         # np.max keeps a NaN excess, where Python's max would drop it
         aligned, crossed = [0.0], [0.0]
         for zq, gapw, powers in branches:
-            p_mean = poisson_integral_slice(spectrum, powers(), nodes)
+            p_mean = poisson_integral_slice(spectrum, powers, nodes)
             bound = 2.0 * c_def * gapw + tol * (1.0 + 2.0 * c_def)
             for maxima, z in ((aligned, zq), (crossed, zq.conj())):
                 maxima.append(np.max((p_mean - 2.0 * s.modulus(z)) - bound))

@@ -134,6 +134,21 @@ def test_parent_spread_beyond_the_bound_is_recorded():
     assert not at["metrics"]["op_s.p50"]["parent_spreads_beyond_bound"]
 
 
+def test_a_metric_the_parent_spreads_beyond_its_bound_is_unresolved():
+    # op_s.p50: the parent spreads 30% against a 25% bound, and the change's
+    # 0.43 is not better than the parent's 0.40; ops_per_s: the parent
+    # spreads 40%, but every change run is above every parent run
+    runs = {"parent": [_run(0.40, 5.0), _run(0.52, 3.5), _run(0.44, 4.9)],
+            "change": [_run(0.41, 5.2), _run(0.42, 5.1), _run(0.43, 5.3)]}
+    s = bench_pairs.summarize(runs, _END_TO_END)["metrics"]
+    assert s["op_s.p50"]["parent_spreads_beyond_bound"] and s["op_s.p50"]["unresolved"]
+    assert s["ops_per_s"]["parent_spreads_beyond_bound"] and not s["ops_per_s"]["unresolved"]
+    # a spread within the bound leaves a metric resolved, whatever the order
+    within = bench_pairs.summarize({"parent": [_run(0.40, 4.0), _run(0.44, 4.2)],
+                                    "change": [_run(0.50, 3.0), _run(0.38, 4.1)]}, _END_TO_END)
+    assert not any(m["unresolved"] for m in within["metrics"].values())
+
+
 def test_each_calls_median_op_time_is_kept_per_run_and_side():
     # a change that slows every call alike, one it leaves alone included,
     # reads as host drift in the per-call table

@@ -554,6 +554,19 @@ def test_bad_input_exits_two(text, argv, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra", [["--rho", "0.9999999999999999"],
+                                   ["--rho", "0.9999999999999998", "--points", "4096"]])
+def test_a_radius_that_rounds_onto_the_sphere_exits_two(extra, capsys):
+    # these radii put points of the cap circle at |x| = 1, where the gap
+    # 1 - |x| is 0: refused, not reported as a null value with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["norm", "--name", "identity", "--estimator", "derivative-full", *extra])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "max_radius" in err
+
+
 _TOO_BIG = str(10 ** 13)  # numpy refuses the allocation before touching memory
 _BEYOND_ADDRESSES = str(4 * 10 ** 18)  # its byte count overflows: no MemoryError
 

@@ -89,6 +89,22 @@ def test_plan_validation():
         SamplePlan(min_separation=2.0)  # >= 2 * max_radius
 
 
+@pytest.mark.parametrize("n", [512, 4096, 65536])
+def test_a_radius_whose_points_round_onto_the_sphere_is_refused(n):
+    limit = slicereg.lipschitz.MAX_RADIUS
+    with pytest.raises(DegeneratePlan):
+        SamplePlan(max_radius=np.nextafter(limit, 1.0))
+    # the refused radii do put cap-circle points on the sphere
+    near = SamplePlan(n_pairs=n, n_points=n)
+    assert any(np.any(np.abs(slicereg.lipschitz._disc_points(near, cap)) == 1.0)
+               for cap in (1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52))
+    plan = SamplePlan(n_pairs=n, n_points=n, max_radius=limit)
+    for xs in (disc_points(plan), *slice_pair_coords(plan)):
+        assert np.all(1.0 - np.abs(xs) > 0.0)
+    for qs in ball_pair_coords(plan):
+        assert np.all(1.0 - norm_array(qs) > 0.0)
+
+
 def test_child_rng_deterministic():
     a = PLAN.child_rng(5).normal(size=4)
     b = SamplePlan().child_rng(5).normal(size=4)
@@ -658,10 +674,9 @@ def test_circle_spectrum_is_built_once_per_member_and_dropped_with_it(monkeypatc
     monkeypatch.setattr(np.fft, "fft", counted)
     plan = SamplePlan(n_pairs=256, n_points=64)
     f = default_corpus()[-1].series
-    parts = circle_spectrum(f, I, plan, 512)
-    whole = circle_spectrum(f, I, plan, 512, modulus=True)
-    assert circle_spectrum(f, I, plan, 512) is parts
-    assert circle_spectrum(f, I, plan, 512, modulus=True) is whole
+    pair = circle_spectrum(f, I, plan, 512)
+    parts, whole = pair
+    assert circle_spectrum(f, I, plan, 512) is pair
     assert ffts == [(2, 512), (1, 512)]
     assert parts.shape == (2,) and whole.shape == ()
     e = np.exp(1j * 2.0 * np.pi * np.arange(512) / 512)

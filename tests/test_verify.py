@@ -413,6 +413,23 @@ def test_a_run_drops_every_member_value():
                           and any(isinstance(x, SliceSeries) for x in key)]
 
 
+@pytest.mark.parametrize("sizes", [{"n_pairs": 256, "n_points": 64, "nodes": 512}, {}],
+                         ids=["small", "default"])
+def test_a_suites_records_do_not_depend_on_the_suites_run_with_it(sizes):
+    # the shared values a run builds lazily (stream weights, defect-grid
+    # powers, spectra, moduli blocks) are the same whichever suite builds
+    # them first; JSON text, as a NaN check is not equal to itself
+    def by_suite(suites):
+        reports = run_suite(RunConfig(**sizes, suites=suites))
+        return {r.suite: json.dumps(r.to_dict()) for r in reports}
+
+    full = by_suite(None)
+    assert list(full) == list(ALL_SUITES)
+    assert by_suite(ALL_SUITES[::-1]) == full
+    for name in ALL_SUITES:
+        assert by_suite((name,)) == {name: full[name]}, name
+
+
 def test_check_exception_fails_only_that_suites_record(monkeypatch):
     # member-major: square's other suites still run, and pass, in its step
     config = RunConfig(n_pairs=256, n_points=64, nodes=512)
@@ -493,8 +510,9 @@ def test_a_run_keeps_no_poisson_kernel(monkeypatch):
 def test_a_default_run_skips_the_work_whose_result_is_known(monkeypatch):
     # no Horner pass over an all-zero coefficient row; one FFT of each
     # member's boundary moduli (|F|, |G|) and one of its modulus; the defect
-    # grid's and each cone branch's powers built once per run; N1's grid,
-    # which grows with the points, never made into stored powers
+    # grid's and each cone branch's powers built once per run, and only the
+    # defect grid's stored; N1's grid, which grows with the points, never
+    # made into stored powers
     config = RunConfig()
     calls = Counter()
     zero_rows, fft_shapes, powered, bare = [], [], [], []
@@ -525,8 +543,9 @@ def test_a_default_run_skips_the_work_whose_result_is_known(monkeypatch):
                                       int(admissible["admissible_minus"])])
     n1_points = 8 * max(16, config.n_points // 16)
     assert [n for n in bare if n is not None] == [n1_points] * members
-    assert not [v for v in config.plan.__dict__["_store"].values()
-                if isinstance(v, slicereg.poisson.SlicePowers)]
+    stored = [v for v in config.plan.__dict__["_store"].values()
+              if isinstance(v, slicereg.poisson.SlicePowers)]
+    assert [v.size for v in stored] == [144]
 
 
 def _records_by_asdict(report):

@@ -252,9 +252,9 @@ def verify_inclusion_chain(config: RunConfig) -> VerificationReport:
     6*C3, C3 = max of the component constants; and the global class embeds
     back into the slice class for the summed majorant.
 
-    The second inclusion is checked on estimates by folding the in-plane
-    pair stream into the global stream, which makes sup(slice) <= sup(global)
-    hold exactly as sampled.
+    The slice norm for the summed majorant is finite-only: its true sup is
+    at most the global one, but the two are sampled on different pair
+    streams, so the sampled global norm does not bound it.
     """
     omega1, omega2, plan, i = config.omega, config.omega2, config.plan, config.i
     tol = 1e-9
@@ -265,12 +265,11 @@ def verify_inclusion_chain(config: RunConfig) -> VerificationReport:
         c3 = max(c1.value, c2.value)
         g = global_norm(m.series, osum, plan)
         s_sum = slice_norm(m.series, osum, i, plan)
-        g_aug = max(g.value, s_sum.value)
         rec.measure("component_c1", c1.value)
         rec.measure("component_c2", c2.value)
         rec.measure("global", g.value)
         rec.check("global_over_6c3", _ratio_or_zero(g.value, 6.0 * c3), hi=1.0 + tol)
-        rec.check("slice_sum_norm", s_sum.value, hi=g_aug * (1.0 + tol) + tol)
+        rec.check("slice_sum_norm", s_sum.value)
         rec.witness("global", g)
 
     return VerificationReport("inclusion_chain", [], {"ratio_max": 1.0 + tol},
@@ -578,50 +577,26 @@ def verify_poisson_characterization(config: RunConfig) -> VerificationReport:
                               members=config.corpus, check=check)
 
 
-def cone_admissible_mask(qs: np.ndarray, i: ImaginaryUnit, sign: float) -> np.ndarray:
-    """Boolean mask of rows q=[x0,x1,x2,x3] satisfying
-    <q, e^{it}> <= q0 cos t + sign*|vec q| sin t at every angle t
-    (Euclidean inner product on R^4, relative tolerance 1e-12).
-
-    <q, e^{it}> - q0 cos t = <vec q, i> sin t, so the condition reads
-    (<vec q, i> - sign*|vec q|) sin t <= 0 for all t, which holds exactly
-    when <vec q, i> = sign*|vec q|: vec q on the ray of sign*i."""
-    qs = np.asarray(qs, dtype=float)
-    vec = qs[:, 1:]
-    gap = vec @ np.array([i.v1, i.v2, i.v3]) - sign * np.linalg.norm(vec, axis=1)
-    return np.abs(gap) <= 1e-12 * (1.0 + np.linalg.norm(qs, axis=1))
-
-
 def verify_cone_corollary(config: RunConfig) -> VerificationReport:
     """For points admissible under the cone condition, the Poisson mean of
     ||f|| exceeds twice the value at the matched slice point by at most
-    2*C_def*omega(1-|q|). Admissibility at every angle forces the
-    imaginary part parallel to i, so the sample mixes on-slice points
-    (admissible) with random ball points (rejected and counted). The
-    crossed sign pairing is evaluated and reported without a pass
-    condition."""
+    2*C_def*omega(1-|q|). For the sign s = +-1, admissibility at every angle
+    t reads (<vec q, i> - s*|vec q|) sin t <= 0, which holds exactly when
+    <vec q, i> = s*|vec q|: vec q on the ray of s*i. So the admissible points
+    are the slice points x + y i with s*y >= 0, and the suite samples only
+    the slice, in its complex coordinate: branch s holds the capped disc
+    points z with s*Im z >= 0, the origin in both. The crossed sign pairing
+    is evaluated and reported without a pass condition."""
     omega, i, plan, nodes = config.omega, config.i, config.plan, config.nodes
     tol = 1e-9
     zs = disc_points(plan, cap=resolved_cap(plan.max_radius, nodes))[:24]
-    on_slice = slice_points_array(i, zs)
-    off_slice = plan.child_rng(41).normal(size=(24, 4))
-    off_slice *= 0.8 / np.linalg.norm(off_slice, axis=1, keepdims=True)
-    qs = np.concatenate([on_slice, off_slice])
-    # admissibility depends on the sample only, so every member shares it;
-    # the origin, first of the disc points, is admissible for both signs
+    # the branches depend on the sample only, so every member shares them
     branches, counts = [], {}
-    seen = np.zeros(len(qs), dtype=bool)
     for sign, label in ((1.0, "plus"), (-1.0, "minus")):
-        mask = cone_admissible_mask(qs, i, sign)
-        counts[f"admissible_{label}"] = np.sum(mask)
-        seen |= mask
-        sel = qs[mask]
-        # admissible points lie on the slice; the matched complex
-        # coordinate carries the branch sign
-        zq = sel[:, 0] + sign * 1j * np.linalg.norm(sel[:, 1:], axis=1)
+        zq = zs[sign * zs.imag >= 0.0]
+        counts[f"admissible_{label}"] = zq.size
         # built once here, the branch's powers serve every member's mean
         branches.append((zq, omega(1.0 - np.abs(zq)), slice_powers(zq, nodes)))
-    counts["rejected"] = np.sum(~seen)
 
     def check(rec, m):
         s = split(m.series, i)

@@ -3,10 +3,13 @@
 Each defect scales one estimator's result (by 2, 1/2, 25 or inf) at the
 name slicereg.verify reads, shrinks one sample stream of slicereg.lipschitz
 into half its radius, or breaks the split layer, and then runs every suite
-at a small plan. A caught defect must fail exactly its named suites.
-A survivor passes every suite; it is listed with the reason no check sees
-it, and moves to CAUGHT when a check that kills it lands. A window is
-never widened, nor the corpus or a seed changed, to kill one.
+at a small plan. A caught defect must fail exactly its named suites, and
+in them exactly the check labels LABELS names. A survivor passes every
+suite; it is listed with the reason no check sees it, and moves to CAUGHT
+when a check that kills it lands. Every check label a run bounds is failed
+by some caught defect or listed in UNFAILED with the reason none can fail
+it. A window is never widened, nor the corpus or a seed changed, to kill
+one.
 """
 
 import dataclasses
@@ -90,6 +93,66 @@ CAUGHT = {
     "split_F_rel_1e-6": (_break_split(_scale_f(1.0 + 1e-6)), {"derivative_characterizations"}),
 }
 
+# the check labels each caught defect fails, suite by suite
+LABELS = {
+    "slice_norm_x2": {("intrinsic_invariance", "component_vs_slice")},
+    "slice_norm_half": {("algebraic_closure", "linear_closure_violation"),
+                        ("intrinsic_invariance", "component_vs_slice"),
+                        ("norm_equivalences", "max_over_min")},
+    "component_estimates_x2": {("intrinsic_invariance", "component_vs_slice")},
+    "component_estimates_half": {("algebraic_closure", "combine_component1_violation"),
+                                 ("algebraic_closure", "combine_component2_violation"),
+                                 ("intrinsic_invariance", "component_vs_slice")},
+    "component_estimates_inf": {("algebraic_closure", "combine_component1_violation"),
+                                ("algebraic_closure", "combine_component2_violation"),
+                                ("derivative_characterizations", "mixed_bound_constant"),
+                                ("inclusion_chain", "global_over_6c3"),
+                                ("intrinsic_invariance", "component_vs_slice"),
+                                ("intrinsic_invariance", "second_component")},
+    "seminorms_N_x2": {("norm_equivalences", "max_over_min")},
+    "poisson_integral_slice_x2": {("cone_corollary", "aligned_excess")},
+    "split_modulus_half": {("modulus_membership", "sandwich_vs_double_violation")},
+    "split_modulus_x2": {("algebraic_closure", "linear_closure_violation")},
+    "split_rows_swapped": {("intrinsic_invariance", "component_vs_slice"),
+                           ("intrinsic_invariance", "second_component")},
+    "split_g_row_zeroed": {("derivative_characterizations", "global_derivative_ratio"),
+                           ("inclusion_chain", "global_over_6c3"),
+                           ("slice_independence", "ratio")},
+    "_component_defect_sup_x25": {("poisson_characterization", "defect_over_lip")},
+    "_component_defect_sup_inf": {("cone_corollary", "defect_constant"),
+                                  ("poisson_characterization", "defect_over_lip"),
+                                  ("poisson_characterization", "defect_sup")},
+    "slice_pairs_half": {("norm_equivalences", "max_over_min")},
+    "split_F_rel_1e-6": {("derivative_characterizations", "growth_quadratic_slack"),
+                         ("derivative_characterizations", "growth_sandwich_slack")},
+}
+
+FINITE_ONLY = ("finite-only: the check has no bound, so only a non-finite value fails it, "
+               "until a closed form or a certified sup gives it one")
+POSITIVITY = ("positivity: the lower side asks a nonconstant member's functional to exceed "
+              "1e-12 * max(1, the largest of the five), which a factor 2 or 1/2 keeps")
+ROUNDING = ("rounding-level: two paths compared to a fixed decimal until a rounding bound "
+            "replaces it, and every defect in the table moves both paths alike")
+
+# the check labels no caught defect fails, with the reason
+UNFAILED = {
+    ("inclusion_chain", "slice_sum_norm"): FINITE_ONLY,
+    ("derivative_characterizations", "ratio_full"): FINITE_ONLY,
+    ("derivative_characterizations", "ratio_plus"): FINITE_ONLY,
+    ("derivative_characterizations", "ratio_minus"): FINITE_ONLY,
+    ("poisson_characterization", "boundary_modulus_norm"): FINITE_ONLY,
+    ("poisson_characterization", "slice_norm"): FINITE_ONLY,
+    ("norm_equivalences", "slice_sq"): POSITIVITY,
+    ("norm_equivalences", "n1_sum"): POSITIVITY,
+    ("norm_equivalences", "n2_sum"): POSITIVITY,
+    ("norm_equivalences", "n3_sum"): POSITIVITY,
+    ("norm_equivalences", "poisson_sq_defect"): POSITIVITY,
+    ("intrinsic_invariance", "slice_gap"): ROUNDING,
+    ("slice_independence", "intrinsic_gap"): ROUNDING,
+    ("modulus_membership", "modulus_norm"): ROUNDING,
+    ("modulus_membership", "reverse_triangle_violation"): ROUNDING,
+}
+
 ONE_SIDED_DERIVATIVE = ("derivative_characterizations checks upper sides only: the ratios "
                         "need be finite and mixed <= 6*C(omega)")
 BOUNDARY_FINITE = "poisson_characterization only asks the boundary modulus norm to be finite"
@@ -101,8 +164,9 @@ SURVIVORS = {
                        "one-sided: global_over_6c3 <= 1 has room for a factor 2, and no "
                        "check bounds an estimate from above"),
     "global_norm_half": (_scale("global_norm", 0.5),
-                         "the g_aug fold: inclusion_chain holds the slice norm against "
-                         "max(global, slice), which hides an underestimated global norm"),
+                         "no check bounds the global norm from below: global_over_6c3 <= 1 "
+                         "is one-sided, and slice_sum_norm is finite-only until a closed "
+                         "form or a certified sup gives it a bound"),
     "derivative_ratio_x2": (_scale("derivative_ratio", 2.0), ONE_SIDED_DERIVATIVE),
     "derivative_ratio_half": (_scale("derivative_ratio", 0.5), ONE_SIDED_DERIVATIVE),
     "boundary_norm_x2": (_scale("boundary_norm", 2.0), BOUNDARY_FINITE),
@@ -127,27 +191,39 @@ SURVIVORS = {
 }
 
 
-def _failing_suites():
+def _failures():
+    """The failing suites of a small-plan run, and its failing (suite, label)."""
     reports = slicereg.verify.run_suite(RunConfig(**SMALL))
-    return {r.suite for r in reports if not r.passed}
+    return ({r.suite for r in reports if not r.passed},
+            {(r.suite, label) for r in reports for rec in r.records for label in rec.failures})
 
 
 def test_every_suite_passes_unmutated_at_the_small_plan():
-    assert _failing_suites() == set()
+    assert _failures()[0] == set()
 
 
 @pytest.mark.parametrize("name", CAUGHT)
 def test_caught_defect_fails_its_suites(name, monkeypatch):
     apply, suites = CAUGHT[name]
     apply(monkeypatch)
-    assert _failing_suites() == suites
+    assert _failures() == (suites, LABELS[name])
+
+
+def test_every_check_label_is_failed_by_a_defect_or_listed():
+    bounded = {(r.suite, label) for r in slicereg.verify.run_suite(RunConfig(**SMALL))
+               for rec in r.records for label in rec.bounds}
+    failed = set().union(*LABELS.values())
+    assert LABELS.keys() == CAUGHT.keys()
+    assert not failed & UNFAILED.keys()
+    assert bounded == failed | UNFAILED.keys()
+    assert set(UNFAILED.values()) == {FINITE_ONLY, POSITIVITY, ROUNDING}
 
 
 @pytest.mark.parametrize("name", SURVIVORS)
 def test_surviving_defect_passes_every_suite(name, monkeypatch):
     apply, reason = SURVIVORS[name]
     apply(monkeypatch)
-    assert _failing_suites() == set(), f"{name} is caught now; was: {reason}"
+    assert _failures()[0] == set(), f"{name} is caught now; was: {reason}"
 
 
 @pytest.mark.parametrize("mutant", [None, "component_estimates_inf"])

@@ -24,7 +24,6 @@ from slicereg.verify import (
     ALL_SUITES,
     FunctionRecord,
     VerificationReport,
-    cone_admissible_mask,
     default_corpus,
     run_suite,
 )
@@ -160,8 +159,6 @@ def test_poisson_characterization():
 def test_cone_corollary():
     rep = _one_suite("cone_corollary", nodes=1024)
     assert rep.passed
-    for rec in rep.records:
-        assert rec.checks["rejected"] > 0  # off-slice samples refused
 
 
 def test_member_exception_fails_only_its_record(corpus, monkeypatch):
@@ -185,17 +182,6 @@ def test_member_exception_fails_only_its_record(corpus, monkeypatch):
     assert not rep.passed
 
 
-def test_cone_mask_oracle():
-    qs = np.array([
-        [0.3, 0.4, 0.0, 0.0],   # upper half of the e1 slice
-        [0.3, -0.4, 0.0, 0.0],  # lower half
-        [0.3, 0.0, 0.0, 0.0],   # real axis: admissible for both signs
-        [0.3, 0.2, 0.2, 0.0],   # off the slice: never admissible
-    ])
-    assert list(cone_admissible_mask(qs, UNIT_E1, +1.0)) == [True, False, True, False]
-    assert list(cone_admissible_mask(qs, UNIT_E1, -1.0)) == [False, True, True, False]
-
-
 def _cone_grid_mask(qs, i, sign):
     """The cone condition tested angle by angle on a 64-point grid, as
     (<vec q, i> - sign*|vec q|) sin t <= 1e-12 (1 + |q|)."""
@@ -209,24 +195,35 @@ def _cone_grid_mask(qs, i, sign):
 
 @pytest.mark.parametrize("unit", [UNIT_E1, ImaginaryUnit.from_vector(1.0, 1.0, 1.0)],
                          ids=["e1", "i111"])
-def test_cone_mask_equals_angle_grid(unit):
-    # the grid holds t = pi/2 and 3pi/2, where sin is exactly +-1, and
-    # |g sin t| <= |g| at every other angle: the grid test is |g| <= tol
+def test_cone_sign_split_equals_angle_grid(unit, monkeypatch):
+    # the cone suite samples only the slice, branch s holding the points
+    # with s*Im z >= 0: the grid holds t = pi/2 and 3pi/2, where sin is
+    # exactly +-1, and |g sin t| <= |g| at every other angle, so the grid
+    # test is |g| <= tol, and a slice point x + y i has |g| = 2|y| or 0
+    config = RunConfig(n_pairs=256, n_points=64, nodes=512, slice_i=unit.components())
+    built = []
+    monkeypatch.setattr(slicereg.verify, "slice_powers", lambda zs, nodes: built.append(zs))
+    slicereg.verify.verify_cone_corollary(config)
+    cap = slicereg.poisson.resolved_cap(config.max_radius, config.nodes)
+    sample = slicereg.lipschitz.disc_points(config.plan, cap=cap)[:24]
     rng = np.random.default_rng(5)
-    zs = 0.9 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    zs = np.concatenate([sample, [0.5, -0.25], 0.9 * np.sqrt(rng.uniform(size=200))
+                         * np.exp(2j * np.pi * rng.uniform(size=200))])
     on_slice = slice_points_array(unit, zs)
-    # perpendicular offsets from 1e-13 to 1e-4 straddle the tolerance
-    perp = np.cross(rng.normal(size=(200, 3)), unit.components())
+    # an offset d off the slice gives |g| >= |vec q| - |<vec q, i>|, about
+    # d^2/(2|y|) >= 5e-11 at d >= 1e-5, above the tolerance 2e-12
+    perp = np.cross(rng.normal(size=(zs.size, 3)), unit.components())
     perp /= np.linalg.norm(perp, axis=1, keepdims=True)
     near = on_slice.copy()
-    near[:, 1:] += np.geomspace(1e-13, 1e-4, 200)[:, None] * perp
+    near[:, 1:] += np.geomspace(1e-5, 1e-2, zs.size)[:, None] * perp
     ball = rng.normal(size=(200, 4))
     ball *= 0.9 * rng.uniform(size=(200, 1)) / np.linalg.norm(ball, axis=1, keepdims=True)
-    for qs in (on_slice, near, ball):
-        for sign in (1.0, -1.0):
-            assert np.array_equal(cone_admissible_mask(qs, unit, sign),
-                                  _cone_grid_mask(qs, unit, sign))
-    assert 0 < np.sum(cone_admissible_mask(near, unit, 1.0)) < np.sum(zs.imag > 0)
+    for sign, branch in zip((1.0, -1.0), built, strict=True):
+        admissible = _cone_grid_mask(on_slice, unit, sign)
+        assert np.array_equal(admissible, sign * zs.imag >= 0.0)
+        assert np.array_equal(branch, sample[admissible[:sample.size]])
+        assert not _cone_grid_mask(near, unit, sign).any()
+        assert not _cone_grid_mask(ball, unit, sign).any()
 
 
 # --- the batch runner -----------------------------------------------------------
@@ -375,12 +372,13 @@ def test_each_member_is_evaluated_once_on_the_slice_and_circle_pairs(monkeypatch
 
 
 def test_setups_build_what_every_member_shares(monkeypatch):
-    # the cone's admissible points come from its set-up, once per sign; the
-    # only stored defect sup is the power-1 one the Poisson and cone suites
-    # share; and run_suite returns the reports the set-ups built
+    # the cone's branches and their powers come from its set-up, once per
+    # sign, before any member step builds the defect grid's; the only stored
+    # defect sup is the power-1 one the Poisson and cone suites share; and
+    # run_suite returns the reports the set-ups built
     config = RunConfig(n_pairs=256, n_points=64, nodes=512)
     assert len(config.corpus) == 9
-    signs, keys, built = [], [], []
+    powered, keys, built = [], [], []
 
     def spy(owner, name, seen, pick):
         real = getattr(owner, name)
@@ -391,13 +389,14 @@ def test_setups_build_what_every_member_shares(monkeypatch):
             return result
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(slicereg.verify, "cone_admissible_mask", signs, lambda args, _: args[2])
+    spy(slicereg.verify, "slice_powers", powered, lambda args, _: args[0])
     spy(SamplePlan, "memo", keys, lambda args, _: args[1])
     for name in ALL_SUITES:
         spy(slicereg.verify, f"verify_{name}", built, lambda _, report: report)
     reports = run_suite(config)
     assert all(r.passed for r in reports)
-    assert signs == [1.0, -1.0]
+    plus, minus, grid = powered
+    assert np.all(plus.imag >= 0.0) and np.all(minus.imag <= 0.0) and grid.size == 144
     defect_keys = [key for key in keys if key[0] == "defect_sup"]
     assert len({id(key[1]) for key in defect_keys}) == len(config.corpus)
     assert {key[2:] for key in defect_keys} == {(config.omega, config.i, config.nodes)}

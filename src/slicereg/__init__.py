@@ -9,17 +9,14 @@ from .quaternion import (
     NonUnitRotor,
     ONE,
     Quaternion,
-    REAL,
     UNIT_E1,
     UNIT_E2,
     UNIT_E3,
-    conjugate,
     hamilton_mul,
     norm,
     orthogonal_unit,
     rotate,
     slice_coordinate,
-    slice_decompose,
     slice_point,
 )
 from .series import (

@@ -421,9 +421,10 @@ def pair_weights(plan: SamplePlan, stream: str, *omegas: Majorant) -> tuple[np.n
 
 
 def disc_points(plan: SamplePlan, cap: float | None = None) -> np.ndarray:
-    """Point stream in the closed disc of radius cap (max_radius when None):
-    the origin, an equidistributed bulk, a geometric edge layer, and the cap
-    circle itself; built once per plan and cap."""
+    """Point stream of n_points complex points in the closed disc of radius
+    cap (max_radius when None): an equidistributed bulk, which starts at the
+    origin, a geometric edge layer, and the cap circle itself; built once
+    per plan and cap."""
     if cap is None:
         cap = plan.max_radius
     return plan.memo(("disc_points", cap), lambda: _disc_points(plan, cap))
@@ -438,7 +439,7 @@ def _disc_points(plan: SamplePlan, cap: float) -> np.ndarray:
     edge_r = cap * (1.0 - np.exp(np.log(1e-3) * _vdc(n_edge, offset=1)))
     edge = edge_r * np.exp(1j * _golden_angles(n_edge, offset=5))
     circ = cap * np.exp(1j * _golden_angles(n_circ, offset=11))
-    return np.concatenate([[0.0 + 0.0j], bulk, edge, circ])
+    return np.concatenate([bulk, edge, circ])
 
 
 def radial_grid(cap: float, n: int) -> np.ndarray:
@@ -707,33 +708,27 @@ class GrowthCheck:
         return self.rhs_quadratic - self.lhs_quadratic
 
 
-def bounded_growth_check(f: SliceSeries, x: np.ndarray, i: ImaginaryUnit,
+def bounded_growth_check(f: SliceSeries, z: np.ndarray, i: ImaginaryUnit,
                          plan: SamplePlan) -> GrowthCheck:
-    """Evaluate the bounded-growth inequalities of f at each row of an
-    (n, 4) array of slice points; a point off the slice plane of i, outside
-    the open disc, or with a non-finite component raises ValueError.
+    """Evaluate the bounded-growth inequalities of f at the points x + I*y
+    of the slice plane of I = i, given as a 1-D array of their complex
+    coordinates z = x + iy. Any other shape, such as an (n, 4) array of
+    quaternion components, raises ValueError, and so does a point outside
+    the open disc or with a NaN or infinite part.
 
-    The local sup runs over the disc around x of radius 1 - |x| inside the
+    The local sup runs over the disc around z of radius 1 - |z| inside the
     slice plane; by subharmonicity of the component moduli it is sampled on
     the bounding circle only, whole circles at a time in blocks of about
     _BLOCK circle points, so the work rows stay in cache.
     """
-    q = np.asarray(x, dtype=float)
-    # an infinite or huge component gives NaN or inf here (inf * 0, inf -
-    # inf, an overflowed distance), which the guards below refuse; silenced,
-    # so the caller sees one ValueError and no warning
-    with np.errstate(invalid="ignore", over="ignore"):
-        y = q[:, 1] * i.v1 + q[:, 2] * i.v2 + q[:, 3] * i.v3
-        off = np.linalg.norm(q[:, 1:] - y[:, None] * np.array(i.components()), axis=1)
-    # written so that NaN fails the comparisons
-    if not np.all(off <= 1e-9):
-        raise ValueError("x must lie on the slice plane of i")
-    z = np.empty(len(q), dtype=complex)
-    z.real, z.imag = q[:, 0], y
-    # hypot, as Python's abs(complex); numpy's complex abs may differ in the last bit
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 1:
+        raise ValueError(f"z must be a 1-D array of complex coordinates, got shape {z.shape}")
+    # hypot, as Python's abs(complex); numpy's complex abs may differ in the
+    # last bit. Written so that NaN fails the comparison
     r = np.hypot(z.real, z.imag)
     if not np.all(r < 1.0):
-        raise ValueError("x must lie in the open disc")
+        raise ValueError("z must lie in the open unit disc")
     s = split(f, i)
 
     gap = 1.0 - r

@@ -236,8 +236,12 @@ def defect_sup(comps, omega: Majorant, xs, nodes: int,
 def sq_defect_sup(comps, omega: Majorant, xs) -> np.ndarray:
     """sup over the disc points xs of (P[|c|^2](x) - |c(x)|^2) /
     omega(1 - |x|)^2 for each row c of comps, with the exact Poisson
-    integral poisson_modulus_sq, so no node count."""
-    defect = np.stack([poisson_modulus_sq(c, xs) - np.abs(eval_complex(c, xs)) ** 2
+    integral poisson_modulus_sq, so no node count. |c(x)|^2 is taken as
+    re^2 + im^2, the way gamma_0 is formed, so a constant row has defect 0."""
+    def modulus_sq(v):
+        return v.real ** 2 + v.imag ** 2
+
+    defect = np.stack([poisson_modulus_sq(c, xs) - modulus_sq(eval_complex(c, xs))
                        for c in comps])
     return np.max(defect / omega(1.0 - np.abs(xs)) ** 2, axis=-1)
 

@@ -40,9 +40,6 @@ class Quaternion:
     def vector_norm(self) -> float:
         return math.sqrt(self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3)
 
-    def is_real(self) -> bool:
-        return self.x1 == 0.0 and self.x2 == 0.0 and self.x3 == 0.0
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
@@ -75,6 +72,7 @@ class Quaternion:
         return norm(self)
 
     def conjugate(self) -> "Quaternion":
+        """x0 - x1*e1 - x2*e2 - x3*e3; anti-automorphism of the product."""
         return Quaternion(self.x0, -self.x1, -self.x2, -self.x3)
 
     def inverse(self) -> "Quaternion":
@@ -82,25 +80,6 @@ class Quaternion:
         if n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
         return Quaternion(self.x0 / n2, -self.x1 / n2, -self.x2 / n2, -self.x3 / n2)
-
-
-class RealFlag:
-    """Marker returned by slice_decompose for real arguments, which lie on
-    every slice (the imaginary unit is not determined)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "RealFlag"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RealFlag)
-
-    def __hash__(self) -> int:
-        return hash(RealFlag)
-
-
-REAL = RealFlag()
 
 
 @dataclass(frozen=True)
@@ -170,30 +149,8 @@ def hamilton_mul(p: Quaternion, q: Quaternion) -> Quaternion:
     )
 
 
-def conjugate(q: Quaternion) -> Quaternion:
-    """x0 - x1*e1 - x2*e2 - x3*e3; anti-automorphism of the product."""
-    return q.conjugate()
-
-
 def norm(q: Quaternion) -> float:
     return math.sqrt(q.x0 ** 2 + q.x1 ** 2 + q.x2 ** 2 + q.x3 ** 2)
-
-
-def norm_squared(q: Quaternion) -> float:
-    return q.x0 ** 2 + q.x1 ** 2 + q.x2 ** 2 + q.x3 ** 2
-
-
-def slice_decompose(q: Quaternion):
-    """Write q = x + I*y with x real, y >= 0 and I an imaginary unit.
-
-    Returns (x, y, I); for real q the imaginary part vanishes and the third
-    entry is the REAL flag (q lies on every slice).
-    """
-    if q.is_real():
-        return (q.x0, 0.0, REAL)
-    y = q.vector_norm()
-    unit = ImaginaryUnit(q.x1 / y, q.x2 / y, q.x3 / y)
-    return (q.x0, y, unit)
 
 
 def rotate(r: Quaternion, q: Quaternion) -> Quaternion:

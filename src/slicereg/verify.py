@@ -100,7 +100,6 @@ from .quaternion import (
     ImaginaryUnit,
     Quaternion,
     norm,
-    slice_points_array,
 )
 from .series import (
     SliceSeries,
@@ -504,8 +503,7 @@ def verify_derivative_characterizations(config: RunConfig) -> VerificationReport
     qs = ball_pair_coords(plan)[0]
     gaps = 1.0 - np.linalg.norm(qs, axis=1)
     wq = omega(gaps)
-    growth_points = slice_points_array(
-        i, disc_points(plan, cap=min(plan.max_radius, 0.99))[:100])
+    growth_points = disc_points(plan, cap=min(plan.max_radius, 0.99))[:100]
     trend = []
     for deg in (8, 16, 32):
         log_like = SliceSeries([0.0] + [1.0 / n for n in range(1, deg + 1)])

@@ -333,9 +333,8 @@ def test_criterion_10_derivative_characterization(corpus):
     r2 = derivative_ratio(square, w_lin, i, plan)[0].value
     worst_slack = 0.0
     zs = disc_points(SamplePlan(n_pairs=128, n_points=128), cap=0.9)[:100]
-    pts = slice_points_array(i, zs)
     for m in corpus:
-        chk = bounded_growth_check(m.series, pts, i, plan)
+        chk = bounded_growth_check(m.series, zs, i, plan)
         worst_slack = min(worst_slack, float(np.min(chk.sandwich_slack)),
                           float(np.min(chk.quadratic_slack)))
     ok = (abs(r1 - 1.0) < 1e-12 and abs(r1_cap - 1.0) < 1e-12

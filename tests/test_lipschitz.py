@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,7 +166,8 @@ def test_disc_points_are_prefix_stable():
 
 def test_disc_points_cover_origin_and_cap():
     xs = disc_points(PLAN)
-    assert np.any(xs == 0.0)
+    assert xs.size == PLAN.n_points
+    assert np.count_nonzero(xs == 0.0) == 1
     assert abs(np.max(np.abs(xs)) - PLAN.max_radius) < 1e-12
     capped = disc_points(PLAN, cap=0.5)
     assert np.max(np.abs(capped)) <= 0.5 + 1e-12
@@ -743,7 +745,7 @@ def test_parallelogram_identity_at_samples():
 
 
 def test_bounded_growth_oracles():
-    origin = slice_points_array(I, [0.0])
+    origin = np.array([0j])
     chk = bounded_growth_check(IDENT, origin, I, PLAN)
     assert isinstance(chk, GrowthCheck) and chk.local_sup.shape == (1,)
     assert chk.lhs_quadratic[0] == pytest.approx(0.25, abs=1e-12)
@@ -757,7 +759,7 @@ def test_bounded_growth_oracles():
     assert chc.local_sup[0] == pytest.approx(0.5099019513592785, rel=1e-12)
     assert chc.sandwich_slack[0] >= 0.0
     with pytest.raises(ValueError):
-        bounded_growth_check(IDENT, slice_points_array(I, [1.5]), I, PLAN)
+        bounded_growth_check(IDENT, np.array([1.5]), I, PLAN)
 
 
 def test_bounded_growth_random_points():
@@ -765,7 +767,7 @@ def test_bounded_growth_random_points():
     f = SliceSeries([Quaternion(*r) for r in rng.normal(size=(4, 4)) * 0.4])
     u = rng.uniform(-0.6, 0.6, size=(20, 2))  # the draws of 20 (real, imag) pairs
     zs = u[:, 0] + 1j * u[:, 1]
-    chk = bounded_growth_check(f, slice_points_array(I, zs), I, PLAN)
+    chk = bounded_growth_check(f, zs, I, PLAN)
     assert np.all(chk.sandwich_slack >= -1e-8)
     assert np.all(chk.quadratic_slack >= -1e-8)
 
@@ -775,20 +777,17 @@ def test_bounded_growth_random_points():
 def test_bounded_growth_batch_equals_one_point_calls(unit):
     f = default_corpus()[-1].series
     zs = disc_points(SamplePlan(n_points=64), cap=0.99)[:40]
-    batch = bounded_growth_check(f, slice_points_array(unit, zs), unit, PLAN)
-    single = [bounded_growth_check(f, slice_points_array(unit, [z]), unit, PLAN) for z in zs]
+    batch = bounded_growth_check(f, zs, unit, PLAN)
+    single = [bounded_growth_check(f, zs[k:k + 1], unit, PLAN) for k in range(zs.size)]
     for field in ("lhs_plus", "lhs_minus", "local_sup", "lhs_quadratic", "rhs_quadratic",
                   "sandwich_slack", "quadratic_slack"):
         assert np.array_equal(getattr(batch, field),
                               np.concatenate([getattr(c, field) for c in single]))
 
 
-def bounded_growth_full_array(f, x, i, plan):
+def bounded_growth_full_array(f, z, i, plan):
     # bounded_growth_check as it was written, with the whole (n, n_points)
     # circle at once, kept as the reference of the blocked local sup
-    q = np.asarray(x, dtype=float)
-    y = q[:, 1] * i.v1 + q[:, 2] * i.v2 + q[:, 3] * i.v3
-    z = q[:, 0] + 1j * y
     r = np.hypot(z.real, z.imag)
     s = split(f, i)
 
@@ -816,40 +815,51 @@ def bounded_growth_full_array(f, x, i, plan):
 def test_blocked_growth_sup_keeps_the_full_array_bits(n_points, n_rows, unit):
     plan = SamplePlan(n_points=n_points)
     zs = disc_points(SamplePlan(n_points=512), cap=0.99)[:n_rows]
-    x = slice_points_array(unit, zs)
     for m in _CORPUS:
-        got = bounded_growth_check(m.series, x, unit, plan)
-        want = bounded_growth_full_array(m.series, x, unit, plan)
+        got = bounded_growth_check(m.series, zs, unit, plan)
+        want = bounded_growth_full_array(m.series, zs, unit, plan)
         for field in ("lhs_plus", "lhs_minus", "local_sup", "lhs_quadratic",
                       "rhs_quadratic"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), \
                 (m.name, field)
 
 
-@pytest.mark.parametrize("point, message", [
-    ((math.nan, 0.2, 0.0, 0.0), "open disc"),  # on the plane of e1, nowhere in its disc
-    ((0.1, 0.2, math.nan, 0.0), "slice plane"),  # off the plane
-    ((0.1, math.nan, 0.0, 0.0), None),  # NaN along e1 fails either guard
-    ((math.inf, 0.2, 0.0, 0.0), "open disc"),  # on the plane, outside every disc
-    ((0.1, 0.2, 0.0, -math.inf), "slice plane"),  # inf * 0 in the projection
-    ((0.1, math.inf, 0.0, 0.0), "slice plane"),  # inf - inf in the distance
-    ((0.1, 0.2, 1e300, 0.0), "slice plane"),  # the distance overflows to inf
-], ids=["real_part", "off_plane", "along_unit", "inf_real_part", "inf_off_plane",
-        "inf_along_unit", "huge_off_plane"])
-def test_bounded_growth_refuses_a_nan_component(point, message):
-    with pytest.raises(ValueError, match=message):
-        bounded_growth_check(IDENT, np.array([point]), I, PLAN)
+def _refused(z, unit, message):
+    """bounded_growth_check(IDENT, z, unit) raises one ValueError matching
+    message and warns nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            bounded_growth_check(IDENT, z, unit, PLAN)
+
+
+@pytest.mark.parametrize("z", [
+    complex(math.nan, 0.2),
+    complex(0.1, math.nan),  # NaN along the unit
+    complex(math.inf, 0.2),
+    complex(0.1, math.inf),
+], ids=["real_part", "along_unit", "inf_real_part", "inf_along_unit"])
+def test_bounded_growth_refuses_a_nan_component(z):
+    # after a valid point, so the guard reads the whole array
+    _refused(np.array([0.1 + 0.2j, z]), I, "open unit disc")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_bounded_growth_refuses_a_non_finite_component_off_axis(value):
     unit = ImaginaryUnit.from_vector(0.3, -1.0, 2.0)
-    base = slice_points_array(unit, np.array([0.1 + 0.2j]))[0]
-    for k in range(4):
-        point = base.copy()
-        point[k] = value
-        with pytest.raises(ValueError):
-            bounded_growth_check(IDENT, point[None], unit, PLAN)
+    for z in (complex(value, 0.2), complex(0.1, value)):
+        _refused(np.array([z]), unit, "open unit disc")
+
+
+@pytest.mark.parametrize("z", [-1.0 + 0j, 0.6 + 0.9j, 1e300 + 1e300j],
+                         ids=["on_circle", "outside", "huge"])
+def test_bounded_growth_refuses_a_point_outside_the_open_disc(z):
+    _refused(np.array([0.1 + 0.2j, z]), I, "open unit disc")
+
+
+def test_bounded_growth_refuses_quaternion_rows():
+    # an (n, 4) array of components is not read as 4n complex points
+    _refused(slice_points_array(I, [0.1 + 0.2j]), I, "1-D")
 
 
 # --- Schwarz-Pick functional ------------------------------------------------------

@@ -229,6 +229,19 @@ def test_sq_defect_sup_is_exact():
         assert np.all(np.abs(exact - trap) <= 1e-3)
 
 
+@pytest.mark.parametrize("unit", [UNIT_E1, ImaginaryUnit.from_vector(1.0, 1.0, 1.0)],
+                         ids=["e1", "i111"])
+def test_sq_defect_of_a_corpus_constant_is_exactly_zero(unit):
+    # |c(x)|^2 is formed as gamma_0 is, re^2 + im^2, so P[|c|^2] - |c|^2
+    # cancels exactly for a constant row; np.abs(v) ** 2 left 3.9e-16
+    xs = ray_grid(resolved_cap(0.995, 2048), 24, 6, 4)
+    constants = [m for m in default_corpus() if m.series.degree == 0]
+    assert [m.name for m in constants] == ["const_real", "const_quat"]
+    for m in constants:
+        defect = sq_defect_sup(split(m.series, unit).C, PowerMajorant(0.25), xs)
+        assert np.all(defect == 0.0), (m.name, defect)
+
+
 def _defect_sup_loop(comps, omega, xs, nodes, power):
     """One Poisson call per component, one sup per call."""
     den = omega(1.0 - np.abs(xs)) ** power

@@ -194,15 +194,6 @@ def _parse_finite(text: str, size: int, what: str) -> list[float]:
     return parts
 
 
-def parse_unit(text: str) -> ImaginaryUnit:
-    """'x,y,z' -> the normalized imaginary unit along that vector."""
-    v = _parse_finite(text, 3, "unit vector")
-    try:
-        return ImaginaryUnit.from_vector(*v)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def parse_point(text: str) -> Quaternion:
     return Quaternion(*_parse_finite(text, 4, "point"))
 
@@ -263,15 +254,6 @@ def load_function_spec(path: str) -> tuple[CorpusMember, ...]:
 
 # ---------------------------------------------------------------- run config
 
-def _usable_weight(omega: Majorant, min_separation: float) -> bool:
-    """True when omega is a positive normal float at min_separation and
-    finite at 2: the estimators divide by it and the bounds scale with it.
-    An overflow to inf is what this detects, so numpy's warning is off."""
-    with np.errstate(over="ignore"):
-        low, high = omega([min_separation, 2.0]).tolist()
-    return sys.float_info.min <= low < math.inf and math.isfinite(high)
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Serializable description of a run, validated when built: the one
@@ -283,7 +265,8 @@ class RunConfig:
     store holds during the member's step. The slice units are stored
     normalized, as the run uses them. A weight must be a positive normal
     float at min_separation and finite at 2, since the estimators divide by
-    it and the bounds scale with it."""
+    it and the bounds scale with it; majorant-check holds its --omega to
+    this rule through a RunConfig."""
 
     seed: int = SamplePlan.seed
     n_pairs: int = SamplePlan.n_pairs
@@ -343,7 +326,10 @@ class RunConfig:
         for name in ("plan", "omega", "omega2", "omega_small"):
             getattr(self, name)  # parsed now, so a bad value is refused here
         for name in ("omega", "omega2", "omega_small"):
-            require(_usable_weight(getattr(self, name), self.min_separation),
+            # an overflow to inf is what this detects, so numpy's warning is off
+            with np.errstate(over="ignore"):
+                low, high = getattr(self, name)([self.min_separation, 2.0]).tolist()
+            require(sys.float_info.min <= low < math.inf and math.isfinite(high),
                     f"{name}_spec", "a weight that is normal at min_separation and finite at 2")
 
     @cached_property
@@ -484,14 +470,11 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_majorant_check(args) -> int:
-    omega = parse_majorant(args.omega)
+    # the weight rule of every run. --nodes stays outside RunConfig: the
+    # flag is unused, and its floor of 4 is below RunConfig's
+    omega = RunConfig(omega_spec=args.omega).omega
     if not 4 <= args.nodes <= MAX_SIZE:
         raise ValidationError(f"--nodes must lie in [4, 2**48], got {args.nodes}")
-    # the rule of RunConfig, at the default min_separation
-    eps = SamplePlan.min_separation
-    if not _usable_weight(omega, eps):
-        raise ValidationError(f"--omega must be a weight that is normal at {eps:g} "
-                              f"and finite at 2, got {args.omega!r}")
     cert = check_regular(omega)
     _write_text(to_json({"spec": args.omega, **dataclasses.asdict(cert)}), args.out)
     return 0 if cert.is_regular else 1
@@ -537,17 +520,18 @@ def _cmd_norm(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
-        return RunConfig.from_dict(_load_json_object(args.config))
-    # each flag stores into the RunConfig field of the same name
-    updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
-               if getattr(args, f.name, None) is not None}
+    """The --config file gives the fields, if given; each flag given beside
+    it overrides the RunConfig field of the same name."""
+    fields = _load_json_object(args.config) if getattr(args, "config", None) else {}
+    fields.update((f.name, getattr(args, f.name)) for f in dataclasses.fields(RunConfig)
+                  if getattr(args, f.name, None) is not None)
     for entry in getattr(args, "slice", None) or ():
         name, sep, rest = entry.partition("=")
         if not sep or name.strip() not in ("i", "k"):
             raise ParseError(f"--slice expects i=x,y,z or k=x,y,z, got {entry!r}")
-        updates[f"slice_{name.strip()}"] = parse_unit(rest).components()
-    return RunConfig(**updates)
+        # RunConfig normalizes the vector
+        fields[f"slice_{name.strip()}"] = _parse_finite(rest, 3, "unit vector")
+    return RunConfig.from_dict(fields)
 
 
 def _cmd_verify(args) -> int:
@@ -557,16 +541,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    """Both formats read the document as a report: its reports must make a
+    CSV summary and its all_passed must be a boolean."""
     doc = _load_json_object(args.input)
-    if args.format == "json":
-        _write_text(to_json(doc), args.out)
-    else:
-        try:
-            text = _csv_summary(doc.get("reports", []))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{args.input}: not a slicereg report: {exc!r}") from exc
-        _write_text(text, args.out)
-    return 0 if doc.get("all_passed", False) else 1
+    try:
+        text = _csv_summary(doc["reports"])
+        if not isinstance(doc["all_passed"], bool):
+            raise TypeError("all_passed must be a boolean")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{args.input}: not a slicereg report: {exc!r}") from exc
+    _write_text(to_json(doc) if args.format == "json" else text, args.out)
+    return 0 if doc["all_passed"] else 1
 
 
 def _add_run_flags(p):
@@ -632,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float)
     p.add_argument("--corpus", dest="corpus_path",
                    help="JSON function spec replacing the corpus")
-    p.add_argument("--config", help="JSON RunConfig; overrides other flags")
+    p.add_argument("--config", help="JSON RunConfig giving the fields; flags given beside "
+                                    "it override them")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_verify)

@@ -595,8 +595,7 @@ def global_norm(f: SliceSeries, omega: Majorant, plan: SamplePlan) -> NormEstima
         diff = evaluate_batch(f, q1[b])
         diff -= evaluate_batch(f, q2[b])
         # the distances are recomputed, not stored beside the stream: storing
-        # them raised the peak RSS of the 65536-pair verify by about 0.8 MB
-        # (2-CPU Xeon, numpy 2.4.6)
+        # them would keep one more array of the stream's length for the run
         return norm_array(diff) / omega(norm_array(q1[b] - q2[b]))
 
     k, value = blocked_argmax(ratios, len(q1))
@@ -659,9 +658,8 @@ def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     n2 = circle_part + np.max(np.abs(outer - inner) / w2, axis=(1, 2))
 
     # N3's moduli and weight are not stored but taken block by block: a
-    # stored unit-disc weight raised the 16x peak RSS when built here, and
-    # built first in this function it doubled the minor page faults of a
-    # default verify, +5% op time (2-CPU Xeon, numpy 2.4.6)
+    # stored unit-disc weight would keep one more array of the stream's
+    # length for the run
     z1, z2 = pair_weights(plan, "disc")
 
     def n3_ratios(b):

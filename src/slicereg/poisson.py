@@ -26,11 +26,11 @@ Memory. The Poisson data a run reuses sit in its SamplePlan's store, under
 one lifetime rule: a key that holds a member leaves with that member
 (plan.drop), any other key lives for the run. A verify run stores, per
 member, the spectra of (|F|, |G|) and of ||f|| as one entry
-(lipschitz.circle_spectrum; 0.1 MB at 2048 nodes), and, for the run, the
-powers of the 144-point defect grid (0.21 MB). Other point sets keep their
-powers outside the store: the cone suite builds those of its 26 points
-(0.04 MB) once, in its suite function, and N1 takes those of its ray grid,
-which grows with the points (2048 at 4096 points), per call.
+(lipschitz.circle_spectrum), and, for the run, the powers of the
+144-point defect grid. Other point sets keep their powers outside the
+store: the cone suite builds those of its 26 points once, in its suite
+function, and N1 takes those of its ray grid, which grows with the points
+(2048 at 4096 points), per call.
 """
 
 from __future__ import annotations

@@ -28,28 +28,19 @@ run on first use; only algebraic_closure reads weights in its suite
 function. Everything a run reuses sits in the plan's store under one
 lifetime rule: a key that holds a member leaves with that member
 (plan.drop, after its last suite), any other key lives for the run. A
-member's stored values are its slice moduli for each unit, its circle
-moduli, and the two spectra of its boundary moduli at the nodes angles
-(circle_spectrum), which N1, the defect sup and both cone branches read:
-at 16x, 3.2 MB for the seven slice rows at unit i, 0.46 MB for the
-increment modulus alone at unit k, 2.6 MB for the five circle rows, and
-0.1 MB for the spectra at 2048 nodes. The run's own entries include the
-powers of the 144-point defect grid (0.21 MB at 2048 nodes; in a full run
-only poisson_characterization builds them, as the cone then reads every
-member's stored defect sup). The cone suite builds the powers of its
-points (0.04 MB) in its suite function, for its run. The member
+member's stored values are its slice moduli for each unit (the seven
+rows at unit i, the increment modulus alone at unit k), its five circle
+moduli rows, and the two spectra of its boundary moduli at the nodes
+angles (circle_spectrum), which N1, the defect sup and both cone branches
+read. The run's own entries include the powers of the 144-point defect
+grid (in a full run only poisson_characterization builds them, as the
+cone then reads every member's stored defect sup). The cone suite builds
+the powers of its points in its suite function, for its run. The member
 steps build and free nothing longer than _BLOCK pairs or points beside
 them: the sups over the pair streams, the ball derivative ratios,
 modulus_membership's maxima and algebraic_closure's violations are taken
-block by block, and a stream build holds only its one buffer and a block.
-Of the 16x peak RSS (about 63 MiB after one op in a fresh process, one
-BLAS thread) the last large rise, 8 MiB, comes in the first
-norm_equivalences step, which builds the circle and unit-disc pair
-streams and stores the first member's circle moduli; the second member's
-step adds 2.9 MiB (with N1's ray-grid powers, whose baby and giant arrays
-are alive together, 3 MB at 2048 points), and later rises are under 0.9
-MiB (the first derivative_characterizations and poisson_characterization
-steps, the latter building the defect grid's powers).
+block by block, so no transient of a step grows with the plan, and a
+stream build holds only its one buffer and a block.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from slicereg.cli import (
     main,
     parse_majorant,
     parse_point,
-    parse_unit,
     to_json,
 )
 from slicereg.majorant import PowerMajorant, ScaledMajorant, SumMajorant, TabulatedMajorant
@@ -61,16 +60,16 @@ def test_parse_majorant_invalid_values(bad):
 
 
 def test_parse_unit_and_point():
-    u = parse_unit("1,2,2")
-    assert u.components() == pytest.approx((1 / 3, 2 / 3, 2 / 3))
+    # RunConfig is the one unit normalizer: --slice hands it the parsed vector
+    assert RunConfig(slice_i=(1, 2, 2)).slice_i == pytest.approx((1 / 3, 2 / 3, 2 / 3))
     p = parse_point("0.1,0.2,0.3,0.4")
     assert p.components() == (0.1, 0.2, 0.3, 0.4)
-    with pytest.raises(ParseError):
-        parse_unit("1,2")
+    with pytest.raises(ValidationError):
+        RunConfig(slice_i=(1, 2))
     with pytest.raises(ParseError):
         parse_point("a,b,c,d")
-    with pytest.raises(ValidationError):
-        parse_unit("0,0,0")
+    with pytest.raises(ValidationError, match="unit vector must be nonzero"):
+        RunConfig(slice_i=(0, 0, 0))
 
 
 # --- function files -------------------------------------------------------------
@@ -150,8 +149,8 @@ def test_slice_unit_is_normalized_once(tmp_path):
     rng = np.random.default_rng(11)
     for v in rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 1)):
         text = ",".join(str(float(c)) for c in v)
-        cfg = RunConfig(slice_i=parse_unit(text).components(), slice_k=tuple(v))
-        assert cfg.i.components() == cfg.slice_i == parse_unit(text).components()
+        cfg = RunConfig(slice_i=[float(c) for c in text.split(",")], slice_k=tuple(v))
+        assert cfg.i.components() == cfg.slice_i == RunConfig(slice_i=cfg.slice_i).slice_i
         assert cfg.k.components() == cfg.slice_k == cfg.slice_i
         assert RunConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
@@ -254,7 +253,8 @@ def test_majorant_check_needs_four_nodes(panels, capsys):
 
 def test_majorant_check_refuses_a_weight_that_overflows_as_every_run_does(tmp_path, capsys):
     # the scales overflow: inf at min_separation and at 2, so RunConfig's rule
-    # refuses it; majorant-check read it as a non-monotone weight (exit 1)
+    # refuses it, with its one message; majorant-check read it as a
+    # non-monotone weight (exit 1)
     spec = "power:0.5+scaled:1e308:scaled:1e10:power:1"
     out = tmp_path / "m.json"
     with warnings.catch_warnings():
@@ -262,9 +262,8 @@ def test_majorant_check_refuses_a_weight_that_overflows_as_every_run_does(tmp_pa
         assert main(["majorant-check", "--omega", spec, "--out", str(out)]) == 2
         assert main(["verify", "--omega", spec, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[0] == (f"error: --omega must be a weight that is normal at 0.0001 "
-                      f"and finite at 2, got {spec!r}")
-    assert err[1].startswith("error: config omega_spec must be a weight that is normal")
+    assert err == [f"error: config omega_spec must be a weight that is normal at "
+                   f"min_separation and finite at 2, got {spec!r}"] * 2
     assert not out.exists()
 
 
@@ -391,13 +390,15 @@ _VARIANTS = ("component", "boundary", "boundary-modulus",
       "--pairs", "512", "--eps", "0.001", "--rho", "0.9"], "norm_slice_off_axis.json", 0),
     (["verify", "--pairs", "256", "--points", "64", "--nodes", "512", "--format", "csv"],
      "verify_small.csv", 0),
+    (["report", "--in", str(DATA / "verify_small.json"), "--format", "csv"],
+     "verify_small.csv", 0),
 ], ids=["verify_small", "star_product", "star_inverse", "eval", "norm_schwarz_series",
         "majorant_power", "majorant_power_tabulated", "majorant_linear", "majorant_power_sum",
         "majorant_tabulated_rejected",
         "norm_schwarz_pointwise", "verify_off_axis", "verify_default", "verify_16x",
         *(f"norm_{kind.replace('-', '_')}" for kind in _VARIANTS),
         "norm_slice", "norm_global", "norm_component_omega", "norm_slice_off_axis",
-        "verify_small_csv"])
+        "verify_small_csv", "report_small_csv"])
 def test_verify_report_bytes_match_golden_file(argv, name, code, tmp_path):
     """The output of a CLI call, byte for byte, and its exit code: verify
     runs at the default and 16x plans and at small plans on axis and
@@ -405,7 +406,7 @@ def test_verify_report_bytes_match_golden_file(argv, name, code, tmp_path):
     inverse, evaluation), weight certification,
     both readings of the Schwarz criterion, the entry each `norm`
     variant reads from its estimator, norm's plan, weight and slice flags,
-    and the CSV summary.
+    and the CSV summary, of a run and of its saved report.
 
     The files pin this environment (Python 3.11.7, numpy 2.4.6): another
     numpy may round the last digit of a float differently. Regenerate one with
@@ -527,6 +528,10 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
                    ["verify", "--config", "{file}"],
                    ["eval", "--file", "{file}", "--at", "0,0,0,0"])),
     ('{"seed": ' + "9" * 5000 + "}", ["verify", "--config", "{file}"]),
+    *((text, ["report", "--in", "{file}", "--format", fmt])
+      for text in ("{}", '{"all_passed": true}', '{"f": [[1, 0, 0, 0]]}',
+                   '{"all_passed": "yes", "reports": []}')
+      for fmt in ("csv", "json")),
 ], ids=["truncated_config", "config_not_object", "report_not_object", "negative_order",
         "config_seed_str", "config_seed_bool", "config_pairs_2", "config_pairs_inf",
         "config_points_float", "config_nodes_8", "config_slice_str", "config_slice_zero",
@@ -542,7 +547,10 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
         "verify_suite_empty", "config_suites_empty", "corpus_spec_empty",
         *(f"{kind}_{where}" for kind in ("not_utf8", "nested_too_deep")
           for where in ("report", "corpus", "config", "eval")),
-        "config_int_too_long"])
+        "config_int_too_long",
+        *(f"report_{kind}_{fmt}" for kind in ("empty", "no_reports", "function_spec",
+                                               "passed_not_bool")
+          for fmt in ("csv", "json"))])
 def test_bad_input_exits_two(text, argv, tmp_path, capsys):
     path = tmp_path / "input.json"
     if isinstance(text, bytes):
@@ -587,6 +595,19 @@ def test_oversized_sizes_exit_two(argv, capsys):
     assert main([*argv, "--out", os.devnull]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_flags_override_config_fields(tmp_path):
+    # the file gives the fields and each flag beside it overrides one: the
+    # run is the one its flags alone would make, config block included
+    path = tmp_path / "cfg.json"
+    path.write_text('{"seed": 3, "n_pairs": 64, "suites": ["modulus_membership"]}')
+    out, ref = tmp_path / "rep.json", tmp_path / "ref.json"
+    assert main(["verify", "--config", str(path), "--seed", "7", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 7
+    assert main(["verify", "--seed", "7", "--pairs", "64", "--suite", "modulus_membership",
+                 "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_valid_config_keeps_its_serialized_bytes(tmp_path):

@@ -206,7 +206,8 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _coerce_coefficient(name: str, idx: int, entry) -> Quaternion:
+def _coerce_coefficient(name: str, idx: int, entry) -> list:
+    """The entry as it is, once it is checked to be four finite numbers."""
     if not isinstance(entry, (list, tuple)) or len(entry) != 4:
         raise ValidationError(
             f"entry {name!r}, coefficient {idx}: expected 4 components")
@@ -217,7 +218,7 @@ def _coerce_coefficient(name: str, idx: int, entry) -> Quaternion:
         if not _is_finite(comp):
             raise ValidationError(
                 f"entry {name!r}, coefficient {idx}: non-finite field {comp!r}")
-    return Quaternion(*entry)
+    return entry
 
 
 def _load_json_object(path: str) -> dict:
@@ -356,10 +357,6 @@ class RunConfig:
     @cached_property
     def k(self) -> ImaginaryUnit:
         return ImaginaryUnit(*self.slice_k)
-
-    @property
-    def a(self) -> Quaternion:
-        return Quaternion(*self.a_coeff)
 
     @cached_property
     def corpus(self) -> tuple[CorpusMember, ...]:
@@ -541,13 +538,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """Both formats read the document as a report: its reports must make a
-    CSV summary and its all_passed must be a boolean."""
+    """Both formats read the document as a report: its reports must be
+    nonempty and make a CSV summary, and its all_passed must be the boolean
+    that says whether every suite passed."""
     doc = _load_json_object(args.input)
     try:
-        text = _csv_summary(doc["reports"])
-        if not isinstance(doc["all_passed"], bool):
-            raise TypeError("all_passed must be a boolean")
+        reports = doc["reports"]
+        text = _csv_summary(reports)
+        # all() gives True or False, so a non-boolean all_passed is refused too
+        if not reports or doc["all_passed"] is not all(r["passed"] for r in reports):
+            raise ValueError("all_passed must be the boolean verdict of nonempty reports")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{args.input}: not a slicereg report: {exc!r}") from exc
     _write_text(to_json(doc) if args.format == "json" else text, args.out)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -218,21 +219,33 @@ def from_array(a) -> Quaternion:
     return Quaternion(a[0], a[1], a[2], a[3])
 
 
+# Component i of p*q is the sum over k = 0, 1, 2, 3, in that order, of
+# _SIGNS[k, i] * p_k * q_(i ^ k); hamilton_mul writes it out for scalars
+_SIGNS = np.array([[1, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]], dtype=float)
+
+
+def hamilton_components(prod: Callable) -> list:
+    """The four components of a product, given prod(k, l), the product of
+    component k of the left factor with component l of the right, each a
+    new array or scalar: terms summed in _SIGNS order into the first, in
+    place, a term of sign -1 subtracted, so each component keeps the bits
+    of hamilton_mul's written-out formula."""
+    rows = []
+    for i, signs in enumerate(_SIGNS.T.tolist()):
+        acc = prod(0, i)
+        for k in (1, 2, 3):
+            if signs[k] < 0:
+                acc -= prod(k, i ^ k)
+            else:
+                acc += prod(k, i ^ k)
+        rows.append(acc)
+    return rows
+
+
 def hmul_array(a, b) -> np.ndarray:
     """Broadcasting Hamilton product of component arrays shaped (..., 4)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a0, a1, a2, a3 = np.moveaxis(a, -1, 0)
-    b0, b1, b2, b3 = np.moveaxis(b, -1, 0)
-    return np.stack(
-        [
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        ],
-        axis=-1,
-    )
+    a, b = (np.moveaxis(np.asarray(x, dtype=float), -1, 0) for x in (a, b))
+    return np.stack(hamilton_components(lambda k, l: a[k] * b[l]), axis=-1)
 
 
 def conj_array(a) -> np.ndarray:

@@ -17,10 +17,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .quaternion import (
+    _SIGNS,
     ImaginaryUnit,
     Quaternion,
     conj_array,
     hamilton_mul,
+    hamilton_components,
     hmul_array,
     norm,
     norm_array,
@@ -118,23 +120,19 @@ def evaluate(f: SliceSeries, q: Quaternion) -> Quaternion:
 # points per block of evaluate_batch and eval_complex: their work rows stay in cache
 _BLOCK = 8192
 
-# hmul_array(p, a), component i, is the sum over k = 0, 1, 2, 3, in that
-# order, of _SIGNS[k, i] * p[k] * a[i ^ k]. With the four rows of a held as
-# (2, 2, n), the rows in the order i ^ k are views: a, a[:, ::-1],
-# a[::-1] and a[::-1, ::-1]
-_SIGNS = np.array([[1, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]], dtype=float)
-
 
 def evaluate_batch(f: SliceSeries, points: np.ndarray) -> np.ndarray:
     """Vectorized Horner over an array of points shaped (..., 4).
 
     The points are read as four component rows, block by block of _BLOCK
-    points, into signed copies sign * p[k]; the accumulator is four rows
-    updated in place, and the result comes back as the (..., 4) view of
-    its component rows. Negation is exact and rounding symmetric, so
-    (sign * p[k]) * a[l] summed in k order is hmul_array(points, acc)
-    bit for bit, and the bits are those of the scalar hamilton_mul Horner
-    loop in evaluate.
+    points, into the signed copies _SIGNS[k, i] * p[k] of quaternion's sign
+    table; the accumulator is four rows updated in place, and the result
+    comes back as the (..., 4) view of its component rows. With the four
+    rows of the accumulator a held as (2, 2, n), the rows in the order
+    i ^ k are the views a, a[:, ::-1], a[::-1] and a[::-1, ::-1]. Negation
+    is exact and rounding symmetric, so (sign * p[k]) * a[i ^ k] summed in
+    the table's term order, k = 0, 1, 2, 3, has the bits of the scalar
+    hamilton_mul Horner loop in evaluate.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1:] != (4,):
@@ -171,18 +169,8 @@ def cullen_derivative(f: SliceSeries) -> SliceSeries:
 
 def star_product(f: SliceSeries, g: SliceSeries) -> SliceSeries:
     """Cauchy convolution c_n = sum_k a_k b_(n-k); order of factors matters."""
-    def conv(i: int, j: int) -> np.ndarray:
-        return np.convolve(f.array[:, i], g.array[:, j])
-
-    return SliceSeries(np.stack(
-        [
-            conv(0, 0) - conv(1, 1) - conv(2, 2) - conv(3, 3),
-            conv(0, 1) + conv(1, 0) + conv(2, 3) - conv(3, 2),
-            conv(0, 2) - conv(1, 3) + conv(2, 0) + conv(3, 1),
-            conv(0, 3) + conv(1, 2) - conv(2, 1) + conv(3, 0),
-        ],
-        axis=-1,
-    ))
+    return SliceSeries(np.stack(hamilton_components(
+        lambda k, l: np.convolve(f.array[:, k], g.array[:, l])), axis=-1))
 
 
 def star_pointwise(f: SliceSeries, g: SliceSeries, q: Quaternion) -> Quaternion:

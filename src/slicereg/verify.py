@@ -83,15 +83,7 @@ from .poisson import (
     slice_powers,
     sq_defect_sup,
 )
-from .quaternion import (
-    E1,
-    E2,
-    E3,
-    ONE,
-    ImaginaryUnit,
-    Quaternion,
-    norm,
-)
+from .quaternion import ImaginaryUnit
 from .series import (
     SliceSeries,
     cullen_derivative,
@@ -120,24 +112,24 @@ def default_corpus(seed: int = 2024) -> tuple[CorpusMember, ...]:
     polynomials, a truncated exponential, and two seeded random series
     scaled to keep their ball sup below one."""
     members = [
-        CorpusMember("const_real", SliceSeries([0.75])),
-        CorpusMember("const_quat", SliceSeries([Quaternion(0.3, -0.2, 0.5, 0.1)])),
-        CorpusMember("identity", SliceSeries([0.0, 1.0])),
-        CorpusMember("square", SliceSeries([0.0, 0.0, 1.0])),
-        CorpusMember("cubic_basis", SliceSeries([ONE, E1, E2, E3])),
-        CorpusMember("linear_mix", SliceSeries([E1, E2])),
+        CorpusMember("const_real", SliceSeries.from_real([0.75])),
+        CorpusMember("const_quat", SliceSeries(np.array([[0.3, -0.2, 0.5, 0.1]]))),
+        CorpusMember("identity", SliceSeries.from_real([0.0, 1.0])),
+        CorpusMember("square", SliceSeries.from_real([0.0, 0.0, 1.0])),
+        CorpusMember("cubic_basis", SliceSeries(np.eye(4))),
+        CorpusMember("linear_mix", SliceSeries(np.eye(4)[1:3])),
         CorpusMember(
             "exp_taylor",
-            SliceSeries([1.0 / math.factorial(n) for n in range(13)]),
+            SliceSeries.from_real([1.0 / math.factorial(n) for n in range(13)]),
         ),
     ]
     raw = np.random.default_rng([seed, 77]).normal(size=(2, 9, 4))
-    for tag in range(raw.shape[0]):
-        coeffs = [Quaternion(*raw[tag, n]) for n in range(raw.shape[1])]
-        total = sum(norm(c) for c in coeffs)
-        members.append(
-            CorpusMember(f"random_{tag}", SliceSeries([c * (0.5 / total) for c in coeffs]))
-        )
+    for tag, coeffs in enumerate(raw):
+        # each norm rounds as quaternion.norm does: libm pow squares, summed
+        # in component order; then the norms summed left to right as floats
+        sq = np.float_power(coeffs, 2.0)
+        total = sum(np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]).tolist())
+        members.append(CorpusMember(f"random_{tag}", SliceSeries(coeffs * (0.5 / total))))
     return tuple(members)
 
 
@@ -274,9 +266,11 @@ def verify_algebraic_closure(config: RunConfig) -> VerificationReport:
     roundoff. The partner g of a member is the next member by position,
     wrapping around. The member's constants come from the estimators; the
     partner's values are evaluated here."""
-    omega1, omega2, a, plan, i = config.omega, config.omega2, config.a, config.plan, config.i
+    omega1, omega2, a, plan, i = config.omega, config.omega2, config.a_coeff, config.plan, config.i
     corpus = config.corpus
     tol = 1e-9
+    # the norm of a, rounded as quaternion.norm rounds it
+    a_norm = math.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2)
     a1n, a2n = map(abs, split(SliceSeries([a]), i).C[:, 0])
     mu1, mu2 = combine(a1n, a2n, omega1, omega2)
     z1, z2, w1, mu1d, mu2d = pair_weights(plan, "slice", omega1, mu1, mu2)
@@ -301,7 +295,7 @@ def verify_algebraic_closure(config: RunConfig) -> VerificationReport:
             then 1 where that bound is not finite."""
             lhs = split_modulus(diffs(combo, b))
             with np.errstate(over="ignore"):
-                bounds = np.stack(((norm(a) * cf + cg) * w1[b], c3 * mu1d[b],
+                bounds = np.stack(((a_norm * cf + cg) * w1[b], c3 * mu1d[b],
                                    c3 * mu2d[b])) * (1.0 + tol)
             # inf - inf where a bound overflowed: that violation is read as inf
             with np.errstate(invalid="ignore"):
@@ -316,7 +310,7 @@ def verify_algebraic_closure(config: RunConfig) -> VerificationReport:
             rec.check(name, math.inf if overflow else float(excess), hi=floor)
 
     return VerificationReport("algebraic_closure", [], {"relative": tol},
-                              [f"a = [{a.x0}, {a.x1}, {a.x2}, {a.x3}]"], corpus, check)
+                              [f"a = {list(a)}"], corpus, check)
 
 
 def verify_intrinsic_invariance(config: RunConfig) -> VerificationReport:

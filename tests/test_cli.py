@@ -530,7 +530,10 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
     ('{"seed": ' + "9" * 5000 + "}", ["verify", "--config", "{file}"]),
     *((text, ["report", "--in", "{file}", "--format", fmt])
       for text in ("{}", '{"all_passed": true}', '{"f": [[1, 0, 0, 0]]}',
-                   '{"all_passed": "yes", "reports": []}')
+                   '{"all_passed": "yes", "reports": []}',
+                   '{"all_passed": true, "reports": [{"suite": "x", "passed": false, '
+                   '"notes": ["error: boom"], "records": []}]}',
+                   '{"all_passed": true, "reports": []}')
       for fmt in ("csv", "json")),
 ], ids=["truncated_config", "config_not_object", "report_not_object", "negative_order",
         "config_seed_str", "config_seed_bool", "config_pairs_2", "config_pairs_inf",
@@ -549,7 +552,8 @@ def test_verify_fails_on_uncertified_weight(tmp_path):
           for where in ("report", "corpus", "config", "eval")),
         "config_int_too_long",
         *(f"report_{kind}_{fmt}" for kind in ("empty", "no_reports", "function_spec",
-                                               "passed_not_bool")
+                                               "passed_not_bool", "verdict_disagrees",
+                                               "no_suites")
           for fmt in ("csv", "json"))])
 def test_bad_input_exits_two(text, argv, tmp_path, capsys):
     path = tmp_path / "input.json"

@@ -7,14 +7,16 @@ stream of slicereg.lipschitz into half its radius, or breaks the split
 layer, and then runs every suite at a small plan. A caught defect must
 fail exactly its named suites, and in them exactly the check labels
 LABELS names. A survivor passes every suite; it is listed with the
-reason no check sees it, and moves to CAUGHT when a check that kills it
-lands. Every check label a run bounds is failed by some caught defect or
+reason no check sees it and, in NEEDS, the check labels whose bound
+would see it, and moves to CAUGHT when a check that kills it lands.
+Every check label a run bounds is failed by some caught defect or
 listed in UNFAILED with the reason none can fail it. A window is never
 widened, nor the corpus or a seed changed, to kill one.
 """
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -186,18 +188,18 @@ UNFAILED = {
     ("norm_equivalences", "poisson_sq_defect"): POSITIVITY,
 }
 
-ONE_SIDED_DERIVATIVE = ("derivative_characterizations checks upper sides only: the ratios "
-                        "need be finite and mixed <= 6*C(omega)")
-BOUNDARY_FINITE = "poisson_characterization only asks the boundary modulus norm to be finite"
-WINDOWS = ("the K = 20 window of defect_over_lip holds a factor 2, and the cone's "
-           "aligned_excess <= 0 is one-sided")
+ONE_SIDED_DERIVATIVE = ("derivative_characterizations checks upper sides only: ratio_full, "
+                        "ratio_plus and ratio_minus need be finite and mixed <= 6*C(omega)")
+BOUNDARY_FINITE = "poisson_characterization only asks boundary_modulus_norm to be finite"
+WINDOWS = ("the K = 20 window of defect_over_lip holds a factor 2, defect_sup and the cone's "
+           "defect_constant are finite-only, and the cone's aligned_excess <= 0 is one-sided")
 
 SURVIVORS = {
     "global_norm_x2": (_scale("global_norm", 2.0),
                        "one-sided: global_over_6c3 <= 1 has room for a factor 2, and no "
-                       "check bounds an estimate from above"),
+                       "check bounds the estimate, recorded as global, from above"),
     "global_norm_half": (_scale("global_norm", 0.5),
-                         "no check bounds the global norm from below: global_over_6c3 <= 1 "
+                         "no check bounds global from below: global_over_6c3 <= 1 "
                          "is one-sided, and slice_sum_norm is finite-only until a closed "
                          "form or a certified sup gives it a bound"),
     "derivative_ratio_x2": (_scale("derivative_ratio", 2.0), ONE_SIDED_DERIVATIVE),
@@ -208,19 +210,50 @@ SURVIVORS = {
     "_component_defect_sup_half": (_scale("_component_defect_sup", 0.5), WINDOWS),
     "seminorms_N_half": (_scale("seminorms_N", 0.5),
                          "the K = 20 window: max_over_min stays inside it, and the "
-                         "positivity checks are one-sided"),
+                         "positivity checks n1_sum, n2_sum and n3_sum are one-sided"),
     "poisson_integral_slice_half": (_scale("poisson_integral_slice", 0.5),
-                                    "one-sided: the cone bounds the Poisson mean from "
-                                    "above only"),
+                                    "one-sided: the cone's aligned_excess bounds the "
+                                    "Poisson mean from above only"),
     "ball_pairs_half": (_scale("_ball_pairs", 0.5, slicereg.lipschitz),
-                        "coverage: no check bounds the global norm from below, by a "
-                        "closed form or a certified sup, so pairs inside radius rho/2 pass"),
+                        "coverage: no check bounds global or global_derivative_ratio from "
+                        "below, by a closed form or a certified sup, so pairs inside radius "
+                        "rho/2 pass"),
     "disc_points_half": (_scale("_disc_points", 0.5, slicereg.lipschitz),
-                         "coverage: no check bounds the derivative ratio from below, by a "
-                         "closed form or a certified sup, so points inside half the cap pass"),
+                         "coverage: no check bounds ratio_full, ratio_plus or ratio_minus "
+                         "from below, by a closed form or a certified sup, so points inside "
+                         "half the cap pass"),
     "split_F_rel_1e-10": (_break_split(_scale_f(1.0 + 1e-10)),
-                          "the cross-path checks allow fixed decimals of 1e-8 to 1e-12, "
-                          "not a rounding bound, which leaves room for a 1e-10 error in F"),
+                          "the cross-path checks growth_sandwich_slack and "
+                          "growth_quadratic_slack allow a fixed 1e-8, not a rounding "
+                          "bound, which leaves room for a 1e-10 error in F"),
+}
+
+DERIVATIVE_RATIOS = {("derivative_characterizations", f"ratio_{mode}")
+                     for mode in ("full", "plus", "minus")}
+DEFECTS = {("poisson_characterization", "defect_sup"),
+           ("poisson_characterization", "defect_over_lip"),
+           ("cone_corollary", "defect_constant")}
+
+# the (suite, label) pairs each survivor waits for: a bound on any of
+# them, from a closed form, a certified sup or a narrower window, is where
+# a check that kills it would land
+NEEDS = {
+    "global_norm_x2": {("inclusion_chain", "global")},
+    "global_norm_half": {("inclusion_chain", "global"), ("inclusion_chain", "slice_sum_norm")},
+    "derivative_ratio_x2": DERIVATIVE_RATIOS,
+    "derivative_ratio_half": DERIVATIVE_RATIOS,
+    "boundary_norm_x2": {("poisson_characterization", "boundary_modulus_norm")},
+    "boundary_norm_half": {("poisson_characterization", "boundary_modulus_norm")},
+    "_component_defect_sup_x2": DEFECTS,
+    "_component_defect_sup_half": DEFECTS,
+    "seminorms_N_half": {("norm_equivalences", label)
+                         for label in ("max_over_min", "n1_sum", "n2_sum", "n3_sum")},
+    "poisson_integral_slice_half": {("cone_corollary", "aligned_excess")},
+    "ball_pairs_half": {("inclusion_chain", "global"),
+                        ("derivative_characterizations", "global_derivative_ratio")},
+    "disc_points_half": DERIVATIVE_RATIOS,
+    "split_F_rel_1e-10": {("derivative_characterizations", "growth_sandwich_slack"),
+                          ("derivative_characterizations", "growth_quadratic_slack")},
 }
 
 
@@ -257,6 +290,16 @@ def test_surviving_defect_passes_every_suite(name, monkeypatch):
     apply, reason = SURVIVORS[name]
     apply(monkeypatch)
     assert _failures()[0] == set(), f"{name} is caught now; was: {reason}"
+
+
+def test_each_survivor_names_the_labels_it_waits_for():
+    recorded = {(r.suite, label) for r in slicereg.verify.run_suite(RunConfig(**SMALL))
+                for rec in r.records for label in rec.checks}
+    assert NEEDS.keys() == SURVIVORS.keys()
+    for name, needs in NEEDS.items():
+        assert needs and needs <= recorded, name
+        reason = SURVIVORS[name][1]
+        assert all(re.search(rf"\b{label}\b", reason) for _, label in needs), name
 
 
 @pytest.mark.parametrize("mutant", [None, "component_estimates_inf"])

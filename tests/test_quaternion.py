@@ -183,13 +183,37 @@ def test_array_helpers_match_scalar():
     a = rng.normal(size=(40, 4))
     b = rng.normal(size=(40, 4))
     prod = hmul_array(a, b)
-    for k in range(0, 40, 7):
+    for k in range(40):
         want = hamilton_mul(from_array(a[k]), from_array(b[k]))
-        assert np.allclose(prod[k], np.array(want.components()), atol=1e-12)
-    assert np.allclose(conj_array(a), a * np.array([1.0, -1.0, -1.0, -1.0]))
+        assert prod[k].tobytes() == np.array(want.components()).tobytes()
+    assert conj_array(a).tobytes() == (a * np.array([1.0, -1.0, -1.0, -1.0])).tobytes()
     assert np.allclose(norm_array(a), np.linalg.norm(a, axis=1))
     qs = quat_array([Quaternion(1, 2, 3, 4), ONE])
     assert qs.shape == (2, 4) and qs[0, 3] == 4.0
+
+
+# products of two components stay below 1e300, so no sum of four overflows
+wide = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+rows = st.lists(st.tuples(wide, wide, wide, wide), min_size=1, max_size=6)
+
+
+@given(rows, rows)
+@settings(deadline=None, max_examples=200)
+def test_hmul_array_keeps_the_bits_of_hamilton_mul(ps, qs):
+    n = min(len(ps), len(qs))
+    a, b = np.array(ps[:n]), np.array(qs[:n])
+
+    def want(p, q):
+        return hamilton_mul(from_array(p), from_array(q)).components()
+
+    # row by row, and one row broadcast against many on either side
+    for x, y, expected in ((a, b, [want(p, q) for p, q in zip(a, b)]),
+                           (a[0], b, [want(a[0], q) for q in b]),
+                           (a, b[0], [want(p, b[0]) for p in a]),
+                           (a[0], b[0], want(a[0], b[0]))):
+        got = hmul_array(x, y)
+        expected = np.array(expected)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_slice_points_array_matches_scalar():

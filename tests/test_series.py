@@ -271,6 +271,41 @@ def test_star_product_is_coefficient_convolution():
     assert norm(star_product(g, f).coefficients[0] + hamilton_mul(E1, E2)) == 0.0
 
 
+def star_product_by_sixteen_convolutions(f, g):
+    """The star product as one written-out expression of its sixteen
+    component convolutions, the form star_product had before it read the
+    sign table: the oracle of its bits."""
+    def conv(i, j):
+        return np.convolve(f.array[:, i], g.array[:, j])
+
+    return np.stack(
+        [
+            conv(0, 0) - conv(1, 1) - conv(2, 2) - conv(3, 3),
+            conv(0, 1) + conv(1, 0) + conv(2, 3) - conv(3, 2),
+            conv(0, 2) - conv(1, 3) + conv(2, 0) + conv(3, 1),
+            conv(0, 3) + conv(1, 2) - conv(2, 1) + conv(3, 0),
+        ],
+        axis=-1,
+    )
+
+
+def test_star_product_keeps_the_bits_of_the_written_out_convolutions():
+    rng = np.random.default_rng(35)
+
+    def draw(degree):
+        # coefficients over many binades, and some exact zeros
+        shape = (degree + 1, 4)
+        return SliceSeries(rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+                           * (rng.random(shape) > 0.1))
+
+    for deg_f in range(13):
+        for deg_g in range(13):
+            f, g = draw(deg_f), draw(deg_g)
+            got = star_product(f, g).array
+            want = star_product_by_sixteen_convolutions(f, g)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @given(series_strategy(3), series_strategy(3), series_strategy(3))
 @settings(deadline=None, max_examples=40)
 def test_star_product_associative(f, g, h):

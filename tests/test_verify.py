@@ -18,7 +18,17 @@ import slicereg.verify
 from slicereg.cli import RunConfig, ValidationError, main
 from slicereg.lipschitz import SamplePlan
 from slicereg.majorant import PowerMajorant
-from slicereg.quaternion import UNIT_E1, ImaginaryUnit, slice_points_array
+from slicereg.quaternion import (
+    E1,
+    E2,
+    E3,
+    ONE,
+    UNIT_E1,
+    ImaginaryUnit,
+    Quaternion,
+    norm,
+    slice_points_array,
+)
 from slicereg.series import _BLOCK, SliceSeries, SplitSeries, split
 from slicereg.verify import (
     ALL_SUITES,
@@ -32,6 +42,36 @@ from slicereg.verify import (
 @pytest.fixture(scope="module")
 def corpus():
     return default_corpus()
+
+
+def corpus_of_quaternions(seed):
+    """default_corpus as it was built from scalar quaternions, before it was
+    built from arrays: the oracle of its bits."""
+    members = [
+        ("const_real", SliceSeries([0.75])),
+        ("const_quat", SliceSeries([Quaternion(0.3, -0.2, 0.5, 0.1)])),
+        ("identity", SliceSeries([0.0, 1.0])),
+        ("square", SliceSeries([0.0, 0.0, 1.0])),
+        ("cubic_basis", SliceSeries([ONE, E1, E2, E3])),
+        ("linear_mix", SliceSeries([E1, E2])),
+        ("exp_taylor", SliceSeries([1.0 / math.factorial(n) for n in range(13)])),
+    ]
+    raw = np.random.default_rng([seed, 77]).normal(size=(2, 9, 4))
+    for tag in range(raw.shape[0]):
+        coeffs = [Quaternion(*raw[tag, n]) for n in range(raw.shape[1])]
+        total = sum(norm(c) for c in coeffs)
+        members.append((f"random_{tag}", SliceSeries([c * (0.5 / total) for c in coeffs])))
+    return members
+
+
+@pytest.mark.parametrize("seed", [*range(10), 2024])
+def test_default_corpus_keeps_the_bits_of_the_quaternion_built_corpus(seed):
+    got = default_corpus(seed)
+    want = corpus_of_quaternions(seed)
+    assert [m.name for m in got] == [name for name, _ in want]
+    for m, (_, series) in zip(got, want):
+        a, b = m.series.array, series.array
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _store_keys(keys, kind, stream=None):

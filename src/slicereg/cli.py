@@ -477,9 +477,10 @@ def _cmd_majorant_check(args) -> int:
     return 0 if cert.is_regular else 1
 
 
-# each pair or point estimator: the call that yields its NormEstimate. The
-# lambdas look the estimators up in this module when called, so a wrapper
-# set on slicereg.cli sees every call.
+# each estimator: the call that yields its NormEstimate or, for the two
+# Schwarz-Pick readings, its SchwarzPickReport. The lambdas look the
+# estimators up in this module when called, so a wrapper set on
+# slicereg.cli sees every call.
 _ESTIMATORS = {
     "slice": lambda f, w, w2, i, plan: slice_norm(f, w, i, plan),
     "component": lambda f, w, w2, i, plan: component_estimates(f, w, w2, i, plan)[2],
@@ -489,30 +490,20 @@ _ESTIMATORS = {
     "derivative-full": lambda f, w, w2, i, plan: derivative_ratio(f, w, i, plan)[0],
     "derivative-plus": lambda f, w, w2, i, plan: derivative_ratio(f, w, i, plan)[1],
     "derivative-minus": lambda f, w, w2, i, plan: derivative_ratio(f, w, i, plan)[2],
+    "schwarz-series": lambda f, w, w2, i, plan: schwarz_pick_criterion(f, w, i, plan, "series"),
+    "schwarz-pointwise":
+        lambda f, w, w2, i, plan: schwarz_pick_criterion(f, w, i, plan, "pointwise"),
 }
-_SCHWARZ = ("schwarz-series", "schwarz-pointwise")
 
 
 def _cmd_norm(args) -> int:
     config = _config_from_args(args)
     f = _pick(config.corpus, args.name)
-    omega, i, plan, kind = config.omega, config.i, config.plan, args.estimator
-    if kind in _SCHWARZ:
-        rep = schwarz_pick_criterion(f, omega, i, plan,
-                                     interpretation=kind.split("-", 1)[1])
-        doc = {"function": args.name, "estimator": kind, **dataclasses.asdict(rep)}
-        _write_text(to_json(doc), args.out)
-        return 0
     # the second weight is the first unless --omega2 is given
-    omega2 = config.omega2 if args.omega2_spec is not None else omega
-    est = _ESTIMATORS[kind](f, omega, omega2, i, plan)
-    _write_text(to_json({
-        "function": args.name,
-        "estimator": kind,
-        "value": est.value,
-        "argmax_pair": [list(p.components()) for p in est.argmax_pair],
-        "samples_used": est.samples_used,
-    }), args.out)
+    omega2 = config.omega2 if args.omega2_spec is not None else config.omega
+    result = _ESTIMATORS[args.estimator](f, config.omega, omega2, config.i, config.plan)
+    _write_text(to_json({"function": args.name, "estimator": args.estimator,
+                         **dataclasses.asdict(result)}), args.out)
     return 0
 
 
@@ -601,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="run one estimator")
     p.add_argument("--file", dest="corpus_path")
     p.add_argument("--name", required=True)
-    p.add_argument("--estimator", required=True, choices=(*_ESTIMATORS, *_SCHWARZ))
+    p.add_argument("--estimator", required=True, choices=_ESTIMATORS)
     _add_run_flags(p)
     p.add_argument("--eps", type=float, dest="min_separation")
     p.add_argument("--rho", type=float, dest="max_radius")

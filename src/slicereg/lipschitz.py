@@ -4,8 +4,16 @@ Every estimator draws its samples deterministically from a SamplePlan.
 Random strata use numpy Generator children seeded from (seed, stratum tag);
 deterministic strata use van der Corput / golden-angle sequences. All
 streams are prefix-stable: enlarging n_pairs or n_points extends the sample
-set, so estimates can only grow under refinement, and identical plans give
-identical results bit for bit.
+set, so the pair and point sups (slice_norm, component_estimates,
+global_norm, boundary_norm, derivative_ratio and N3 of seminorms_N) can
+only grow under refinement, and identical plans give identical results bit
+for bit. N1 and N2 of seminorms_N are the exception: their radii come from
+np.geomspace, whose points are not nested as n_points grows, so a refined
+plan can read a smaller N1 or N2.
+
+Each sampled sup is a NormEstimate from one builder, _pair_estimate: its
+value, the number of pairs, and its witness, the (2, 4) float array of the
+two quaternions of the pair that attains it.
 
 Each plan carries its own store: a stream or a shared constant is built
 once per plan and argument values and read from the store afterwards,
@@ -57,16 +65,7 @@ import numpy as np
 
 from .majorant import Majorant
 from .poisson import BoundarySpectrum, _angles, boundary_spectrum, defect_sup, resolved_cap
-from .quaternion import (
-    ImaginaryUnit,
-    Quaternion,
-    conj_array,
-    from_array,
-    hmul_array,
-    norm_array,
-    slice_point,
-    slice_points_array,
-)
+from .quaternion import ImaginaryUnit, conj_array, hmul_array, norm_array, slice_points_array
 from .series import (
     _BLOCK,
     SliceSeries,
@@ -150,12 +149,14 @@ class SamplePlan:
             del store[key]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormEstimate:
-    """Sampled supremum: always a lower bound on the true norm."""
+    """Sampled supremum: always a lower bound on the true norm. The witness
+    argmax_pair is the (2, 4) float array of the two quaternions of the
+    pair that attains it. eq=False: == on an array field would raise."""
 
     value: float
-    argmax_pair: tuple[Quaternion, Quaternion]
+    argmax_pair: np.ndarray
     samples_used: int
 
 
@@ -486,16 +487,18 @@ def blocked_argmax(values, n: int) -> tuple[int, float]:
     return k, float(v)
 
 
-def _pair_estimate(ratios, n: int, z1: np.ndarray, z2: np.ndarray,
-                   i: ImaginaryUnit) -> NormEstimate:
+def _pair_estimate(ratios, n: int, pair) -> NormEstimate:
     """The sampled sup of the n pair ratios, ratios(b) giving the pairs
-    b's, taken block by block (blocked_argmax)."""
+    b's, taken block by block (blocked_argmax), with pair(k), the (2, 4)
+    rows of pair k, as its witness: the one builder of a NormEstimate."""
     k, value = blocked_argmax(ratios, n)
-    return NormEstimate(
-        value=value,
-        argmax_pair=(slice_point(i, complex(z1[k])), slice_point(i, complex(z2[k]))),
-        samples_used=n,
-    )
+    return NormEstimate(value=value, argmax_pair=pair(k), samples_used=n)
+
+
+def _slice_pair(i: ImaginaryUnit, z1: np.ndarray, z2: np.ndarray):
+    """pair(k) for _pair_estimate over complex pairs z1, z2 of the slice of
+    i, embedded as slice_point embeds them, bit for bit."""
+    return lambda k: slice_points_array(i, np.array([z1[k], z2[k]]))
 
 
 def _pair_moduli(f: SliceSeries, i: ImaginaryUnit, z1: np.ndarray,
@@ -563,7 +566,7 @@ def slice_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     """Sampled sup of ||f(x) - f(y)|| / omega(||x - y||) over pairs of the
     slice disc, from the increment modulus alone."""
     z1, z2, mods, w = pair_samples(f, i, plan, "slice", omega, rows=1)
-    return _pair_estimate(lambda b: mods[0, b] / w[b], z1.size, z1, z2, i)
+    return _pair_estimate(lambda b: mods[0, b] / w[b], z1.size, _slice_pair(i, z1, z2))
 
 
 def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
@@ -582,7 +585,7 @@ def component_estimates(f: SliceSeries, omega1: Majorant, omega2: Majorant,
     def r2(b):
         return mods[6, b] / w2[b]
 
-    return tuple(_pair_estimate(r, z1.size, z1, z2, i)
+    return tuple(_pair_estimate(r, z1.size, _slice_pair(i, z1, z2))
                  for r in (r1, r2, lambda b: zero_leg_hypot(r1(b), r2(b))))
 
 
@@ -598,12 +601,7 @@ def global_norm(f: SliceSeries, omega: Majorant, plan: SamplePlan) -> NormEstima
         # them would keep one more array of the stream's length for the run
         return norm_array(diff) / omega(norm_array(q1[b] - q2[b]))
 
-    k, value = blocked_argmax(ratios, len(q1))
-    return NormEstimate(
-        value=value,
-        argmax_pair=(from_array(q1[k]), from_array(q2[k])),
-        samples_used=len(q1),
-    )
+    return _pair_estimate(ratios, len(q1), lambda k: np.stack((q1[k], q2[k])))
 
 
 def boundary_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
@@ -615,8 +613,9 @@ def boundary_norm(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     def modulus(b):
         return np.abs(split_modulus(mods[1:3, b]) - split_modulus(mods[3:5, b])) / w[b]
 
-    return (_pair_estimate(lambda b: mods[0, b] / w[b], z1.size, z1, z2, i),
-            _pair_estimate(modulus, z1.size, z1, z2, i))
+    pair = _slice_pair(i, z1, z2)
+    return (_pair_estimate(lambda b: mods[0, b] / w[b], z1.size, pair),
+            _pair_estimate(modulus, z1.size, pair))
 
 
 def seminorms_N(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
@@ -680,7 +679,8 @@ def derivative_ratio(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     comps = split(cullen_derivative(f), i).at(xs)
     gap = 1.0 - np.abs(xs)
     w = omega(gap)
-    return tuple(_pair_estimate(lambda b, v=vals: v[b] * gap[b] / w[b], xs.size, xs, xs, i)
+    pair = _slice_pair(i, xs, xs)
+    return tuple(_pair_estimate(lambda b, v=vals: v[b] * gap[b] / w[b], xs.size, pair)
                  for vals in (split_modulus(comps), 2.0 * np.abs(comps[1]),
                               2.0 * np.abs(comps[0])))
 
@@ -768,7 +768,7 @@ class SchwarzPickReport:
     hypothesis_constant: float
     derivative_constant: float
     sup_modulus: float
-    contract_ok: bool
+    contract_ok: bool | None
     n_used: int
     n_skipped: int
 
@@ -808,7 +808,8 @@ def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
 
     Points with ||f'(x)|| <= 1e-6, ||f(x)|| <= 1e-9, or a vanishing
     auxiliary are skipped and counted. The contract holds when the
-    derivative sup is at most 1.25 times the hypothesis sup (plus 1e-12).
+    derivative sup is at most 1.25 times the hypothesis sup (plus 1e-12);
+    contract_ok is None when every point is skipped, as for a constant.
     """
     if interpretation not in INTERPRETATIONS:
         raise ValueError(f"interpretation must be in {INTERPRETATIONS}")
@@ -838,12 +839,12 @@ def schwarz_pick_criterion(f: SliceSeries, omega: Majorant, i: ImaginaryUnit,
     der = float(np.max(M * np.sqrt(_squared_norms(fpvals[keep])) * gap / w, initial=0.0))
     used, skipped = int(keep.sum()), int(singular.sum())
 
-    ok = der <= hyp * 1.25 + 1e-12 if used else True
     return SchwarzPickReport(
         hypothesis_constant=float(hyp),
         derivative_constant=float(der),
         sup_modulus=M,
-        contract_ok=bool(ok),
+        # no reading, not a pass, when every point is skipped
+        contract_ok=bool(der <= hyp * 1.25 + 1e-12) if used else None,
         n_used=used,
         n_skipped=skipped,
     )

@@ -7,7 +7,9 @@ arrays of shape (..., 4) with components ordered (x0, x1, x2, x3).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -174,7 +176,8 @@ def orthogonal_unit(i: ImaginaryUnit) -> ImaginaryUnit:
     cand = [0.0, 0.0, 0.0]
     cand[k] = 1.0
     cand = [cand[m] - iv[k] * iv[m] for m in range(3)]
-    n = math.sqrt(sum(c * c for c in cand))
+    # added left to right, not by sum, which Python 3.12 compensates
+    n = math.sqrt(reduce(operator.add, (c * c for c in cand), 0.0))
     return ImaginaryUnit(cand[0] / n, cand[1] / n, cand[2] / n)
 
 

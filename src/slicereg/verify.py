@@ -46,7 +46,9 @@ stream build holds only its one buffer and a block.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -126,9 +128,11 @@ def default_corpus(seed: int = 2024) -> tuple[CorpusMember, ...]:
     raw = np.random.default_rng([seed, 77]).normal(size=(2, 9, 4))
     for tag, coeffs in enumerate(raw):
         # each norm rounds as quaternion.norm does: libm pow squares, summed
-        # in component order; then the norms summed left to right as floats
+        # in component order; then the norms added left to right as floats,
+        # not by sum, which Python 3.12 compensates
         sq = np.float_power(coeffs, 2.0)
-        total = sum(np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]).tolist())
+        norms = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]).tolist()
+        total = reduce(operator.add, norms, 0.0)
         members.append(CorpusMember(f"random_{tag}", SliceSeries(coeffs * (0.5 / total))))
     return tuple(members)
 
@@ -162,7 +166,7 @@ class FunctionRecord:
             self.failures.append(label)
 
     def witness(self, label: str, est: NormEstimate):
-        self.witnesses[label] = [list(p.components()) for p in est.argmax_pair]
+        self.witnesses[label] = est.argmax_pair.tolist()
 
 
 @dataclass

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import slicereg
 from slicereg.cli import (
     _ESTIMATORS,
-    _SCHWARZ,
     ParseError,
     RunConfig,
     ValidationError,
@@ -418,6 +417,39 @@ def test_verify_report_bytes_match_golden_file(argv, name, code, tmp_path):
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
+@pytest.mark.parametrize("reading", ["series", "pointwise"])
+@pytest.mark.parametrize("name", ["const_real", "const_quat"])
+def test_schwarz_pick_of_a_constant_reports_no_verdict(name, reading, tmp_path):
+    # a constant has f' = 0 everywhere, so every point is skipped: the
+    # contract has nothing to hold on, and reads null, not a vacuous true
+    out = tmp_path / "schwarz.json"
+    assert main(["norm", "--name", name, "--estimator", f"schwarz-{reading}",
+                 "--points", "64", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["n_used"], doc["n_skipped"]) == (0, 64)
+    assert doc["contract_ok"] is None
+
+
+def test_norm_writes_every_estimator_from_its_table_entry(monkeypatch, tmp_path):
+    # --estimator takes the table's keys, and each entry, the Schwarz-Pick
+    # readings included, reaches the function set on the module
+    from slicereg import cli
+
+    for kind in _ESTIMATORS:
+        assert build_parser().parse_args(["norm", "--name", "x", "--estimator", kind])
+    assert {*_ESTIMATORS} >= {"schwarz-series", "schwarz-pointwise", "global"}
+    calls, real = [], cli.schwarz_pick_criterion
+
+    def spy(*args, **kwargs):
+        calls.append(args[-1])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, "schwarz_pick_criterion", spy)
+    for reading in ("series", "pointwise"):
+        assert main(["norm", "--name", "identity", "--estimator", f"schwarz-{reading}",
+                     "--points", "64", "--out", str(tmp_path / "n.json")]) == 0
+    assert calls == ["series", "pointwise"]
+
+
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     # the spectral Poisson sum multiplies matrices through BLAS, which may
     # split them between threads; the report must keep its bits
@@ -672,7 +704,7 @@ def _cli_argv(draw) -> list[str]:
                                 .map(lambda ku: f"{ku[0]}={ku[1]}")))]
     if command == "majorant-check":
         return ["majorant-check", "--omega", draw(_OMEGA), "--nodes", draw(_SIZE)]
-    estimator = draw(st.sampled_from([*_ESTIMATORS, *_SCHWARZ, "bogus"]))
+    estimator = draw(st.sampled_from([*_ESTIMATORS, "bogus"]))
     return ["norm", "--name", draw(_NAME), "--estimator", estimator,
             "--pairs", draw(_SIZE), "--points", draw(_SIZE), "--eps", draw(_REAL),
             "--rho", draw(_REAL), "--seed", draw(_SIZE), "--omega", draw(_OMEGA),

@@ -317,7 +317,9 @@ def test_global_norm_keeps_the_row_major_path():
         k = int(np.argmax(ratios))
         est = global_norm(m.series, W_HALF, plan)
         assert est.value == float(ratios[k]), m.name
-        assert est.argmax_pair == (from_array(q1[k]), from_array(q2[k])), m.name
+        want = np.array([from_array(q1[k]).components(), from_array(q2[k]).components()])
+        assert est.argmax_pair.shape == (2, 4), m.name
+        assert est.argmax_pair.tobytes() == want.tobytes(), m.name
         assert est.samples_used == ratios.size, m.name
 
 
@@ -484,7 +486,8 @@ def test_slice_norm_oracles():
     assert est.value == pytest.approx(math.sqrt(2.0), rel=0.02)
     assert est.samples_used > 1000
     a, b = est.argmax_pair
-    assert norm_array(np.array([np.array(a.components()) - np.array(b.components())]))[0] > 1.9
+    assert est.argmax_pair.shape == (2, 4)
+    assert norm_array(a - b) > 1.9
     # f = q^2 with omega = t: sup |x + y| = 2
     assert slice_norm(SQUARE, W_LIN, I, PLAN).value == pytest.approx(2.0, rel=0.02)
     # constants have zero norm
@@ -642,13 +645,12 @@ def circle_weights_per_call(plan, *omegas):
 
 def full_array_estimate(ratios, z1, z2, i):
     # the sampled sup as it was taken, by np.argmax over all pairs at once,
-    # kept as the reference for the blocked sups
+    # kept as the reference for the blocked sups, as _circle_functionals
+    # reads an estimate: its witness the components of the scalar slice_point
     k = int(np.argmax(ratios))
-    return NormEstimate(
-        value=float(ratios[k]),
-        argmax_pair=(slice_point(i, complex(z1[k])), slice_point(i, complex(z2[k]))),
-        samples_used=int(ratios.size),
-    )
+    pair = np.array([slice_point(i, complex(z1[k])).components(),
+                     slice_point(i, complex(z2[k])).components()])
+    return NormEstimate(value=float(ratios[k]), argmax_pair=pair, samples_used=int(ratios.size))
 
 
 def boundary_norm_by_values(f, omega, i, plan):
@@ -663,7 +665,8 @@ def boundary_norm_by_values(f, omega, i, plan):
 
 def _circle_functionals(m, plan, boundary=boundary_norm):
     bounds = boundary(m.series, W_HALF, I, plan)
-    return ([(b.value, b.argmax_pair, b.samples_used) for b in bounds],
+    return ([(b.value, b.argmax_pair.shape, b.argmax_pair.tobytes(), b.samples_used)
+             for b in bounds],
             [n.tobytes() for n in seminorms_N(m.series, W_HALF, I, plan, 512)])
 
 
@@ -880,6 +883,45 @@ def test_schwarz_pick_constant_reports_empty():
     assert rep.n_used == 0
     assert rep.n_skipped > 0
     assert rep.hypothesis_constant == 0.0
+    # every point skipped: no reading, not a vacuous pass
+    assert rep.contract_ok is None
+
+
+@pytest.mark.parametrize("reading", INTERPRETATIONS)
+@pytest.mark.parametrize("alpha", [0.5, 0.25, 1.0])
+def test_schwarz_pick_identity_closed_form(alpha, reading):
+    # f(q) = q: f' = 1 and x~ = x, so at |x| = r, t = 1 - r, M = rho,
+    #   der(r) = rho t / omega(t),  hyp(r) = ((rho^2 - r^2) / (1 - r^2)) t / omega(t),
+    # both non-increasing in r for omega = t^alpha, alpha <= 1. Both sups
+    # sit at r0, the smallest nonzero |x| of disc_points (the origin, where
+    # f = 0, is the one point skipped), and der / hyp = rho (1 - r0^2) /
+    # (rho^2 - r0^2), the slice Schwarz-Pick lemma's factor (Bisi &
+    # Stoppato, Indiana Univ. Math. J. 61, 2012) at r0.
+    #
+    # The allowance counts roundings u = 2^-53 of the ratio; omega(t) is one
+    # float in both sups and cancels. der = M gap / w: 2 (product, quotient);
+    # gap = 1 - r: 1. hyp = |d| / ((1 + r) w): 4 (1 + r, product by w, the
+    # quotient, and 1 for the square and root of d's real part, its
+    # imaginary parts being of order u). d = M^2 - p with p ~ r0^2 the real
+    # part of conj(f(x)) f(x~): 2 (the square, the subtraction); p's own
+    # dozen roundings are scaled by r0^2 / (rho^2 - r0^2) <= 1/31 here, under
+    # 1. M against rho: 4 (the cos or sin of the cap point, its product by
+    # rho, then the squares, sum and root of its norm). The closed form
+    # itself: 6. In all 19; measured at most 4 over these plans.
+    allowance = 20 * 2.0 ** -53
+    omega = PowerMajorant(alpha)
+    for rho in (0.995, 0.9, 0.5):
+        for n_points in (64, 512, 4096):
+            plan = SamplePlan(n_points=n_points, max_radius=rho)
+            xs = disc_points(plan)
+            r = np.hypot(xs.real, xs.imag)
+            r0 = float(r[r > 0.0].min())
+            want = rho * (1.0 - r0 * r0) / (rho * rho - r0 * r0)
+            for unit in (UNIT_E1, ImaginaryUnit.from_vector(1.0, 2.0, -0.5)):
+                rep = schwarz_pick_criterion(IDENT, omega, unit, plan, reading)
+                assert (rep.n_used, rep.n_skipped) == (n_points - 1, 1)
+                got = rep.derivative_constant / rep.hypothesis_constant
+                assert abs(got / want - 1.0) <= allowance, (rho, n_points, unit)
 
 
 def _aux_coefficients(f):
@@ -1012,3 +1054,49 @@ def test_schwarz_report_equals_point_by_point_reference(name, interpretation):
         assert rep.n_skipped > 0
     if name == "flat":
         assert rep.n_used > 0
+
+
+# --- refinement -------------------------------------------------------------------
+
+W_QUARTER = PowerMajorant(0.25)
+
+
+def _refinable_values(f, i, plan):
+    """Every sampled sup the module docstring says can only grow under
+    refinement: slice_norm, component_estimates, global_norm,
+    boundary_norm, derivative_ratio, and N3 of seminorms_N."""
+    return [slice_norm(f, W_QUARTER, i, plan).value,
+            *(e.value for e in component_estimates(f, W_QUARTER, W_HALF, i, plan)),
+            global_norm(f, W_QUARTER, plan).value,
+            *(e.value for e in boundary_norm(f, W_QUARTER, i, plan)),
+            *(e.value for e in derivative_ratio(f, W_QUARTER, i, plan)),
+            *seminorms_N(f, W_QUARTER, i, plan, 512)[2].tolist()]
+
+
+@given(n_pairs=st.integers(16, 3000), more_pairs=st.integers(0, 600),
+       n_points=st.integers(16, 800), more_points=st.integers(0, 100),
+       seed=st.integers(0, 2 ** 16),
+       i=st.sampled_from([UNIT_E1, ImaginaryUnit.from_vector(1.0, 2.0, -0.5)]))
+@settings(deadline=None, max_examples=25)
+def test_estimates_only_grow_under_refinement(n_pairs, more_pairs, n_points, more_points,
+                                              seed, i):
+    # prefix-stable streams: the larger plan's samples hold the smaller's,
+    # each with the same bits, so every sup is >= there, exactly
+    coarse = SamplePlan(n_pairs, n_points, seed=seed)
+    fine = SamplePlan(n_pairs + more_pairs, n_points + more_points, seed=seed)
+    for m in _CORPUS:
+        before = _refinable_values(m.series, i, coarse)
+        after = _refinable_values(m.series, i, fine)
+        assert all(b >= a for a, b in zip(before, after)), (m.name, before, after)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="N1 and N2 read np.geomspace radii, which are not "
+                   "nested as n_points grows; a refined plan can miss the old sup")
+def test_n1_and_n2_grow_under_refinement():
+    # N1 of cubic_basis falls by 3.7e-3 and N2 of random_1 by 4.1e-4 here
+    coarse, fine = SamplePlan(1932, 386), SamplePlan(2189, 405)
+    for m in _CORPUS:
+        before = seminorms_N(m.series, W_QUARTER, I, coarse, 2048)[:2]
+        after = seminorms_N(m.series, W_QUARTER, I, fine, 2048)[:2]
+        for a, b in zip(before, after):
+            assert np.all(b >= a), m.name

@@ -895,8 +895,8 @@ def test_schwarz_pick_identity_closed_form(alpha, reading):
     # both non-increasing in r for omega = t^alpha, alpha <= 1. Both sups
     # sit at r0, the smallest nonzero |x| of disc_points (the origin, where
     # f = 0, is the one point skipped), and der / hyp = rho (1 - r0^2) /
-    # (rho^2 - r0^2), the slice Schwarz-Pick lemma's factor (Bisi &
-    # Stoppato, Indiana Univ. Math. J. 61, 2012) at r0.
+    # (rho^2 - r0^2). The slice Schwarz-Pick lemma behind the criterion is
+    # in Bisi & Stoppato, Indiana Univ. Math. J. 61, 2012.
     #
     # The allowance counts roundings u = 2^-53 of the ratio; omega(t) is one
     # float in both sups and cancels. der = M gap / w: 2 (product, quotient);

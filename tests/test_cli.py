@@ -437,7 +437,6 @@ def test_norm_writes_every_estimator_from_its_table_entry(monkeypatch, tmp_path)
 
     for kind in _ESTIMATORS:
         assert build_parser().parse_args(["norm", "--name", "x", "--estimator", kind])
-    assert {*_ESTIMATORS} >= {"schwarz-series", "schwarz-pointwise", "global"}
     calls, real = [], cli.schwarz_pick_criterion
 
     def spy(*args, **kwargs):
